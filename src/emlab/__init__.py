@@ -22,8 +22,7 @@ from .lagrangian import (CATALOG, HypothesisReport, Jet2, LagrangianModel,
                          make_expression_model, make_model,
                          pfunction_identity_residual)
 from .pfunction import (PFunctionReport, check_max_principle_conditions,
-                        gradient_bound_check, lambda1_field, lambda1_radial,
-                        locate_max)
+                        gradient_bound_check, lambda1_radial, locate_max)
 from .pipeline import (RunConfig, RunReport, export_fields, load_config,
                        load_run, parse_config, run_pipeline, validate_report)
 from .solver import (RadialProfile, SolveResult, SolverConfig, el_residual,

@@ -20,6 +20,11 @@ from .errors import DegenerateGridError, EmlabError
 # direction order used throughout: +x, -x, +y, -y
 DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
+#: nodes closer than this fraction of h to the boundary along a grid axis
+#: are exterior; it sits between the 1e-14 floor and the 1e-12 overshoot
+#: that the axis cuts accept
+ON_BOUNDARY_TOL = 1e-13
+
 
 # ---------------------------------------------------------------------------
 # shapes
@@ -67,14 +72,6 @@ class Shape:
         chord-sagitta quadrature correction); 0 disables the correction."""
         return 0.0
 
-    def describe(self):
-        return {"kind": self.kind, "parameters": list(self._params()),
-                "center": [float(self.cx), float(self.cy)],
-                "smooth_boundary": self.smooth_boundary}
-
-    def _params(self):
-        raise NotImplementedError
-
 
 def _circle_cut(px, py, cx, cy, R, direction, length):
     """Roots t in (0, 1] of |p + t*length*d - c| = R, smallest first."""
@@ -99,9 +96,6 @@ class Disc(Shape):
             raise ValueError("disc radius must be positive")
         self.R = float(radius)
         self.cx, self.cy = float(center[0]), float(center[1])
-
-    def _params(self):
-        return (self.R,)
 
     def inside(self, x, y):
         return (np.asarray(x) - self.cx) ** 2 + (np.asarray(y) - self.cy) ** 2 < self.R ** 2
@@ -151,9 +145,6 @@ class Annulus(Shape):
             raise ValueError("annulus needs 0 < inner < outer")
         self.a, self.b = float(inner), float(outer)
         self.cx, self.cy = float(center[0]), float(center[1])
-
-    def _params(self):
-        return (self.a, self.b)
 
     def inside(self, x, y):
         r2 = (np.asarray(x) - self.cx) ** 2 + (np.asarray(y) - self.cy) ** 2
@@ -218,9 +209,6 @@ class Ellipse(Shape):
         self.A, self.B = float(semi_x), float(semi_y)
         self.cx, self.cy = float(center[0]), float(center[1])
 
-    def _params(self):
-        return (self.A, self.B)
-
     def inside(self, x, y):
         return (((np.asarray(x) - self.cx) / self.A) ** 2
                 + ((np.asarray(y) - self.cy) / self.B) ** 2) < 1.0
@@ -284,9 +272,6 @@ class Rectangle(Shape):
             raise ValueError("rectangle sides must be positive")
         self.w, self.hgt = float(width), float(height)
         self.cx, self.cy = float(center[0]), float(center[1])
-
-    def _params(self):
-        return (self.w, self.hgt)
 
     def inside(self, x, y):
         return ((np.abs(np.asarray(x) - self.cx) < self.w / 2.0)
@@ -398,7 +383,6 @@ class DiscreteDomain:
     bcomp: np.ndarray               # (nb,) boundary component id
     dist: np.ndarray                # (n_int,) distance to boundary
     dropped_area: float = 0.0
-    _tree: object = field(default=None, repr=False)
     _int_tree: object = field(default=None, repr=False)
 
     @property
@@ -416,9 +400,6 @@ class DiscreteDomain:
     def core_mask(self, depth=2.0):
         """Interior nodes at least ``depth*h`` away from the boundary."""
         return self.dist >= depth * self.h - 1e-12
-
-    def node_point(self, i, j):
-        return self.gx0 + i * self.h, self.gy0 + j * self.h
 
 
 def _clip_cell_area(shape, x, y, h):
@@ -506,7 +487,12 @@ def build_domain(shape, spacing):
     xs = gx0 + np.arange(nx) * h
     ys = gy0 + np.arange(ny) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
+    # a node on the boundary up to rounding would get an axis cut of about
+    # 1e-16 h, below what the cuts resolve: count it as exterior, so that its
+    # neighbors cut the boundary at about t = 1 instead
     interior = shape.inside(X, Y)
+    for di, dj in DIRS:
+        interior &= shape.inside(X + di * ON_BOUNDARY_TOL * h, Y + dj * ON_BOUNDARY_TOL * h)
     n_int = int(np.count_nonzero(interior))
     if n_int < 9:
         raise DegenerateGridError(
@@ -583,16 +569,14 @@ def build_domain(shape, spacing):
     bw = np.concatenate(bw)
     bcomp = np.concatenate(bcomp)
 
-    tree = cKDTree(bpts)
-    dist, _ = tree.query(xy)
+    dist, _ = cKDTree(bpts).query(xy)
 
     return DiscreteDomain(shape=shape, h=h, gx0=gx0, gy0=gy0, nx=nx, ny=ny,
                           interior_index=interior_index, interior_ij=interior_ij,
                           xy=xy, nbr=nbr, arm=arm,
                           boundary_adjacent=boundary_adjacent, weights=weights,
                           bpts=bpts, bnu=bnu, bH=bH, bw=bw, bcomp=bcomp,
-                          dist=dist, dropped_area=dropped, _tree=tree,
-                          _int_tree=cKDTree(xy))
+                          dist=dist, dropped_area=dropped, _int_tree=cKDTree(xy))
 
 
 # ---------------------------------------------------------------------------

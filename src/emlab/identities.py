@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnconvergedError
 from .geometry import boundary_integral, star_center_margin, volume_integral
-from .lagrangian import divergence_coefficients, eval_jet
+from .lagrangian import eval_jet
 from .pfunction import QUADRATIC_FAMILY
 
 
@@ -60,91 +59,61 @@ class IdentityReport:
         }
 
 
-def _require_converged(result):
-    if not result.converged:
-        raise UnconvergedError("identity checks require a converged solution")
-
-
-def _boundary_flux_density(model, result, domain, x0):
-    """<X, T nu> per boundary sample, with T rebuilt from boundary data.
-
-    On the boundary u = 0 and grad u = (du/dnu) nu, so T nu reduces to
-    (g dnu^2 - F) nu with everything evaluated at (|du/dnu|, 0).
-    """
-    dnu = result.normal_derivative
-    pb = np.abs(dnu)
-    g, _ = divergence_coefficients(model, pb, np.zeros_like(pb))
-    F = eval_jet(model, pb, np.zeros_like(pb)).F
-    X_dot_nu = ((domain.bpts[:, 0] - x0[0]) * domain.bnu[:, 0]
-                + (domain.bpts[:, 1] - x0[1]) * domain.bnu[:, 1])
-    return X_dot_nu * (g * dnu ** 2 - F)
-
-
-def verify_rellich_identity(model, result, domain, x0=None, n=2):
-    """Volume integral of (p F_p - n F) against the boundary flux <X, T nu>."""
-    _require_converged(result)
-    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
-    p = result.p
-    jet = eval_jet(model, p, result.u)
-    volume = volume_integral(domain, p * jet.F_p - n * jet.F)
-    boundary = boundary_integral(domain, _boundary_flux_density(model, result, domain, x0))
+def verify_rellich_identity(fld, n=2):
+    """Volume integral of (p F_p - n F) against the boundary flux <X, T nu>
+    of an evaluated solution (pivot ``fld.x0``)."""
+    jet = fld.jet
+    volume = volume_integral(fld.domain, fld.p * jet.F_p - n * jet.F)
+    boundary = boundary_integral(fld.domain, fld.boundary_flux)
     return volume, boundary, abs(volume - boundary)
 
 
-def verify_rellich_source_form(model, result, domain, x0=None, n=2):
+def verify_rellich_source_form(fld, n=2):
     """Volume integral of (-u F_q - n F) against the same boundary flux.
 
     The boundary term u <L_xi, nu> vanishes identically for homogeneous
     Dirichlet data; it is still evaluated and returned as a consistency
     value alongside the plus-sign volume variant.
     """
-    _require_converged(result)
-    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
-    p = result.p
-    jet = eval_jet(model, p, result.u)
-    volume = volume_integral(domain, -result.u * jet.F_q - n * jet.F)
-    volume_plus_sign = volume_integral(domain, result.u * jet.F_q - n * jet.F)
+    domain, u, jet = fld.domain, fld.result.u, fld.jet
+    volume = volume_integral(domain, -u * jet.F_q - n * jet.F)
+    volume_plus_sign = volume_integral(domain, u * jet.F_q - n * jet.F)
 
-    flux = _boundary_flux_density(model, result, domain, x0)
     # u = 0 at every boundary sample by the Dirichlet data
     u_boundary = np.zeros(domain.n_boundary)
-    pb = np.abs(result.normal_derivative)
-    L_xi_dot_nu = eval_jet(model, pb, u_boundary).F_p * np.sign(result.normal_derivative)
+    L_xi_dot_nu = fld.boundary_jet.F_p * np.sign(fld.result.normal_derivative)
     vanishing = boundary_integral(domain, u_boundary * L_xi_dot_nu)
-    boundary = boundary_integral(domain, flux) - vanishing
+    boundary = boundary_integral(domain, fld.boundary_flux) - vanishing
     return (volume, boundary, abs(volume - boundary),
             {"vanishing_boundary_term": vanishing,
              "volume_with_plus_sign": volume_plus_sign})
 
 
-def verify_pohozaev_identity(model, result, domain, x0=None, n=2):
+def verify_pohozaev_identity(fld, n=2):
     """Specialized identity for the family F = p^2/2 + Phi(q).
 
     ``int((2-n)/2 |grad u|^2 - n Phi(u)) = oint <X, nu> (dnu^2/2 - Phi(0))``.
     """
-    _require_converged(result)
-    if model.name not in QUADRATIC_FAMILY:
-        raise ValueError(f"model {model.name!r} is not of the quadratic-gradient family")
-    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
-    phi_u = eval_jet(model, np.zeros_like(result.u), result.u).F
-    volume = volume_integral(domain, 0.5 * (2 - n) * result.p ** 2 - n * phi_u)
+    if fld.model.name not in QUADRATIC_FAMILY:
+        raise ValueError(f"model {fld.model.name!r} is not of the quadratic-gradient family")
+    domain = fld.domain
+    volume = volume_integral(domain, 0.5 * (2 - n) * fld.p ** 2 - n * fld.phi)
 
-    phi0 = float(eval_jet(model, 0.0, 0.0).F)
-    dnu = result.normal_derivative
-    X_dot_nu = ((domain.bpts[:, 0] - x0[0]) * domain.bnu[:, 0]
-                + (domain.bpts[:, 1] - x0[1]) * domain.bnu[:, 1])
-    boundary = boundary_integral(domain, X_dot_nu * (0.5 * dnu ** 2 - phi0))
-    boundary_halved = boundary_integral(domain, 0.5 * X_dot_nu * (dnu ** 2 - phi0))
+    dnu = fld.result.normal_derivative
+    boundary = boundary_integral(domain, fld.X_dot_nu * (0.5 * dnu ** 2 - fld.phi0))
+    boundary_halved = boundary_integral(domain, 0.5 * fld.X_dot_nu * (dnu ** 2 - fld.phi0))
     return (volume, boundary, abs(volume - boundary),
             {"boundary_with_halved_density": boundary_halved})
 
 
-def nonexistence_obstruction(model, domain, x0=None, result=None, tol=2e-2):
+def nonexistence_obstruction(model, domain, x0=None, pohozaev=None, tol=2e-2):
     """Sign diagnostic for the specialized identity on star-shaped domains.
 
     When <X, nu> >= 0 on the whole boundary and Phi(0) < 0, the boundary
     side is pointwise non-negative; a volume side that is negative beyond
-    tolerance is then flagged.  Pure diagnostic, no existence claim.
+    tolerance is then flagged.  ``pohozaev`` is the result of
+    ``verify_pohozaev_identity`` for a solution, if there is one.  Pure
+    diagnostic, no existence claim.
     """
     x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
     margin = star_center_margin(domain.shape, x0)
@@ -157,8 +126,8 @@ def nonexistence_obstruction(model, domain, x0=None, result=None, tol=2e-2):
     if not out["applicable"]:
         out["note"] = "domain is not star-shaped about x0; obstruction inapplicable"
         return out
-    if result is not None and model.name in QUADRATIC_FAMILY:
-        volume, boundary, _, _ = verify_pohozaev_identity(model, result, domain, x0)
+    if pohozaev is not None:
+        volume, boundary = pohozaev[:2]
         out["volume_value"] = volume
         out["boundary_value"] = boundary
         if out["boundary_sign_guaranteed"] == 1 and volume < -tol:
@@ -166,22 +135,21 @@ def nonexistence_obstruction(model, domain, x0=None, result=None, tol=2e-2):
     return out
 
 
-def run_identity_suite(model, result, domain, x0=None):
-    """Evaluate all identity pairs and the obstruction diagnostic."""
-    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
-    rep = IdentityReport(x0=x0)
-    rep.star_margin = star_center_margin(domain.shape, x0)
+def run_identity_suite(fld):
+    """Evaluate all identity pairs and the obstruction diagnostic on an
+    evaluated solution, about its pivot ``fld.x0``."""
+    rep = IdentityReport(x0=fld.x0)
     rep.rellich_volume, rep.rellich_boundary, rep.rellich_residual = \
-        verify_rellich_identity(model, result, domain, x0)
+        verify_rellich_identity(fld)
     rep.source_volume, rep.source_boundary, rep.source_residual, extra = \
-        verify_rellich_source_form(model, result, domain, x0)
+        verify_rellich_source_form(fld)
     rep.vanishing_boundary_term = extra["vanishing_boundary_term"]
     rep.as_printed["source_volume_plus_sign"] = extra["volume_with_plus_sign"]
-    if model.name in QUADRATIC_FAMILY:
-        rep.pohozaev_volume, rep.pohozaev_boundary, rep.pohozaev_residual, extra = \
-            verify_pohozaev_identity(model, result, domain, x0)
+    pohozaev = None
+    if fld.model.name in QUADRATIC_FAMILY:
+        pohozaev = verify_pohozaev_identity(fld)
+        rep.pohozaev_volume, rep.pohozaev_boundary, rep.pohozaev_residual, extra = pohozaev
         rep.as_printed["pohozaev_boundary_halved"] = extra["boundary_with_halved_density"]
-        rep.obstruction = nonexistence_obstruction(model, domain, x0, result)
-    else:
-        rep.obstruction = nonexistence_obstruction(model, domain, x0)
+    rep.obstruction = nonexistence_obstruction(fld.model, fld.domain, fld.x0, pohozaev)
+    rep.star_margin = rep.obstruction["star_margin"]
     return rep

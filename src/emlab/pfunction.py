@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import EmptyCriticalSetError, UnconvergedError
 from .lagrangian import _box_samples, eval_jet, pfunction_identity_residual
-from .tensor_field import critical_gradient_tolerance
 
 #: models of the quadratic-gradient family F = p^2/2 + Phi(q)
 QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_power"}
@@ -57,63 +56,23 @@ class PFunctionReport:
         }
 
 
-def lambda1_field(model, result, domain):
-    """Pointwise p F_p - F at interior nodes and boundary samples."""
-    if not result.converged:
-        raise UnconvergedError("lambda1 evaluation requires a converged solution")
-    p = result.p
-    jet = eval_jet(model, p, result.u)
-    lam = p * jet.F_p - jet.F
-    pb = np.abs(result.normal_derivative)
-    bjet = eval_jet(model, pb, np.zeros_like(pb))
-    blam = pb * bjet.F_p - bjet.F
-    return lam, blam
-
-
-def locate_max(model, result, domain):
-    """Locate and classify the maximum of lambda1 over the closure.
+def locate_max(fld):
+    """The maximum of lambda1 over the closure and its location class, read
+    from an evaluated solution.
 
     Also evaluates both branches of the sup formula: the critical branch
     ``-min over the critical set of F(0, u)`` and the boundary branch
     ``max over the boundary of p F_p(p, 0) - F(p, 0)``.
     """
-    lam, blam = lambda1_field(model, result, domain)
-    p = result.p
-    p_tol = critical_gradient_tolerance(domain, result.gradient_range[1])
-    crit = np.nonzero(p <= p_tol)[0]
-
-    i_int = int(np.argmax(lam))
-    i_bnd = int(np.argmax(blam))
-    if lam[i_int] >= blam[i_bnd]:
-        sup_value = float(lam[i_int])
-        argmax = (float(domain.xy[i_int, 0]), float(domain.xy[i_int, 1]))
-        if p[i_int] <= p_tol:
-            location_class = "critical_set"
-        elif domain.dist[i_int] <= 2.0 * domain.h:
-            # inside the cut collar a nodal maximum is indistinguishable
-            # from a boundary one at grid resolution (same tolerance
-            # philosophy as p_crit_tol)
-            location_class = "boundary"
-        else:
-            location_class = "interior_noncritical"
-    else:
-        sup_value = float(blam[i_bnd])
-        argmax = (float(domain.bpts[i_bnd, 0]), float(domain.bpts[i_bnd, 1]))
-        location_class = "boundary"
-
+    crit = fld.critical_set_idx
     empty = len(crit) == 0
-    if empty:
-        critical_value = None
-    else:
-        jets0 = eval_jet(model, np.zeros(len(crit)), result.u[crit])
-        critical_value = float(-np.min(jets0.F))
-
     return PFunctionReport(
-        lambda1=lam, boundary_lambda1=blam, sup_value=sup_value, argmax=argmax,
-        location_class=location_class, critical_set_idx=crit,
-        critical_formula_value=critical_value,
-        boundary_formula_value=float(np.max(blam)),
-        H_min=float(np.min(domain.bH)), p_crit_tol=p_tol,
+        lambda1=fld.lambda1, boundary_lambda1=fld.boundary_lambda1,
+        sup_value=fld.sup_lambda1, argmax=fld.sup_location,
+        location_class=fld.sup_location_class, critical_set_idx=crit,
+        critical_formula_value=None if empty else float(-np.min(fld.phi[crit])),
+        boundary_formula_value=float(np.max(fld.boundary_lambda1)),
+        H_min=float(np.min(fld.domain.bH)), p_crit_tol=fld.p_crit_tol,
         critical_set_empty=empty)
 
 
@@ -125,7 +84,7 @@ def lambda1_radial(model, profile):
     return p * jet.F_p - jet.F
 
 
-def gradient_bound_check(model, result, domain, report=None, tol=1e-6):
+def gradient_bound_check(fld, report=None, tol=1e-6):
     """Check lambda1 <= -min F(0, u) over the critical set, nodewise.
 
     For the quadratic-gradient family additionally checks the pointwise
@@ -133,7 +92,7 @@ def gradient_bound_check(model, result, domain, report=None, tol=1e-6):
     when the boundary curvature is non-negative or the maximum sits on the
     critical set; otherwise the margins are reported unasserted.
     """
-    report = report or locate_max(model, result, domain)
+    report = report or locate_max(fld)
     if report.critical_set_empty:
         raise EmptyCriticalSetError(
             "no critical-set nodes at this resolution; the eigenvalue bound "
@@ -144,11 +103,10 @@ def gradient_bound_check(model, result, domain, report=None, tol=1e-6):
     worst = float(np.min(margins))
 
     family_worst = None
-    if model.name in QUADRATIC_FAMILY:
-        m = result.solution_range[0]
-        phi_u = eval_jet(model, np.zeros_like(result.u), result.u).F
-        phi_m = float(eval_jet(model, 0.0, m).F)
-        family_margin = (phi_u - phi_m) - 0.5 * result.p ** 2
+    if fld.model.name in QUADRATIC_FAMILY:
+        m = fld.result.solution_range[0]
+        phi_m = float(eval_jet(fld.model, 0.0, m).F)
+        family_margin = (fld.phi - phi_m) - 0.5 * fld.p ** 2
         family_worst = float(np.min(family_margin))
 
     ok = (not applicable) or worst >= -tol

@@ -24,14 +24,12 @@ from .errors import (ConfigError, EllipticityError, EmlabError,
                      EmptyCriticalSetError)
 from .geometry import build_domain, make_shape
 from .identities import run_identity_suite
-from .lagrangian import (check_hypotheses, divergence_coefficients, eval_jet,
-                         make_expression_model, make_model)
+from .lagrangian import check_hypotheses, make_expression_model, make_model
 from .pfunction import (check_max_principle_conditions, gradient_bound_check,
                         locate_max)
-from .solver import (SolveResult, SolverConfig, _normal_derivative,
-                     el_residual, gradient_operators, solve_euler_lagrange,
-                     solve_radial)
-from .tensor_field import (_interior_diff_ops, assemble_field,
+from .solver import (SolverConfig, el_residual, field_result,
+                     solve_euler_lagrange, solve_radial)
+from .tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
                            classify_definiteness, consistency_report,
                            divergence_residual)
 
@@ -173,7 +171,6 @@ class RunReport:
     # runtime objects, not serialized
     result: object = field(default=None, repr=False)
     domain: object = field(default=None, repr=False)
-    model: object = field(default=None, repr=False)
     spectral_field: object = field(default=None, repr=False)
 
     def add_check(self, name, value, tolerance, passed, gate=True):
@@ -235,7 +232,7 @@ REPORT_SCHEMA = {
             "properties": {
                 "converged": {"type": "boolean"},
                 "iterations": {"type": "integer", "minimum": 0},
-                "final_residual": {"type": "number"},
+                "final_residual": {"type": ["number", "null"]},
                 "solution_range": {"type": "array", "items": {"type": "number"}},
                 "gradient_range": {"type": "array", "items": {"type": "number"}},
                 "regularity_note": {"type": "string"},
@@ -296,16 +293,16 @@ def run_pipeline(config, strict=False):
     invariant check failures yield exit 3.
     """
     report = RunReport(config=config.raw)
-    timings = {}
+    timings = report.timings
     t0 = time.perf_counter()
 
     pilot = check_hypotheses(config.model, box=DEFAULT_HYPOTHESIS_BOX, samples=256)
+    timings["hypotheses_pilot"] = time.perf_counter() - t0
     if strict and not pilot.convexity_ok:
         report.hypotheses = pilot.as_dict()
         report.exit_code = EXIT_HYPOTHESIS
         report.violations.append("hypothesis_convexity")
         return report
-    timings["hypotheses_pilot"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
@@ -319,14 +316,13 @@ def run_pipeline(config, strict=False):
         result = solve_euler_lagrange(config.model, domain, config.solver)
     except EllipticityError as exc:
         report.solver = {"converged": False, "iterations": 0,
-                         "final_residual": float("nan"),
+                         "final_residual": None,
                          "failure": f"ellipticity breakdown: {exc}",
                          "witness": exc.witness}
         report.hypotheses = pilot.as_dict()
         report.exit_code = EXIT_SOLVER
         return report
     timings["solve"] = time.perf_counter() - t0
-    report.result, report.domain, report.model = result, domain, config.model
 
     report.solver = {
         "converged": result.converged,
@@ -338,8 +334,7 @@ def run_pipeline(config, strict=False):
         "radial_oracle": None,
         "failure": None,
     }
-    analyze_into(report, config, domain, result, strict=strict, timings=timings)
-    report.timings = timings
+    analyze_into(report, config, domain, result, strict=strict)
     return report
 
 
@@ -357,14 +352,14 @@ def _domain_section(domain):
     return sec
 
 
-def analyze_into(report, config, domain, result, strict=False, timings=None):
+def analyze_into(report, config, domain, result, strict=False):
     """Run the configured analyses on a solved field, filling the report.
 
     Shared between a fresh pipeline run and re-analysis of persisted fields;
     everything here is deterministic given (config, u).
     """
-    timings = {} if timings is None else timings
-    report.result, report.domain, report.model = result, domain, config.model
+    timings = report.timings
+    report.result, report.domain = result, domain
     report.domain_info = _domain_section(domain)
     t0 = time.perf_counter()
 
@@ -389,8 +384,9 @@ def analyze_into(report, config, domain, result, strict=False, timings=None):
         hyp = None
 
     if not result.converged:
+        report.add_check("solver_convergence", result.residual_history[-1],
+                         config.solver.residual_tol, False)
         report.exit_code = EXIT_SOLVER
-        report.violations.append("solver_convergence")
         return report
 
     # recompute the equation residual from the field actually analyzed; on a
@@ -428,14 +424,15 @@ def analyze_into(report, config, domain, result, strict=False, timings=None):
         report.add_check("maximum_principle_nonpositive", float(np.max(result.u)),
                          1e-8, float(np.max(result.u)) <= 1e-8)
 
-    fld = None
+    t0 = time.perf_counter()
+    fld = report.spectral_field = assemble_field(config.model, result, domain, config.x0)
+    timings["evaluation"] = time.perf_counter() - t0
+
     if config.analysis.get("tensor", True):
         t0 = time.perf_counter()
-        fld = classify_definiteness(assemble_field(config.model, result, domain))
-        _, div_norm = divergence_residual(fld)
-        stride = max(1, domain.n_interior // 4096)
-        cons = consistency_report(fld, sample_stride=stride)
-        report.spectral_field = fld
+        classify_definiteness(fld)
+        fld.div_T, div_norm = divergence_residual(fld)
+        cons = consistency_report(fld)
         report.spectral = {
             "definiteness_class": fld.definiteness_class,
             "uniform_constant_C": fld.uniform_constant_C,
@@ -466,7 +463,7 @@ def analyze_into(report, config, domain, result, strict=False, timings=None):
 
     if config.analysis.get("pfunction", True):
         t0 = time.perf_counter()
-        prep = locate_max(config.model, result, domain)
+        prep = locate_max(fld)
         report.add_check("lambda1_location_class", prep.location_class, None,
                          prep.location_class != "interior_noncritical")
         two_branch = prep.two_branch_bound()
@@ -480,12 +477,14 @@ def analyze_into(report, config, domain, result, strict=False, timings=None):
             dev = abs(prep.sup_value - prep.critical_formula_value)
             report.add_check("lambda1_critical_branch_equality", dev, tol, dev <= tol)
         prep.checks["critical_set_flagged_empty"] = prep.critical_set_empty
-        if fld is not None:
-            agreement = float(np.max(np.abs(prep.lambda1 - fld.lambda1)))
+        if report.spectral is not None:
+            # lambda1 against the nearer eigenvalue of a direct 2x2 solve
+            direct = _eigvals_sym2(np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]]))
+            agreement = float(np.max(np.min(np.abs(direct - fld.lambda1), axis=0)))
             report.add_check("lambda1_matches_tensor_eigenvalue", agreement,
                              1e-12, agreement <= 1e-12)
         try:
-            gb = gradient_bound_check(config.model, result, domain, prep)
+            gb = gradient_bound_check(fld, prep)
             report.add_check("gradient_bound_margin", gb["worst_margin"], -1e-6,
                              gb["ok"], gate=gb["applicable"])
         except EmptyCriticalSetError:
@@ -500,7 +499,7 @@ def analyze_into(report, config, domain, result, strict=False, timings=None):
 
     if config.analysis.get("identities", True):
         t0 = time.perf_counter()
-        idr = run_identity_suite(config.model, result, domain, config.x0)
+        idr = run_identity_suite(fld)
         report.identities = idr.as_dict()
         tol = identity_tolerance(domain.h)
         report.add_check("rellich_identity_residual", idr.rellich_residual, tol,
@@ -543,20 +542,20 @@ def export_fields(report, out_dir):
     report.json; timings.json is the only non-deterministic artifact.
     """
     os.makedirs(out_dir, exist_ok=True)
-    result, domain, model = report.result, report.domain, report.model
+    result, domain = report.result, report.domain
     if result is None:
         _write_report_files(report, out_dir)
         return
 
     fld = report.spectral_field
-    n = domain.n_interior
-    nan = np.full(n, np.nan)
-    if fld is not None:
-        div, _ = divergence_residual(fld)
+    tensor = report.spectral is not None
+    if tensor:
+        div = fld.div_T
         cols = [domain.xy[:, 0], domain.xy[:, 1], result.u,
                 result.grad[:, 0], result.grad[:, 1], fld.lambda1,
                 fld.lambda_rest, fld.det, fld.trace, div[:, 0], div[:, 1]]
     else:
+        nan = np.full(domain.n_interior, np.nan)
         cols = [domain.xy[:, 0], domain.xy[:, 1], result.u,
                 result.grad[:, 0], result.grad[:, 1]] + [nan] * 6
     with open(os.path.join(out_dir, "fields.csv"), "w") as fh:
@@ -564,7 +563,7 @@ def export_fields(report, out_dir):
         for row in zip(*cols):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    if fld is not None:
+    if tensor:
         tcols = [domain.xy[:, 0], domain.xy[:, 1], fld.T11, fld.T12, fld.T22,
                  fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
                  div[:, 0], div[:, 1]]
@@ -573,15 +572,11 @@ def export_fields(report, out_dir):
             for row in zip(*tcols):
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    x0 = report.config.get("x0") or [domain.shape.cx, domain.shape.cy]
-    X_dot_nu = ((domain.bpts[:, 0] - x0[0]) * domain.bnu[:, 0]
-                + (domain.bpts[:, 1] - x0[1]) * domain.bnu[:, 1])
-    pb = np.abs(result.normal_derivative)
-    g, _ = divergence_coefficients(model, pb, np.zeros_like(pb))
-    F = eval_jet(model, pb, np.zeros_like(pb)).F
-    rellich_density = X_dot_nu * (g * result.normal_derivative ** 2 - F)
-    phi0 = float(eval_jet(model, 0.0, 0.0).F)
-    pohozaev_density = X_dot_nu * (0.5 * result.normal_derivative ** 2 - phi0)
+    if fld is None:  # the analyses stopped before evaluating the solution
+        rellich_density = pohozaev_density = np.full(domain.n_boundary, np.nan)
+    else:
+        rellich_density = fld.boundary_flux
+        pohozaev_density = fld.X_dot_nu * (0.5 * result.normal_derivative ** 2 - fld.phi0)
     bcols = [domain.bpts[:, 0], domain.bpts[:, 1], domain.bnu[:, 0],
              domain.bnu[:, 1], domain.bH, domain.bw, result.normal_derivative,
              rellich_density, pohozaev_density]
@@ -633,17 +628,10 @@ def load_run(run_dir):
     if len(u) != domain.n_interior:
         raise ConfigError("persisted field does not match the configured grid")
 
-    Gx, Gy = gradient_operators(domain)
-    grad = np.column_stack([Gx @ u, Gy @ u])
-    dnu = _normal_derivative(domain, grad)
-    p = np.hypot(grad[:, 0], grad[:, 1])
     solver_doc = report_doc.get("solver") or {}
-    result = SolveResult(
-        u=u, grad=grad, normal_derivative=dnu,
+    result = field_result(
+        config.model, domain, u,
         residual_history=[solver_doc.get("final_residual", float("nan"))],
         converged=bool(solver_doc.get("converged", False)),
-        iterations=int(solver_doc.get("iterations", 0)),
-        solution_range=(min(float(np.min(u)), 0.0), max(float(np.max(u)), 0.0)),
-        gradient_range=(0.0, max(float(np.max(p)), float(np.max(np.abs(dnu))))),
-        model=config.model, domain=domain)
+        iterations=int(solver_doc.get("iterations", 0)))
     return config, domain, result, report_doc

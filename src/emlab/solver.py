@@ -267,6 +267,15 @@ def solve_euler_lagrange(model, domain, config=None):
         iterations += extra
         converged = res <= cfg.residual_tol
 
+    return field_result(model, domain, u, residual_history=history,
+                        converged=converged, iterations=iterations, log=log,
+                        config=cfg)
+
+
+def field_result(model, domain, u, **state):
+    """SolveResult for the field ``u``: its gradient, the boundary normal
+    derivative and the value and gradient ranges, plus the solver ``state``
+    (residual history, convergence flag, iterations, ...)."""
     Gx, Gy = gradient_operators(domain)
     grad = np.column_stack([Gx @ u, Gy @ u])
     dnu = _normal_derivative(domain, grad)
@@ -275,10 +284,8 @@ def solve_euler_lagrange(model, domain, config=None):
     M = max(float(np.max(u)), 0.0)
     p_max = max(float(np.max(p)), float(np.max(np.abs(dnu))))
     return SolveResult(u=u, grad=grad, normal_derivative=dnu,
-                       residual_history=history, converged=converged,
-                       iterations=iterations, solution_range=(m, M),
-                       gradient_range=(0.0, p_max), log=log, model=model,
-                       domain=domain, config=cfg)
+                       solution_range=(m, M), gradient_range=(0.0, p_max),
+                       model=model, domain=domain, **state)
 
 
 def _newton_polish(model, domain, u, res, cfg, history, log, start_it, try_step):
@@ -347,9 +354,6 @@ class RadialProfile:
 
     def u_at(self, r):
         return np.interp(r, self.r, self.u)
-
-    def du_at(self, r):
-        return np.interp(r, self.r, self.du)
 
 
 def _invert_flux(model, w, q):

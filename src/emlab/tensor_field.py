@@ -55,8 +55,10 @@ def assemble_tensor(jet, grad, p):
 
 
 def _eigvals_sym2(T):
+    """Ascending eigenvalues of a symmetric 2x2 matrix, or of a stack of them
+    given as a (2, 2, N) array."""
     mean = 0.5 * (T[0, 0] + T[1, 1])
-    disc = math.hypot(0.5 * (T[0, 0] - T[1, 1]), T[0, 1])
+    disc = np.hypot(0.5 * (T[0, 0] - T[1, 1]), T[0, 1])
     return np.array([mean - disc, mean + disc])
 
 
@@ -109,12 +111,18 @@ def det_trace_direct(point):
 
 
 # ---------------------------------------------------------------------------
-# whole-field assembly
+# whole-field evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SpectralField:
-    """Per-node tensor entries and spectrum over a solved field."""
+    """One evaluation of a solved field, read by the tensor, p-function,
+    identity and export layers.
+
+    Interior quantities come from the jet at (|grad u|, u).  Boundary ones
+    come from the jet at (|du/dnu|, 0): on the boundary u = 0 and
+    grad u = (du/dnu) nu, so T nu = (g dnu^2 - F) nu there.
+    """
 
     T11: np.ndarray
     T12: np.ndarray
@@ -125,51 +133,87 @@ class SpectralField:
     trace: np.ndarray
     det_convention_flip: np.ndarray   # lambda1 * (+F)^{n-1}: the other sign convention
     p: np.ndarray
+    jet: object                       # interior jet at (|grad u|, u)
+    phi: np.ndarray                   # Phi(u) = F(0, u) at interior nodes
+    phi0: float                       # F(0, 0)
+    boundary_jet: object              # jet at (|du/dnu|, 0)
     boundary_lambda1: np.ndarray
     boundary_lambda_rest: np.ndarray
+    x0: tuple                         # pivot of the affine field X = x - x0
+    X_dot_nu: np.ndarray              # <X, nu> per boundary sample
+    boundary_flux: np.ndarray         # <X, T nu> per boundary sample
+    critical_set_idx: np.ndarray      # interior nodes with p <= p_crit_tol
+    p_crit_tol: float
+    sup_lambda1: float
+    sup_location: tuple
+    sup_location_class: str           # critical_set | boundary | interior_noncritical
     definiteness_class: str = "unclassified"
     uniform_constant_C: float = None
-    sup_lambda1: float = None
-    sup_location: tuple = None
-    sup_location_class: str = None
+    div_T: np.ndarray = None          # (n_int, 2) discrete divergence, once computed
     model: object = field(default=None, repr=False)
     domain: object = field(default=None, repr=False)
     result: object = field(default=None, repr=False)
 
-    @property
-    def n(self):
-        return 2
 
+def assemble_field(model, result, domain, x0=None):
+    """Evaluate a converged solution once.
 
-def assemble_field(model, result, domain):
-    """Evaluate the tensor, spectrum and det/trace at every interior node
-    and at the boundary samples (p = |du/dnu|, q = 0 there)."""
+    Builds the tensor, its spectrum and det/trace at every interior node,
+    Phi(u), the boundary jet with lambda1 and the flux density <X, T nu> for
+    the pivot ``x0`` (default: the shape center), the critical set, and the
+    location of the maximum of lambda1 over the closure.
+    """
     if not result.converged:
         raise UnconvergedError("tensor assembly requires a converged solution")
-    p = result.p
-    jet = eval_jet(model, p, result.u)
+    p, u = result.p, result.u
+    jet = eval_jet(model, p, u)
     coef = np.where(p > ORIGIN_EPS, jet.F_p / np.maximum(p, ORIGIN_EPS), 0.0)
     ux, uy = result.grad[:, 0], result.grad[:, 1]
-    T11 = coef * ux * ux - jet.F
-    T12 = coef * ux * uy
-    T22 = coef * uy * uy - jet.F
     lambda1 = np.where(p > ORIGIN_EPS, p * jet.F_p - jet.F, -jet.F)
     lambda_rest = -jet.F
-    det = lambda1 * lambda_rest
-    trace = lambda1 + lambda_rest
-    det_flip = lambda1 * jet.F
 
-    pb = np.abs(result.normal_derivative)
+    dnu = result.normal_derivative
+    pb = np.abs(dnu)
     bjet = eval_jet(model, pb, np.zeros_like(pb))
-    blambda1 = np.where(pb > ORIGIN_EPS, pb * bjet.F_p - bjet.F, -bjet.F)
-    blambda_rest = -bjet.F
+    moving = pb > ORIGIN_EPS
+    blambda1 = np.where(moving, pb * bjet.F_p - bjet.F, -bjet.F)
+    # g = F_p/p with its p -> 0 limit F_pp, as in divergence_coefficients
+    g = np.where(moving, bjet.F_p / np.maximum(pb, ORIGIN_EPS), bjet.F_pp)
+    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
+    X_dot_nu = ((domain.bpts[:, 0] - x0[0]) * domain.bnu[:, 0]
+                + (domain.bpts[:, 1] - x0[1]) * domain.bnu[:, 1])
 
-    return SpectralField(T11=T11, T12=T12, T22=T22, lambda1=lambda1,
-                         lambda_rest=lambda_rest, det=det, trace=trace,
-                         det_convention_flip=det_flip, p=p,
-                         boundary_lambda1=blambda1,
-                         boundary_lambda_rest=blambda_rest,
-                         model=model, domain=domain, result=result)
+    p_tol = critical_gradient_tolerance(domain, result.gradient_range[1])
+    i_int = int(np.argmax(lambda1))
+    i_bnd = int(np.argmax(blambda1))
+    if lambda1[i_int] >= blambda1[i_bnd]:
+        sup = float(lambda1[i_int])
+        location = (float(domain.xy[i_int, 0]), float(domain.xy[i_int, 1]))
+        if p[i_int] <= p_tol:
+            location_class = "critical_set"
+        elif domain.dist[i_int] <= 2.0 * domain.h:
+            # inside the cut collar a nodal maximum is indistinguishable
+            # from a boundary one at grid resolution (same tolerance
+            # philosophy as p_crit_tol)
+            location_class = "boundary"
+        else:
+            location_class = "interior_noncritical"
+    else:
+        sup = float(blambda1[i_bnd])
+        location = (float(domain.bpts[i_bnd, 0]), float(domain.bpts[i_bnd, 1]))
+        location_class = "boundary"
+
+    return SpectralField(
+        T11=coef * ux * ux - jet.F, T12=coef * ux * uy, T22=coef * uy * uy - jet.F,
+        lambda1=lambda1, lambda_rest=lambda_rest, det=lambda1 * lambda_rest,
+        trace=lambda1 + lambda_rest, det_convention_flip=lambda1 * jet.F, p=p,
+        jet=jet, phi=eval_jet(model, np.zeros_like(u), u).F,
+        phi0=float(eval_jet(model, 0.0, 0.0).F), boundary_jet=bjet,
+        boundary_lambda1=blambda1, boundary_lambda_rest=-bjet.F, x0=x0,
+        X_dot_nu=X_dot_nu, boundary_flux=X_dot_nu * (g * dnu ** 2 - bjet.F),
+        critical_set_idx=np.nonzero(p <= p_tol)[0], p_crit_tol=p_tol,
+        sup_lambda1=sup, sup_location=location, sup_location_class=location_class,
+        model=model, domain=domain, result=result)
 
 
 def critical_gradient_tolerance(domain, p_max):
@@ -177,13 +221,12 @@ def critical_gradient_tolerance(domain, p_max):
     return max(1e-6, 2.0 * domain.h * p_max)
 
 
-def classify_definiteness(fld, boundary_points_included=True):
-    """Fill the definiteness class, the uniform constant and the location of
-    the top eigenvalue on a SpectralField; returns the same object."""
-    eigs = [fld.lambda1, fld.lambda_rest]
-    if boundary_points_included:
-        eigs += [fld.boundary_lambda1, fld.boundary_lambda_rest]
-    eigs = np.concatenate(eigs)
+def classify_definiteness(fld):
+    """Fill the definiteness class and the uniform constant on a
+    SpectralField, over interior nodes and boundary samples; returns the
+    same object."""
+    eigs = np.concatenate([fld.lambda1, fld.lambda_rest,
+                           fld.boundary_lambda1, fld.boundary_lambda_rest])
     scale = float(np.max(np.abs(eigs)))
     lo, hi = float(np.min(eigs)), float(np.max(eigs))
     if np.any(np.abs(eigs) <= DEGENERACY_RTOL * scale):
@@ -195,26 +238,6 @@ def classify_definiteness(fld, boundary_points_included=True):
         fld.definiteness_class = "positive_definite"
     else:
         fld.definiteness_class = "indefinite"
-
-    domain, result = fld.domain, fld.result
-    i_int = int(np.argmax(fld.lambda1))
-    best_interior = float(fld.lambda1[i_int])
-    i_bnd = int(np.argmax(fld.boundary_lambda1))
-    best_boundary = float(fld.boundary_lambda1[i_bnd]) if boundary_points_included else -np.inf
-    p_tol = critical_gradient_tolerance(domain, result.gradient_range[1])
-    if best_interior >= best_boundary:
-        fld.sup_lambda1 = best_interior
-        fld.sup_location = (float(domain.xy[i_int, 0]), float(domain.xy[i_int, 1]))
-        if fld.p[i_int] <= p_tol:
-            fld.sup_location_class = "critical_set"
-        elif domain.dist[i_int] <= 2.0 * domain.h:
-            fld.sup_location_class = "boundary"  # within the cut collar
-        else:
-            fld.sup_location_class = "interior_noncritical"
-    else:
-        fld.sup_lambda1 = best_boundary
-        fld.sup_location = (float(domain.bpts[i_bnd, 0]), float(domain.bpts[i_bnd, 1]))
-        fld.sup_location_class = "boundary"
     return fld
 
 
@@ -236,36 +259,30 @@ def _interior_diff_ops(domain):
     n = domain.n_interior
     h = domain.h
     nbr = domain.nbr
+    idx = np.arange(n)
     ops = []
     for d_plus, d_minus in ((_E, _W), (_N, _S)):
+        jp, jm = nbr[:, d_plus], nbr[:, d_minus]
+        jpp = np.where(jp >= 0, nbr[jp, d_plus], -1)
+        jmm = np.where(jm >= 0, nbr[jm, d_minus], -1)
+        forward = (jp >= 0) & (jm < 0)
+        backward = (jm >= 0) & (jp < 0)
+        stencils = [  # (row mask, [(column, coefficient * h), ...])
+            ((jp >= 0) & (jm >= 0), [(jp, 0.5), (jm, -0.5)]),
+            (forward & (jpp >= 0), [(idx, -1.5), (jp, 2.0), (jpp, -0.5)]),
+            (forward & (jpp < 0), [(idx, -1.0), (jp, 1.0)]),
+            (backward & (jmm >= 0), [(idx, 1.5), (jm, -2.0), (jmm, 0.5)]),
+            (backward & (jmm < 0), [(idx, 1.0), (jm, -1.0)]),
+        ]
         rows, cols, vals = [], [], []
-        for i in range(n):
-            jp, jm = nbr[i, d_plus], nbr[i, d_minus]
-            if jp >= 0 and jm >= 0:
-                rows += [i, i]
-                cols += [jp, jm]
-                vals += [0.5 / h, -0.5 / h]
-            elif jp >= 0:
-                jpp = nbr[jp, d_plus]
-                if jpp >= 0:
-                    rows += [i, i, i]
-                    cols += [i, jp, jpp]
-                    vals += [-1.5 / h, 2.0 / h, -0.5 / h]
-                else:
-                    rows += [i, i]
-                    cols += [i, jp]
-                    vals += [-1.0 / h, 1.0 / h]
-            elif jm >= 0:
-                jmm = nbr[jm, d_minus]
-                if jmm >= 0:
-                    rows += [i, i, i]
-                    cols += [i, jm, jmm]
-                    vals += [1.5 / h, -2.0 / h, 0.5 / h]
-                else:
-                    rows += [i, i]
-                    cols += [i, jm]
-                    vals += [1.0 / h, -1.0 / h]
-        ops.append(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        for mask, terms in stencils:
+            for col, c in terms:
+                rows.append(idx[mask])
+                cols.append(col[mask])
+                vals.append(np.full(np.count_nonzero(mask), c / h))
+        ops.append(sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)))
     domain._tensor_diff_ops = tuple(ops)
     return domain._tensor_diff_ops
 
@@ -283,51 +300,31 @@ def divergence_residual(fld, domain=None, collar_depth=2.0):
     return residual, norm
 
 
-def consistency_report(fld, sample_stride=1):
-    """Max deviations of the spectral algebra across the field.
+def consistency_report(fld):
+    """Max deviations of the spectral algebra over every interior node.
 
-    Materializes the full matrix at (strided) nodes and checks: symmetry,
+    Materializes the full matrix at each node and checks: symmetry,
     eigenvector residuals, closed-form vs direct spectrum, trace and det
     against the direct matrix computation, and the relation between the two
     determinant sign conventions (they differ by (-1)^(n-1)).
     """
-    idx = np.arange(0, len(fld.lambda1), sample_stride)
-    sym_max = 0.0
-    eigvec_max = 0.0
-    spectrum_max = 0.0
-    trace_max = 0.0
-    det_max = 0.0
-    flip_max = 0.0
-    result = fld.result
-    for i in idx:
-        grad = result.grad[i]
-        pt = TensorPoint(
-            T=np.array([[fld.T11[i], fld.T12[i]], [fld.T12[i], fld.T22[i]]]),
-            lambda1=float(fld.lambda1[i]), lambda_rest=float(fld.lambda_rest[i]),
-            p=float(fld.p[i]), jet=None)
-        sym_max = max(sym_max, abs(pt.T[0, 1] - pt.T[1, 0]))
-        spectrum_max = max(spectrum_max, spectrum_crosscheck(pt))
-        det_c, trace_c = det_trace(pt)
-        det_d, trace_d = det_trace_direct(pt)
-        scale = max(1.0, abs(det_d))
-        trace_max = max(trace_max, abs(trace_c - trace_d))
-        det_max = max(det_max, abs(det_c - det_d) / scale)
-        flip_max = max(flip_max,
-                       abs(det_c - (-1.0) * fld.det_convention_flip[i]) / scale)
-        if pt.p > ORIGIN_EPS:
-            tnorm = float(np.max(np.abs(pt.T)))
-            r1 = pt.T @ grad - pt.lambda1 * grad
-            eigvec_max = max(eigvec_max, float(np.linalg.norm(r1))
-                             / max(1e-300, tnorm * pt.p))
-            perp = np.array([-grad[1], grad[0]])
-            r2 = pt.T @ perp - pt.lambda_rest * perp
-            eigvec_max = max(eigvec_max, float(np.linalg.norm(r2))
-                             / max(1e-300, tnorm * pt.p))
-    return {"symmetry_max": sym_max,
-            "eigenvector_residual_max": eigvec_max,
-            "spectrum_crosscheck_max": spectrum_max,
-            "trace_consistency_max": trace_max,
-            "det_consistency_max_rel": det_max,
-            "det_convention_flip_residual": flip_max,
+    T = np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]])
+    closed = np.sort(np.array([fld.lambda1, fld.lambda_rest]), axis=0)
+    det_direct = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+    scale = np.maximum(1.0, np.abs(det_direct))
+    # eigenvector residuals along grad u and its perpendicular, where p > 0
+    grad = fld.result.grad.T
+    perp = np.array([-grad[1], grad[0]])
+    norm = np.maximum(1e-300, np.max(np.abs(T), axis=(0, 1)) * fld.p)
+    eigvec = [np.hypot(*(np.einsum("ijn,jn->in", T, v) - lam * v)) / norm
+              for v, lam in ((grad, fld.lambda1), (perp, fld.lambda_rest))]
+    eigvec = np.where(fld.p > ORIGIN_EPS, np.maximum(*eigvec), 0.0)
+    return {"symmetry_max": float(np.max(np.abs(T[0, 1] - T[1, 0]))),
+            "eigenvector_residual_max": float(np.max(eigvec)),
+            "spectrum_crosscheck_max": float(np.max(np.abs(_eigvals_sym2(T) - closed))),
+            "trace_consistency_max": float(np.max(np.abs(fld.trace - (T[0, 0] + T[1, 1])))),
+            "det_consistency_max_rel": float(np.max(np.abs(fld.det - det_direct) / scale)),
+            "det_convention_flip_residual":
+                float(np.max(np.abs(fld.det + fld.det_convention_flip) / scale)),
             "min_abs_det": float(np.min(np.abs(fld.det))),
-            "nodes_checked": int(len(idx))}
+            "nodes_checked": len(fld.lambda1)}

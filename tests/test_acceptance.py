@@ -50,8 +50,8 @@ def test_criterion_1_torsion_benchmark(torsion_model):
     dom, res = report.domain, report.result
     r2 = dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2
     err = float(np.max(np.abs(res.u - (r2 - 1.0) / 4.0)))
-    prep = locate_max(torsion_model, res, dom)
     fld = report.spectral_field
+    prep = locate_max(fld)
     ok = (err <= 2e-3
           and abs(prep.sup_value - (-0.25)) <= 5e-3
           and math.hypot(*prep.argmax) <= 2.0 * dom.h
@@ -67,7 +67,7 @@ def test_criterion_1_torsion_benchmark(torsion_model):
 
 def test_criterion_2_shifted_torsion(shifted_model, shifted_result, disc64):
     fld = classify_definiteness(assemble_field(shifted_model, shifted_result, disc64))
-    prep = locate_max(shifted_model, shifted_result, disc64)
+    prep = locate_max(fld)
     ok = (fld.definiteness_class == "positive_definite"
           and abs(prep.sup_value - 0.45) <= 5e-3
           and math.hypot(*prep.argmax) <= 2.0 * disc64.h)
@@ -77,9 +77,9 @@ def test_criterion_2_shifted_torsion(shifted_model, shifted_result, disc64):
 
 def test_criterion_3_identity_suite(torsion_model, torsion_result, disc64, torsion128):
     target = -3.0 * math.pi / 4.0
-    rep64 = run_identity_suite(torsion_model, torsion_result, disc64)
+    rep64 = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
     dom128, res128 = torsion128
-    rep128 = run_identity_suite(torsion_model, res128, dom128)
+    rep128 = run_identity_suite(assemble_field(torsion_model, res128, dom128))
     sides = [rep64.rellich_volume, rep64.rellich_boundary,
              rep64.source_volume, rep64.source_boundary,
              rep64.pohozaev_volume, rep64.pohozaev_boundary]
@@ -173,7 +173,7 @@ def test_criterion_6_spectral_crosscheck(torsion_model, torsion_result,
 
 
 def test_criterion_7_annulus_counter_case(torsion_model, annulus_result, annulus64):
-    prep = locate_max(torsion_model, annulus_result, annulus64)
+    prep = locate_max(assemble_field(torsion_model, annulus_result, annulus64))
     r = np.hypot(annulus64.xy[:, 0], annulus64.xy[:, 1])
     err = float(np.max(np.abs(annulus_result.u - annulus_exact_u(r))))
     ok = (prep.H_min < 0.0
@@ -193,7 +193,7 @@ def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
             ("annulus", torsion_model, annulus_result, annulus64)]
     lines, ok = [], True
     for name, model, res, dom in runs:
-        prep = locate_max(model, res, dom)
+        prep = locate_max(assemble_field(model, res, dom))
         excess = prep.sup_value - prep.two_branch_bound()
         ok = ok and excess <= 5e-3
         if prep.H_min >= 0.0:
@@ -206,7 +206,7 @@ def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
 
 
 def test_criterion_9_gradient_bound(torsion_model, torsion_result, disc64):
-    gb = gradient_bound_check(torsion_model, torsion_result, disc64)
+    gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
     prof = solve_radial(torsion_model, (0.0, 1.0), n=1, resolution=2048)
     spread = float(np.ptp(lambda1_radial(torsion_model, prof)))
     ok = (gb["applicable"] and gb["worst_margin"] >= -1e-6

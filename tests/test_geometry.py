@@ -1,6 +1,7 @@
 """Domain building, normals/curvature, star margins and quadrature."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -91,6 +92,31 @@ class TestBuildDomain:
             in_pts = dom.bpts - eps * dom.bnu
             assert not np.any(shape.inside(out_pts[:, 0], out_pts[:, 1]))
             assert np.all(shape.inside(in_pts[:, 0], in_pts[:, 1]))
+
+
+class TestOffsetCenters:
+    """Sub-cell center offsets put lattice nodes on the boundary up to
+    rounding (the lattice is centered on the shape); such nodes must be
+    exterior rather than get an axis cut of about 1e-16 h."""
+
+    SHAPES = [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+              ("ellipse", [1.0, 0.5]), ("rectangle", [2.0, 1.0])]
+
+    @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64])
+    @pytest.mark.parametrize("kind,params", SHAPES)
+    def test_seeded_offsets_build(self, kind, params, h):
+        from emlab.geometry import DIRS, ON_BOUNDARY_TOL
+        rng = random.Random(20261018)
+        for _ in range(5):
+            shape = make_shape(kind, params, center=(rng.random() * h, rng.random() * h))
+            dom = build_domain(shape, h)
+            faces = dom.nbr < 0
+            arms = dom.arm[faces]
+            assert np.all(arms > 0.5 * ON_BOUNDARY_TOL * h)
+            assert np.all(arms <= h)
+            # every cut arm ends on the boundary
+            for k, d in zip(*np.nonzero(faces)):
+                boundary_geometry(shape, dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
 
 
 class TestBoundaryGeometry:

@@ -16,44 +16,49 @@ from emlab.identities import (nonexistence_obstruction, run_identity_suite,
                               verify_rellich_identity,
                               verify_rellich_source_form)
 from emlab.solver import solve_euler_lagrange
+from emlab.tensor_field import assemble_field
 
 TARGET = -3.0 * math.pi / 4.0
 
 
 class TestRellich:
     def test_torsion_both_sides(self, torsion_model, torsion_result, disc64):
-        vol, bnd, res = verify_rellich_identity(torsion_model, torsion_result, disc64)
+        fld = assemble_field(torsion_model, torsion_result, disc64)
+        vol, bnd, res = verify_rellich_identity(fld)
         assert vol == pytest.approx(TARGET, abs=2e-2)
         assert bnd == pytest.approx(TARGET, abs=2e-2)
         assert res <= 2e-2
 
     def test_zero_solution_constant_tensor(self, laplace_model, laplace_result, disc64):
         # T = -A Id: volume = -n A |Omega|, boundary = -A * oint <X, nu>
-        vol, bnd, res = verify_rellich_identity(laplace_model, laplace_result, disc64)
+        fld = assemble_field(laplace_model, laplace_result, disc64)
+        vol, bnd, res = verify_rellich_identity(fld)
         assert vol == pytest.approx(-2.0 * math.pi, abs=2e-2)
         assert bnd == pytest.approx(-2.0 * math.pi, abs=2e-2)
         assert res <= 2e-2
 
     def test_x0_translation_invariance(self, torsion_model, torsion_result, disc64):
-        vol0, bnd0, _ = verify_rellich_identity(torsion_model, torsion_result, disc64)
-        vol1, bnd1, res1 = verify_rellich_identity(torsion_model, torsion_result,
-                                                   disc64, x0=(0.3, 0.0))
+        vol0, bnd0, _ = verify_rellich_identity(
+            assemble_field(torsion_model, torsion_result, disc64))
+        vol1, bnd1, res1 = verify_rellich_identity(
+            assemble_field(torsion_model, torsion_result, disc64, x0=(0.3, 0.0)))
         assert vol1 == vol0  # the volume side never sees x0
         assert bnd1 == pytest.approx(bnd0, abs=2e-2)
         assert res1 <= 2e-2
 
     def test_x0_invariance_on_annulus(self, torsion_model, annulus_result, annulus64):
         # the shift term is oint <c, T nu> = int Div T ~ 0 on any geometry
-        _, bnd0, _ = verify_rellich_identity(torsion_model, annulus_result, annulus64)
-        _, bnd1, _ = verify_rellich_identity(torsion_model, annulus_result,
-                                             annulus64, x0=(0.5, -0.2))
+        _, bnd0, _ = verify_rellich_identity(
+            assemble_field(torsion_model, annulus_result, annulus64))
+        _, bnd1, _ = verify_rellich_identity(
+            assemble_field(torsion_model, annulus_result, annulus64, x0=(0.5, -0.2)))
         assert bnd1 == pytest.approx(bnd0, abs=2e-2)
 
 
 class TestSourceForm:
     def test_torsion_value(self, torsion_model, torsion_result, disc64):
         vol, bnd, res, extra = verify_rellich_source_form(
-            torsion_model, torsion_result, disc64)
+            assemble_field(torsion_model, torsion_result, disc64))
         assert vol == pytest.approx(TARGET, abs=2e-2)
         assert bnd == pytest.approx(TARGET, abs=2e-2)
         assert res <= 2e-2
@@ -63,7 +68,7 @@ class TestSourceForm:
         # the plus-sign variant integrates to -pi on the benchmark, far from
         # the boundary side; the implemented minus sign is the consistent one
         vol, bnd, _, extra = verify_rellich_source_form(
-            torsion_model, torsion_result, disc64)
+            assemble_field(torsion_model, torsion_result, disc64))
         plus = extra["volume_with_plus_sign"]
         assert plus == pytest.approx(-math.pi, abs=2e-2)
         assert abs(plus - bnd) > 0.5
@@ -71,8 +76,9 @@ class TestSourceForm:
 
     def test_volume_sides_connected_by_parts(self, torsion_model, torsion_result, disc64):
         # int(p F_p + u F_q) ~ 0 by discrete integration by parts
-        vol_r, _, _ = verify_rellich_identity(torsion_model, torsion_result, disc64)
-        vol_s, _, _, _ = verify_rellich_source_form(torsion_model, torsion_result, disc64)
+        fld = assemble_field(torsion_model, torsion_result, disc64)
+        vol_r, _, _ = verify_rellich_identity(fld)
+        vol_s, _, _, _ = verify_rellich_source_form(fld)
         assert abs(vol_r - vol_s) <= 2e-2
 
     def test_discrete_integration_by_parts(self, torsion_model, torsion_result, disc64):
@@ -87,7 +93,7 @@ class TestSourceForm:
 class TestPohozaev:
     def test_torsion_value(self, torsion_model, torsion_result, disc64):
         vol, bnd, res, extra = verify_pohozaev_identity(
-            torsion_model, torsion_result, disc64)
+            assemble_field(torsion_model, torsion_result, disc64))
         assert vol == pytest.approx(TARGET, abs=2e-2)
         assert bnd == pytest.approx(TARGET, abs=2e-2)
         assert res <= 2e-2
@@ -98,20 +104,20 @@ class TestPohozaev:
     def test_zero_solution_zero_potential(self, disc64):
         model = make_model("dirichlet_affine", [0.0, 0.0])  # F = p^2/2, Phi = 0
         res = solve_euler_lagrange(model, disc64)
-        vol, bnd, resi, _ = verify_pohozaev_identity(model, res, disc64)
+        vol, bnd, resi, _ = verify_pohozaev_identity(assemble_field(model, res, disc64))
         assert vol == pytest.approx(0.0, abs=1e-10)
         assert bnd == pytest.approx(0.0, abs=1e-10)
 
     def test_family_mismatch_rejected(self, minsurf_model, torsion_result, disc64):
         with pytest.raises(ValueError):
-            verify_pohozaev_identity(minsurf_model, torsion_result, disc64)
+            verify_pohozaev_identity(assemble_field(minsurf_model, torsion_result, disc64))
 
     def test_residual_halving_factor(self, torsion_model):
         residuals = []
         for h in (1.0 / 64, 1.0 / 128):
             dom = build_domain(make_shape("disc", [1.0]), h)
             res = solve_euler_lagrange(torsion_model, dom)
-            _, _, resi, _ = verify_pohozaev_identity(torsion_model, res, dom)
+            _, _, resi, _ = verify_pohozaev_identity(assemble_field(torsion_model, res, dom))
             residuals.append(resi)
         assert residuals[0] / residuals[1] >= 1.8
 
@@ -120,7 +126,7 @@ class TestPohozaev:
         for h in (1.0 / 32, 1.0 / 64):
             dom = build_domain(make_shape("disc", [1.0]), h)
             res = solve_euler_lagrange(exp_model, dom)
-            _, _, resi = verify_rellich_identity(exp_model, res, dom)
+            _, _, resi = verify_rellich_identity(assemble_field(exp_model, res, dom))
             residuals.append(resi)
         assert residuals[0] / residuals[1] >= 2.0
 
@@ -128,7 +134,9 @@ class TestPohozaev:
 class TestObstruction:
     def test_negative_potential_forces_boundary_sign(self, shifted_model,
                                                      shifted_result, disc64):
-        out = nonexistence_obstruction(shifted_model, disc64, result=shifted_result)
+        pohozaev = verify_pohozaev_identity(
+            assemble_field(shifted_model, shifted_result, disc64))
+        out = nonexistence_obstruction(shifted_model, disc64, pohozaev=pohozaev)
         assert out["applicable"]
         assert out["phi0"] == pytest.approx(-0.2)
         assert out["boundary_sign_guaranteed"] == 1
@@ -142,7 +150,9 @@ class TestObstruction:
         assert not out["applicable"]
 
     def test_torsion_no_obstruction(self, torsion_model, torsion_result, disc64):
-        out = nonexistence_obstruction(torsion_model, disc64, result=torsion_result)
+        pohozaev = verify_pohozaev_identity(
+            assemble_field(torsion_model, torsion_result, disc64))
+        out = nonexistence_obstruction(torsion_model, disc64, pohozaev=pohozaev)
         assert out["applicable"]
         assert out["boundary_sign_guaranteed"] == 0  # Phi(0) = 1/2 > 0
         assert not out["obstruction_flag"]
@@ -150,7 +160,7 @@ class TestObstruction:
 
 class TestSuite:
     def test_full_report(self, torsion_model, torsion_result, disc64):
-        rep = run_identity_suite(torsion_model, torsion_result, disc64)
+        rep = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
         doc = rep.as_dict()
         assert doc["rellich"]["residual"] <= 2e-2
         assert doc["rellich_source"]["residual"] <= 2e-2
@@ -161,6 +171,6 @@ class TestSuite:
 
     def test_non_family_model_skips_pohozaev(self, minsurf_model, disc64):
         res = solve_euler_lagrange(minsurf_model, disc64)
-        rep = run_identity_suite(minsurf_model, res, disc64)
+        rep = run_identity_suite(assemble_field(minsurf_model, res, disc64))
         assert rep.pohozaev_residual is None
         assert rep.rellich_residual <= 2e-2

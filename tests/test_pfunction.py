@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from emlab.errors import EmptyCriticalSetError, UnconvergedError
-from emlab.lagrangian import make_expression_model
+from emlab.lagrangian import eval_jet, make_expression_model
 from emlab.pfunction import (check_max_principle_conditions,
-                             gradient_bound_check, lambda1_field,
-                             lambda1_radial, locate_max)
+                             gradient_bound_check, lambda1_radial, locate_max)
 from emlab.solver import solve_radial
 from emlab.tensor_field import assemble_field
 from conftest import annulus_exact_du, annulus_exact_u
@@ -18,22 +17,26 @@ from conftest import annulus_exact_du, annulus_exact_u
 class TestLambda1Field:
     def test_quadratic_family_formula(self, torsion_model, torsion_result, disc64):
         # lambda1 = |grad u|^2/2 - Phi(u) for F = p^2/2 + Phi
-        lam, _ = lambda1_field(torsion_model, torsion_result, disc64)
+        lam = assemble_field(torsion_model, torsion_result, disc64).lambda1
         expected = 0.5 * torsion_result.p**2 - (torsion_result.u + 0.5)
         assert np.max(np.abs(lam - expected)) < 1e-14
 
     def test_torsion_closed_form(self, torsion_model, torsion_result, disc64):
-        lam, _ = lambda1_field(torsion_model, torsion_result, disc64)
+        lam = assemble_field(torsion_model, torsion_result, disc64).lambda1
         r2 = disc64.xy[:, 0] ** 2 + disc64.xy[:, 1] ** 2
         assert np.max(np.abs(lam - (-r2 / 8.0 - 0.25))) <= 2e-3
 
     def test_zero_solution_constant(self, laplace_model, laplace_result, disc64):
-        lam, blam = lambda1_field(laplace_model, laplace_result, disc64)
+        fld = assemble_field(laplace_model, laplace_result, disc64)
+        lam, blam = fld.lambda1, fld.boundary_lambda1
         assert np.max(np.abs(lam + 1.0)) <= 1e-10  # -F(0,0) = -1
         assert np.max(np.abs(blam + 1.0)) <= 1e-10
 
     def test_matches_tensor_eigenvalue(self, torsion_model, torsion_result, disc64):
-        lam, _ = lambda1_field(torsion_model, torsion_result, disc64)
+        # p F_p - F from its own jet evaluation against the tensor's lambda1
+        p = torsion_result.p
+        jet = eval_jet(torsion_model, p, torsion_result.u)
+        lam = p * jet.F_p - jet.F
         fld = assemble_field(torsion_model, torsion_result, disc64)
         assert np.max(np.abs(lam - fld.lambda1)) <= 1e-12
 
@@ -41,12 +44,12 @@ class TestLambda1Field:
         import dataclasses
         broken = dataclasses.replace(torsion_result, converged=False)
         with pytest.raises(UnconvergedError):
-            lambda1_field(torsion_model, broken, disc64)
+            assemble_field(torsion_model, broken, disc64)
 
 
 class TestLocateMax:
     def test_torsion_disc(self, torsion_model, torsion_result, disc64):
-        rep = locate_max(torsion_model, torsion_result, disc64)
+        rep = locate_max(assemble_field(torsion_model, torsion_result, disc64))
         assert rep.location_class == "critical_set"
         assert rep.sup_value == pytest.approx(-0.25, abs=5e-3)
         assert math.hypot(*rep.argmax) <= 2.0 * disc64.h
@@ -56,12 +59,12 @@ class TestLocateMax:
         assert abs(rep.sup_value - rep.critical_formula_value) <= 5e-3
 
     def test_shifted_disc(self, shifted_model, shifted_result, disc64):
-        rep = locate_max(shifted_model, shifted_result, disc64)
+        rep = locate_max(assemble_field(shifted_model, shifted_result, disc64))
         assert rep.location_class == "critical_set"
         assert rep.sup_value == pytest.approx(0.45, abs=5e-3)
 
     def test_annulus(self, torsion_model, annulus_result, annulus64):
-        rep = locate_max(torsion_model, annulus_result, annulus64)
+        rep = locate_max(assemble_field(torsion_model, annulus_result, annulus64))
         assert rep.H_min == pytest.approx(-1.0 / 0.3, rel=1e-12)
         assert rep.location_class in ("critical_set", "boundary")
         assert rep.location_class != "interior_noncritical"
@@ -76,7 +79,7 @@ class TestLocateMax:
         assert rep.sup_value <= rep.two_branch_bound() + 5e-3
 
     def test_zero_solution_every_node_critical(self, laplace_model, laplace_result, disc64):
-        rep = locate_max(laplace_model, laplace_result, disc64)
+        rep = locate_max(assemble_field(laplace_model, laplace_result, disc64))
         assert len(rep.critical_set_idx) == disc64.n_interior
         assert rep.sup_value == pytest.approx(-1.0, abs=1e-10)
 
@@ -88,14 +91,14 @@ class TestLocateMax:
                                    (shifted_model, shifted_result, disc64),
                                    (exp_model, exp_result, disc64),
                                    (torsion_model, annulus_result, annulus64)]:
-            rep = locate_max(model, result, dom)
+            rep = locate_max(assemble_field(model, result, dom))
             assert rep.sup_value <= rep.two_branch_bound() + 5e-3
             assert rep.location_class != "interior_noncritical"
 
 
 class TestGradientBound:
     def test_torsion_margins(self, torsion_model, torsion_result, disc64):
-        gb = gradient_bound_check(torsion_model, torsion_result, disc64)
+        gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
         assert gb["applicable"]
         assert gb["ok"]
         assert gb["worst_margin"] >= -1e-6
@@ -103,7 +106,7 @@ class TestGradientBound:
 
     def test_family_bound_closed_form(self, torsion_model, torsion_result, disc64):
         # p^2/2 = r^2/8 <= Phi(u) - Phi(m) = r^2/4: margin r^2/8 at radius r
-        gb = gradient_bound_check(torsion_model, torsion_result, disc64)
+        gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
         r2 = disc64.xy[:, 0] ** 2 + disc64.xy[:, 1] ** 2
         phi_diff = torsion_result.u - torsion_result.solution_range[0]
         margin = phi_diff - 0.5 * torsion_result.p**2
@@ -111,22 +114,23 @@ class TestGradientBound:
         assert gb["family_margin"] == pytest.approx(float(np.min(margin)), abs=1e-12)
 
     def test_shifted_bound_attained_at_center(self, shifted_model, shifted_result, disc64):
-        gb = gradient_bound_check(shifted_model, shifted_result, disc64)
+        gb = gradient_bound_check(assemble_field(shifted_model, shifted_result, disc64))
         assert gb["bound"] == pytest.approx(0.45, abs=5e-3)
         assert gb["ok"]
 
     def test_zero_solution_equality(self, laplace_model, laplace_result, disc64):
-        gb = gradient_bound_check(laplace_model, laplace_result, disc64)
+        gb = gradient_bound_check(assemble_field(laplace_model, laplace_result, disc64))
         assert gb["worst_margin"] == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_critical_set_raises(self, torsion_model, torsion_result, disc64):
-        rep = locate_max(torsion_model, torsion_result, disc64)
+        fld = assemble_field(torsion_model, torsion_result, disc64)
+        rep = locate_max(fld)
         import dataclasses
         fake = dataclasses.replace(rep, critical_set_idx=np.array([], dtype=int),
                                    critical_formula_value=None,
                                    critical_set_empty=True)
         with pytest.raises(EmptyCriticalSetError):
-            gradient_bound_check(torsion_model, torsion_result, disc64, report=fake)
+            gradient_bound_check(fld, report=fake)
 
 
 class TestRadialConstancy:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from jsonschema import ValidationError
 from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
-                            EXIT_SOLVER, export_fields, load_run,
-                            parse_config, run_pipeline, validate_report)
+                            EXIT_SOLVER, RunReport, analyze_into,
+                            export_fields, load_run, parse_config,
+                            run_pipeline, validate_report)
 
 TORSION_CONFIG = {
     "model": {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
@@ -112,6 +115,7 @@ class TestPipeline:
             "expression": "q - 0.5*p**2", "smooth_at_origin": True}))
         report = run_pipeline(cfg, strict=True)
         assert report.exit_code == EXIT_HYPOTHESIS
+        assert "hypotheses_pilot" in report.timings
 
     def test_degenerate_model_exits_one(self):
         cfg = parse_config(dict(TORSION_CONFIG, model={
@@ -126,6 +130,45 @@ class TestPipeline:
         report = run_pipeline(cfg, strict=True)
         assert report.exit_code == EXIT_HYPOTHESIS
         assert report.solver is None
+
+
+class TestSharedEvaluation:
+    def test_one_jet_sweep_per_evaluation(self, tmp_path, monkeypatch,
+                                          disc64, torsion_result):
+        """After the residual recheck, the analyses and the export evaluate
+        the jet once at (p, u), once at (0, u) and once on the boundary."""
+        import emlab.lagrangian
+        import emlab.pipeline
+        original = emlab.lagrangian.eval_jet
+        sweeps = []
+
+        def counting(model, p, q, validate=True):
+            p_arr = np.asarray(p, dtype=float)
+            size = np.broadcast(p_arr, np.asarray(q)).size
+            sweeps.append((size, not np.any(p_arr)))
+            return original(model, p, q, validate)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("emlab") and getattr(mod, "eval_jet", None) is original:
+                monkeypatch.setattr(mod, "eval_jet", counting)
+        recheck = emlab.pipeline.el_residual
+
+        def recheck_then_count(*args):
+            out = recheck(*args)
+            sweeps.clear()
+            return out
+        monkeypatch.setattr(emlab.pipeline, "el_residual", recheck_then_count)
+
+        config = parse_config(dict(TORSION_CONFIG, spacing=disc64.h))
+        solver = {"converged": True, "iterations": torsion_result.iterations,
+                  "final_residual": torsion_result.residual_history[-1]}
+        report = analyze_into(RunReport(config=config.raw, solver=solver), config,
+                              disc64, torsion_result)
+        export_fields(report, str(tmp_path))
+        assert report.exit_code == EXIT_OK
+        n, nb = disc64.n_interior, disc64.n_boundary
+        field_sized = [s for s in sweeps if s[0] in (n, nb)]
+        assert sorted(field_sized) == sorted([(n, False), (n, True), (nb, False)])
 
 
 class TestExportAndReload:
@@ -235,6 +278,32 @@ class TestCli:
             json.dump(doc, fh)
         assert main(["report", "--in", out]) == EXIT_OK
         assert main(["report", "--in", out, "--strict"]) == EXIT_HYPOTHESIS
+
+    def test_ellipticity_refusal_writes_report(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        doc = json.loads((out / "report.json").read_text())
+        validate_report(doc)
+        assert doc["solver"]["final_residual"] is None
+        assert doc["solver"]["witness"]["witness"] is not None
+        assert "domain" in json.loads((out / "timings.json").read_text())
+
+    def test_unconverged_run_exits_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(
+            TORSION_CONFIG,
+            model={"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
+            solver={"max_iterations": 1, "newton_polish": False}))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_SOLVER
+        capsys.readouterr()
+        assert main(["verify", "--in", out]) == EXIT_SOLVER
+        text = capsys.readouterr().out
+        assert "[FAIL] solver_convergence" in text
+        passed, total = map(int, re.search(r"(\d+)/(\d+) checks passed", text).groups())
+        assert passed < total
+        assert main(["analyze", "--in", out]) == EXIT_SOLVER
 
     def test_verify_catches_tampered_fields(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from emlab.errors import UnconvergedError
 from emlab.geometry import build_domain, make_shape
-from emlab.lagrangian import eval_jet
+from emlab.lagrangian import ORIGIN_EPS, eval_jet
 from emlab.solver import solve_euler_lagrange
-from emlab.tensor_field import (TensorPoint, assemble_field, assemble_tensor,
-                                classify_definiteness, consistency_report,
-                                det_trace, det_trace_direct,
+from emlab.tensor_field import (TensorPoint, _interior_diff_ops, assemble_field,
+                                assemble_tensor, classify_definiteness,
+                                consistency_report, det_trace, det_trace_direct,
                                 divergence_residual, spectrum_crosscheck)
 from conftest import ANN_LOG_COEF, ANN_CONST
 
@@ -237,3 +238,95 @@ class TestConsistency:
             assert rep["spectrum_crosscheck_max"] <= 1e-10
             assert rep["trace_consistency_max"] <= 1e-12
             assert rep["det_consistency_max_rel"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# per-node loop references for the whole-array tensor code
+# ---------------------------------------------------------------------------
+
+def _diff_ops_loop(domain):
+    n, h, nbr = domain.n_interior, domain.h, domain.nbr
+    ops = []
+    for d_plus, d_minus in ((0, 1), (2, 3)):
+        rows, cols, vals = [], [], []
+        for i in range(n):
+            jp, jm = nbr[i, d_plus], nbr[i, d_minus]
+            if jp >= 0 and jm >= 0:
+                rows += [i, i]
+                cols += [jp, jm]
+                vals += [0.5 / h, -0.5 / h]
+            elif jp >= 0:
+                jpp = nbr[jp, d_plus]
+                if jpp >= 0:
+                    rows += [i, i, i]
+                    cols += [i, jp, jpp]
+                    vals += [-1.5 / h, 2.0 / h, -0.5 / h]
+                else:
+                    rows += [i, i]
+                    cols += [i, jp]
+                    vals += [-1.0 / h, 1.0 / h]
+            elif jm >= 0:
+                jmm = nbr[jm, d_minus]
+                if jmm >= 0:
+                    rows += [i, i, i]
+                    cols += [i, jm, jmm]
+                    vals += [1.5 / h, -2.0 / h, 0.5 / h]
+                else:
+                    rows += [i, i]
+                    cols += [i, jm]
+                    vals += [1.0 / h, -1.0 / h]
+        ops.append(sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+    return ops
+
+
+def _consistency_loop(fld):
+    sym_max = eigvec_max = spectrum_max = trace_max = det_max = flip_max = 0.0
+    for i in range(len(fld.lambda1)):
+        grad = fld.result.grad[i]
+        pt = TensorPoint(
+            T=np.array([[fld.T11[i], fld.T12[i]], [fld.T12[i], fld.T22[i]]]),
+            lambda1=float(fld.lambda1[i]), lambda_rest=float(fld.lambda_rest[i]),
+            p=float(fld.p[i]), jet=None)
+        sym_max = max(sym_max, abs(pt.T[0, 1] - pt.T[1, 0]))
+        spectrum_max = max(spectrum_max, spectrum_crosscheck(pt))
+        det_c, trace_c = det_trace(pt)
+        det_d, trace_d = det_trace_direct(pt)
+        scale = max(1.0, abs(det_d))
+        trace_max = max(trace_max, abs(trace_c - trace_d))
+        det_max = max(det_max, abs(det_c - det_d) / scale)
+        flip_max = max(flip_max, abs(det_c - (-1.0) * fld.det_convention_flip[i]) / scale)
+        if pt.p > ORIGIN_EPS:
+            tnorm = float(np.max(np.abs(pt.T)))
+            r1 = pt.T @ grad - pt.lambda1 * grad
+            perp = np.array([-grad[1], grad[0]])
+            r2 = pt.T @ perp - pt.lambda_rest * perp
+            for r in (r1, r2):
+                eigvec_max = max(eigvec_max, float(np.linalg.norm(r)) / max(1e-300, tnorm * pt.p))
+    return {"symmetry_max": sym_max, "eigenvector_residual_max": eigvec_max,
+            "spectrum_crosscheck_max": spectrum_max, "trace_consistency_max": trace_max,
+            "det_consistency_max_rel": det_max, "det_convention_flip_residual": flip_max,
+            "min_abs_det": float(np.min(np.abs(fld.det))), "nodes_checked": len(fld.lambda1)}
+
+
+class TestLoopReferences:
+    def test_diff_ops_equal_loop(self, disc64, annulus64):
+        for dom in (disc64, annulus64,
+                    build_domain(make_shape("rectangle", [2.0, 1.0]), 1.0 / 16)):
+            for op, ref in zip(_interior_diff_ops(dom), _diff_ops_loop(dom)):
+                assert np.array_equal(op.indptr, ref.indptr)
+                assert np.array_equal(op.indices, ref.indices)
+                assert np.array_equal(op.data, ref.data)
+
+    def test_consistency_matches_loop(self, torsion_model, torsion_result, exp_model,
+                                      exp_result, disc64, annulus_result, annulus64):
+        # the whole-array code sums and takes norms in another order; the
+        # maxima are rounding-level residuals of O(1) entries
+        tol = 8 * np.finfo(float).eps
+        for model, result, dom in [(torsion_model, torsion_result, disc64),
+                                   (exp_model, exp_result, disc64),
+                                   (torsion_model, annulus_result, annulus64)]:
+            fld = assemble_field(model, result, dom)
+            rep, ref = consistency_report(fld), _consistency_loop(fld)
+            assert rep["nodes_checked"] == ref["nodes_checked"] == dom.n_interior
+            for key in ref:
+                assert abs(rep[key] - ref[key]) <= tol, key
