@@ -108,7 +108,11 @@ class Dual2:
         if n == 2:
             return self * self
         v = self.v
-        return self._chain(v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+        # np.power rather than **: on a float64 scalar, ** rounds through the
+        # C library and can differ in the last bit from numpy's array loop,
+        # and a jet must not depend on how many points it is evaluated at
+        return self._chain(np.power(v, n), n * np.power(v, n - 1),
+                           n * (n - 1) * np.power(v, n - 2))
 
     def __rpow__(self, base):
         return (self * np.log(base)).exp()

@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, EvaluationError
 from .lagrangian import check_hypotheses
-from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, RunReport,
+from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, RunReport,
                        analyze_into, export_fields, load_config, load_run,
                        run_pipeline)
 
@@ -37,22 +37,33 @@ def _cmd_solve(args):
 
 def _reanalyze(indir):
     """Reload a persisted run and re-run its analyses; the report's exit
-    code is the one the analyses set."""
+    code is the one the analyses set.  A run that never got a solution to
+    analyze comes back as persisted, with its checks and exit code."""
     config, domain, result, report_doc = load_run(indir)
     report = RunReport(config=config.raw)
     report.solver = report_doc.get("solver")
+    if result is None:
+        report.hypotheses = report_doc.get("hypotheses")
+        report.checks = report_doc.get("checks", [])
+        status = report_doc.get("status", {})
+        report.exit_code = int(status.get("exit_code", EXIT_SOLVER))
+        report.violations = status.get("violations", [])
+        return report
     return analyze_into(report, config, domain, result, strict=False)
 
 
 def _cmd_analyze(args):
     report = _reanalyze(args.indir)
-    export_fields(report, args.indir)
+    if report.result is not None:  # a refused run keeps its files as they are
+        export_fields(report, args.indir)
     print(f"re-analysis complete; exit {report.exit_code}")
     return report.exit_code
 
 
 def _cmd_verify(args):
     report = _reanalyze(args.indir)
+    if report.result is None:
+        print(f"not re-checked: {(report.solver or {}).get('failure') or 'no solution'}")
     failures = 0
     for check in report.checks:
         mark = "PASS" if check["passed"] else "FAIL"
@@ -130,6 +141,10 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EvaluationError as exc:
+        # a model singular somewhere it is evaluated is a configuration fault
+        print(f"configuration error: model evaluation failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -25,6 +25,10 @@ DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 #: that the axis cuts accept
 ON_BOUNDARY_TOL = 1e-13
 
+#: deepest boundary collar, in grid spacings, that any analysis compares
+#: ``DiscreteDomain.dist`` against; the distance query stops there
+MAX_COLLAR_DEPTH = 2.0
+
 
 # ---------------------------------------------------------------------------
 # shapes
@@ -352,6 +356,11 @@ def make_shape(kind, parameters, center=(0.0, 0.0)):
     params = [float(x) for x in parameters]
     if len(params) != nparams:
         raise ValueError(f"shape {kind!r} expects {nparams} parameters, got {len(params)}")
+    center = tuple(float(c) for c in center)
+    if len(center) != 2:
+        raise ValueError("shape center must be a pair of numbers")
+    if not all(math.isfinite(v) for v in params + list(center)):
+        raise ValueError("shape parameters and center must be finite")
     return cls(*params, center=center)
 
 
@@ -381,7 +390,9 @@ class DiscreteDomain:
     bH: np.ndarray                  # (nb,) mean curvature
     bw: np.ndarray                  # (nb,) arc weights
     bcomp: np.ndarray               # (nb,) boundary component id
-    dist: np.ndarray                # (n_int,) distance to boundary
+    #: (n_int,) distance to the nearest boundary sample: exact up to
+    #: MAX_COLLAR_DEPTH * h, inf beyond (only the collar is ever asked about)
+    dist: np.ndarray
     dropped_area: float = 0.0
     _int_tree: object = field(default=None, repr=False)
 
@@ -399,57 +410,77 @@ class DiscreteDomain:
 
     def core_mask(self, depth=2.0):
         """Interior nodes at least ``depth*h`` away from the boundary."""
+        if depth > MAX_COLLAR_DEPTH:
+            raise ValueError(f"collar depth {depth} exceeds MAX_COLLAR_DEPTH")
         return self.dist >= depth * self.h - 1e-12
 
 
-def _clip_cell_area(shape, x, y, h):
-    """Area of cell [x-h/2, x+h/2] x [y-h/2, y+h/2] inside the shape.
+def _clip_cell_areas(shape, x, y, h):
+    """Areas of the cells [x-h/2, x+h/2] x [y-h/2, y+h/2] inside the shape,
+    one per centre of the arrays ``x``, ``y``.
 
     Chord polygon through exact edge crossings, plus a circular-segment
-    (sagitta) correction ``H L^3 / 12`` signed by the local curvature.
+    (sagitta) correction ``H L^3 / 12`` signed by the local curvature.  The
+    crossings of all cells are bisected together.
     """
     if hasattr(shape, "exact_cell_area"):
-        return shape.exact_cell_area(x, y, h)
+        return np.array([shape.exact_cell_area(xc, yc, h) for xc, yc in zip(x, y)])
     h2 = h / 2.0
-    corners = [(x - h2, y - h2), (x + h2, y - h2), (x + h2, y + h2), (x - h2, y + h2)]
-    flags = [bool(shape.inside(cx, cy)) for cx, cy in corners]
-    n_in = sum(flags)
-    if n_in == 4:
-        return h * h
-    if n_in == 0:
-        return _subsample_cell_area(shape, x, y, h) if bool(shape.inside(x, y)) else 0.0
-    if flags in ([True, False, True, False], [False, True, False, True]):
-        return _subsample_cell_area(shape, x, y, h)  # saddle cell: chord ambiguous
-    poly, crossings = [], []
-    for k in range(4):
-        c0, c1 = corners[k], corners[(k + 1) % 4]
-        if flags[k]:
-            poly.append(c0)
-        if flags[k] != flags[(k + 1) % 4]:
-            p_in, p_out = (c0, c1) if flags[k] else (c1, c0)
-            crossing = _bisect_crossing(shape, p_in, p_out)
-            poly.append(crossing)
-            crossings.append(crossing)
-    area = _shoelace(poly)
-    if len(crossings) == 2:
-        (x0, y0), (x1, y1) = crossings
-        chord = math.hypot(x1 - x0, y1 - y0)
-        kappa = shape.curvature_near(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
-        area += kappa * chord ** 3 / 12.0
-    if not 0.0 <= area <= h * h * (1.0 + 1e-9):
-        return _subsample_cell_area(shape, x, y, h)
-    return area
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    cx = np.column_stack([x - h2, x + h2, x + h2, x - h2])
+    cy = np.column_stack([y - h2, y - h2, y + h2, y + h2])
+    flags = shape.inside(cx, cy)
+    n_in = flags.sum(axis=1)
+    saddle = ((flags == [True, False, True, False]).all(axis=1)
+              | (flags == [False, True, False, True]).all(axis=1))
+    chord = (n_in > 0) & (n_in < 4) & ~saddle
+    # crossing edges in cell-major, edge-minor order: the order the
+    # polygons below consume them
+    edge_cut = chord[:, None] & (flags != np.roll(flags, -1, axis=1))
+    ci, k0 = np.nonzero(edge_cut)
+    k1 = (k0 + 1) % 4
+    k_in = np.where(flags[ci, k0], k0, k1)
+    k_out = np.where(flags[ci, k0], k1, k0)
+    crossings = iter(zip(*_bisect_crossings(shape, cx[ci, k_in], cy[ci, k_in],
+                                            cx[ci, k_out], cy[ci, k_out])))
+
+    areas = np.empty(len(x))
+    for c in range(len(x)):
+        if n_in[c] == 4:
+            areas[c] = h * h
+            continue
+        if not chord[c]:  # no corner inside, or a saddle cell: chord ambiguous
+            empty = n_in[c] == 0 and not bool(shape.inside(x[c], y[c]))
+            areas[c] = 0.0 if empty else _subsample_cell_area(shape, x[c], y[c], h)
+            continue
+        poly, cuts = [], []
+        for k in range(4):
+            if flags[c, k]:
+                poly.append((cx[c, k], cy[c, k]))
+            if edge_cut[c, k]:
+                crossing = next(crossings)
+                poly.append(crossing)
+                cuts.append(crossing)
+        area = _shoelace(poly)
+        if len(cuts) == 2:
+            (x0, y0), (x1, y1) = cuts
+            chord_len = math.hypot(x1 - x0, y1 - y0)
+            kappa = shape.curvature_near(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+            area += kappa * chord_len ** 3 / 12.0
+        if not 0.0 <= area <= h * h * (1.0 + 1e-9):
+            area = _subsample_cell_area(shape, x[c], y[c], h)
+        areas[c] = area
+    return areas
 
 
-def _bisect_crossing(shape, p_in, p_out, iterations=60):
-    ax, ay = p_in
-    bx, by = p_out
+def _bisect_crossings(shape, ax, ay, bx, by, iterations=60):
+    """Boundary crossings on the segments from inside points (ax, ay) to
+    outside points (bx, by), all bisected together."""
     for _ in range(iterations):
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        if bool(shape.inside(mx, my)):
-            ax, ay = mx, my
-        else:
-            bx, by = mx, my
+        inside = shape.inside(mx, my)
+        ax, ay = np.where(inside, mx, ax), np.where(inside, my, ay)
+        bx, by = np.where(inside, bx, mx), np.where(inside, by, my)
     return 0.5 * (ax + bx), 0.5 * (ay + by)
 
 
@@ -538,8 +569,8 @@ def build_domain(shape, spacing):
     dropped = 0.0
     neighbor_pref = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
     cut_i, cut_j = np.nonzero((cell_nin > 0) & (cell_nin < 4) | (interior & (cell_nin == 0)))
-    for i, j in zip(cut_i, cut_j):
-        area = _clip_cell_area(shape, xs[i], ys[j], h)
+    cut_areas = _clip_cell_areas(shape, xs[cut_i], ys[cut_j], h)
+    for i, j, area in zip(cut_i, cut_j, cut_areas.tolist()):
         if area <= 0.0:
             continue
         if interior[i, j]:
@@ -569,7 +600,12 @@ def build_domain(shape, spacing):
     bw = np.concatenate(bw)
     bcomp = np.concatenate(bcomp)
 
-    dist, _ = cKDTree(bpts).query(xy)
+    # nearly every node of a disc is almost equidistant from the ring of
+    # samples, which makes an unbounded nearest-sample query slow; the
+    # bound is exclusive, so query a little beyond it and cut back
+    bound = MAX_COLLAR_DEPTH * h
+    dist, _ = cKDTree(bpts).query(xy, distance_upper_bound=bound * (1.0 + 1e-9))
+    dist[dist > bound] = np.inf
 
     return DiscreteDomain(shape=shape, h=h, gx0=gx0, gy0=gy0, nx=nx, ny=ny,
                           interior_index=interior_index, interior_ij=interior_ij,
@@ -627,27 +663,24 @@ def interpolate_node_field(domain, values, pts):
     """
     values = np.asarray(values)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.empty(len(pts))
-    for k, (x, y) in enumerate(pts):
-        fx = (x - domain.gx0) / domain.h
-        fy = (y - domain.gy0) / domain.h
-        i0 = min(max(int(math.floor(fx)), 0), domain.nx - 2)
-        j0 = min(max(int(math.floor(fy)), 0), domain.ny - 2)
-        tx, ty = fx - i0, fy - j0
-        ids = [domain.interior_index[i0, j0], domain.interior_index[i0 + 1, j0],
-               domain.interior_index[i0, j0 + 1], domain.interior_index[i0 + 1, j0 + 1]]
-        if all(idx >= 0 for idx in ids):
-            v00, v10, v01, v11 = (values[idx] for idx in ids)
-            out[k] = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
-                      + (1 - tx) * ty * v01 + tx * ty * v11)
-        else:
-            corners = [(i0, j0, (1 - tx) * (1 - ty)), (i0 + 1, j0, tx * (1 - ty)),
-                       (i0, j0 + 1, (1 - tx) * ty), (i0 + 1, j0 + 1, tx * ty)]
-            best = max(((w, domain.interior_index[i, j]) for i, j, w in corners
-                        if domain.interior_index[i, j] >= 0), default=None)
-            if best is None:
-                _, idx = domain._int_tree.query([x, y])
-                out[k] = values[idx]
-            else:
-                out[k] = values[best[1]]
+    fx = (pts[:, 0] - domain.gx0) / domain.h
+    fy = (pts[:, 1] - domain.gy0) / domain.h
+    i0 = np.clip(np.floor(fx).astype(np.int64), 0, domain.nx - 2)
+    j0 = np.clip(np.floor(fy).astype(np.int64), 0, domain.ny - 2)
+    tx, ty = fx - i0, fy - j0
+    ids = np.array([domain.interior_index[i0, j0], domain.interior_index[i0 + 1, j0],
+                    domain.interior_index[i0, j0 + 1], domain.interior_index[i0 + 1, j0 + 1]])
+    w = np.array([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+    valid = ids >= 0
+    v00, v10, v01, v11 = values[np.where(valid, ids, 0)]
+    out = w[0] * v00 + w[1] * v10 + w[2] * v01 + w[3] * v11
+    # heaviest interior corner, ties to the larger node id
+    w_in = np.where(valid, w, -np.inf)
+    best = np.max(np.where(valid & (w_in == w_in.max(axis=0)), ids, -1), axis=0)
+    partial = ~valid.all(axis=0)
+    out[partial] = values[best[partial]]
+    lost = best < 0
+    if lost.any():
+        _, nearest = domain._int_tree.query(pts[lost])
+        out[lost] = values[nearest]
     return out

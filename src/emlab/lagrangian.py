@@ -9,6 +9,7 @@ numpy arrays.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,8 @@ def make_model(name, parameters):
     params = tuple(float(x) for x in parameters)
     if len(params) != nparams:
         raise ValueError(f"model {name!r} expects {nparams} parameters, got {len(params)}")
+    if not all(math.isfinite(v) for v in params):
+        raise ValueError(f"model {name!r} parameters must be finite")
     if name == "dirichlet_power":
         k = params[1]
         if k != int(k) or k < 2:
@@ -183,7 +186,9 @@ def _compile_expression(text):
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValueError(f"non-numeric constant {node.value!r}")
-            c = float(node.value)
+            # float64, so that arithmetic on constants alone (1/0) gives a
+            # non-finite value rather than raising ZeroDivisionError
+            c = np.float64(node.value)
             return lambda p, q: c
         if isinstance(node, ast.Name):
             if node.id == "p":
@@ -247,6 +252,19 @@ def eval_jet(model, p, q, validate=True):
     Scalars in, scalar jet out; arrays in, array jet out.  Raises on p < 0
     and on non-finite results (singular expression at the evaluation point).
     """
+    if isinstance(p, float) and isinstance(q, float):
+        # scalar fast path: the same float64 arithmetic as a 0-d array, and
+        # float64 (not Python float) so that a division by zero stays inf
+        p, q = np.float64(p), np.float64(q)
+        if p < 0:
+            raise ValueError("gradient magnitude p must be non-negative")
+        with np.errstate(all="ignore"):
+            out = Dual2._lift(model.evaluator(Dual2(p, dp=1.0), Dual2(q, dq=1.0)))
+        entries = [float(e) for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
+        if validate and not all(math.isfinite(e) for e in entries):
+            raise EvaluationError(
+                f"model {model.name!r} produced a non-finite jet entry")
+        return Jet2(*entries)
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
     if np.any(p_arr < 0):

@@ -89,7 +89,7 @@ def parse_config(data):
         else:
             _reject_unknown(mspec, {"name", "parameters"}, "model")
             model = make_model(mspec.get("name", ""), mspec.get("parameters", []))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad model: {exc}") from None
 
     sspec = data["shape"]
@@ -99,15 +99,15 @@ def parse_config(data):
     try:
         shape = make_shape(sspec.get("kind", ""), sspec.get("parameters", []),
                            center=tuple(sspec.get("center", (0.0, 0.0))))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad shape: {exc}") from None
 
     try:
         spacing = float(data["spacing"])
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ConfigError("spacing must be numeric") from None
-    if spacing <= 0:
-        raise ConfigError("spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ConfigError("spacing must be a positive finite number")
 
     sol = data.get("solver", {})
     if not isinstance(sol, dict):
@@ -115,7 +115,7 @@ def parse_config(data):
     _reject_unknown(sol, _SOLVER_KEYS, "solver")
     try:
         solver = SolverConfig(**sol)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad solver config: {exc}") from None
 
     ana = data.get("analysis", {})
@@ -128,8 +128,10 @@ def parse_config(data):
     if x0 is not None:
         try:
             x0 = (float(x0[0]), float(x0[1]))
-        except (ValueError, TypeError, IndexError):
+        except (ValueError, TypeError, IndexError, OverflowError):
             raise ConfigError("x0 must be a pair of numbers") from None
+        if not all(math.isfinite(v) for v in x0):
+            raise ConfigError("x0 must be finite")
 
     raw = {
         "model": (dict(mspec)), "shape": dict(sspec), "spacing": spacing,
@@ -531,8 +533,19 @@ BOUNDARY_COLUMNS = ["y_x", "y_y", "nu_x", "nu_y", "H", "weight", "dnu_u",
                     "rellich_density", "pohozaev_density"]
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+#: rows formatted per string operation when writing a CSV
+CSV_BLOCK_ROWS = 8192
+
+
+def _write_csv(path, header, cols):
+    """Write equal-length columns as CSV, every value as ``%.17g``."""
+    data = np.column_stack(cols)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_fields(report, out_dir):
@@ -558,19 +571,13 @@ def export_fields(report, out_dir):
         nan = np.full(domain.n_interior, np.nan)
         cols = [domain.xy[:, 0], domain.xy[:, 1], result.u,
                 result.grad[:, 0], result.grad[:, 1]] + [nan] * 6
-    with open(os.path.join(out_dir, "fields.csv"), "w") as fh:
-        fh.write(",".join(FIELD_COLUMNS) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, cols)
 
     if tensor:
         tcols = [domain.xy[:, 0], domain.xy[:, 1], fld.T11, fld.T12, fld.T22,
                  fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
                  div[:, 0], div[:, 1]]
-        with open(os.path.join(out_dir, "tensor.csv"), "w") as fh:
-            fh.write(",".join(TENSOR_COLUMNS) + "\n")
-            for row in zip(*tcols):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS, tcols)
 
     if fld is None:  # the analyses stopped before evaluating the solution
         rellich_density = pohozaev_density = np.full(domain.n_boundary, np.nan)
@@ -580,10 +587,7 @@ def export_fields(report, out_dir):
     bcols = [domain.bpts[:, 0], domain.bpts[:, 1], domain.bnu[:, 0],
              domain.bnu[:, 1], domain.bH, domain.bw, result.normal_derivative,
              rellich_density, pohozaev_density]
-    with open(os.path.join(out_dir, "boundary.csv"), "w") as fh:
-        fh.write(",".join(BOUNDARY_COLUMNS) + "\n")
-        for row in zip(*bcols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(os.path.join(out_dir, "boundary.csv"), BOUNDARY_COLUMNS, bcols)
 
     with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:
         json.dump(_sanitize(result.log), fh, indent=2, sort_keys=True)
@@ -608,14 +612,20 @@ def load_run(run_dir):
     """Reload a persisted run: config, domain, model and the solution field.
 
     The gradient and boundary traces are recomputed deterministically from
-    the persisted u, so re-analysis does not require re-solving.
+    the persisted u, so re-analysis does not require re-solving.  A run
+    whose report records no converged solve and that has no fields.csv (the
+    solver refused it) reloads with ``domain`` and ``result`` None.
     """
     config = load_config(os.path.join(run_dir, "config.yaml"))
+    fields_path = os.path.join(run_dir, "fields.csv")
     try:
         with open(os.path.join(run_dir, "report.json")) as fh:
             report_doc = json.load(fh)
+        solver_doc = report_doc.get("solver") or {}
+        if not solver_doc.get("converged", False) and not os.path.exists(fields_path):
+            return config, None, None, report_doc
         u = []
-        with open(os.path.join(run_dir, "fields.csv")) as fh:
+        with open(fields_path) as fh:
             header = fh.readline().strip().split(",")
             iu = header.index("u")
             for line in fh:
@@ -628,7 +638,6 @@ def load_run(run_dir):
     if len(u) != domain.n_interior:
         raise ConfigError("persisted field does not match the configured grid")
 
-    solver_doc = report_doc.get("solver") or {}
     result = field_result(
         config.model, domain, u,
         residual_history=[solver_doc.get("final_residual", float("nan"))],

@@ -9,6 +9,7 @@ radially symmetric problems, including the 1D case n = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ class SolverConfig:
     newton_polish: bool = True
 
     def __post_init__(self):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (self.residual_tol, self.step_tol, self.max_iterations)):
+            raise ValueError("tolerances and max_iterations must be finite")
         if self.residual_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
@@ -356,24 +360,75 @@ class RadialProfile:
         return np.interp(r, self.r, self.u)
 
 
+#: flux inversion stops once a Newton or bisection step, or the bracket,
+#: is below ``FLUX_XTOL + FLUX_RTOL * p`` (half of it for a step), which is
+#: at least as tight as brentq at the same tolerances
+FLUX_XTOL, FLUX_RTOL = 1e-14, 8.9e-16
+FLUX_MAX_ITERATIONS = 200
+
+
+def _flux_slope(model, p, q):
+    """F_p and F_pp at (p, q) as arrays; a single value takes the scalar
+    path of eval_jet."""
+    jet = eval_jet(model, float(p[0]), float(q[0])) if p.size == 1 else eval_jet(model, p, q)
+    return np.array(jet.F_p, ndmin=1), np.array(jet.F_pp, ndmin=1)
+
+
 def _invert_flux(model, w, q):
-    """Solve F_p(p, q) = |w| for p >= 0; returns signed u' matching w."""
-    target = abs(w)
-    if target < 1e-300:
-        return 0.0
-    jet0 = eval_jet(model, 0.0, q)
-    if jet0.F_p > target:
-        return 0.0  # only possible for non-smooth origins; treat as flat
-    hi = max(target, 1e-6)
+    """Solve F_p(p, q) = |w| for p >= 0; returns signed u' matching w.
+
+    Scalars in, scalar out; arrays in, array out.  F_pp > 0 makes F_p
+    increasing in p, so a safeguarded Newton iteration keeps a bracket
+    [lo, hi] around each root and bisects whenever a step leaves it.
+    """
+    w_arr, q_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
+                                       np.asarray(q, dtype=float))
+    target = np.abs(w_arr).ravel()
+    qv = q_arr.ravel()
+    p = np.zeros(target.size)
+    idx = np.nonzero(~(target < 1e-300))[0]
+    if idx.size:
+        f0, _ = _flux_slope(model, np.zeros(idx.size), qv[idx])
+        # F_p(0, q) above the flux is only possible for non-smooth origins;
+        # treat those values as flat
+        idx = idx[~(f0 > target[idx])]
+    t, qa = target[idx], qv[idx]
+
+    hi = np.maximum(t, 1e-6)
+    f, fp = _flux_slope(model, hi, qa)
     for _ in range(200):
-        if eval_jet(model, hi, q).F_p >= target:
+        low = np.nonzero(f < t)[0]
+        if not low.size:
             break
-        hi *= 2.0
-        if hi > 1e12:
+        hi[low] *= 2.0
+        if np.any(hi[low] > 1e12):
             raise EmlabError("flux inversion failed: F_p stays below the flux")
-    p = brentq(lambda pp: eval_jet(model, pp, q).F_p - target, 0.0, hi,
-               xtol=1e-14, rtol=8.9e-16)
-    return p if w >= 0 else -p
+        f[low], fp[low] = _flux_slope(model, hi[low], qa[low])
+
+    lo = np.zeros(t.size)
+    x = hi.copy()
+    for _ in range(FLUX_MAX_ITERATIONS):
+        if not idx.size:
+            break
+        res = f - t
+        lo = np.where(res < 0.0, x, lo)
+        hi = np.where(res > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - res / fp
+        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        delta = 0.5 * (FLUX_XTOL + FLUX_RTOL * x_new)
+        exact = res == 0.0
+        done = exact | (np.abs(x_new - x) <= delta) | (hi - lo <= 2.0 * delta)
+        p[idx[done]] = np.where(exact, x, x_new)[done]
+        keep = ~done
+        idx, t, qa = idx[keep], t[keep], qa[keep]
+        lo, hi, x = lo[keep], hi[keep], x_new[keep]
+        if idx.size:
+            f, fp = _flux_slope(model, x, qa)
+    if idx.size:
+        raise EmlabError("flux inversion failed to converge")
+    p = np.where(w_arr.ravel() < 0.0, -p, p).reshape(w_arr.shape)
+    return float(p) if p.ndim == 0 else p
 
 
 def _radial_rhs(model, n):
@@ -447,7 +502,7 @@ def solve_radial(model, radii, n=2, resolution=4096, rtol=1e-10, atol=1e-12):
 
     rs = np.linspace(r0, r_hi, resolution)
     us, ws = sol.sol(rs)
-    dus = np.array([_invert_flux(model, w, q) for w, q in zip(ws, us)])
+    dus = _invert_flux(model, ws, us)
     # pin the endpoints to the boundary data they were shot against
     us[-1] = 0.0
     if r_lo > 0.0:

@@ -5,12 +5,19 @@ import random
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from emlab import geometry
 from emlab.errors import DegenerateGridError
 from emlab.geometry import (
+    MAX_COLLAR_DEPTH,
+    _clip_cell_areas,
+    _shoelace,
+    _subsample_cell_area,
     build_domain,
     boundary_geometry,
     boundary_integral,
+    interpolate_node_field,
     make_shape,
     star_center_margin,
     volume_integral,
@@ -197,3 +204,150 @@ class TestQuadrature:
         r = np.hypot(dom.xy[core, 0], dom.xy[core, 1])
         assert np.all(r <= 1.0 - 2.0 * dom.h + dom.h / 2)
         assert core.sum() < dom.n_interior
+
+
+# ---------------------------------------------------------------------------
+# per-value loops that whole-array code replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def _bisect_crossing_loop(shape, p_in, p_out, iterations=60):
+    ax, ay = p_in
+    bx, by = p_out
+    for _ in range(iterations):
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        if bool(shape.inside(mx, my)):
+            ax, ay = mx, my
+        else:
+            bx, by = mx, my
+    return 0.5 * (ax + bx), 0.5 * (ay + by)
+
+
+def _clip_cell_area_loop(shape, x, y, h):
+    if hasattr(shape, "exact_cell_area"):
+        return shape.exact_cell_area(x, y, h)
+    h2 = h / 2.0
+    corners = [(x - h2, y - h2), (x + h2, y - h2), (x + h2, y + h2), (x - h2, y + h2)]
+    flags = [bool(shape.inside(cx, cy)) for cx, cy in corners]
+    n_in = sum(flags)
+    if n_in == 4:
+        return h * h
+    if n_in == 0:
+        return _subsample_cell_area(shape, x, y, h) if bool(shape.inside(x, y)) else 0.0
+    if flags in ([True, False, True, False], [False, True, False, True]):
+        return _subsample_cell_area(shape, x, y, h)
+    poly, crossings = [], []
+    for k in range(4):
+        c0, c1 = corners[k], corners[(k + 1) % 4]
+        if flags[k]:
+            poly.append(c0)
+        if flags[k] != flags[(k + 1) % 4]:
+            p_in, p_out = (c0, c1) if flags[k] else (c1, c0)
+            crossing = _bisect_crossing_loop(shape, p_in, p_out)
+            poly.append(crossing)
+            crossings.append(crossing)
+    area = _shoelace(poly)
+    if len(crossings) == 2:
+        (x0, y0), (x1, y1) = crossings
+        chord = math.hypot(x1 - x0, y1 - y0)
+        kappa = shape.curvature_near(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+        area += kappa * chord ** 3 / 12.0
+    if not 0.0 <= area <= h * h * (1.0 + 1e-9):
+        return _subsample_cell_area(shape, x, y, h)
+    return area
+
+
+def _interpolate_loop(domain, values, pts):
+    values = np.asarray(values)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.empty(len(pts))
+    for k, (x, y) in enumerate(pts):
+        fx = (x - domain.gx0) / domain.h
+        fy = (y - domain.gy0) / domain.h
+        i0 = min(max(int(math.floor(fx)), 0), domain.nx - 2)
+        j0 = min(max(int(math.floor(fy)), 0), domain.ny - 2)
+        tx, ty = fx - i0, fy - j0
+        ids = [domain.interior_index[i0, j0], domain.interior_index[i0 + 1, j0],
+               domain.interior_index[i0, j0 + 1], domain.interior_index[i0 + 1, j0 + 1]]
+        if all(idx >= 0 for idx in ids):
+            v00, v10, v01, v11 = (values[idx] for idx in ids)
+            out[k] = ((1 - tx) * (1 - ty) * v00 + tx * (1 - ty) * v10
+                      + (1 - tx) * ty * v01 + tx * ty * v11)
+        else:
+            corners = [(i0, j0, (1 - tx) * (1 - ty)), (i0 + 1, j0, tx * (1 - ty)),
+                       (i0, j0 + 1, (1 - tx) * ty), (i0 + 1, j0 + 1, tx * ty)]
+            best = max(((w, domain.interior_index[i, j]) for i, j, w in corners
+                        if domain.interior_index[i, j] >= 0), default=None)
+            if best is None:
+                _, idx = domain._int_tree.query([x, y])
+                out[k] = values[idx]
+            else:
+                out[k] = values[best[1]]
+    return out
+
+
+def _seeded_shapes(h, count=3):
+    rng = random.Random(20261019)
+    for kind, params in TestOffsetCenters.SHAPES:
+        for _ in range(count):
+            yield make_shape(kind, params, center=(rng.random() * h, rng.random() * h))
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 32])
+    def test_cut_cells_equal_loop(self, h, monkeypatch):
+        for shape in _seeded_shapes(h):
+            dom = build_domain(shape, h)
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_clip_cell_areas", lambda sh, xs, ys, hh: np.array(
+                    [_clip_cell_area_loop(sh, x, y, hh) for x, y in zip(xs, ys)]))
+                ref = build_domain(shape, h)
+            assert np.array_equal(dom.weights, ref.weights)
+            assert np.array_equal(dom.arm, ref.arm)
+            assert dom.dropped_area == ref.dropped_area
+
+    def test_crossings_equal_loop(self):
+        h = 1.0 / 8
+        for shape in _seeded_shapes(h, count=1):
+            xs = shape.cx + h * np.arange(-12, 13)
+            x, y = (a.ravel() for a in np.meshgrid(xs, xs - shape.cx + shape.cy))
+            areas = _clip_cell_areas(shape, x, y, h)
+            ref = [_clip_cell_area_loop(shape, a, b, h) for a, b in zip(x, y)]
+            assert np.array_equal(areas, ref)
+
+    def test_interpolation_equals_loop(self, disc64, annulus64, torsion_result):
+        rng = np.random.default_rng(5)
+        for dom in (disc64, annulus64):
+            values = rng.standard_normal(dom.n_interior)
+            near = np.concatenate([dom.bpts - s * dom.h * dom.bnu for s in (0.5, 1.5, 3.0)])
+            far = rng.uniform(-1.3, 1.3, size=(500, 2))  # outside, in the hole, off the grid
+            pts = np.vstack([near, far, [[0.0, 0.0], [5.0, -5.0]]])
+            assert np.array_equal(interpolate_node_field(dom, values, pts),
+                                  _interpolate_loop(dom, values, pts))
+        grad = torsion_result.grad[:, 0]
+        assert np.array_equal(interpolate_node_field(disc64, grad, [0.1, 0.2]),
+                              _interpolate_loop(disc64, grad, [0.1, 0.2]))
+        # lattice nodes and cell midpoints: equal corner weights, where the
+        # fallback breaks ties between interior corners
+        for shape in (DISC, ANNULUS):
+            dom = build_domain(shape, 1.0 / 16)
+            values = rng.standard_normal(dom.n_interior)
+            X, Y = np.meshgrid(dom.gx0 + 0.5 * dom.h * np.arange(2 * dom.nx),
+                               dom.gy0 + 0.5 * dom.h * np.arange(2 * dom.ny))
+            pts = np.column_stack([X.ravel(), Y.ravel()])
+            assert np.array_equal(interpolate_node_field(dom, values, pts),
+                                  _interpolate_loop(dom, values, pts))
+
+
+class TestBoundedDistance:
+    def test_exact_in_collar_inf_beyond(self):
+        for shape in _seeded_shapes(1.0 / 32, count=1):
+            dom = build_domain(shape, 1.0 / 32)
+            full, _ = cKDTree(dom.bpts).query(dom.xy)
+            bound = MAX_COLLAR_DEPTH * dom.h
+            near = full <= bound
+            assert np.array_equal(dom.dist[near], full[near])
+            assert np.all(np.isinf(dom.dist[~near]))
+            for depth in (1.0, MAX_COLLAR_DEPTH):
+                assert np.array_equal(dom.core_mask(depth), full >= depth * dom.h - 1e-12)
+            with pytest.raises(ValueError):
+                dom.core_mask(MAX_COLLAR_DEPTH + 1.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlab.errors import OriginLimitError
 from emlab.lagrangian import (
@@ -181,3 +183,45 @@ class TestExpressionModels:
 def test_catalog_names_stable():
     assert set(CATALOG) == {"dirichlet_affine", "dirichlet_exponential",
                             "dirichlet_power", "power_dirichlet", "minimal_surface"}
+
+
+JET_MODELS = CATALOG_MODELS + [
+    make_model("power_dirichlet", [3.0, 0.0, 1.0]),
+    make_model("power_dirichlet", [1.5, 0.0, 1.0]),
+    make_expression_model("0.5*p**2 + log(q)"),
+    make_expression_model("p**2/(q*q) + sqrt(q)"),
+    make_expression_model("sqrt(1 + p**2)*exp(q) - p**q"),
+]
+
+
+def _jet_or_error(model, p, q):
+    try:
+        return eval_jet(model, p, q).as_tuple()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc)
+
+
+class TestScalarPath:
+    """Python floats take a scalar path in eval_jet; it must give the bits
+    and the errors of the array path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(JET_MODELS),
+           st.floats(min_value=-1.0, max_value=1e3) | st.floats(),
+           st.floats(min_value=-1e3, max_value=1e3) | st.floats())
+    def test_scalar_matches_array(self, model, p, q):
+        scalar = _jet_or_error(model, p, q)
+        array = _jet_or_error(model, np.array([p]), np.array([q]))
+        if isinstance(array, type):
+            assert scalar is array
+        else:
+            assert all(isinstance(e, float) for e in scalar)
+            assert np.array_equal(np.array(scalar), np.concatenate(array))
+
+    def test_division_by_zero_is_an_evaluation_error(self):
+        from emlab.errors import EvaluationError
+        singular = make_expression_model("0.5*p**2 + 1/q")
+        with pytest.raises(EvaluationError):
+            eval_jet(singular, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            eval_jet(TORSION, -1e-300, 0.0)

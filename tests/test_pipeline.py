@@ -13,8 +13,8 @@ from jsonschema import ValidationError
 
 from emlab.cli import main
 from emlab.errors import ConfigError
-from emlab.pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
-                            EXIT_SOLVER, RunReport, analyze_into,
+from emlab.pipeline import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
+                            EXIT_SOLVER, RunReport, _write_csv, analyze_into,
                             export_fields, load_run, parse_config,
                             run_pipeline, validate_report)
 
@@ -61,6 +61,18 @@ class TestConfigParsing:
         bad = dict(TORSION_CONFIG, shape={"kind": "disc", "parameters": [-1.0]})
         with pytest.raises(ConfigError):
             parse_config(bad)
+
+    @pytest.mark.parametrize("change", [
+        {"model": {"name": "dirichlet_affine", "parameters": [float("nan"), 1.0]}},
+        {"shape": {"kind": "disc", "parameters": [1.0], "center": [0.0, float("inf")]}},
+        {"spacing": float("inf")},
+        {"x0": [float("nan"), 0.0]},
+        {"solver": {"residual_tol": float("nan")}},
+        {"solver": {"max_iterations": float("inf")}},
+    ])
+    def test_non_finite_numbers_rejected(self, change):
+        with pytest.raises(ConfigError):
+            parse_config(dict(TORSION_CONFIG, **change))
 
     def test_missing_model(self):
         with pytest.raises(ConfigError):
@@ -221,6 +233,28 @@ class TestBreadth:
         assert report.spectral["definiteness_class"] == "negative_definite"
 
 
+def _write_csv_loop(path, header, cols):
+    """Reference: the row-by-row f-string writer that _write_csv replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def test_csv_writer_equals_row_loop(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * CSV_BLOCK_ROWS + 3
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                        0.1, 1.0 / 3.0, 2.0 ** 60, -1e-17])
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
+            np.resize(special, n), np.arange(n, dtype=float)]
+    _write_csv(tmp_path / "a.csv", ["a", "b", "c"], cols)
+    _write_csv_loop(tmp_path / "b.csv", ["a", "b", "c"], cols)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    _write_csv(tmp_path / "e.csv", ["a"], [np.empty(0)])
+    assert (tmp_path / "e.csv").read_text() == "a\n"
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         digests = []
@@ -324,3 +358,36 @@ class TestCli:
         from emlab.pipeline import EXIT_INVARIANT
         assert main(["verify", "--in", out]) == EXIT_INVARIANT
         assert "FAIL" in capsys.readouterr().out
+
+    def test_refused_run_verifies_with_its_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert "ellipticity breakdown" in captured.out
+        assert "0/0 checks passed" in captured.out
+        assert "configuration error" not in captured.err
+        assert main(["analyze", "--in", str(out)]) == EXIT_SOLVER
+        assert "configuration error" not in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("change,message", [
+        ({"spacing": float("nan")}, "spacing must be a positive finite number"),
+        ({"shape": {"kind": "disc", "parameters": [float("inf")]}},
+         "shape parameters and center must be finite"),
+        ({"model": {"expression": "0.5*p**2 + log(q)"}}, "model evaluation failed"),
+        ({"model": {"expression": "p + 0.5*p**2 + q"}}, "not smooth at the origin"),
+        ({"model": {"expression": "0.5*p**2 + q + 1/0"}}, "model evaluation failed"),
+    ])
+    def test_bad_numbers_exit_four_without_traceback(self, tmp_path, capsys,
+                                                     change, message):
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, **change))
+        assert main(["solve", "--config", cfg_path, "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err

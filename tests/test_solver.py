@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from emlab.errors import EllipticityError
+from emlab import solver
+from emlab.errors import EllipticityError, EmlabError
 from emlab.geometry import build_domain, make_shape
-from emlab.lagrangian import make_model
-from emlab.solver import (SolverConfig, el_residual, solve_euler_lagrange,
-                          solve_radial)
+from emlab.lagrangian import eval_jet, make_expression_model, make_model
+from emlab.solver import (SolverConfig, _integrate, _invert_flux, el_residual,
+                          solve_euler_lagrange, solve_radial)
 from conftest import annulus_exact_u
 
 ROUNDING_FLOOR = 1e-10
@@ -172,3 +174,97 @@ class TestRadialOracle:
         # n = 3: u'' + (2/r) u' = 1 on the unit ball gives u = (r^2-1)/6
         prof = solve_radial(torsion_model, (0.0, 1.0), n=3, resolution=512)
         assert np.max(np.abs(prof.u - (prof.r**2 - 1.0) / 6.0)) <= 1e-8
+
+
+def _invert_flux_loop(model, w, q):
+    """Reference: the scalar flux inversion by brentq that the whole-array
+    safeguarded Newton replaced."""
+    target = abs(w)
+    if target < 1e-300:
+        return 0.0
+    jet0 = eval_jet(model, 0.0, q)
+    if jet0.F_p > target:
+        return 0.0
+    hi = max(target, 1e-6)
+    for _ in range(200):
+        if eval_jet(model, hi, q).F_p >= target:
+            break
+        hi *= 2.0
+        if hi > 1e12:
+            raise EmlabError("flux inversion failed: F_p stays below the flux")
+    p = brentq(lambda pp: eval_jet(model, pp, q).F_p - target, 0.0, hi,
+               xtol=1e-14, rtol=8.9e-16)
+    return p if w >= 0 else -p
+
+
+def _shot_states(model, radii, prof, n=2):
+    """Flux w and value u of the shot solution at the profile radii, before
+    solve_radial pins the endpoints to the boundary data."""
+    r0 = prof.r[0]
+    if radii[0] == 0.0:
+        y0 = [prof.parameter, eval_jet(model, 0.0, prof.parameter).F_q * r0 / n]
+    else:
+        y0 = [0.0, prof.parameter]
+    sol = _integrate(model, n, r0, prof.r[-1], y0, 1e-10, 1e-12, dense=True)
+    us, ws = sol.sol(prof.r)
+    return ws, us
+
+
+class TestFluxInversion:
+    EXACT = [("dirichlet_affine", [0.5, 1.0], (0.0, 1.0)),
+             ("dirichlet_affine", [0.5, 1.0], (0.3, 1.0)),
+             ("dirichlet_exponential", [1.0, 1.0], (0.0, 1.0))]
+
+    @pytest.mark.parametrize("name,params,radii", EXACT)
+    def test_profile_equals_scalar_loop(self, name, params, radii, monkeypatch):
+        # Newton is exact where F_p = p, so the whole profile keeps its bits
+        model = make_model(name, params)
+        prof = solve_radial(model, radii, n=2, resolution=512)
+        ws, us = _shot_states(model, radii, prof)
+        ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
+        assert np.array_equal(_invert_flux(model, ws, us), ref)
+        assert np.array_equal(prof.du, ref)
+        monkeypatch.setattr(solver, "_invert_flux", np.vectorize(_invert_flux_loop))
+        old = solve_radial(model, radii, n=2, resolution=512)
+        assert old.parameter == prof.parameter
+        assert np.array_equal(old.u, prof.u)
+        assert np.array_equal(old.du, prof.du)
+
+    @pytest.mark.parametrize("name,params", [("power_dirichlet", [3.0, 0.0, 1.0]),
+                                             ("minimal_surface", [2.0, 1.0])])
+    def test_nonlinear_flux_within_tolerance(self, name, params):
+        model = make_model(name, params)
+        prof = solve_radial(model, (0.0, 1.0), n=2, resolution=512)
+        ws, us = _shot_states(model, (0.0, 1.0), prof)
+        ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
+        assert np.max(np.abs(prof.du - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(np.sign(prof.du), np.sign(ref))
+
+    def test_branches_match_scalar_loop(self):
+        # F_p(0, q) = 1 here: fluxes below 1 invert to the flat result
+        kinked = make_expression_model("p + 0.5*p**2 + q")
+        m3 = make_model("power_dirichlet", [3.0, 0.0, 1.0])
+        w = np.array([0.0, 1e-310, -1e-300, 5e-7, -0.5, 0.999, 1.5, -3.0, 40.0, 1e6])
+        q = np.linspace(-1.0, 1.0, len(w))
+        for model in (kinked, m3):
+            ref = np.array([_invert_flux_loop(model, a, b) for a, b in zip(w, q)])
+            got = _invert_flux(model, w, q)
+            # both stop within brentq's absolute tolerance 1e-14 of the root
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
+            assert np.array_equal(got[:2], [0.0, 0.0])  # zero flux
+            for a, b, r in zip(w, q, ref):  # scalars in, scalar out
+                out = _invert_flux(model, a, b)
+                assert isinstance(out, float)
+                assert abs(out - r) <= 1e-12 * abs(r) + 1e-14
+        flat = w[np.abs(w) < 1.0]
+        assert not np.any(_invert_flux(kinked, flat, np.zeros_like(flat)))
+
+    def test_flux_above_range_raises(self):
+        # F_p = p / sqrt(1 + p^2) < 1: a flux of 1 or more has no preimage
+        model = make_model("minimal_surface", [2.0, 1.0])
+        with pytest.raises(EmlabError, match="F_p stays below the flux"):
+            _invert_flux(model, np.array([0.5, 1.5]), np.zeros(2))
+        with pytest.raises(EmlabError, match="F_p stays below the flux"):
+            _invert_flux_loop(model, 1.5, 0.0)
+        with pytest.raises(EmlabError, match="F_p stays below the flux"):
+            _invert_flux(model, -2.0, 0.0)

@@ -1,8 +1,11 @@
 """Tensor assembly, closed-form spectrum, definiteness, discrete divergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from emlab.errors import UnconvergedError
 from emlab.geometry import build_domain, make_shape
@@ -330,3 +333,17 @@ class TestLoopReferences:
             assert rep["nodes_checked"] == ref["nodes_checked"] == dom.n_interior
             for key in ref:
                 assert abs(rep[key] - ref[key]) <= tol, key
+
+
+def test_bounded_distance_keeps_location_class(torsion_model, torsion_result, exp_model,
+                                               exp_result, disc64, annulus_result, annulus64):
+    """dist stops at the deepest collar; the location class of the lambda1
+    maximum, which reads dist <= 2h, is the one of the full distance."""
+    for model, result, dom in [(torsion_model, torsion_result, disc64),
+                               (exp_model, exp_result, disc64),
+                               (torsion_model, annulus_result, annulus64)]:
+        full, _ = cKDTree(dom.bpts).query(dom.xy)
+        assert np.array_equal(dom.dist <= 2.0 * dom.h, full <= 2.0 * dom.h)
+        unbounded = dataclasses.replace(dom, dist=full)
+        assert (assemble_field(model, result, dom).sup_location_class
+                == assemble_field(model, result, unbounded).sup_location_class)
