@@ -9,7 +9,7 @@ boundary quadrature uses analytic arc-length weights at midpoint samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -394,7 +394,6 @@ class DiscreteDomain:
     #: MAX_COLLAR_DEPTH * h, inf beyond (only the collar is ever asked about)
     dist: np.ndarray
     dropped_area: float = 0.0
-    _int_tree: object = field(default=None, repr=False)
 
     @property
     def n_interior(self):
@@ -612,7 +611,7 @@ def build_domain(shape, spacing):
                           xy=xy, nbr=nbr, arm=arm,
                           boundary_adjacent=boundary_adjacent, weights=weights,
                           bpts=bpts, bnu=bnu, bH=bH, bw=bw, bcomp=bcomp,
-                          dist=dist, dropped_area=dropped, _int_tree=cKDTree(xy))
+                          dist=dist, dropped_area=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +680,6 @@ def interpolate_node_field(domain, values, pts):
     out[partial] = values[best[partial]]
     lost = best < 0
     if lost.any():
-        _, nearest = domain._int_tree.query(pts[lost])
+        _, nearest = cKDTree(domain.xy).query(pts[lost])
         out[lost] = values[nearest]
     return out

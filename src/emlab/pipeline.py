@@ -48,7 +48,7 @@ DEFAULT_HYPOTHESIS_BOX = ((0.0, 1.0), (-1.0, 1.0))
 # ---------------------------------------------------------------------------
 
 _ANALYSIS_KEYS = {"hypotheses", "tensor", "pfunction", "identities", "radial_oracle"}
-_SOLVER_KEYS = {"residual_tol", "step_tol", "max_iterations", "damping", "newton_polish"}
+_SOLVER_KEYS = set(SolverConfig().as_dict())
 
 
 @dataclass
@@ -624,17 +624,13 @@ def load_run(run_dir):
         solver_doc = report_doc.get("solver") or {}
         if not solver_doc.get("converged", False) and not os.path.exists(fields_path):
             return config, None, None, report_doc
-        u = []
         with open(fields_path) as fh:
-            header = fh.readline().strip().split(",")
-            iu = header.index("u")
-            for line in fh:
-                u.append(float(line.split(",")[iu]))
+            iu = fh.readline().strip().split(",").index("u")
+            u = np.loadtxt(fh, delimiter=",", usecols=iu, ndmin=1, comments=None)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot reload run from {run_dir}: {exc}") from None
 
     domain = build_domain(config.shape, config.spacing)
-    u = np.asarray(u)
     if len(u) != domain.n_interior:
         raise ConfigError("persisted field does not match the configured grid")
 

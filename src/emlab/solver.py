@@ -2,25 +2,28 @@
 
 The 2D path discretizes the divergence form conservatively on the embedded
 grid (face-centered fluxes, cut-distance stencils at boundary-adjacent
-nodes) and iterates Picard with damping, then an optional damped Newton
-polish.  ``solve_radial`` is an independent high-accuracy ODE oracle for
-radially symmetric problems, including the 1D case n = 1.
+nodes), warm-starts from the constant-coefficient problem and runs one
+Jacobian-free Newton-GMRES loop (Knoll & Keyes, J. Comput. Phys. 193, 2004)
+preconditioned by the warm start's LU, with an inexact-Newton forcing term
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+``solve_radial`` is an independent high-accuracy ODE oracle for radially
+symmetric problems, including the 1D case n = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import EllipticityError, EmlabError
 from .geometry import interpolate_node_field
-from .lagrangian import ORIGIN_EPS, check_hypotheses, divergence_coefficients, eval_jet
+from .lagrangian import check_hypotheses, divergence_coefficients, eval_jet
 
 _E, _W, _N, _S = 0, 1, 2, 3
 
@@ -30,8 +33,6 @@ class SolverConfig:
     residual_tol: float = 1e-8
     step_tol: float = 1e-10
     max_iterations: int = 200
-    damping: float = 0.7
-    newton_polish: bool = True
 
     def __post_init__(self):
         if any(isinstance(v, float) and not math.isfinite(v)
@@ -39,15 +40,11 @@ class SolverConfig:
             raise ValueError("tolerances and max_iterations must be finite")
         if self.residual_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
     def as_dict(self):
-        return {"residual_tol": self.residual_tol, "step_tol": self.step_tol,
-                "max_iterations": self.max_iterations, "damping": self.damping,
-                "newton_polish": self.newton_polish}
+        return asdict(self)
 
 
 @dataclass
@@ -115,17 +112,11 @@ def gradient_operators(domain):
     return domain._grad_ops
 
 
-def _axis_spans(domain):
-    span_x = 0.5 * (domain.arm[:, _E] + domain.arm[:, _W])
-    span_y = 0.5 * (domain.arm[:, _N] + domain.arm[:, _S])
-    return span_x, span_y
-
-
 def _face_coefficients(model, domain, u):
     """Diffusion coefficient per face from averaged neighbor states."""
     Gx, Gy = gradient_operators(domain)
     p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
-    g_faces, u_faces = [], []
+    g_faces = []
     for d in range(4):
         nb = domain.nbr[:, d]
         has = nb >= 0
@@ -141,14 +132,14 @@ def _face_coefficients(model, domain, u):
                          "p_face": float(np.sqrt(max(s[k], 0.0))),
                          "u_face": float(uf[k]), "g": float(g[k])})
         g_faces.append(g)
-        u_faces.append(uf)
-    return g_faces, u_faces, p2
+    return g_faces, p2
 
 
 def _assemble(domain, g_faces):
     """Sparse operator A with (A u)_i = sum_d g_d (u_d - u_i)/(arm_d span)."""
     n = domain.n_interior
-    span_x, span_y = _axis_spans(domain)
+    span_x = 0.5 * (domain.arm[:, _E] + domain.arm[:, _W])
+    span_y = 0.5 * (domain.arm[:, _N] + domain.arm[:, _S])
     idx = np.arange(n)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
@@ -171,7 +162,7 @@ def _assemble(domain, g_faces):
 def el_residual(model, domain, u):
     """Pointwise discrete div(g grad u) + h at the interior nodes."""
     u = np.asarray(u, dtype=float)
-    g_faces, _, p2 = _face_coefficients(model, domain, u)
+    g_faces, p2 = _face_coefficients(model, domain, u)
     A = _assemble(domain, g_faces)
     _, h_src = divergence_coefficients(model, np.sqrt(np.maximum(p2, 0.0)), u)
     return A @ u + h_src
@@ -205,13 +196,29 @@ def _normal_component(domain, grad, depth):
 
 PILOT_BOX = ((0.0, 1.0), (-1.0, 1.0))
 
+#: inexact-Newton forcing term: GMRES stops at this fraction of |R|, which
+#: keeps each step a few Krylov iterations yet Newton's rate near the root
+GMRES_RTOL = 1e-4
+#: restart cycles (of scipy's 20 iterations) per Newton step; bounds the
+#: linear work where J is singular, as when the problem has no solution
+GMRES_MAX_RESTARTS = 10
+#: relative step of the finite-difference Jacobian-vector product
+JV_REL_STEP = math.sqrt(np.finfo(float).eps)
+
 
 def solve_euler_lagrange(model, domain, config=None):
     """Solve the optimality equation with u = 0 on the shape boundary.
 
-    Picard iteration with damping and residual backtracking, warm-started
-    from the constant-coefficient problem, then a damped Newton polish on
-    the value coupling.  Nonconvergence is reported, not raised.
+    One Newton loop.  The LU of the constant-coefficient operator
+    ``div(g(0, 0) grad .)`` gives the warm start, on which linear models
+    have already converged.  Each Newton step solves ``J d = -R`` by GMRES,
+    with ``J v`` a finite-difference product on ``el_residual`` and the same
+    LU as preconditioner (it is never refactorized), and is accepted by
+    max-norm backtracking from omega = 1.  The loop stops on
+    ``residual_tol``, on ``max_iterations``, when no halving lowers the
+    residual, or when ``omega max|d| <= step_tol``; nonconvergence is
+    reported, not raised.  Each iteration logs its residual, accepted omega
+    (``damping``, 0 when none was) and GMRES iteration count.
     """
     cfg = config or SolverConfig()
     pilot = check_hypotheses(model, box=PILOT_BOX, samples=128)
@@ -226,54 +233,60 @@ def solve_euler_lagrange(model, domain, config=None):
     if g0 <= 0.0:
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
-    A0 = _assemble(domain, [np.full(n, g0)] * 4)
-    u = splu(A0.tocsc()).solve(np.full(n, -h0))
+    lu0 = splu(_assemble(domain, [np.full(n, g0)] * 4).tocsc())
+    precond = LinearOperator((n, n), matvec=lu0.solve)
+    u = lu0.solve(np.full(n, -h0))
 
-    res = float(np.max(np.abs(el_residual(model, domain, u))))
+    R = el_residual(model, domain, u)
+    res = float(np.max(np.abs(R)))
     history = [res]
-    log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init"}]
-    converged = res <= cfg.residual_tol
+    log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init",
+            "linear_iterations": 0}]
     iterations = 0
-
-    def try_step(u_cur, direction, res_cur, base_damping, phase, it):
-        """Backtracking damped update; returns (u, res, accepted, damping)."""
-        omega = base_damping
-        for _ in range(5):
-            u_try = u_cur + omega * direction
-            r_try = float(np.max(np.abs(el_residual(model, domain, u_try))))
-            if r_try < res_cur:
-                log.append({"iteration": it, "residual": r_try,
-                            "damping": omega, "phase": phase})
-                return u_try, r_try, True, omega
-            omega *= 0.5
-        return u_cur, res_cur, False, omega
-
-    # Picard: freeze coefficients, solve, relax
-    while not converged and iterations < cfg.max_iterations:
+    while res > cfg.residual_tol and iterations < cfg.max_iterations:
         iterations += 1
-        g_faces, _, p2 = _face_coefficients(model, domain, u)
-        _, h_src = divergence_coefficients(model, np.sqrt(np.maximum(p2, 0.0)), u)
-        A = _assemble(domain, g_faces)
-        u_hat = splu(A.tocsc()).solve(-h_src)
-        direction = u_hat - u
-        u, res, accepted, omega = try_step(u, direction, res, cfg.damping,
-                                           "picard", iterations)
+        step, linear_iterations = _newton_step(model, domain, u, R, precond)
+        omega = 1.0
+        for _ in range(5):
+            u_try = u + omega * step
+            R_try = el_residual(model, domain, u_try)
+            r_try = float(np.max(np.abs(R_try)))
+            if r_try < res:
+                u, R, res = u_try, R_try, r_try
+                break
+            omega *= 0.5
+        else:
+            omega = 0.0
         history.append(res)
-        if not accepted:
+        log.append({"iteration": iterations, "residual": res, "damping": omega,
+                    "phase": "newton", "linear_iterations": linear_iterations})
+        if omega * float(np.max(np.abs(step))) <= cfg.step_tol:
             break
-        converged = res <= cfg.residual_tol
-        if omega * float(np.max(np.abs(direction))) <= cfg.step_tol:
-            break
-
-    if cfg.newton_polish and not converged:
-        u, res, extra = _newton_polish(model, domain, u, res, cfg,
-                                       history, log, iterations, try_step)
-        iterations += extra
-        converged = res <= cfg.residual_tol
 
     return field_result(model, domain, u, residual_history=history,
-                        converged=converged, iterations=iterations, log=log,
-                        config=cfg)
+                        converged=res <= cfg.residual_tol, iterations=iterations,
+                        log=log, config=cfg)
+
+
+def _newton_step(model, domain, u, R, precond):
+    """GMRES solution d of ``J d = -R`` at ``u``, with the number of GMRES
+    iterations it took.  ``J v`` is the forward difference of
+    ``el_residual`` along ``v``."""
+    scale = JV_REL_STEP * max(1.0, float(np.linalg.norm(u)))
+
+    def jv(v):
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            return np.zeros_like(v)
+        eps = scale / norm
+        return (el_residual(model, domain, u + eps * v) - R) / eps
+
+    n = len(u)
+    inner = []
+    step, _ = gmres(LinearOperator((n, n), matvec=jv), -R, rtol=GMRES_RTOL, atol=0.0,
+                    maxiter=GMRES_MAX_RESTARTS, M=precond, callback=inner.append,
+                    callback_type="pr_norm")
+    return step, len(inner)
 
 
 def field_result(model, domain, u, **state):
@@ -290,55 +303,6 @@ def field_result(model, domain, u, **state):
     return SolveResult(u=u, grad=grad, normal_derivative=dnu,
                        solution_range=(m, M), gradient_range=(0.0, p_max),
                        model=model, domain=domain, **state)
-
-
-def _newton_polish(model, domain, u, res, cfg, history, log, start_it, try_step):
-    """Damped Newton on the value coupling (g_q and h_q terms); the gradient
-    coupling stays frozen, which is exact for value-only nonlinearities."""
-    n = domain.n_interior
-    span_x, span_y = _axis_spans(domain)
-    extra = 0
-    while res > cfg.residual_tol and start_it + extra < cfg.max_iterations:
-        extra += 1
-        g_faces, u_faces, p2 = _face_coefficients(model, domain, u)
-        p_nodes = np.sqrt(np.maximum(p2, 0.0))
-        _, h_src = divergence_coefficients(model, p_nodes, u)
-        A = _assemble(domain, g_faces)
-        R = A @ u + h_src
-
-        jet = eval_jet(model, p_nodes, u)
-        J = A + sparse.diags(-jet.F_qq)
-        rows, cols, vals = [], [], []
-        idx = np.arange(n)
-        for d in range(4):
-            span = span_x if d in (_E, _W) else span_y
-            nb = domain.nbr[:, d]
-            has = nb >= 0
-            uf = u_faces[d]
-            pf = np.sqrt(np.maximum(
-                np.where(has, 0.5 * (p2 + p2[np.where(has, nb, 0)]), p2), 0.0))
-            face_jet = eval_jet(model, np.maximum(pf, ORIGIN_EPS), uf)
-            g_q = face_jet.F_pq / np.maximum(pf, ORIGIN_EPS)
-            u_d = np.where(has, u[np.where(has, nb, 0)], 0.0)
-            Dd = g_q * (u_d - u) / (domain.arm[:, d] * span)
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(0.5 * Dd)
-            rows.append(idx[has])
-            cols.append(nb[has])
-            vals.append(0.5 * Dd[has])
-        J = J + sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        try:
-            step = splu(J.tocsc()).solve(-R)
-        except RuntimeError:
-            break
-        u, res, accepted, _ = try_step(u, step, res, 1.0, "newton", start_it + extra)
-        history.append(res)
-        if not accepted:
-            break
-    return u, res, extra
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def _interpolate_loop(domain, values, pts):
             best = max(((w, domain.interior_index[i, j]) for i, j, w in corners
                         if domain.interior_index[i, j] >= 0), default=None)
             if best is None:
-                _, idx = domain._int_tree.query([x, y])
+                _, idx = cKDTree(domain.xy).query([x, y])
                 out[k] = values[idx]
             else:
                 out[k] = values[best[1]]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -14,8 +15,8 @@ from jsonschema import ValidationError
 from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.pipeline import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
-                            EXIT_SOLVER, RunReport, _write_csv, analyze_into,
-                            export_fields, load_run, parse_config,
+                            EXIT_SOLVER, FIELD_COLUMNS, RunReport, _write_csv,
+                            analyze_into, export_fields, load_run, parse_config,
                             run_pipeline, validate_report)
 
 TORSION_CONFIG = {
@@ -217,6 +218,80 @@ class TestExportAndReload:
             validate_report(json.load(fh))
 
 
+def _load_u_loop(path):
+    """Reference: the per-line float() parse of the u column that load_run
+    replaced."""
+    u = []
+    with open(path) as fh:
+        iu = fh.readline().strip().split(",").index("u")
+        for line in fh:
+            u.append(float(line.split(",")[iu]))
+    return np.asarray(u)
+
+
+def _rewrite_u(path, cells):
+    """Replace the u column of a fields.csv by the given strings."""
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    iu = header.split(",").index("u")
+    out = []
+    for row, cell in zip(rows, cells):
+        parts = row.split(",")
+        parts[iu] = cell
+        out.append(",".join(parts))
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + out) + "\n")
+
+
+class TestReloadParse:
+    def test_u_column_equals_line_loop(self, run_dir, tmp_path):
+        out = str(tmp_path / "run")
+        shutil.copytree(run_dir[0], out)
+        fields = os.path.join(out, "fields.csv")
+        _, domain, result, _ = load_run(out)
+        assert np.array_equal(result.u.view(np.uint64),
+                              _load_u_loop(fields).view(np.uint64))
+        # every magnitude, in the export's %.17g and in shorter spellings
+        n = domain.n_interior
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 100, n)
+        fmts = ["%.17g", "%r", "%.3e", "%.20f"]
+        cells = [fmts[k % 4] % float(v) for k, v in enumerate(values)]
+        cells[:8] = ["-0", "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+                     "0.1", "1e-320", "-.5", "3"]
+        _rewrite_u(fields, cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, result, _ = load_run(out)
+        assert np.array_equal(result.u.view(np.uint64),
+                              _load_u_loop(fields).view(np.uint64))
+
+    @pytest.mark.parametrize("mangle", ["text", "short_row", "missing_rows", "no_u"])
+    def test_malformed_fields_exit_four(self, run_dir, tmp_path, capsys, mangle):
+        out = str(tmp_path / "run")
+        shutil.copytree(run_dir[0], out)
+        fields = os.path.join(out, "fields.csv")
+        with open(fields) as fh:
+            header, *rows = fh.read().splitlines()
+        if mangle == "text":
+            cells = rows[3].split(",")
+            cells[FIELD_COLUMNS.index("u")] = "abc"
+            rows[3] = ",".join(cells)
+        elif mangle == "short_row":
+            rows[-1] = ",".join(rows[-1].split(",")[:2])
+        elif mangle == "missing_rows":
+            rows = rows[:-10]
+        else:
+            header = header.replace(",u,", ",v,")
+        with open(fields, "w") as fh:
+            fh.write("\n".join([header] + rows) + "\n")
+        with pytest.raises(ConfigError):
+            load_run(out)
+        assert main(["verify", "--in", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+
+
 class TestBreadth:
     def test_ellipse_exponential_offset_pivot_strict(self):
         # non-circular cuts, genuine nonlinearity, off-center identity pivot
@@ -328,7 +403,7 @@ class TestCli:
         cfg_path = write_config(tmp_path, dict(
             TORSION_CONFIG,
             model={"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
-            solver={"max_iterations": 1, "newton_polish": False}))
+            solver={"max_iterations": 1}))
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_SOLVER
         capsys.readouterr()
@@ -338,6 +413,39 @@ class TestCli:
         passed, total = map(int, re.search(r"(\d+)/(\d+) checks passed", text).groups())
         assert passed < total
         assert main(["analyze", "--in", out]) == EXIT_SOLVER
+
+    def test_no_solution_exits_one(self, tmp_path, capsys):
+        # mean curvature 3 exceeds 2/R on the unit disc: no solution exists
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "name": "minimal_surface", "parameters": [0.0, 3.0]}))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_SOLVER
+        log = json.loads((tmp_path / "out" / "solver_log.json").read_text())
+        assert 1 < len(log) <= 20
+        capsys.readouterr()
+        assert main(["verify", "--in", out]) == EXIT_SOLVER
+        assert "[FAIL] solver_convergence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [("damping", 0.7), ("newton_polish", True)])
+    def test_removed_solver_keys_exit_four(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, solver={key: value}))
+        assert main(["solve", "--config", cfg_path, "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown solver keys: ['{key}']" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # the config echo of a run directory written with the key set
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, TORSION_CONFIG, "t.yaml"),
+                     "--out", str(out)]) == EXIT_OK
+        echo = yaml.safe_load((out / "config.yaml").read_text())
+        echo["solver"][key] = value
+        (out / "config.yaml").write_text(yaml.safe_dump(echo))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown solver keys: ['{key}']" in err
+        assert "Traceback" not in err
 
     def test_verify_catches_tampered_fields(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)

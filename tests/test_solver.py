@@ -60,11 +60,13 @@ class TestTorsionDisc:
         # quadratic closed form: the scheme is exact, errors sit at rounding
         assert order_or_floor(errors)
 
-    def test_determinism(self, torsion_model, disc64):
-        a = solve_euler_lagrange(torsion_model, disc64)
-        b = solve_euler_lagrange(torsion_model, disc64)
-        assert np.array_equal(a.u, b.u)
-        assert a.residual_history == b.residual_history
+    def test_determinism(self, torsion_model, exp_model, disc64):
+        for model in (torsion_model, exp_model):
+            a = solve_euler_lagrange(model, disc64)
+            b = solve_euler_lagrange(model, disc64)
+            assert np.array_equal(a.u, b.u)
+            assert a.residual_history == b.residual_history
+            assert a.log == b.log
 
 
 class TestLaplace:
@@ -139,8 +141,61 @@ class TestIterationContract:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=0.0)
+
+
+def _solve_counting_lu(model, dom, monkeypatch):
+    """Solve, returning the result and the number of LU factorizations."""
+    calls = []
+    real = solver.splu
+    monkeypatch.setattr(solver, "splu", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return solve_euler_lagrange(model, dom), len(calls)
+
+
+class TestNewtonLoop:
+    #: F = sqrt(1 + p^2) + 3 q: prescribed mean curvature 3
+    CURVATURE_3 = ("minimal_surface", [0.0, 3.0])
+
+    def test_curvature_three_converges_on_annulus(self, monkeypatch):
+        # Picard stalls here for all 200 iterations.  This checks the solve
+        # loop on the discrete system only: 3 |annulus| exceeds its
+        # perimeter, so no classical solution exists and the discrete
+        # gradient grows under refinement
+        dom = build_domain(make_shape("annulus", [0.3, 1.0]), 1 / 32)
+        res, lus = _solve_counting_lu(make_model(*self.CURVATURE_3), dom, monkeypatch)
+        assert res.converged
+        assert lus == 1
+        hist = res.residual_history
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+    def test_no_solution_on_disc_stops_unconverged(self, monkeypatch):
+        # mean curvature 3 exceeds 2/R on the unit disc: no solution exists
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
+        res, lus = _solve_counting_lu(make_model(*self.CURVATURE_3), dom, monkeypatch)
+        assert not res.converged
+        assert 0 < res.iterations < 20
+        assert lus == 1
+        hist = res.residual_history
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        assert len(res.log) == len(hist) == res.iterations + 1
+
+    def test_nonlinear_solve_factorizes_once(self, exp_model, disc64, monkeypatch):
+        res, lus = _solve_counting_lu(exp_model, disc64, monkeypatch)
+        assert res.converged and res.iterations > 0
+        assert lus == 1
+
+    def test_linear_model_stops_at_warm_start(self, torsion_result):
+        assert torsion_result.iterations == 0
+        assert [e["phase"] for e in torsion_result.log] == ["init"]
+
+    def test_log_counts_gmres_iterations(self, exp_result):
+        init, *steps = exp_result.log
+        assert init["phase"] == "init" and init["linear_iterations"] == 0
+        assert steps
+        for entry in steps:
+            assert entry["phase"] == "newton"
+            assert type(entry["linear_iterations"]) is int
+            assert 1 <= entry["linear_iterations"] <= 20 * solver.GMRES_MAX_RESTARTS
+            assert 0.0 < entry["damping"] <= 1.0
 
 
 class TestRadialOracle:
