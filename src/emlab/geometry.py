@@ -1,9 +1,10 @@
 """Analytic 2D shapes with embedded Cartesian grids.
 
 Nodes are classified by the exact sign of the shape's implicit description;
-boundary-adjacent nodes store exact cut distances along grid axes.  Volume
-quadrature uses per-cell clipped areas (chord polygons, subsample fallback),
-boundary quadrature uses analytic arc-length weights at midpoint samples.
+boundary-adjacent nodes store cut distances along grid axes, bisected to the
+last bit on that same description.  Volume quadrature uses per-cell clipped
+areas (chord polygons, subsample fallback), boundary quadrature uses
+analytic arc-length weights at midpoint samples.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
-from .errors import DegenerateGridError, EmlabError
+from .errors import DegenerateGridError
 
 # direction order used throughout: +x, -x, +y, -y
 DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
 #: nodes closer than this fraction of h to the boundary along a grid axis
-#: are exterior; it sits between the 1e-14 floor and the 1e-12 overshoot
-#: that the axis cuts accept
+#: are exterior, so that no stencil gets an arm of about 1e-16 h from a node
+#: that sits on the boundary up to rounding
 ON_BOUNDARY_TOL = 1e-13
 
 #: deepest boundary collar, in grid spacings, that any analysis compares
@@ -35,7 +36,9 @@ MAX_COLLAR_DEPTH = 2.0
 # ---------------------------------------------------------------------------
 
 class Shape:
-    """Common interface: exact inside tests, axis cuts, boundary geometry."""
+    """Common interface: exact inside tests, areas, boundary samples and
+    geometry.  Cut distances, and the cut-cell areas of curved shapes, are
+    bisected on ``inside``."""
 
     kind = "shape"
     smooth_boundary = True
@@ -57,11 +60,6 @@ class Shape:
         """List of (length, sampler) pairs; sampler(n) -> (pts, nu, H, w)."""
         raise NotImplementedError
 
-    def axis_cut(self, x, y, direction, length):
-        """Exact fraction t in (0, 1] of the first boundary crossing along
-        ``(x, y) + t*length*direction`` for a point strictly inside."""
-        raise NotImplementedError
-
     def boundary_geometry(self, pt, tol=1e-9):
         """Outward unit normal and mean curvature at a boundary point.
 
@@ -75,21 +73,6 @@ class Shape:
         """Signed curvature of the boundary piece closest to pt (for the
         chord-sagitta quadrature correction); 0 disables the correction."""
         return 0.0
-
-
-def _circle_cut(px, py, cx, cy, R, direction, length):
-    """Roots t in (0, 1] of |p + t*length*d - c| = R, smallest first."""
-    dx, dy = direction[0] * length, direction[1] * length
-    rx, ry = px - cx, py - cy
-    a = dx * dx + dy * dy
-    b = 2.0 * (rx * dx + ry * dy)
-    c = rx * rx + ry * ry - R * R
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = math.sqrt(disc)
-    roots = sorted(((-b - s) / (2.0 * a), (-b + s) / (2.0 * a)))
-    return [t for t in roots if 1e-14 < t <= 1.0 + 1e-12]
 
 
 class Disc(Shape):
@@ -123,12 +106,6 @@ class Disc(Shape):
             w = np.full(n, 2.0 * math.pi * self.R / n)
             return pts, nu, H, w
         return [(self.perimeter(), sampler)]
-
-    def axis_cut(self, x, y, direction, length):
-        roots = _circle_cut(x, y, self.cx, self.cy, self.R, direction, length)
-        if not roots:
-            raise EmlabError("expected a boundary crossing on the disc")
-        return min(roots[0], 1.0)
 
     def boundary_geometry(self, pt, tol=1e-9):
         rx, ry = pt[0] - self.cx, pt[1] - self.cy
@@ -182,13 +159,6 @@ class Annulus(Shape):
         return [(2 * math.pi * self.b, outer_sampler),
                 (2 * math.pi * self.a, inner_sampler)]
 
-    def axis_cut(self, x, y, direction, length):
-        roots = (_circle_cut(x, y, self.cx, self.cy, self.a, direction, length)
-                 + _circle_cut(x, y, self.cx, self.cy, self.b, direction, length))
-        if not roots:
-            raise EmlabError("expected a boundary crossing on the annulus")
-        return min(min(roots), 1.0)
-
     def boundary_geometry(self, pt, tol=1e-9):
         rx, ry = pt[0] - self.cx, pt[1] - self.cy
         r = math.hypot(rx, ry)
@@ -239,13 +209,6 @@ class Ellipse(Shape):
             w = speed * (2.0 * math.pi / n)
             return pts, nu, H, w
         return [(self.perimeter(), sampler)]
-
-    def axis_cut(self, x, y, direction, length):
-        roots = _circle_cut((x - self.cx) / self.A, (y - self.cy) / self.B, 0.0, 0.0, 1.0,
-                            (direction[0] / self.A, direction[1] / self.B), length)
-        if not roots:
-            raise EmlabError("expected a boundary crossing on the ellipse")
-        return min(roots[0], 1.0)
 
     def boundary_geometry(self, pt, tol=1e-9):
         X, Y = (pt[0] - self.cx) / self.A, (pt[1] - self.cy) / self.B
@@ -311,20 +274,6 @@ class Rectangle(Shape):
             return pts, np.vstack(nus), np.zeros(len(pts)), np.concatenate(ws)
 
         return [(self.perimeter(), sampler)]
-
-    def axis_cut(self, x, y, direction, length):
-        hw, hh = self.w / 2.0, self.hgt / 2.0
-        if direction[0] > 0:
-            t = (self.cx + hw - x) / length
-        elif direction[0] < 0:
-            t = (x - (self.cx - hw)) / length
-        elif direction[1] > 0:
-            t = (self.cy + hh - y) / length
-        else:
-            t = (y - (self.cy - hh)) / length
-        if not 0.0 < t <= 1.0 + 1e-12:
-            raise EmlabError("expected a boundary crossing on the rectangle")
-        return min(t, 1.0)
 
     def boundary_geometry(self, pt, tol=1e-9):
         hw, hh = self.w / 2.0, self.hgt / 2.0
@@ -517,9 +466,8 @@ def build_domain(shape, spacing):
     xs = gx0 + np.arange(nx) * h
     ys = gy0 + np.arange(ny) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # a node on the boundary up to rounding would get an axis cut of about
-    # 1e-16 h, below what the cuts resolve: count it as exterior, so that its
-    # neighbors cut the boundary at about t = 1 instead
+    # a node on the boundary up to rounding would get an arm of about 1e-16 h:
+    # count it as exterior, so that its neighbors get arms of about h instead
     interior = shape.inside(X, Y)
     for di, dj in DIRS:
         interior &= shape.inside(X + di * ON_BOUNDARY_TOL * h, Y + dj * ON_BOUNDARY_TOL * h)
@@ -538,18 +486,18 @@ def build_domain(shape, spacing):
     interior_ij = np.column_stack([ii, jj])
     xy = np.column_stack([xs[ii], ys[jj]])
 
-    nbr = np.full((n_int, 4), -1, dtype=np.int64)
-    arm = np.full((n_int, 4), h, dtype=float)
-    for d, (di, dj) in enumerate(DIRS):
-        ni, nj = ii + di, jj + dj
-        valid = (0 <= ni) & (ni < nx) & (0 <= nj) & (nj < ny)
-        nbr[valid, d] = interior_index[ni[valid], nj[valid]]
+    # index lookups one node beyond the lattice read -1 (exterior)
+    padded_index = np.pad(interior_index, 1, constant_values=-1)
+    nbr = np.column_stack([padded_index[ii + 1 + di, jj + 1 + dj] for di, dj in DIRS])
     boundary_adjacent = (nbr < 0).any(axis=1)
-    for k in np.nonzero(boundary_adjacent)[0]:
-        x, y = xy[k]
-        for d in range(4):
-            if nbr[k, d] < 0:
-                arm[k, d] = h * shape.axis_cut(x, y, DIRS[d], h)
+    # Shortley-Weller arms: the boundary crossing on the segment from each
+    # interior node to its exterior neighbor, all bisected together on the
+    # predicate that classified the nodes, so every segment has a crossing
+    arm = np.full((n_int, 4), h, dtype=float)
+    k, d = np.nonzero(nbr < 0)
+    px, py = xy[k, 0], xy[k, 1]
+    qx, qy = _bisect_crossings(shape, px, py, px + DIRS[d, 0] * h, py + DIRS[d, 1] * h)
+    arm[k, d] = np.minimum(np.hypot(qx - px, qy - py), h)
 
     # clipped cell areas; cut cells of exterior nodes fold into the nearest
     # interior neighbor so the cells tile the full domain area
@@ -565,23 +513,23 @@ def build_domain(shape, spacing):
     fi, fj = np.nonzero(full)
     weights[interior_index[fi, fj]] = h * h
 
-    dropped = 0.0
-    neighbor_pref = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
     cut_i, cut_j = np.nonzero((cell_nin > 0) & (cell_nin < 4) | (interior & (cell_nin == 0)))
     cut_areas = _clip_cell_areas(shape, xs[cut_i], ys[cut_j], h)
-    for i, j, area in zip(cut_i, cut_j, cut_areas.tolist()):
-        if area <= 0.0:
-            continue
-        if interior[i, j]:
-            weights[interior_index[i, j]] += area
-            continue
-        for di, dj in neighbor_pref:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < nx and 0 <= nj < ny and interior[ni, nj]:
-                weights[interior_index[ni, nj]] += area
-                break
-        else:
-            dropped += area
+    kept = cut_areas > 0.0
+    cut_i, cut_j, cut_areas = cut_i[kept], cut_j[kept], cut_areas[kept]
+    # each cut cell goes to its own node, else to the first interior
+    # neighbor in this order, else (slot n_int) to the dropped area
+    cell_targets = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                    (1, 1), (-1, 1), (1, -1), (-1, -1)]
+    targets = np.array([padded_index[cut_i + 1 + di, cut_j + 1 + dj]
+                        for di, dj in cell_targets])
+    first = np.argmax(targets >= 0, axis=0)
+    target = targets[first, np.arange(len(cut_i))]
+    target[target < 0] = n_int
+    # np.add.at adds in cell order, as one sequential sum per slot
+    acc = np.append(weights, 0.0)
+    np.add.at(acc, target, cut_areas)
+    weights, dropped = acc[:n_int], float(acc[n_int])
 
     # boundary samples, one block per component
     bpts, bnu, bH, bw, bcomp = [], [], [], [], []

@@ -287,6 +287,15 @@ def identity_tolerance(h):
 # pipeline
 # ---------------------------------------------------------------------------
 
+def _build_domain(config):
+    """The configured domain; a grid the shape cannot support is a
+    configuration error."""
+    try:
+        return build_domain(config.shape, config.spacing)
+    except EmlabError as exc:
+        raise ConfigError(f"domain build failed: {exc}") from None
+
+
 def run_pipeline(config, strict=False):
     """Execute the configured run end to end and assemble the report.
 
@@ -307,10 +316,7 @@ def run_pipeline(config, strict=False):
         return report
 
     t0 = time.perf_counter()
-    try:
-        domain = build_domain(config.shape, config.spacing)
-    except EmlabError as exc:
-        raise ConfigError(f"domain build failed: {exc}") from None
+    domain = _build_domain(config)
     timings["domain"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -419,6 +425,7 @@ def analyze_into(report, config, domain, result, strict=False):
             report.add_check("radial_oracle_agreement", dev, 5e-3, dev <= 5e-3)
         except EmlabError as exc:
             report.solver["radial_oracle"] = {"failure": str(exc)}
+            report.add_check("radial_oracle_agreement", f"failed: {exc}", 5e-3, False)
         timings["radial_oracle"] = time.perf_counter() - t0
 
     if hyp is not None and hyp.monotone_q_ok:
@@ -630,7 +637,7 @@ def load_run(run_dir):
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot reload run from {run_dir}: {exc}") from None
 
-    domain = build_domain(config.shape, config.spacing)
+    domain = _build_domain(config)
     if len(u) != domain.n_interior:
         raise ConfigError("persisted field does not match the configured grid")
 

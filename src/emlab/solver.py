@@ -80,7 +80,7 @@ def gradient_operators(domain):
     """Sparse d/dx and d/dy over interior nodes.
 
     Centered where both neighbors are interior; one-sided second-order
-    3-point stencils with the exact cut distance next to the boundary
+    3-point stencils with the bisected cut distance next to the boundary
     (boundary values are homogeneous, so they drop out of the matrix).
     """
     cached = getattr(domain, "_grad_ops", None)

@@ -5,12 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from emlab import geometry
 from emlab.errors import DegenerateGridError
 from emlab.geometry import (
+    DIRS,
     MAX_COLLAR_DEPTH,
+    ON_BOUNDARY_TOL,
     _clip_cell_areas,
     _shoelace,
     _subsample_cell_area,
@@ -73,7 +77,6 @@ class TestBuildDomain:
         for k in np.nonzero(cut)[0][:20]:
             for d in range(4):
                 if dom.nbr[k, d] < 0:
-                    from emlab.geometry import DIRS
                     pt = dom.xy[k] + DIRS[d] * dom.arm[k, d]
                     nu, _ = boundary_geometry(DISC, pt, tol=1e-9)
                     assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-12)
@@ -101,10 +104,36 @@ class TestBuildDomain:
             assert np.all(shape.inside(in_pts[:, 0], in_pts[:, 1]))
 
 
+#: cut-cell areas plus the dropped area against the exact shape area
+AREA_RTOL = 1e-4
+
+
+def _assert_sound_build(shape, h):
+    """Build, then check that every missing arm lies in
+    (0.5 ON_BOUNDARY_TOL h, h] and ends on the boundary, and that the cells
+    tile the shape."""
+    dom = build_domain(shape, h)
+    faces = dom.nbr < 0
+    arms = dom.arm[faces]
+    assert np.all(arms > 0.5 * ON_BOUNDARY_TOL * h)
+    assert np.all(arms <= h)
+    for k, d in zip(*np.nonzero(faces)):
+        boundary_geometry(shape, dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
+    area = dom.weights.sum() + dom.dropped_area
+    assert area == pytest.approx(shape.area(), rel=AREA_RTOL)
+    return dom
+
+
+def _offset_shapes(kind, params, h, seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield make_shape(kind, params, center=(rng.random() * h, rng.random() * h))
+
+
 class TestOffsetCenters:
     """Sub-cell center offsets put lattice nodes on the boundary up to
     rounding (the lattice is centered on the shape); such nodes must be
-    exterior rather than get an axis cut of about 1e-16 h."""
+    exterior rather than get an arm of about 1e-16 h."""
 
     SHAPES = [("disc", [1.0]), ("annulus", [0.3, 1.0]),
               ("ellipse", [1.0, 0.5]), ("rectangle", [2.0, 1.0])]
@@ -112,18 +141,56 @@ class TestOffsetCenters:
     @pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64])
     @pytest.mark.parametrize("kind,params", SHAPES)
     def test_seeded_offsets_build(self, kind, params, h):
-        from emlab.geometry import DIRS, ON_BOUNDARY_TOL
-        rng = random.Random(20261018)
-        for _ in range(5):
-            shape = make_shape(kind, params, center=(rng.random() * h, rng.random() * h))
-            dom = build_domain(shape, h)
-            faces = dom.nbr < 0
-            arms = dom.arm[faces]
-            assert np.all(arms > 0.5 * ON_BOUNDARY_TOL * h)
-            assert np.all(arms <= h)
-            # every cut arm ends on the boundary
-            for k, d in zip(*np.nonzero(faces)):
-                boundary_geometry(shape, dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
+        for shape in _offset_shapes(kind, params, h, 20261018, 5):
+            _assert_sound_build(shape, h)
+
+
+class TestTangency:
+    """Radii, semi-axes and sides that are whole multiples of h put lattice
+    rows on the boundary or tangent to it, at every center offset (the
+    lattice is centered on the shape).  A row tangent to the annulus's
+    inner circle once left a boundary-adjacent node without a closed-form
+    crossing."""
+
+    H = 1.0 / 32
+
+    # inner radius k h; the last case is the annulus [0.3, 1] at h = 1/40
+    @pytest.mark.parametrize("inner,n", [(5 / 32, 32), (7 / 32, 32), (9 / 32, 32),
+                                         (12 / 32, 32), (0.3, 40)])
+    def test_annulus_inner_radius_on_lattice(self, inner, n):
+        h = 1.0 / n
+        for shape in _offset_shapes("annulus", [inner, 1.0], h, n, 3):
+            _assert_sound_build(shape, h)
+
+    @pytest.mark.parametrize("kind,ks", [("disc", [9]), ("disc", [16]),
+                                         ("ellipse", [24, 11]), ("ellipse", [7, 16])])
+    def test_disc_and_ellipse_on_lattice(self, kind, ks):
+        params = [k * self.H for k in ks]
+        for shape in _offset_shapes(kind, params, self.H, sum(ks), 3):
+            _assert_sound_build(shape, self.H)
+
+    @pytest.mark.parametrize("ks", [(10, 6), (18, 11), (21, 13)])
+    def test_rectangle_sides_on_lattice_lines(self, ks):
+        # an even multiple of h puts a side on a node line, an odd one on a
+        # cell-edge line
+        params = [k * self.H for k in ks]
+        for shape in _offset_shapes("rectangle", params, self.H, sum(ks), 3):
+            _assert_sound_build(shape, self.H)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["disc", "annulus", "ellipse", "rectangle"]),
+           n=st.sampled_from([16, 20, 24, 32]),
+           ks=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+           fractions=st.tuples(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+                               st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)),
+           offset=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_random_offsets_and_radii(self, kind, n, ks, fractions, offset):
+        h = 1.0 / n
+        a, b = ((k + f) * h for k, f in zip(ks, fractions))
+        params = {"disc": [a], "annulus": [a, a + b], "ellipse": [a, b],
+                  "rectangle": [2.0 * a, 2.0 * b]}[kind]
+        center = (offset[0] * h, offset[1] * h)
+        _assert_sound_build(make_shape(kind, params, center=center), h)
 
 
 class TestBoundaryGeometry:
@@ -285,6 +352,103 @@ def _interpolate_loop(domain, values, pts):
     return out
 
 
+def _circle_cut(px, py, cx, cy, R, direction, length):
+    """Roots t in (0, 1] of |p + t*length*d - c| = R, smallest first."""
+    dx, dy = direction[0] * length, direction[1] * length
+    rx, ry = px - cx, py - cy
+    a = dx * dx + dy * dy
+    b = 2.0 * (rx * dx + ry * dy)
+    c = rx * rx + ry * ry - R * R
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    s = math.sqrt(disc)
+    roots = sorted(((-b - s) / (2.0 * a), (-b + s) / (2.0 * a)))
+    return [t for t in roots if 1e-14 < t <= 1.0 + 1e-12]
+
+
+def _rectangle_cut(shape, x, y, direction, length):
+    hw, hh = shape.w / 2.0, shape.hgt / 2.0
+    if direction[0] > 0:
+        t = (shape.cx + hw - x) / length
+    elif direction[0] < 0:
+        t = (x - (shape.cx - hw)) / length
+    elif direction[1] > 0:
+        t = (shape.cy + hh - y) / length
+    else:
+        t = (y - (shape.cy - hh)) / length
+    return [t] if 0.0 < t <= 1.0 + 1e-12 else []
+
+
+#: closed-form cut roots per shape: the first crossing along
+#: ``(x, y) + t*length*direction`` for a point strictly inside
+_AXIS_CUT_ROOTS = {
+    "disc": lambda sh, x, y, d, L: _circle_cut(x, y, sh.cx, sh.cy, sh.R, d, L),
+    "annulus": lambda sh, x, y, d, L: sorted(_circle_cut(x, y, sh.cx, sh.cy, sh.a, d, L)
+                                             + _circle_cut(x, y, sh.cx, sh.cy, sh.b, d, L)),
+    "ellipse": lambda sh, x, y, d, L: _circle_cut(
+        (x - sh.cx) / sh.A, (y - sh.cy) / sh.B, 0.0, 0.0, 1.0, (d[0] / sh.A, d[1] / sh.B), L),
+    "rectangle": _rectangle_cut,
+}
+
+
+def _axis_cut_loop(shape, x, y, direction, length):
+    roots = _AXIS_CUT_ROOTS[shape.kind](shape, x, y, direction, length)
+    assert roots, "expected a boundary crossing"
+    return min(roots[0], 1.0)
+
+
+def _cell_weights_loop(shape, dom):
+    """Cut-cell areas scattered one cell at a time: to the cell's own node,
+    else to the first interior neighbor in ``neighbor_pref`` order, else to
+    the dropped area."""
+    h, nx, ny = dom.h, dom.nx, dom.ny
+    interior = dom.interior_index >= 0
+    xs = dom.gx0 + np.arange(nx) * h
+    ys = dom.gy0 + np.arange(ny) * h
+    CX, CY = np.meshgrid(dom.gx0 - h / 2.0 + np.arange(nx + 1) * h,
+                         dom.gy0 - h / 2.0 + np.arange(ny + 1) * h, indexing="ij")
+    corner_in = shape.inside(CX, CY)
+    cell_nin = (corner_in[:-1, :-1].astype(np.int8) + corner_in[1:, :-1]
+                + corner_in[1:, 1:] + corner_in[:-1, 1:])
+    weights = np.zeros(dom.n_interior)
+    fi, fj = np.nonzero(interior & (cell_nin == 4))
+    weights[dom.interior_index[fi, fj]] = h * h
+    dropped = 0.0
+    neighbor_pref = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
+    cut_i, cut_j = np.nonzero((cell_nin > 0) & (cell_nin < 4) | (interior & (cell_nin == 0)))
+    cut_areas = _clip_cell_areas(shape, xs[cut_i], ys[cut_j], h)
+    for i, j, area in zip(cut_i, cut_j, cut_areas.tolist()):
+        if area <= 0.0:
+            continue
+        if interior[i, j]:
+            weights[dom.interior_index[i, j]] += area
+            continue
+        for di, dj in neighbor_pref:
+            ni, nj = i + di, j + dj
+            if 0 <= ni < nx and 0 <= nj < ny and interior[ni, nj]:
+                weights[dom.interior_index[ni, nj]] += area
+                break
+        else:
+            dropped += area
+    return weights, dropped
+
+
+class _DiscWithSpeck(geometry.Disc):
+    """The unit disc plus a speck around one cell corner 1.5 h beyond the
+    rim: its four cut cells have no interior node among their neighbors,
+    so their areas are dropped."""
+
+    def __init__(self, h):
+        super().__init__(1.0)
+        self.speck = (1.0 + 1.5 * h, 0.5 * h, 0.2 * h)
+
+    def inside(self, x, y):
+        sx, sy, r = self.speck
+        return super().inside(x, y) | ((np.asarray(x) - sx) ** 2
+                                       + (np.asarray(y) - sy) ** 2 < r * r)
+
+
 def _seeded_shapes(h, count=3):
     rng = random.Random(20261019)
     for kind, params in TestOffsetCenters.SHAPES:
@@ -304,6 +468,36 @@ class TestLoopReferences:
             assert np.array_equal(dom.weights, ref.weights)
             assert np.array_equal(dom.arm, ref.arm)
             assert dom.dropped_area == ref.dropped_area
+
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 32])
+    def test_arms_match_closed_forms(self, h):
+        # bisected arms against the closed-form roots, on builds where no
+        # lattice row is tangent to the boundary
+        eps = np.finfo(float).eps
+        for shape in _seeded_shapes(h):
+            dom = build_domain(shape, h)
+            k, d = np.nonzero(dom.nbr < 0)
+            ref = np.array([h * _axis_cut_loop(shape, x, y, DIRS[dd], h)
+                            for (x, y), dd in zip(dom.xy[k], d)])
+            scale = np.maximum(1.0, np.abs(dom.xy[k]).max(axis=1))
+            assert np.all(np.abs(dom.arm[k, d] - ref) <= 4.0 * eps * scale)
+
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 32])
+    def test_weight_scatter_equals_loop(self, h):
+        for shape in _seeded_shapes(h):
+            dom = build_domain(shape, h)
+            weights, dropped = _cell_weights_loop(shape, dom)
+            assert np.array_equal(dom.weights, weights)
+            assert dom.dropped_area == dropped
+
+    def test_dropped_area_equals_loop(self):
+        h = 1.0 / 8
+        shape = _DiscWithSpeck(h)
+        dom = build_domain(shape, h)
+        weights, dropped = _cell_weights_loop(shape, dom)
+        assert dropped > 0.0
+        assert dom.dropped_area == dropped
+        assert np.array_equal(dom.weights, weights)
 
     def test_crossings_equal_loop(self):
         h = 1.0 / 8

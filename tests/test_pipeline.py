@@ -14,10 +14,10 @@ from jsonschema import ValidationError
 
 from emlab.cli import main
 from emlab.errors import ConfigError
-from emlab.pipeline import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK,
-                            EXIT_SOLVER, FIELD_COLUMNS, RunReport, _write_csv,
-                            analyze_into, export_fields, load_run, parse_config,
-                            run_pipeline, validate_report)
+from emlab.pipeline import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_HYPOTHESIS,
+                            EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, FIELD_COLUMNS,
+                            RunReport, _write_csv, analyze_into, export_fields,
+                            load_run, parse_config, run_pipeline, validate_report)
 
 TORSION_CONFIG = {
     "model": {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
@@ -426,6 +426,37 @@ class TestCli:
         assert main(["verify", "--in", out]) == EXIT_SOLVER
         assert "[FAIL] solver_convergence" in capsys.readouterr().out
 
+    def test_failed_radial_oracle_is_a_failed_check(self, tmp_path, capsys):
+        # mean curvature 3 on the annulus [0.3, 1]: 3 |area| exceeds the
+        # perimeter, so the grid solve converges to a discrete artefact for
+        # which the radial oracle has no profile
+        cfg_path = write_config(tmp_path, dict(
+            TORSION_CONFIG, spacing=1.0 / 32,
+            model={"name": "minimal_surface", "parameters": [0.0, 3.0]},
+            shape={"kind": "annulus", "parameters": [0.3, 1.0]}))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_INVARIANT
+        text = capsys.readouterr().out
+        assert "[FAIL] radial_oracle_agreement: value=failed: " in text
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "failure" in doc["solver"]["radial_oracle"]
+        assert "radial_oracle_agreement" in doc["status"]["violations"]
+        assert main(["verify", "--in", out]) == EXIT_INVARIANT
+        assert "[FAIL] radial_oracle_agreement: value=failed: " in capsys.readouterr().out
+
+    def test_reload_domain_error_exits_four(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TORSION_CONFIG)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        echo = yaml.safe_load((out / "config.yaml").read_text())
+        echo["spacing"] = 0.9  # too coarse for the unit disc
+        (out / "config.yaml").write_text(yaml.safe_dump(echo))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "domain build failed" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("key,value", [("damping", 0.7), ("newton_polish", True)])
     def test_removed_solver_keys_exit_four(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, solver={key: value}))
@@ -463,7 +494,6 @@ class TestCli:
             doctored.append(",".join(cells))
         with open(fields, "w") as fh:
             fh.write("\n".join([header] + doctored) + "\n")
-        from emlab.pipeline import EXIT_INVARIANT
         assert main(["verify", "--in", out]) == EXIT_INVARIANT
         assert "FAIL" in capsys.readouterr().out
 
