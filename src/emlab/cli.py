@@ -21,7 +21,7 @@ from .errors import ConfigError, EvaluationError
 from .lagrangian import check_hypotheses
 from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, RunReport,
                        analyze_into, export_fields, load_config, load_run,
-                       run_pipeline)
+                       read_report, run_pipeline)
 
 
 def _cmd_solve(args):
@@ -85,12 +85,7 @@ def _cmd_check(args):
 
 
 def _cmd_report(args):
-    path = os.path.join(args.indir, "report.json")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    doc = read_report(args.indir)
     print(json.dumps(doc, indent=2, sort_keys=True))
     status = doc.get("status", {})
     hyp = doc.get("hypotheses") or {}

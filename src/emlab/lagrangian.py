@@ -288,7 +288,7 @@ def divergence_coefficients(model, p, q):
     """Coefficients (g, h) of the divergence form of the optimality equation.
 
     g(p, q) = F_p/p with the analytic limit F_pp(0, q) used for p below
-    ORIGIN_EPS (valid when F_p(0, q) = 0), and h = -F_q.
+    ORIGIN_EPS (valid when F_p(0, q) = 0), and h = -F_q, from one jet at (p, q).
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
@@ -298,12 +298,12 @@ def divergence_coefficients(model, p, q):
         raise OriginLimitError(
             f"model {model.name!r} is not smooth at the origin; "
             "g = F_p/p has no declared p -> 0 limit")
-    jet = eval_jet(model, np.maximum(p_arr, ORIGIN_EPS), q_arr)
+    jet = eval_jet(model, p_arr, q_arr)
     g = jet.F_p / np.maximum(p_arr, ORIGIN_EPS)
     if np.any(small):
         jet0 = eval_jet(model, np.zeros_like(p_arr), q_arr)
         g = np.where(small, jet0.F_pp, g)
-    h = -eval_jet(model, p_arr, q_arr).F_q
+    h = -jet.F_q
     if scalar:
         return float(g), float(h)
     return np.asarray(g, dtype=float), np.asarray(h, dtype=float)

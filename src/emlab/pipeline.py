@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
+from jsonschema import ValidationError
 from jsonschema import validate as _jsonschema_validate
 
 from .errors import (ConfigError, EllipticityError, EmlabError,
@@ -68,6 +69,15 @@ def _reject_unknown(mapping, allowed, context):
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _flag(mapping, key, default, context):
+    """A boolean toggle; YAML spells it true or false, and a string such as
+    "false" is refused rather than read as truthy."""
+    value = mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def parse_config(data):
     """Validate a configuration mapping and build the runtime objects."""
     if not isinstance(data, dict):
@@ -84,8 +94,8 @@ def parse_config(data):
     try:
         if "expression" in mspec:
             _reject_unknown(mspec, {"expression", "smooth_at_origin"}, "model")
-            model = make_expression_model(str(mspec["expression"]),
-                                          bool(mspec.get("smooth_at_origin", False)))
+            model = make_expression_model(
+                str(mspec["expression"]), _flag(mspec, "smooth_at_origin", False, "model"))
         else:
             _reject_unknown(mspec, {"name", "parameters"}, "model")
             model = make_model(mspec.get("name", ""), mspec.get("parameters", []))
@@ -122,7 +132,7 @@ def parse_config(data):
     if not isinstance(ana, dict):
         raise ConfigError("analysis must be a mapping")
     _reject_unknown(ana, _ANALYSIS_KEYS, "analysis")
-    analysis = {k: bool(ana.get(k, True)) for k in _ANALYSIS_KEYS}
+    analysis = {k: _flag(ana, k, True, "analysis") for k in _ANALYSIS_KEYS}
 
     x0 = data.get("x0")
     if x0 is not None:
@@ -275,6 +285,21 @@ REPORT_SCHEMA = {
 
 def validate_report(report_dict):
     _jsonschema_validate(report_dict, REPORT_SCHEMA)
+
+
+def read_report(run_dir):
+    """The persisted report.json of ``run_dir``, checked against the report
+    schema; an unreadable or malformed document is a configuration error."""
+    path = os.path.join(run_dir, "report.json")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        validate_report(doc)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValidationError as exc:
+        raise ConfigError(f"malformed {path}: {exc.message}") from None
+    return doc
 
 
 def identity_tolerance(h):
@@ -534,8 +559,7 @@ def analyze_into(report, config, domain, result, strict=False):
 
 FIELD_COLUMNS = ["x", "y", "u", "u_x", "u_y", "lambda1", "lambda2",
                  "det", "trace", "divT_x", "divT_y"]
-TENSOR_COLUMNS = ["x", "y", "T11", "T12", "T22", "lambda1", "lambda2",
-                  "det", "trace", "divT_x", "divT_y"]
+TENSOR_COLUMNS = ["T11", "T12", "T22"]  # row-aligned with fields.csv
 BOUNDARY_COLUMNS = ["y_x", "y_y", "nu_x", "nu_y", "H", "weight", "dnu_u",
                     "rellich_density", "pohozaev_density"]
 
@@ -581,10 +605,8 @@ def export_fields(report, out_dir):
     _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, cols)
 
     if tensor:
-        tcols = [domain.xy[:, 0], domain.xy[:, 1], fld.T11, fld.T12, fld.T22,
-                 fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
-                 div[:, 0], div[:, 1]]
-        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS, tcols)
+        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
+                   [fld.T11, fld.T12, fld.T22])
 
     if fld is None:  # the analyses stopped before evaluating the solution
         rellich_density = pohozaev_density = np.full(domain.n_boundary, np.nan)
@@ -625,12 +647,11 @@ def load_run(run_dir):
     """
     config = load_config(os.path.join(run_dir, "config.yaml"))
     fields_path = os.path.join(run_dir, "fields.csv")
+    report_doc = read_report(run_dir)
+    solver_doc = report_doc.get("solver") or {}
+    if not solver_doc.get("converged", False) and not os.path.exists(fields_path):
+        return config, None, None, report_doc
     try:
-        with open(os.path.join(run_dir, "report.json")) as fh:
-            report_doc = json.load(fh)
-        solver_doc = report_doc.get("solver") or {}
-        if not solver_doc.get("converged", False) and not os.path.exists(fields_path):
-            return config, None, None, report_doc
         with open(fields_path) as fh:
             iu = fh.readline().strip().split(",").index("u")
             u = np.loadtxt(fh, delimiter=",", usecols=iu, ndmin=1, comments=None)

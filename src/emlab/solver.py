@@ -112,8 +112,8 @@ def gradient_operators(domain):
     return domain._grad_ops
 
 
-def _face_coefficients(model, domain, u):
-    """Diffusion coefficient per face from averaged neighbor states."""
+def _face_conductances(model, domain, u):
+    """Face conductances and the nodal |grad u|^2, from averaged neighbor states."""
     Gx, Gy = gradient_operators(domain)
     p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     g_faces = []
@@ -132,40 +132,36 @@ def _face_coefficients(model, domain, u):
                          "p_face": float(np.sqrt(max(s[k], 0.0))),
                          "u_face": float(uf[k]), "g": float(g[k])})
         g_faces.append(g)
-    return g_faces, p2
+    return _conductances(domain, np.array(g_faces)), p2
 
 
-def _assemble(domain, g_faces):
-    """Sparse operator A with (A u)_i = sum_d g_d (u_d - u_i)/(arm_d span)."""
-    n = domain.n_interior
+def _conductances(domain, g):
+    """Conductances c[d] = g[d]/(arm_d span), (4, n), of the faces with diffusion
+    coefficients g: the flux stencil is (A u)_i = sum_d c[d]_i (u_d - u_i)."""
     span_x = 0.5 * (domain.arm[:, _E] + domain.arm[:, _W])
     span_y = 0.5 * (domain.arm[:, _N] + domain.arm[:, _S])
-    idx = np.arange(n)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for d in range(4):
-        span = span_x if d in (_E, _W) else span_y
-        c = g_faces[d] / (domain.arm[:, d] * span)
-        diag -= c
-        m = domain.nbr[:, d] >= 0
-        rows.append(idx[m])
-        cols.append(domain.nbr[m, d])
-        vals.append(c[m])
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    return g / (domain.arm.T * np.array([span_x, span_x, span_y, span_y]))
+
+
+def _assemble(domain, c):
+    """Sparse operator A of the flux stencil with face conductances c."""
+    n = domain.n_interior
+    cols = np.column_stack([domain.nbr, np.arange(n)])
+    vals = np.column_stack([c.T, -c.sum(axis=0)])
+    rows, k = np.nonzero(cols >= 0)
+    return sparse.csr_matrix((vals[rows, k], (rows, cols[rows, k])), shape=(n, n))
 
 
 def el_residual(model, domain, u):
     """Pointwise discrete div(g grad u) + h at the interior nodes."""
     u = np.asarray(u, dtype=float)
-    g_faces, p2 = _face_coefficients(model, domain, u)
-    A = _assemble(domain, g_faces)
+    c, p2 = _face_conductances(model, domain, u)
     _, h_src = divergence_coefficients(model, np.sqrt(np.maximum(p2, 0.0)), u)
-    return A @ u + h_src
+    u_nb = np.append(u, 0.0)[domain.nbr]  # a boundary neighbour (-1) reads 0
+    # summed as the sorted CSR row of A sums them (from +0.0, in node-id order
+    # S, W, self, E, N), so the residual keeps the bits of A @ u + h
+    return (0.0 + c[_S] * u_nb[:, _S] + c[_W] * u_nb[:, _W] - c.sum(axis=0) * u
+            + c[_E] * u_nb[:, _E] + c[_N] * u_nb[:, _N] + h_src)
 
 
 def _normal_derivative(domain, grad):
@@ -233,7 +229,7 @@ def solve_euler_lagrange(model, domain, config=None):
     if g0 <= 0.0:
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
-    lu0 = splu(_assemble(domain, [np.full(n, g0)] * 4).tocsc())
+    lu0 = splu(_assemble(domain, _conductances(domain, g0)).tocsc())
     precond = LinearOperator((n, n), matvec=lu0.solve)
     u = lu0.solve(np.full(n, -h0))
 

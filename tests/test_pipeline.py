@@ -88,6 +88,20 @@ class TestConfigParsing:
         cfg = parse_config(dict(TORSION_CONFIG, x0=[0.25, 0.0]))
         assert cfg.x0 == (0.25, 0.0)
 
+    @pytest.mark.parametrize("change", [
+        {"model": {"expression": "0.5*p**2 + q + 0.5", "smooth_at_origin": "false"}},
+        {"model": {"expression": "0.5*p**2 + q + 0.5", "smooth_at_origin": 1}},
+        {"analysis": {"tensor": "false"}},
+        {"analysis": {"identities": None}},
+    ])
+    def test_boolean_keys_must_be_booleans(self, change, tmp_path, capsys):
+        # bool("false") is True: a string toggle would switch the claim on
+        with pytest.raises(ConfigError, match="must be true or false"):
+            parse_config(dict(TORSION_CONFIG, **change))
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, **change))
+        assert main(["check", "--config", cfg_path]) == EXIT_CONFIG
+        assert "must be true or false" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def torsion_report():
@@ -196,9 +210,12 @@ class TestExportAndReload:
         with open(os.path.join(out, "tensor.csv")) as fh:
             header = fh.readline().strip().split(",")
             rows = fh.read().strip().splitlines()
-        assert header == ["x", "y", "T11", "T12", "T22", "lambda1", "lambda2",
-                          "det", "trace", "divT_x", "divT_y"]
+        # only the tensor entries, row-aligned with fields.csv
+        assert header == ["T11", "T12", "T22"]
         assert len(rows) == report.domain.n_interior
+        fld = report.spectral_field
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            assert rows[i] == "%.17g,%.17g,%.17g" % (fld.T11[i], fld.T12[i], fld.T22[i])
 
     def test_fields_row_count(self, run_dir):
         out, report = run_dir
@@ -456,6 +473,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "domain build failed" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["list", "solver_string", "iterations_string",
+                                      "bare_status"])
+    def test_malformed_report_exits_four(self, run_dir, tmp_path, capsys, case):
+        out = tmp_path / "run"
+        shutil.copytree(run_dir[0], out)
+        doc = json.loads((out / "report.json").read_text())
+        if case == "list":
+            doc = []
+        elif case == "solver_string":
+            doc["solver"] = "x"
+        elif case == "iterations_string":
+            doc["solver"]["iterations"] = "abc"
+        else:
+            doc = {"status": 3}
+            (out / "fields.csv").unlink()
+        (out / "report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if case == "list":
+            assert main(["report", "--in", str(out)]) == EXIT_CONFIG
+            assert "malformed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("damping", 0.7), ("newton_polish", True)])
     def test_removed_solver_keys_exit_four(self, tmp_path, capsys, key, value):

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import brentq
 
-from emlab import solver
-from emlab.errors import EllipticityError, EmlabError
+from emlab import lagrangian, solver
+from emlab.errors import EllipticityError, EmlabError, OriginLimitError
 from emlab.geometry import build_domain, make_shape
-from emlab.lagrangian import eval_jet, make_expression_model, make_model
-from emlab.solver import (SolverConfig, _integrate, _invert_flux, el_residual,
-                          solve_euler_lagrange, solve_radial)
+from emlab.lagrangian import (ORIGIN_EPS, divergence_coefficients, eval_jet,
+                              make_expression_model, make_model)
+from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
+from emlab.solver import (SolverConfig, _assemble, _conductances, _integrate,
+                          _invert_flux, el_residual, solve_euler_lagrange,
+                          solve_radial)
 from conftest import annulus_exact_u
 
 ROUNDING_FLOOR = 1e-10
@@ -323,3 +327,160 @@ class TestFluxInversion:
             _invert_flux_loop(model, 1.5, 0.0)
         with pytest.raises(EmlabError, match="F_p stays below the flux"):
             _invert_flux(model, -2.0, 0.0)
+
+
+def _divergence_coefficients_sweeps(model, p, q):
+    """Reference: the coefficients from three jet sweeps, g at
+    max(p, ORIGIN_EPS), the F_pp(0, q) limit, and h again at p."""
+    p_arr = np.asarray(p, dtype=float)
+    q_arr = np.asarray(q, dtype=float)
+    small = p_arr <= ORIGIN_EPS
+    if np.any(small) and not model.smooth_at_origin:
+        raise OriginLimitError("no declared p -> 0 limit")
+    jet = eval_jet(model, np.maximum(p_arr, ORIGIN_EPS), q_arr)
+    g = jet.F_p / np.maximum(p_arr, ORIGIN_EPS)
+    if np.any(small):
+        g = np.where(small, eval_jet(model, np.zeros_like(p_arr), q_arr).F_pp, g)
+    h = -eval_jet(model, p_arr, q_arr).F_q
+    if p_arr.ndim == 0 and q_arr.ndim == 0:
+        return float(g), float(h)
+    return np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+
+
+def _face_coefficients_loop(model, domain, u):
+    """Reference: diffusion coefficient per face from averaged neighbor
+    states, as lists of per-direction arrays."""
+    Gx, Gy = solver.gradient_operators(domain)
+    p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+    g_faces = []
+    for d in range(4):
+        nb = domain.nbr[:, d]
+        has = nb >= 0
+        s = np.where(has, 0.5 * (p2 + p2[nb]), p2)
+        uf = np.where(has, 0.5 * (u + u[nb]), 0.5 * u)
+        g_faces.append(_divergence_coefficients_sweeps(
+            model, np.sqrt(np.maximum(s, 0.0)), uf)[0])
+    return g_faces, p2
+
+
+def _assemble_loop(domain, g_faces):
+    """Reference: the sparse operator A with
+    (A u)_i = sum_d g_d (u_d - u_i)/(arm_d span), built direction by direction."""
+    n = domain.n_interior
+    span_x = 0.5 * (domain.arm[:, 0] + domain.arm[:, 1])
+    span_y = 0.5 * (domain.arm[:, 2] + domain.arm[:, 3])
+    idx = np.arange(n)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for d in range(4):
+        span = span_x if d in (0, 1) else span_y
+        c = g_faces[d] / (domain.arm[:, d] * span)
+        diag -= c
+        m = domain.nbr[:, d] >= 0
+        rows.append(idx[m])
+        cols.append(domain.nbr[m, d])
+        vals.append(c[m])
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(diag)
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
+def _el_residual_assembled(model, domain, u):
+    """Reference: the residual as an assembled matrix product, A @ u + h."""
+    g_faces, p2 = _face_coefficients_loop(model, domain, u)
+    _, h = _divergence_coefficients_sweeps(model, np.sqrt(np.maximum(p2, 0.0)), u)
+    return _assemble_loop(domain, g_faces) @ u + h
+
+
+STENCIL_SHAPES = [("disc", [1.0]), ("annulus", [0.3, 1.0]), ("ellipse", [1.0, 0.6]),
+                  ("rectangle", [1.0, 0.7])]
+STENCIL_MODELS = [make_model("dirichlet_affine", [0.5, 1.0]),
+                  make_model("minimal_surface", [2.0, 1.0]),
+                  make_expression_model("0.5*p**2 + exp(q) + log(1 + p*p) - q/3",
+                                        smooth_at_origin=True)]
+
+
+class TestFluxStencil:
+    @pytest.mark.parametrize("kind,params", STENCIL_SHAPES)
+    def test_residual_equals_assembled_product(self, kind, params):
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        bowl = (x * x + y * y - 1.0) / 4.0
+        plateau = np.minimum(bowl, -0.1)  # flat core: p = 0 at nodes and faces
+        Gx, Gy = solver.gradient_operators(dom)
+        assert np.any(np.hypot(Gx @ plateau, Gy @ plateau) <= ORIGIN_EPS)
+        noisy = bowl + 1e-3 * np.random.default_rng(7).standard_normal(dom.n_interior)
+        for model in STENCIL_MODELS:
+            for u in (plateau, noisy, np.zeros(dom.n_interior)):
+                assert np.array_equal(el_residual(model, dom, u),
+                                      _el_residual_assembled(model, dom, u))
+
+    @pytest.mark.parametrize("kind,params", STENCIL_SHAPES)
+    def test_assembled_operator_equals_loop(self, kind, params):
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        g = np.random.default_rng(3).uniform(0.5, 2.0, (4, dom.n_interior))
+        new, ref = _assemble(dom, _conductances(dom, g)), _assemble_loop(dom, list(g))
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert np.array_equal(new.data, ref.data)
+
+    def test_coefficients_equal_three_sweeps(self):
+        rng = np.random.default_rng(11)
+        p = np.concatenate([[0.0, 0.5e-8, 1e-8, 1.5e-8], rng.uniform(0.0, 3.0, 60)])
+        q = rng.uniform(-1.0, 1.0, len(p))
+        for model in STENCIL_MODELS + [make_model("dirichlet_exponential", [1.0, 1.0]),
+                                       make_model("power_dirichlet", [4.0, 0.0, 1.0])]:
+            g, h = divergence_coefficients(model, p, q)
+            g_ref, h_ref = _divergence_coefficients_sweeps(model, p, q)
+            assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+            for a, b in zip(p[:8], q[:8]):  # scalars in, scalars out
+                assert divergence_coefficients(model, a, b) == \
+                    _divergence_coefficients_sweeps(model, a, b)
+
+    def test_non_smooth_model_still_refused_at_origin(self):
+        kinked = make_expression_model("p + q*q")  # F_p(0, q) = 1
+        for p in (0.0, 0.5e-8, 1e-8):
+            with pytest.raises(OriginLimitError):
+                divergence_coefficients(kinked, np.array([0.3, p]), np.zeros(2))
+        p = np.array([1.5e-8, 0.2, 2.0])
+        assert np.array_equal(divergence_coefficients(kinked, p, p)[0],
+                              _divergence_coefficients_sweeps(kinked, p, p)[0])
+
+    def test_residual_sweeps_each_jet_once(self, monkeypatch):
+        dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
+        u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0 + 0.01 * dom.xy[:, 0]
+        sweeps = []
+        real = lagrangian.eval_jet
+        monkeypatch.setattr(lagrangian, "eval_jet",
+                            lambda *a, **k: sweeps.append(1) or real(*a, **k))
+        el_residual(STENCIL_MODELS[1], dom, u)
+        assert len(sweeps) == 5  # four face directions and the nodal source
+
+    def test_newton_solve_assembles_once(self, exp_model, monkeypatch):
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
+        calls = []
+        monkeypatch.setattr(solver, "_assemble",
+                            lambda *a: calls.append(1) or _assemble(*a))
+        res = solve_euler_lagrange(exp_model, dom)
+        assert res.converged and res.iterations > 0
+        assert len(calls) == 1
+
+    def test_face_ellipticity_refusal_witness(self):
+        # g = 2 + q changes sign where the face state dips below q = -2
+        cfg = {"model": {"expression": "0.5*(2 + q)*p**2 + 20*q",
+                         "smooth_at_origin": True},
+               "shape": {"kind": "disc", "parameters": [1.0]}, "spacing": 1 / 16}
+        config = parse_config(cfg)
+        dom = build_domain(config.shape, config.spacing)
+        with pytest.raises(EllipticityError, match="at a face") as err:
+            solve_euler_lagrange(config.model, dom)
+        assert err.value.witness["direction"] == "+x"
+        assert err.value.witness["node"] == [-0.0625, -0.4375]
+        assert err.value.witness["g"] < 0.0
+        report = run_pipeline(config)
+        assert report.exit_code == EXIT_SOLVER
+        assert report.solver["witness"]["direction"] == "+x"
+        assert report.solver["witness"]["node"] == [-0.0625, -0.4375]
