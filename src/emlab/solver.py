@@ -4,7 +4,8 @@ The 2D path discretizes the divergence form conservatively on the embedded
 grid (face-centered fluxes, cut-distance stencils at boundary-adjacent
 nodes), warm-starts from the constant-coefficient problem and runs one
 Jacobian-free Newton-GMRES loop (Knoll & Keyes, J. Comput. Phys. 193, 2004)
-preconditioned by the warm start's LU, with an inexact-Newton forcing term
+preconditioned by the warm start's LU (in a minimum-degree order on A + A^T,
+Liu, ACM Trans. Math. Softw. 11, 1985), with an inexact-Newton forcing term
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 ``solve_radial`` is an independent high-accuracy ODE oracle for radially
 symmetric problems, including the 1D case n = 1.
@@ -195,9 +196,15 @@ PILOT_BOX = ((0.0, 1.0), (-1.0, 1.0))
 #: inexact-Newton forcing term: GMRES stops at this fraction of |R|, which
 #: keeps each step a few Krylov iterations yet Newton's rate near the root
 GMRES_RTOL = 1e-4
-#: restart cycles (of scipy's 20 iterations) per Newton step; bounds the
-#: linear work where J is singular, as when the problem has no solution
+#: GMRES iterations per restart cycle (scipy's default)
+GMRES_RESTART = 20
+#: restart cycles per Newton step; bounds the linear work where J is
+#: singular, as when the problem has no solution
 GMRES_MAX_RESTARTS = 10
+#: a full restart cycle that leaves the preconditioned residual above this
+#: fraction of its value after the previous full cycle has stalled, and ends
+#: the Newton step: where J is singular, further cycles only repeat it
+GMRES_STALL_FACTOR = 0.5
 #: relative step of the finite-difference Jacobian-vector product
 JV_REL_STEP = math.sqrt(np.finfo(float).eps)
 
@@ -207,10 +214,12 @@ def solve_euler_lagrange(model, domain, config=None):
 
     One Newton loop.  The LU of the constant-coefficient operator
     ``div(g(0, 0) grad .)`` gives the warm start, on which linear models
-    have already converged.  Each Newton step solves ``J d = -R`` by GMRES,
-    with ``J v`` a finite-difference product on ``el_residual`` and the same
-    LU as preconditioner (it is never refactorized), and is accepted by
-    max-norm backtracking from omega = 1.  The loop stops on
+    have already converged; it is factorized in a minimum-degree order on
+    ``A + A^T`` with diagonal pivots.  Each Newton step solves ``J d = -R``
+    by GMRES, with ``J v`` a finite-difference product on ``el_residual``
+    and the same LU as preconditioner (it is never refactorized), until
+    ``GMRES_RTOL``, ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is
+    accepted by max-norm backtracking from omega = 1.  The loop stops on
     ``residual_tol``, on ``max_iterations``, when no halving lowers the
     residual, or when ``omega max|d| <= step_tol``; nonconvergence is
     reported, not raised.  Each iteration logs its residual, accepted omega
@@ -229,7 +238,12 @@ def solve_euler_lagrange(model, domain, config=None):
     if g0 <= 0.0:
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
-    lu0 = splu(_assemble(domain, _conductances(domain, g0)).tocsc())
+    # with g0 > 0 the operator is an irreducibly diagonally dominant M-matrix,
+    # which elimination with diagonal pivots keeps dominant; minimum degree on
+    # A + A^T (the stencil is structurally symmetric) halves the default fill
+    lu0 = splu(_assemble(domain, _conductances(domain, g0)).tocsc(),
+               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
     precond = LinearOperator((n, n), matvec=lu0.solve)
     u = lu0.solve(np.full(n, -h0))
 
@@ -264,10 +278,16 @@ def solve_euler_lagrange(model, domain, config=None):
                         log=log, config=cfg)
 
 
+class _Stalled(Exception):
+    """A full GMRES restart cycle stalled; the argument is the iterate it
+    reached."""
+
+
 def _newton_step(model, domain, u, R, precond):
     """GMRES solution d of ``J d = -R`` at ``u``, with the number of GMRES
     iterations it took.  ``J v`` is the forward difference of
-    ``el_residual`` along ``v``."""
+    ``el_residual`` along ``v``.  A full restart cycle that stalls (see
+    ``GMRES_STALL_FACTOR``) ends the step at the iterate it reached."""
     scale = JV_REL_STEP * max(1.0, float(np.linalg.norm(u)))
 
     def jv(v):
@@ -277,12 +297,35 @@ def _newton_step(model, domain, u, R, precond):
         eps = scale / norm
         return (el_residual(model, domain, u + eps * v) - R) / eps
 
+    products = cycles = cycle_start = 0
+    floor = math.inf  # preconditioned residual after the last full cycle
+
+    def product(v):
+        nonlocal products
+        products += 1
+        return jv(v)
+
+    def after_cycle(x):
+        # a cycle's products are its iterations plus the J x of scipy's own
+        # residual test at its end
+        nonlocal cycles, cycle_start, floor
+        full = products - cycle_start - 1 == GMRES_RESTART
+        cycles, cycle_start = cycles + 1, products
+        if full:
+            res = float(np.linalg.norm(precond.matvec(-R - jv(x))))
+            if res > GMRES_STALL_FACTOR * floor:
+                raise _Stalled(x)
+            floor = res
+
     n = len(u)
-    inner = []
-    step, _ = gmres(LinearOperator((n, n), matvec=jv), -R, rtol=GMRES_RTOL, atol=0.0,
-                    maxiter=GMRES_MAX_RESTARTS, M=precond, callback=inner.append,
-                    callback_type="pr_norm")
-    return step, len(inner)
+    try:  # with its dtype given, the operator makes no probing product
+        step, _ = gmres(LinearOperator((n, n), matvec=product, dtype=float), -R,
+                        rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
+                        maxiter=GMRES_MAX_RESTARTS, M=precond, callback=after_cycle,
+                        callback_type="x")
+    except _Stalled as stop:
+        step = stop.args[0]
+    return step, products - cycles
 
 
 def field_result(model, domain, u, **state):

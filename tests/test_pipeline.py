@@ -198,12 +198,33 @@ class TestSharedEvaluation:
         assert sorted(field_sized) == sorted([(n, False), (n, True), (nb, False)])
 
 
+class TestResidualRecheck:
+    def test_fresh_solve_reuses_solver_residual(self, monkeypatch):
+        import emlab.pipeline
+        import emlab.solver
+        calls = []
+        real = emlab.solver.el_residual
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(emlab.solver, "el_residual", counting)
+        monkeypatch.setattr(emlab.pipeline, "el_residual", counting)
+        report = run_pipeline(parse_config(TORSION_CONFIG))
+        assert report.exit_code == EXIT_OK
+        assert len(calls) == 1  # the solver's own, at the warm start
+        check, = [c for c in report.checks if c["name"] == "solver_residual_recheck"]
+        assert check["value"] == report.solver["final_residual"]
+
+
 class TestExportAndReload:
     def test_file_set(self, run_dir):
         out, _ = run_dir
         for name in ("config.yaml", "fields.csv", "tensor.csv", "boundary.csv",
                      "report.json", "solver_log.json", "timings.json"):
             assert os.path.exists(os.path.join(out, name))
+        with open(os.path.join(out, "timings.json")) as fh:
+            assert "export" in json.load(fh)
 
     def test_tensor_csv_columns(self, run_dir):
         out, report = run_dir
@@ -414,7 +435,8 @@ class TestCli:
         validate_report(doc)
         assert doc["solver"]["final_residual"] is None
         assert doc["solver"]["witness"]["witness"] is not None
-        assert "domain" in json.loads((out / "timings.json").read_text())
+        timings = json.loads((out / "timings.json").read_text())
+        assert "domain" in timings and "export" in timings
 
     def test_unconverged_run_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(

@@ -1,9 +1,12 @@
 """2D solves against closed forms and the independent radial oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu, spsolve
 
 from emlab import lagrangian, solver
 from emlab.errors import EllipticityError, EmlabError, OriginLimitError
@@ -191,6 +194,42 @@ class TestNewtonLoop:
         assert torsion_result.iterations == 0
         assert [e["phase"] for e in torsion_result.log] == ["init"]
 
+    def test_no_solution_stops_stalled_gmres(self, monkeypatch):
+        # without the stall stop this solve makes 425 residual evaluations,
+        # and its last step runs all 200 GMRES iterations at a preconditioned
+        # residual that stays at 1.17e-2 from iteration 20 on
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
+        calls = []
+        real = solver.el_residual
+        monkeypatch.setattr(solver, "el_residual",
+                            lambda *a: calls.append(1) or real(*a))
+        res = solve_euler_lagrange(make_model(*self.CURVATURE_3), dom)
+        assert not res.converged
+        assert len(calls) <= 425 // 2
+        assert all(e["linear_iterations"] < 20 * solver.GMRES_MAX_RESTARTS
+                   for e in res.log)
+
+    @pytest.mark.parametrize("model,kind,params,h,linear", [
+        (("dirichlet_exponential", [1.0, 1.0]), "disc", [1.0], 1 / 32, [0, 2, 3]),
+        # its later steps run two or more full restart cycles (a stall factor
+        # of 0 changes the solve from step 5 on), and converge
+        (CURVATURE_3, "annulus", [0.3, 1.0], 1 / 48, None)])
+    def test_stall_stop_idle_on_convergent_solves(self, model, kind, params, h, linear,
+                                                  monkeypatch):
+        # reference: the same solve with the stall stop switched off
+        dom = build_domain(make_shape(kind, params), h)
+        res = solve_euler_lagrange(make_model(*model), dom)
+        monkeypatch.setattr(solver, "GMRES_STALL_FACTOR", math.inf)
+        ref = solve_euler_lagrange(make_model(*model), dom)
+        assert res.converged
+        assert res.log == ref.log
+        assert np.array_equal(res.u, ref.u)
+        linear_iterations = [e["linear_iterations"] for e in res.log]
+        if linear is None:
+            assert max(linear_iterations) > 2 * solver.GMRES_RESTART
+        else:
+            assert linear_iterations == linear
+
     def test_log_counts_gmres_iterations(self, exp_result):
         init, *steps = exp_result.log
         assert init["phase"] == "init" and init["linear_iterations"] == 0
@@ -200,6 +239,36 @@ class TestNewtonLoop:
             assert type(entry["linear_iterations"]) is int
             assert 1 <= entry["linear_iterations"] <= 20 * solver.GMRES_MAX_RESTARTS
             assert 0.0 < entry["damping"] <= 1.0
+
+
+def _warm_start_lu(model, dom, monkeypatch):
+    """Solve, returning the one matrix the solve factorized and its LU."""
+    seen = []
+    real = solver.splu
+    monkeypatch.setattr(solver, "splu",
+                        lambda A, **k: seen.append((A, real(A, **k))) or seen[-1][1])
+    solve_euler_lagrange(model, dom)
+    (A, lu), = seen
+    return A, lu
+
+
+class TestWarmStartLU:
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+                                             ("ellipse", [1.0, 0.6]),
+                                             ("rectangle", [1.0, 0.7])])
+    def test_diagonal_pivots_and_solve(self, kind, params, torsion_model, monkeypatch):
+        dom = build_domain(make_shape(kind, params), 1 / 64)
+        A, lu = _warm_start_lu(torsion_model, dom, monkeypatch)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        b = np.random.default_rng(5).standard_normal(dom.n_interior)
+        ref = spsolve(A, b)
+        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fill_below_default_ordering(self, torsion_model, disc64, monkeypatch):
+        # minimum degree on A + A^T: 0.53 of the default COLAMD fill here
+        A, lu = _warm_start_lu(torsion_model, disc64, monkeypatch)
+        default = splu(A)
+        assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 class TestRadialOracle:
