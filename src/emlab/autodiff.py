@@ -38,10 +38,6 @@ class Dual2:
         one = np.ones_like(value) if isinstance(value, np.ndarray) else 1.0
         return Dual2(value, dq=one)
 
-    @staticmethod
-    def const(value):
-        return Dual2(value)
-
     def _lift(other):
         return other if isinstance(other, Dual2) else Dual2(other)
 

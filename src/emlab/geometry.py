@@ -20,6 +20,8 @@ from .errors import DegenerateGridError
 
 # direction order used throughout: +x, -x, +y, -y
 DIRS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+#: indices of the directions in DIRS, the columns of ``nbr`` and ``arm``
+_E, _W, _N, _S = 0, 1, 2, 3
 
 #: nodes closer than this fraction of h to the boundary along a grid axis
 #: are exterior, so that no stencil gets an arm of about 1e-16 h from a node
@@ -328,7 +330,6 @@ class DiscreteDomain:
     nx: int
     ny: int
     interior_index: np.ndarray      # (nx, ny) -> interior id or -1
-    interior_ij: np.ndarray         # (n_int, 2) lattice coordinates
     xy: np.ndarray                  # (n_int, 2) physical coordinates
     nbr: np.ndarray                 # (n_int, 4) interior neighbor id or -1
     arm: np.ndarray                 # (n_int, 4) arm length to neighbor/boundary
@@ -483,7 +484,6 @@ def build_domain(shape, spacing):
     order = np.lexsort((ii, jj))  # scan rows bottom-to-top, left-to-right
     ii, jj = ii[order], jj[order]
     interior_index[ii, jj] = np.arange(n_int)
-    interior_ij = np.column_stack([ii, jj])
     xy = np.column_stack([xs[ii], ys[jj]])
 
     # index lookups one node beyond the lattice read -1 (exterior)
@@ -555,7 +555,7 @@ def build_domain(shape, spacing):
     dist[dist > bound] = np.inf
 
     return DiscreteDomain(shape=shape, h=h, gx0=gx0, gy0=gy0, nx=nx, ny=ny,
-                          interior_index=interior_index, interior_ij=interior_ij,
+                          interior_index=interior_index,
                           xy=xy, nbr=nbr, arm=arm,
                           boundary_adjacent=boundary_adjacent, weights=weights,
                           bpts=bpts, bnu=bnu, bH=bH, bw=bw, bcomp=bcomp,

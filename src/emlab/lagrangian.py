@@ -21,6 +21,9 @@ from .errors import EvaluationError, OriginLimitError
 #: below this gradient magnitude the analytic p -> 0 limit of F_p/p is used
 ORIGIN_EPS = 1e-8
 
+#: (p, q) box of the hypothesis checks made before a solution range is known
+PILOT_BOX = ((0.0, 1.0), (-1.0, 1.0))
+
 
 @dataclass(frozen=True)
 class Jet2:
@@ -49,11 +52,6 @@ class LagrangianModel:
     parameters: tuple
     evaluator: object  # callable (Dual2, Dual2) -> Dual2
     smooth_at_origin: bool = True
-    admissible_box: tuple = ((0.0, 8.0), (-8.0, 8.0))
-
-    def describe(self):
-        return {"name": self.name, "parameters": list(self.parameters),
-                "smooth_at_origin": self.smooth_at_origin}
 
 
 @dataclass
@@ -246,7 +244,7 @@ def make_expression_model(expression, smooth_at_origin=False):
 # jet evaluation
 # ---------------------------------------------------------------------------
 
-def eval_jet(model, p, q, validate=True):
+def eval_jet(model, p, q):
     """Evaluate F and all partials up to second order at (p, q).
 
     Scalars in, scalar jet out; arrays in, array jet out.  Raises on p < 0
@@ -261,7 +259,7 @@ def eval_jet(model, p, q, validate=True):
         with np.errstate(all="ignore"):
             out = Dual2._lift(model.evaluator(Dual2(p, dp=1.0), Dual2(q, dq=1.0)))
         entries = [float(e) for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
-        if validate and not all(math.isfinite(e) for e in entries):
+        if not all(math.isfinite(e) for e in entries):
             raise EvaluationError(
                 f"model {model.name!r} produced a non-finite jet entry")
         return Jet2(*entries)
@@ -276,7 +274,7 @@ def eval_jet(model, p, q, validate=True):
     entries = [np.broadcast_to(np.asarray(e, dtype=float),
                                np.broadcast_shapes(p_arr.shape, q_arr.shape))
                for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
-    if validate and not all(np.all(np.isfinite(e)) for e in entries):
+    if not all(np.all(np.isfinite(e)) for e in entries):
         raise EvaluationError(
             f"model {model.name!r} produced a non-finite jet entry")
     if scalar:
@@ -390,7 +388,7 @@ def _box_samples(box, samples):
     return fixed
 
 
-def check_hypotheses(model, box=((0.0, 1.0), (-1.0, 1.0)), samples=512):
+def check_hypotheses(model, box=PILOT_BOX, samples=512):
     """Sample the box deterministically and test the structural hypotheses on F.
 
     Checks convexity F_pp > 0, positivity F > 0 (case 2), the pair F < 0 and

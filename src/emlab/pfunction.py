@@ -18,6 +18,9 @@ from .lagrangian import _box_samples, eval_jet, pfunction_identity_residual
 #: models of the quadratic-gradient family F = p^2/2 + Phi(q)
 QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_power"}
 
+#: the compatibility identity holds where its residual stays strictly below this
+IDENTITY_RESIDUAL_TOL = 1e-11
+
 
 @dataclass
 class PFunctionReport:
@@ -143,7 +146,7 @@ def check_max_principle_conditions(model, result, samples=1000):
         "min_candidate_p2_derivative": 0.5 * min_fpp,
         "identity_residual_max": float(np.max(res)),
         "ellipticity_ok": min_fpp > 0.0,
-        "identity_ok": float(np.max(res)) < 1e-11,
+        "identity_ok": float(np.max(res)) < IDENTITY_RESIDUAL_TOL,
     }
     if min_fpp <= 0.0:
         out["ellipticity_witness"] = [float(pts[i_min, 0]), float(pts[i_min, 1]), min_fpp]

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,10 @@ from .errors import (ConfigError, EllipticityError, EmlabError,
                      EmptyCriticalSetError)
 from .geometry import build_domain, make_shape
 from .identities import run_identity_suite
-from .lagrangian import check_hypotheses, make_expression_model, make_model
-from .pfunction import (check_max_principle_conditions, gradient_bound_check,
-                        locate_max)
+from .lagrangian import (PILOT_BOX, check_hypotheses, make_expression_model,
+                         make_model)
+from .pfunction import (IDENTITY_RESIDUAL_TOL, check_max_principle_conditions,
+                        gradient_bound_check, locate_max)
 from .solver import (SolverConfig, el_residual, field_result,
                      solve_euler_lagrange, solve_radial)
 from .tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
@@ -40,15 +42,14 @@ EXIT_HYPOTHESIS = 2
 EXIT_INVARIANT = 3
 EXIT_CONFIG = 4
 
-#: default hypothesis box used before a solution range is available
-DEFAULT_HYPOTHESIS_BOX = ((0.0, 1.0), (-1.0, 1.0))
+#: largest deviation of the grid solution from the radial oracle's profile
+RADIAL_ORACLE_TOL = 5e-3
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-_ANALYSIS_KEYS = {"hypotheses", "tensor", "pfunction", "identities", "radial_oracle"}
 _SOLVER_KEYS = set(SolverConfig().as_dict())
 
 
@@ -58,7 +59,6 @@ class RunConfig:
     shape: object
     spacing: float
     solver: SolverConfig
-    analysis: dict
     x0: tuple = None
     raw: dict = field(default_factory=dict)
 
@@ -82,8 +82,7 @@ def parse_config(data):
     """Validate a configuration mapping and build the runtime objects."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a mapping")
-    _reject_unknown(data, {"model", "shape", "spacing", "solver", "analysis", "x0"},
-                    "top-level")
+    _reject_unknown(data, {"model", "shape", "spacing", "solver", "x0"}, "top-level")
     for key in ("model", "shape", "spacing"):
         if key not in data:
             raise ConfigError(f"missing required key {key!r}")
@@ -128,12 +127,6 @@ def parse_config(data):
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad solver config: {exc}") from None
 
-    ana = data.get("analysis", {})
-    if not isinstance(ana, dict):
-        raise ConfigError("analysis must be a mapping")
-    _reject_unknown(ana, _ANALYSIS_KEYS, "analysis")
-    analysis = {k: _flag(ana, k, True, "analysis") for k in _ANALYSIS_KEYS}
-
     x0 = data.get("x0")
     if x0 is not None:
         try:
@@ -145,11 +138,10 @@ def parse_config(data):
 
     raw = {
         "model": (dict(mspec)), "shape": dict(sspec), "spacing": spacing,
-        "solver": solver.as_dict(), "analysis": analysis,
-        "x0": list(x0) if x0 else None,
+        "solver": solver.as_dict(), "x0": list(x0) if x0 else None,
     }
     return RunConfig(model=model, shape=shape, spacing=spacing, solver=solver,
-                     analysis=analysis, x0=x0, raw=raw)
+                     x0=x0, raw=raw)
 
 
 def load_config(path):
@@ -185,7 +177,11 @@ class RunReport:
     domain: object = field(default=None, repr=False)
     spectral_field: object = field(default=None, repr=False)
 
-    def add_check(self, name, value, tolerance, passed, gate=True):
+    def add_check(self, name, value, tolerance, passed=None, gate=True):
+        """Record a check; its verdict is ``value <= tolerance`` unless
+        ``passed`` gives another."""
+        if passed is None:
+            passed = value <= tolerance
         self.checks.append({"name": name, "value": value, "tolerance": tolerance,
                             "passed": bool(passed), "gate": bool(gate)})
         if gate and not passed:
@@ -321,6 +317,17 @@ def _build_domain(config):
         raise ConfigError(f"domain build failed: {exc}") from None
 
 
+@contextmanager
+def _stage(report, name):
+    """Record the wall time of the enclosed block as ``report.timings[name]``,
+    also when the block returns early or raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings[name] = time.perf_counter() - t0
+
+
 def run_pipeline(config, strict=False):
     """Execute the configured run end to end and assemble the report.
 
@@ -329,24 +336,20 @@ def run_pipeline(config, strict=False):
     invariant check failures yield exit 3.
     """
     report = RunReport(config=config.raw)
-    timings = report.timings
-    t0 = time.perf_counter()
-
-    pilot = check_hypotheses(config.model, box=DEFAULT_HYPOTHESIS_BOX, samples=256)
-    timings["hypotheses_pilot"] = time.perf_counter() - t0
+    with _stage(report, "hypotheses_pilot"):
+        pilot = check_hypotheses(config.model, box=PILOT_BOX, samples=256)
     if strict and not pilot.convexity_ok:
         report.hypotheses = pilot.as_dict()
         report.exit_code = EXIT_HYPOTHESIS
         report.violations.append("hypothesis_convexity")
         return report
 
-    t0 = time.perf_counter()
-    domain = _build_domain(config)
-    timings["domain"] = time.perf_counter() - t0
+    with _stage(report, "domain"):
+        domain = _build_domain(config)
 
-    t0 = time.perf_counter()
     try:
-        result = solve_euler_lagrange(config.model, domain, config.solver)
+        with _stage(report, "solve"):
+            result = solve_euler_lagrange(config.model, domain, config.solver)
     except EllipticityError as exc:
         report.solver = {"converged": False, "iterations": 0,
                          "final_residual": None,
@@ -355,7 +358,6 @@ def run_pipeline(config, strict=False):
         report.hypotheses = pilot.as_dict()
         report.exit_code = EXIT_SOLVER
         return report
-    timings["solve"] = time.perf_counter() - t0
 
     report.solver = {
         "converged": result.converged,
@@ -386,20 +388,31 @@ def _domain_section(domain):
     return sec
 
 
+#: the tensor checks as (check name, consistency_report key, tolerance)
+_TENSOR_CHECKS = (
+    ("tensor_symmetry", "symmetry_max", 0.0),
+    ("tensor_eigenvector_residual", "eigenvector_residual_max", 1e-10),
+    ("tensor_spectrum_crosscheck", "spectrum_crosscheck_max", 1e-10),
+    ("tensor_trace_consistency", "trace_consistency_max", 1e-12),
+    ("tensor_det_consistency", "det_consistency_max_rel", 1e-10),
+    ("det_convention_flip", "det_convention_flip_residual", 1e-10),
+)
+
+
 def analyze_into(report, config, domain, result, strict=False, residual=None):
-    """Run the configured analyses on a solved field, filling the report.
+    """Run every analysis on a solved field, filling the report: hypotheses,
+    the radial oracle (discs and annuli), evaluation, tensor, p-function and
+    identities, in that order.
 
     Shared between a fresh pipeline run and re-analysis of persisted fields;
     everything here is deterministic given (config, u).  ``residual`` is
     max |el_residual| at ``result.u`` where the caller has it, as a fresh
     solve does; otherwise it is recomputed from ``u``.
     """
-    timings = report.timings
     report.result, report.domain = result, domain
     report.domain_info = _domain_section(domain)
-    t0 = time.perf_counter()
 
-    if config.analysis.get("hypotheses", True):
+    with _stage(report, "hypotheses"):
         m, M = result.solution_range
         pad = 0.1 * max(M - m, 1e-6)
         box = ((0.0, 1.1 * max(result.gradient_range[1], 1e-6)), (m - pad, M + pad))
@@ -415,9 +428,6 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             report.exit_code = EXIT_HYPOTHESIS
             report.violations.append("hypothesis_convexity")
             return report
-        timings["hypotheses"] = time.perf_counter() - t0
-    else:
-        hyp = None
 
     if not result.converged:
         report.add_check("solver_convergence", result.residual_history[-1],
@@ -430,43 +440,38 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
     try:
         recheck = (residual if residual is not None else
                    float(np.max(np.abs(el_residual(config.model, domain, result.u)))))
-        report.add_check("solver_residual_recheck", recheck,
-                         config.solver.residual_tol,
-                         recheck <= config.solver.residual_tol)
+        report.add_check("solver_residual_recheck", recheck, config.solver.residual_tol)
     except EmlabError as exc:
         report.add_check("solver_residual_recheck", f"failed: {exc}",
                          config.solver.residual_tol, False)
 
-    if config.analysis.get("radial_oracle", True) and config.shape.kind in ("disc", "annulus"):
-        t0 = time.perf_counter()
-        radii = ((0.0, config.shape.R) if config.shape.kind == "disc"
-                 else (config.shape.a, config.shape.b))
-        try:
-            profile = solve_radial(config.model, radii, n=2,
-                                   resolution=max(1024, 16 * int(1.0 / config.spacing)))
-            r = np.hypot(domain.xy[:, 0] - config.shape.cx,
-                         domain.xy[:, 1] - config.shape.cy)
-            dev = float(np.max(np.abs(result.u - profile.u_at(r))))
-            report.solver["radial_oracle"] = {
-                "max_deviation": dev, "parameter": profile.parameter,
-                "tolerance": 5e-3}
-            report.add_check("radial_oracle_agreement", dev, 5e-3, dev <= 5e-3)
-        except EmlabError as exc:
-            report.solver["radial_oracle"] = {"failure": str(exc)}
-            report.add_check("radial_oracle_agreement", f"failed: {exc}", 5e-3, False)
-        timings["radial_oracle"] = time.perf_counter() - t0
+    if config.shape.kind in ("disc", "annulus"):
+        with _stage(report, "radial_oracle"):
+            radii = ((0.0, config.shape.R) if config.shape.kind == "disc"
+                     else (config.shape.a, config.shape.b))
+            try:
+                profile = solve_radial(config.model, radii, n=2,
+                                       resolution=max(1024, 16 * int(1.0 / config.spacing)))
+                r = np.hypot(domain.xy[:, 0] - config.shape.cx,
+                             domain.xy[:, 1] - config.shape.cy)
+                dev = float(np.max(np.abs(result.u - profile.u_at(r))))
+                report.solver["radial_oracle"] = {
+                    "max_deviation": dev, "parameter": profile.parameter,
+                    "tolerance": RADIAL_ORACLE_TOL}
+                report.add_check("radial_oracle_agreement", dev, RADIAL_ORACLE_TOL)
+            except EmlabError as exc:
+                report.solver["radial_oracle"] = {"failure": str(exc)}
+                report.add_check("radial_oracle_agreement", f"failed: {exc}",
+                                 RADIAL_ORACLE_TOL, False)
 
-    if hyp is not None and hyp.monotone_q_ok:
+    if hyp.monotone_q_ok:
         # non-decreasing source models obey the maximum principle: u <= 0
-        report.add_check("maximum_principle_nonpositive", float(np.max(result.u)),
-                         1e-8, float(np.max(result.u)) <= 1e-8)
+        report.add_check("maximum_principle_nonpositive", float(np.max(result.u)), 1e-8)
 
-    t0 = time.perf_counter()
-    fld = report.spectral_field = assemble_field(config.model, result, domain, config.x0)
-    timings["evaluation"] = time.perf_counter() - t0
+    with _stage(report, "evaluation"):
+        fld = report.spectral_field = assemble_field(config.model, result, domain, config.x0)
 
-    if config.analysis.get("tensor", True):
-        t0 = time.perf_counter()
+    with _stage(report, "tensor"):
         classify_definiteness(fld)
         fld.div_T, div_norm = divergence_residual(fld)
         cons = consistency_report(fld)
@@ -479,27 +484,10 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             "div_T_sup_norm_core": div_norm,
             "consistency": cons,
         }
-        report.add_check("tensor_symmetry", cons["symmetry_max"], 0.0,
-                         cons["symmetry_max"] == 0.0)
-        report.add_check("tensor_eigenvector_residual",
-                         cons["eigenvector_residual_max"], 1e-10,
-                         cons["eigenvector_residual_max"] <= 1e-10)
-        report.add_check("tensor_spectrum_crosscheck",
-                         cons["spectrum_crosscheck_max"], 1e-10,
-                         cons["spectrum_crosscheck_max"] <= 1e-10)
-        report.add_check("tensor_trace_consistency",
-                         cons["trace_consistency_max"], 1e-12,
-                         cons["trace_consistency_max"] <= 1e-12)
-        report.add_check("tensor_det_consistency",
-                         cons["det_consistency_max_rel"], 1e-10,
-                         cons["det_consistency_max_rel"] <= 1e-10)
-        report.add_check("det_convention_flip",
-                         cons["det_convention_flip_residual"], 1e-10,
-                         cons["det_convention_flip_residual"] <= 1e-10)
-        timings["tensor"] = time.perf_counter() - t0
+        for name, key, tol in _TENSOR_CHECKS:
+            report.add_check(name, cons[key], tol)
 
-    if config.analysis.get("pfunction", True):
-        t0 = time.perf_counter()
+    with _stage(report, "pfunction"):
         prep = locate_max(fld)
         report.add_check("lambda1_location_class", prep.location_class, None,
                          prep.location_class != "interior_noncritical")
@@ -512,14 +500,12 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             lip = float(np.max(np.hypot(Dx @ prep.lambda1, Dy @ prep.lambda1)))
             tol = max(5e-3, 2.0 * domain.h * lip)
             dev = abs(prep.sup_value - prep.critical_formula_value)
-            report.add_check("lambda1_critical_branch_equality", dev, tol, dev <= tol)
+            report.add_check("lambda1_critical_branch_equality", dev, tol)
         prep.checks["critical_set_flagged_empty"] = prep.critical_set_empty
-        if report.spectral is not None:
-            # lambda1 against the nearer eigenvalue of a direct 2x2 solve
-            direct = _eigvals_sym2(np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]]))
-            agreement = float(np.max(np.min(np.abs(direct - fld.lambda1), axis=0)))
-            report.add_check("lambda1_matches_tensor_eigenvalue", agreement,
-                             1e-12, agreement <= 1e-12)
+        # lambda1 against the nearer eigenvalue of a direct 2x2 solve
+        direct = _eigvals_sym2(np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]]))
+        agreement = float(np.max(np.min(np.abs(direct - fld.lambda1), axis=0)))
+        report.add_check("lambda1_matches_tensor_eigenvalue", agreement, 1e-12)
         try:
             gb = gradient_bound_check(fld, prep)
             report.add_check("gradient_bound_margin", gb["worst_margin"], -1e-6,
@@ -528,28 +514,22 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             gb = {"applicable": False, "note": "critical set empty at this resolution"}
         mpc = check_max_principle_conditions(config.model, result)
         report.add_check("compatibility_identity_residual",
-                         mpc["identity_residual_max"], 1e-11, mpc["identity_ok"])
+                         mpc["identity_residual_max"], IDENTITY_RESIDUAL_TOL,
+                         mpc["identity_ok"])
         report.pfunction = prep.as_dict()
         report.pfunction["gradient_bound"] = gb
         report.pfunction["max_principle_conditions"] = mpc
-        timings["pfunction"] = time.perf_counter() - t0
 
-    if config.analysis.get("identities", True):
-        t0 = time.perf_counter()
+    with _stage(report, "identities"):
         idr = run_identity_suite(fld)
         report.identities = idr.as_dict()
         tol = identity_tolerance(domain.h)
-        report.add_check("rellich_identity_residual", idr.rellich_residual, tol,
-                         idr.rellich_residual <= tol)
-        report.add_check("rellich_source_residual", idr.source_residual, tol,
-                         idr.source_residual <= tol)
+        report.add_check("rellich_identity_residual", idr.rellich_residual, tol)
+        report.add_check("rellich_source_residual", idr.source_residual, tol)
         if idr.pohozaev_residual is not None:
-            report.add_check("pohozaev_identity_residual", idr.pohozaev_residual,
-                             tol, idr.pohozaev_residual <= tol)
-        report.add_check("vanishing_boundary_term",
-                         abs(idr.vanishing_boundary_term), 1e-10,
-                         abs(idr.vanishing_boundary_term) <= 1e-10)
-        timings["identities"] = time.perf_counter() - t0
+            report.add_check("pohozaev_identity_residual", idr.pohozaev_residual, tol)
+        report.add_check("vanishing_boundary_term", abs(idr.vanishing_boundary_term),
+                         1e-10)
 
     if report.violations:
         report.exit_code = EXIT_INVARIANT
@@ -589,35 +569,38 @@ def export_fields(report, out_dir):
     report.json; timings.json is the only non-deterministic artifact.  Its
     ``export`` entry is the time of every write before its own.
     """
-    t0 = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
-    result, domain = report.result, report.domain
-    if result is None:
-        _write_report_files(report, out_dir, t0)
-        return
+    with _stage(report, "export"):
+        os.makedirs(out_dir, exist_ok=True)
+        if report.result is not None:
+            _write_solution(report, out_dir)
+        with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
+            yaml.safe_dump(report.config, fh, sort_keys=True)
+        doc = report.as_dict()
+        validate_report(doc)
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
+        json.dump(_sanitize(report.timings), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    fld = report.spectral_field
-    tensor = report.spectral is not None
-    if tensor:
-        div = fld.div_T
-        cols = [domain.xy[:, 0], domain.xy[:, 1], result.u,
-                result.grad[:, 0], result.grad[:, 1], fld.lambda1,
-                fld.lambda_rest, fld.det, fld.trace, div[:, 0], div[:, 1]]
-    else:
-        nan = np.full(domain.n_interior, np.nan)
-        cols = [domain.xy[:, 0], domain.xy[:, 1], result.u,
-                result.grad[:, 0], result.grad[:, 1]] + [nan] * 6
-    _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, cols)
 
-    if tensor:
-        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
-                   [fld.T11, fld.T12, fld.T22])
-
+def _write_solution(report, out_dir):
+    """The CSV fields and the solver log of a solved run."""
+    result, domain, fld = report.result, report.domain, report.spectral_field
+    xy_u = [domain.xy[:, 0], domain.xy[:, 1], result.u,
+            result.grad[:, 0], result.grad[:, 1]]
     if fld is None:  # the analyses stopped before evaluating the solution
+        fields = xy_u + [np.full(domain.n_interior, np.nan)] * 6
         rellich_density = pohozaev_density = np.full(domain.n_boundary, np.nan)
     else:
+        fields = xy_u + [fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
+                         fld.div_T[:, 0], fld.div_T[:, 1]]
+        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
+                   [fld.T11, fld.T12, fld.T22])
         rellich_density = fld.boundary_flux
         pohozaev_density = fld.X_dot_nu * (0.5 * result.normal_derivative ** 2 - fld.phi0)
+    _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, fields)
     bcols = [domain.bpts[:, 0], domain.bpts[:, 1], domain.bnu[:, 0],
              domain.bnu[:, 1], domain.bH, domain.bw, result.normal_derivative,
              rellich_density, pohozaev_density]
@@ -625,21 +608,6 @@ def export_fields(report, out_dir):
 
     with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:
         json.dump(_sanitize(result.log), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_report_files(report, out_dir, t0)
-
-
-def _write_report_files(report, out_dir, t0):
-    with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
-        yaml.safe_dump(report.config, fh, sort_keys=True)
-    doc = report.as_dict()
-    validate_report(doc)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    report.timings["export"] = time.perf_counter() - t0
-    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
-        json.dump(_sanitize(report.timings), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -669,8 +637,7 @@ def load_run(run_dir):
         raise ConfigError("persisted field does not match the configured grid")
 
     result = field_result(
-        config.model, domain, u,
-        residual_history=[solver_doc.get("final_residual", float("nan"))],
+        domain, u, residual_history=[solver_doc.get("final_residual", float("nan"))],
         converged=bool(solver_doc.get("converged", False)),
         iterations=int(solver_doc.get("iterations", 0)))
     return config, domain, result, report_doc

@@ -23,10 +23,8 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import EllipticityError, EmlabError
-from .geometry import interpolate_node_field
-from .lagrangian import check_hypotheses, divergence_coefficients, eval_jet
-
-_E, _W, _N, _S = 0, 1, 2, 3
+from .geometry import _E, _N, _S, _W, interpolate_node_field
+from .lagrangian import PILOT_BOX, check_hypotheses, divergence_coefficients, eval_jet
 
 
 @dataclass
@@ -61,8 +59,6 @@ class SolveResult:
     solution_range: tuple            # (m, M) over the closure (boundary = 0)
     gradient_range: tuple            # (0, p_max)
     log: list = field(default_factory=list)
-    model: object = None
-    domain: object = None
     config: SolverConfig = None
     #: discrete fields cannot certify the classical smoothness the theory
     #: assumes; analyses treat it as an assumption, not a verified fact
@@ -191,8 +187,6 @@ def _normal_component(domain, grad, depth):
 # nonlinear solve
 # ---------------------------------------------------------------------------
 
-PILOT_BOX = ((0.0, 1.0), (-1.0, 1.0))
-
 #: inexact-Newton forcing term: GMRES stops at this fraction of |R|, which
 #: keeps each step a few Krylov iterations yet Newton's rate near the root
 GMRES_RTOL = 1e-4
@@ -273,7 +267,7 @@ def solve_euler_lagrange(model, domain, config=None):
         if omega * float(np.max(np.abs(step))) <= cfg.step_tol:
             break
 
-    return field_result(model, domain, u, residual_history=history,
+    return field_result(domain, u, residual_history=history,
                         converged=res <= cfg.residual_tol, iterations=iterations,
                         log=log, config=cfg)
 
@@ -328,7 +322,7 @@ def _newton_step(model, domain, u, R, precond):
     return step, products - cycles
 
 
-def field_result(model, domain, u, **state):
+def field_result(domain, u, **state):
     """SolveResult for the field ``u``: its gradient, the boundary normal
     derivative and the value and gradient ranges, plus the solver ``state``
     (residual history, convergence flag, iterations, ...)."""
@@ -340,8 +334,7 @@ def field_result(model, domain, u, **state):
     M = max(float(np.max(u)), 0.0)
     p_max = max(float(np.max(p)), float(np.max(np.abs(dnu))))
     return SolveResult(u=u, grad=grad, normal_derivative=dnu,
-                       solution_range=(m, M), gradient_range=(0.0, p_max),
-                       model=model, domain=domain, **state)
+                       solution_range=(m, M), gradient_range=(0.0, p_max), **state)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +345,10 @@ def field_result(model, domain, u, **state):
 class RadialProfile:
     """High-resolution radial solution u(r) with its derivative."""
 
-    n: int
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
     parameter: float
-    model: object = None
 
     def u_at(self, r):
         return np.interp(r, self.r, self.u)
@@ -510,4 +501,4 @@ def solve_radial(model, radii, n=2, resolution=4096, rtol=1e-10, atol=1e-12):
     us[-1] = 0.0
     if r_lo > 0.0:
         us[0] = 0.0
-    return RadialProfile(n=n, r=rs, u=us, du=dus, parameter=parameter, model=model)
+    return RadialProfile(r=rs, u=us, du=dus, parameter=parameter)

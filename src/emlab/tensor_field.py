@@ -16,9 +16,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import UnconvergedError
+from .geometry import _E, _N, _S, _W
 from .lagrangian import ORIGIN_EPS, eval_jet
-
-_E, _W, _N, _S = 0, 1, 2, 3
 
 DEGENERACY_RTOL = 1e-10
 

@@ -14,10 +14,11 @@ from jsonschema import ValidationError
 
 from emlab.cli import main
 from emlab.errors import ConfigError
-from emlab.pipeline import (CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_HYPOTHESIS,
-                            EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER, FIELD_COLUMNS,
-                            RunReport, _write_csv, analyze_into, export_fields,
-                            load_run, parse_config, run_pipeline, validate_report)
+from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
+                            EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
+                            FIELD_COLUMNS, RunReport, _write_csv, analyze_into,
+                            export_fields, load_run, parse_config, run_pipeline,
+                            validate_report)
 
 TORSION_CONFIG = {
     "model": {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
@@ -91,8 +92,6 @@ class TestConfigParsing:
     @pytest.mark.parametrize("change", [
         {"model": {"expression": "0.5*p**2 + q + 0.5", "smooth_at_origin": "false"}},
         {"model": {"expression": "0.5*p**2 + q + 0.5", "smooth_at_origin": 1}},
-        {"analysis": {"tensor": "false"}},
-        {"analysis": {"identities": None}},
     ])
     def test_boolean_keys_must_be_booleans(self, change, tmp_path, capsys):
         # bool("false") is True: a string toggle would switch the claim on
@@ -144,6 +143,16 @@ class TestPipeline:
         assert report.exit_code == EXIT_HYPOTHESIS
         assert "hypotheses_pilot" in report.timings
 
+    def test_strict_exit_after_solve_keeps_timings(self):
+        # convex on the pilot box, not on the solution's range
+        cfg = parse_config(dict(TORSION_CONFIG, model={
+            "expression": "0.5*p**2 - 0.02*q**4*p**4 + 4.4*q", "smooth_at_origin": True}))
+        report = run_pipeline(cfg, strict=True)
+        assert report.solver["converged"]
+        assert report.exit_code == EXIT_HYPOTHESIS
+        assert report.violations == ["hypothesis_convexity"]
+        assert {"solve", "hypotheses"} <= set(report.timings)
+
     def test_degenerate_model_exits_one(self):
         cfg = parse_config(dict(TORSION_CONFIG, model={
             "name": "power_dirichlet", "parameters": [4.0, 0.0, 1.0]}))
@@ -169,11 +178,11 @@ class TestSharedEvaluation:
         original = emlab.lagrangian.eval_jet
         sweeps = []
 
-        def counting(model, p, q, validate=True):
+        def counting(model, p, q):
             p_arr = np.asarray(p, dtype=float)
             size = np.broadcast(p_arr, np.asarray(q)).size
             sweeps.append((size, not np.any(p_arr)))
-            return original(model, p, q, validate)
+            return original(model, p, q)
 
         for name, mod in list(sys.modules.items()):
             if name.startswith("emlab") and getattr(mod, "eval_jet", None) is original:
@@ -238,6 +247,10 @@ class TestExportAndReload:
         for i in (0, len(rows) // 2, len(rows) - 1):
             assert rows[i] == "%.17g,%.17g,%.17g" % (fld.T11[i], fld.T12[i], fld.T22[i])
 
+    def test_evaluated_columns_are_filled(self, run_dir):
+        fields, boundary = _evaluated_columns(run_dir[0])
+        assert not np.isnan(fields).any() and not np.isnan(boundary).any()
+
     def test_fields_row_count(self, run_dir):
         out, report = run_dir
         with open(os.path.join(out, "fields.csv")) as fh:
@@ -254,6 +267,17 @@ class TestExportAndReload:
         out, _ = run_dir
         with open(os.path.join(out, "report.json")) as fh:
             validate_report(json.load(fh))
+
+
+def _evaluated_columns(run_dir):
+    """The columns of fields.csv from lambda1 on, and the two identity
+    densities of boundary.csv, as arrays."""
+    fields = np.loadtxt(os.path.join(run_dir, "fields.csv"), delimiter=",", skiprows=1,
+                        usecols=range(FIELD_COLUMNS.index("lambda1"), len(FIELD_COLUMNS)))
+    densities = [BOUNDARY_COLUMNS.index(c) for c in ("rellich_density", "pohozaev_density")]
+    boundary = np.loadtxt(os.path.join(run_dir, "boundary.csv"), delimiter=",",
+                          skiprows=1, usecols=densities)
+    return fields, boundary
 
 
 def _load_u_loop(path):
@@ -436,7 +460,7 @@ class TestCli:
         assert doc["solver"]["final_residual"] is None
         assert doc["solver"]["witness"]["witness"] is not None
         timings = json.loads((out / "timings.json").read_text())
-        assert "domain" in timings and "export" in timings
+        assert {"domain", "solve", "export"} <= set(timings)
 
     def test_unconverged_run_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(
@@ -452,6 +476,10 @@ class TestCli:
         passed, total = map(int, re.search(r"(\d+)/(\d+) checks passed", text).groups())
         assert passed < total
         assert main(["analyze", "--in", out]) == EXIT_SOLVER
+        # no evaluation ran, so every evaluated column is nan and no tensor.csv
+        fields, boundary = _evaluated_columns(out)
+        assert np.isnan(fields).all() and np.isnan(boundary).all()
+        assert not os.path.exists(os.path.join(out, "tensor.csv"))
 
     def test_no_solution_exits_one(self, tmp_path, capsys):
         # mean curvature 3 exceeds 2/R on the unit disc: no solution exists
@@ -521,25 +549,40 @@ class TestCli:
             assert main(["report", "--in", str(out)]) == EXIT_CONFIG
             assert "malformed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("damping", 0.7), ("newton_polish", True)])
+    @pytest.mark.parametrize("key,value", [
+        ("damping", 0.7), ("newton_polish", True),
+        # the analysis echo of older run directories, and a toggle turned off
+        pytest.param("analysis", dict.fromkeys(
+            ["hypotheses", "identities", "pfunction", "radial_oracle", "tensor"], True),
+            id="analysis-echo"),
+        pytest.param("analysis", {"tensor": False}, id="analysis-tensor-off"),
+    ])
     def test_removed_solver_keys_exit_four(self, tmp_path, capsys, key, value):
-        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, solver={key: value}))
+        # analysis was a top-level key, the others solver keys
+        def with_key(data):
+            data = dict(data)
+            if key == "analysis":
+                data[key] = value
+            else:
+                data["solver"] = dict(data.get("solver", {}), **{key: value})
+            return data
+        message = (f"unknown {'top-level' if key == 'analysis' else 'solver'} "
+                   f"keys: ['{key}']")
+        cfg_path = write_config(tmp_path, with_key(TORSION_CONFIG))
         assert main(["solve", "--config", cfg_path, "--out",
                      str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"unknown solver keys: ['{key}']" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"configuration error: {message}\n"
         # the config echo of a run directory written with the key set
         out = tmp_path / "out"
         assert main(["solve", "--config", write_config(tmp_path, TORSION_CONFIG, "t.yaml"),
                      "--out", str(out)]) == EXIT_OK
-        echo = yaml.safe_load((out / "config.yaml").read_text())
-        echo["solver"][key] = value
+        echo = with_key(yaml.safe_load((out / "config.yaml").read_text()))
         (out / "config.yaml").write_text(yaml.safe_dump(echo))
         capsys.readouterr()
         assert main(["verify", "--in", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"unknown solver keys: ['{key}']" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_verify_catches_tampered_fields(self, tmp_path, capsys):
