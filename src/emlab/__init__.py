@@ -10,25 +10,23 @@ identities of Rellich/Pohozaev type, and pointwise gradient bounds.
 from .errors import (ConfigError, DegenerateGridError, EllipticityError,
                      EmlabError, EmptyCriticalSetError, EvaluationError,
                      OriginLimitError, UnconvergedError)
-from .geometry import (DiscreteDomain, Shape, boundary_geometry,
-                       boundary_integral, build_domain, make_shape,
-                       star_center_margin, volume_integral)
-from .identities import (IdentityReport, nonexistence_obstruction,
-                         run_identity_suite, verify_pohozaev_identity,
-                         verify_rellich_identity, verify_rellich_source_form)
+from .geometry import (DiscreteDomain, Shape, boundary_integral, build_domain,
+                       make_shape, star_center_margin, volume_integral)
+from .identities import (nonexistence_obstruction, run_identity_suite,
+                         verify_pohozaev_identity, verify_rellich_identity,
+                         verify_rellich_source_form)
 from .lagrangian import (CATALOG, HypothesisReport, Jet2, LagrangianModel,
                          candidate_p2_derivative, check_hypotheses,
                          divergence_coefficients, eval_jet,
                          make_expression_model, make_model,
                          pfunction_identity_residual)
-from .pfunction import (PFunctionReport, check_max_principle_conditions,
-                        gradient_bound_check, lambda1_radial, locate_max)
+from .pfunction import (check_max_principle_conditions, gradient_bound_check,
+                        locate_max)
 from .pipeline import (RunConfig, RunReport, export_fields, load_config,
                        load_run, parse_config, run_pipeline, validate_report)
 from .solver import (RadialProfile, SolveResult, SolverConfig, el_residual,
                      solve_euler_lagrange, solve_radial)
-from .tensor_field import (SpectralField, TensorPoint, assemble_field,
-                           assemble_tensor, classify_definiteness, det_trace,
-                           divergence_residual, spectrum_crosscheck)
+from .tensor_field import (SpectralField, assemble_field, classify_definiteness,
+                           divergence_residual)
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ import sys
 
 from .errors import ConfigError, EvaluationError
 from .lagrangian import check_hypotheses
-from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, RunReport,
-                       analyze_into, export_fields, load_config, load_run,
-                       read_report, run_pipeline)
+from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, RunReport, analyze_into,
+                       export_fields, load_config, load_run, read_report,
+                       run_pipeline)
 
 
 def _cmd_solve(args):
@@ -38,18 +38,23 @@ def _cmd_solve(args):
 def _reanalyze(indir):
     """Reload a persisted run and re-run its analyses; the report's exit
     code is the one the analyses set.  A run that never got a solution to
-    analyze comes back as persisted, with its checks and exit code."""
+    analyze comes back as persisted, with its checks and exit code.
+
+    Only a strict run exits 2, and a strict run that exited otherwise
+    analyzes the same without strictness, so a persisted exit 2 is the
+    strictness to re-run with."""
     config, domain, result, report_doc = load_run(indir)
     report = RunReport(config=config.raw)
     report.solver = report_doc.get("solver")
+    status = report_doc["status"]
     if result is None:
         report.hypotheses = report_doc.get("hypotheses")
         report.checks = report_doc.get("checks", [])
-        status = report_doc.get("status", {})
-        report.exit_code = int(status.get("exit_code", EXIT_SOLVER))
-        report.violations = status.get("violations", [])
+        report.exit_code = status["exit_code"]
+        report.violations = status["violations"]
         return report
-    return analyze_into(report, config, domain, result, strict=False)
+    return analyze_into(report, config, domain, result,
+                        strict=status["exit_code"] == EXIT_HYPOTHESIS)
 
 
 def _cmd_analyze(args):

@@ -567,27 +567,19 @@ def build_domain(shape, spacing):
 # ---------------------------------------------------------------------------
 
 def volume_integral(domain, fld):
-    """Cell-weighted sum over interior nodes; ``fld`` is a per-node array or
-    a vectorized callable of (x, y)."""
-    values = fld(domain.xy[:, 0], domain.xy[:, 1]) if callable(fld) else np.asarray(fld)
+    """Cell-weighted sum of a per-node array over interior nodes."""
+    values = np.asarray(fld)
     if values.shape != (domain.n_interior,):
         raise ValueError("field must provide one value per interior node")
     return float(np.dot(domain.weights, values))
 
 
 def boundary_integral(domain, density):
-    """Arc-weighted sum over boundary samples; ``density`` is a per-sample
-    array or a vectorized callable of (x, y)."""
-    values = (density(domain.bpts[:, 0], domain.bpts[:, 1])
-              if callable(density) else np.asarray(density))
+    """Arc-weighted sum of a per-sample array over boundary samples."""
+    values = np.asarray(density)
     if values.shape != (domain.n_boundary,):
         raise ValueError("density must provide one value per boundary sample")
     return float(np.dot(domain.bw, values))
-
-
-def boundary_geometry(shape, pt, tol=1e-9):
-    """Outward unit normal and mean curvature of the shape boundary at pt."""
-    return shape.boundary_geometry(pt, tol=tol)
 
 
 def star_center_margin(shape, x0, samples_per_component=4096):

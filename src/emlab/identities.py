@@ -17,46 +17,11 @@ and closed-form oracles confirm the implemented signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .geometry import boundary_integral, star_center_margin, volume_integral
 from .lagrangian import eval_jet
 from .pfunction import QUADRATIC_FAMILY
-
-
-@dataclass
-class IdentityReport:
-    rellich_volume: float = None
-    rellich_boundary: float = None
-    rellich_residual: float = None
-    source_volume: float = None
-    source_boundary: float = None
-    source_residual: float = None
-    pohozaev_volume: float = None
-    pohozaev_boundary: float = None
-    pohozaev_residual: float = None
-    x0: tuple = None
-    star_margin: float = None
-    vanishing_boundary_term: float = None
-    as_printed: dict = field(default_factory=dict)
-    obstruction: dict = field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "rellich": {"volume": self.rellich_volume, "boundary": self.rellich_boundary,
-                        "residual": self.rellich_residual},
-            "rellich_source": {"volume": self.source_volume, "boundary": self.source_boundary,
-                               "residual": self.source_residual},
-            "pohozaev": {"volume": self.pohozaev_volume, "boundary": self.pohozaev_boundary,
-                         "residual": self.pohozaev_residual},
-            "x0": list(self.x0) if self.x0 is not None else None,
-            "star_margin": self.star_margin,
-            "vanishing_boundary_term": self.vanishing_boundary_term,
-            "as_printed": self.as_printed,
-            "obstruction": self.obstruction,
-        }
 
 
 def verify_rellich_identity(fld, n=2):
@@ -136,20 +101,23 @@ def nonexistence_obstruction(model, domain, x0=None, pohozaev=None, tol=2e-2):
 
 
 def run_identity_suite(fld):
-    """Evaluate all identity pairs and the obstruction diagnostic on an
-    evaluated solution, about its pivot ``fld.x0``."""
-    rep = IdentityReport(x0=fld.x0)
-    rep.rellich_volume, rep.rellich_boundary, rep.rellich_residual = \
-        verify_rellich_identity(fld)
-    rep.source_volume, rep.source_boundary, rep.source_residual, extra = \
-        verify_rellich_source_form(fld)
-    rep.vanishing_boundary_term = extra["vanishing_boundary_term"]
-    rep.as_printed["source_volume_plus_sign"] = extra["volume_with_plus_sign"]
+    """The ``identities`` report section of an evaluated solution: every
+    identity pair (volume, boundary, residual) and the obstruction
+    diagnostic, about its pivot ``fld.x0``."""
+    rellich = verify_rellich_identity(fld)
+    *source, extra = verify_rellich_source_form(fld)
+    as_printed = {"source_volume_plus_sign": extra["volume_with_plus_sign"]}
     pohozaev = None
     if fld.model.name in QUADRATIC_FAMILY:
         pohozaev = verify_pohozaev_identity(fld)
-        rep.pohozaev_volume, rep.pohozaev_boundary, rep.pohozaev_residual, extra = pohozaev
-        rep.as_printed["pohozaev_boundary_halved"] = extra["boundary_with_halved_density"]
-    rep.obstruction = nonexistence_obstruction(fld.model, fld.domain, fld.x0, pohozaev)
-    rep.star_margin = rep.obstruction["star_margin"]
-    return rep
+        as_printed["pohozaev_boundary_halved"] = pohozaev[3]["boundary_with_halved_density"]
+    obstruction = nonexistence_obstruction(fld.model, fld.domain, fld.x0, pohozaev)
+
+    def pair(sides):
+        return dict(zip(("volume", "boundary", "residual"), sides[:3]))
+
+    return {"rellich": pair(rellich), "rellich_source": pair(source),
+            "pohozaev": pair(pohozaev or (None,) * 3), "x0": list(fld.x0),
+            "star_margin": obstruction["star_margin"],
+            "vanishing_boundary_term": extra["vanishing_boundary_term"],
+            "as_printed": as_printed, "obstruction": obstruction}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,21 +77,7 @@ class HypothesisReport:
     violation_witnesses: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "convexity_ok": self.convexity_ok,
-            "min_F_pp": self.min_F_pp,
-            "case2_ok": self.case2_ok,
-            "min_F": self.min_F,
-            "case3_ok": self.case3_ok,
-            "max_F": self.max_F,
-            "min_p_F_p_minus_F": self.min_p_F_p_minus_F,
-            "monotone_q_ok": self.monotone_q_ok,
-            "min_F_q": self.min_F_q,
-            "origin_smooth_ok": self.origin_smooth_ok,
-            "sample_box": [list(self.sample_box[0]), list(self.sample_box[1])],
-            "samples": self.samples,
-            "violation_witnesses": {k: list(v) for k, v in self.violation_witnesses.items()},
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +329,6 @@ def pfunction_identity_residual(model, p, q):
     if p_arr.ndim == 0 and q_arr.ndim == 0:
         return float(res)
     return res
-
-
-def ellipticity_coefficient(model, p, q):
-    """g + 2 p^2 dg/dp2, rebuilt from quotient pieces; equals F_pp analytically."""
-    p_arr = np.asarray(p, dtype=float)
-    jet = eval_jet(model, p_arr, np.asarray(q, dtype=float))
-    g = jet.F_p / p_arr
-    dg_dp2 = (p_arr * jet.F_pp - jet.F_p) / (2.0 * p_arr ** 3)
-    return g + 2.0 * p_arr ** 2 * dg_dp2
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ an interior non-critical maximum is a red-alert invariant violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import EmptyCriticalSetError, UnconvergedError
@@ -22,72 +20,39 @@ QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_powe
 IDENTITY_RESIDUAL_TOL = 1e-11
 
 
-@dataclass
-class PFunctionReport:
-    lambda1: np.ndarray            # interior nodes
-    boundary_lambda1: np.ndarray   # boundary samples
-    sup_value: float
-    argmax: tuple
-    location_class: str            # critical_set | boundary | interior_noncritical
-    critical_set_idx: np.ndarray
-    critical_formula_value: float  # -min over the critical set of F(0, u); None if empty
-    boundary_formula_value: float  # max over boundary of p F_p(p,0) - F(p,0)
-    H_min: float
-    p_crit_tol: float
-    critical_set_empty: bool
-    checks: dict = field(default_factory=dict)
-
-    def two_branch_bound(self):
-        """max of the admissible branches of the sup formula."""
-        branches = [self.boundary_formula_value]
-        if not self.critical_set_empty:
-            branches.append(self.critical_formula_value)
-        return max(branches)
-
-    def as_dict(self):
-        return {
-            "sup_value": self.sup_value,
-            "argmax": list(self.argmax),
-            "location_class": self.location_class,
-            "critical_set_size": int(len(self.critical_set_idx)),
-            "critical_set_empty": self.critical_set_empty,
-            "critical_formula_value": self.critical_formula_value,
-            "boundary_formula_value": self.boundary_formula_value,
-            "H_min": self.H_min,
-            "p_crit_tol": self.p_crit_tol,
-            "checks": self.checks,
-        }
-
-
 def locate_max(fld):
-    """The maximum of lambda1 over the closure and its location class, read
-    from an evaluated solution.
+    """The ``pfunction`` report section of an evaluated solution: the
+    maximum of lambda1 over the closure and its location class.
 
     Also evaluates both branches of the sup formula: the critical branch
-    ``-min over the critical set of F(0, u)`` and the boundary branch
-    ``max over the boundary of p F_p(p, 0) - F(p, 0)``.
+    ``-min over the critical set of F(0, u)`` (None on an empty critical
+    set) and the boundary branch ``max over the boundary of p F_p(p, 0) -
+    F(p, 0)``.
     """
     crit = fld.critical_set_idx
     empty = len(crit) == 0
-    return PFunctionReport(
-        lambda1=fld.lambda1, boundary_lambda1=fld.boundary_lambda1,
-        sup_value=fld.sup_lambda1, argmax=fld.sup_location,
-        location_class=fld.sup_location_class, critical_set_idx=crit,
-        critical_formula_value=None if empty else float(-np.min(fld.phi[crit])),
-        boundary_formula_value=float(np.max(fld.boundary_lambda1)),
-        H_min=float(np.min(fld.domain.bH)), p_crit_tol=fld.p_crit_tol,
-        critical_set_empty=empty)
+    return {
+        "sup_value": fld.sup_lambda1,
+        "argmax": list(fld.sup_location),
+        "location_class": fld.sup_location_class,
+        "critical_set_size": len(crit),
+        "critical_set_empty": empty,
+        "critical_formula_value": None if empty else float(-np.min(fld.phi[crit])),
+        "boundary_formula_value": float(np.max(fld.boundary_lambda1)),
+        "H_min": float(np.min(fld.domain.bH)),
+        "p_crit_tol": fld.p_crit_tol,
+        "checks": {"critical_set_flagged_empty": empty},
+    }
 
 
-def lambda1_radial(model, profile):
-    """lambda1 along a radial profile; constant when n = 1 (the divergence-
-    free tensor is scalar there, so its derivative vanishes)."""
-    p = np.abs(profile.du)
-    jet = eval_jet(model, p, profile.u)
-    return p * jet.F_p - jet.F
+def two_branch_bound(section):
+    """max of the admissible branches of the sup formula in a ``locate_max``
+    section."""
+    return max(v for v in (section["boundary_formula_value"],
+                           section["critical_formula_value"]) if v is not None)
 
 
-def gradient_bound_check(fld, report=None, tol=1e-6):
+def gradient_bound_check(fld, tol=1e-6):
     """Check lambda1 <= -min F(0, u) over the critical set, nodewise.
 
     For the quadratic-gradient family additionally checks the pointwise
@@ -95,14 +60,15 @@ def gradient_bound_check(fld, report=None, tol=1e-6):
     when the boundary curvature is non-negative or the maximum sits on the
     critical set; otherwise the margins are reported unasserted.
     """
-    report = report or locate_max(fld)
-    if report.critical_set_empty:
+    crit = fld.critical_set_idx
+    if len(crit) == 0:
         raise EmptyCriticalSetError(
             "no critical-set nodes at this resolution; the eigenvalue bound "
             "has no evaluable right-hand side")
-    applicable = report.H_min >= 0.0 or report.location_class == "critical_set"
-    bound = report.critical_formula_value
-    margins = bound - np.concatenate([report.lambda1, report.boundary_lambda1])
+    applicable = (float(np.min(fld.domain.bH)) >= 0.0
+                  or fld.sup_location_class == "critical_set")
+    bound = float(-np.min(fld.phi[crit]))
+    margins = bound - np.concatenate([fld.lambda1, fld.boundary_lambda1])
     worst = float(np.min(margins))
 
     family_worst = None

@@ -29,7 +29,7 @@ from .identities import run_identity_suite
 from .lagrangian import (PILOT_BOX, check_hypotheses, make_expression_model,
                          make_model)
 from .pfunction import (IDENTITY_RESIDUAL_TOL, check_max_principle_conditions,
-                        gradient_bound_check, locate_max)
+                        gradient_bound_check, locate_max, two_branch_bound)
 from .solver import (SolverConfig, el_residual, field_result,
                      solve_euler_lagrange, solve_radial)
 from .tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
@@ -207,10 +207,10 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -488,26 +488,25 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             report.add_check(name, cons[key], tol)
 
     with _stage(report, "pfunction"):
-        prep = locate_max(fld)
-        report.add_check("lambda1_location_class", prep.location_class, None,
-                         prep.location_class != "interior_noncritical")
-        two_branch = prep.two_branch_bound()
+        prep = report.pfunction = locate_max(fld)
+        report.add_check("lambda1_location_class", prep["location_class"], None,
+                         prep["location_class"] != "interior_noncritical")
+        two_branch = two_branch_bound(prep)
         report.add_check("lambda1_two_branch_bound",
-                         prep.sup_value - two_branch, 5e-3,
-                         prep.sup_value <= two_branch + 5e-3)
-        if prep.H_min >= 0.0 and not prep.critical_set_empty:
+                         prep["sup_value"] - two_branch, 5e-3,
+                         prep["sup_value"] <= two_branch + 5e-3)
+        if prep["H_min"] >= 0.0 and not prep["critical_set_empty"]:
             Dx, Dy = _interior_diff_ops(domain)
-            lip = float(np.max(np.hypot(Dx @ prep.lambda1, Dy @ prep.lambda1)))
+            lip = float(np.max(np.hypot(Dx @ fld.lambda1, Dy @ fld.lambda1)))
             tol = max(5e-3, 2.0 * domain.h * lip)
-            dev = abs(prep.sup_value - prep.critical_formula_value)
+            dev = abs(prep["sup_value"] - prep["critical_formula_value"])
             report.add_check("lambda1_critical_branch_equality", dev, tol)
-        prep.checks["critical_set_flagged_empty"] = prep.critical_set_empty
         # lambda1 against the nearer eigenvalue of a direct 2x2 solve
         direct = _eigvals_sym2(np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]]))
         agreement = float(np.max(np.min(np.abs(direct - fld.lambda1), axis=0)))
         report.add_check("lambda1_matches_tensor_eigenvalue", agreement, 1e-12)
         try:
-            gb = gradient_bound_check(fld, prep)
+            gb = gradient_bound_check(fld)
             report.add_check("gradient_bound_margin", gb["worst_margin"], -1e-6,
                              gb["ok"], gate=gb["applicable"])
         except EmptyCriticalSetError:
@@ -516,19 +515,17 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
         report.add_check("compatibility_identity_residual",
                          mpc["identity_residual_max"], IDENTITY_RESIDUAL_TOL,
                          mpc["identity_ok"])
-        report.pfunction = prep.as_dict()
-        report.pfunction["gradient_bound"] = gb
-        report.pfunction["max_principle_conditions"] = mpc
+        prep["gradient_bound"] = gb
+        prep["max_principle_conditions"] = mpc
 
     with _stage(report, "identities"):
-        idr = run_identity_suite(fld)
-        report.identities = idr.as_dict()
+        idr = report.identities = run_identity_suite(fld)
         tol = identity_tolerance(domain.h)
-        report.add_check("rellich_identity_residual", idr.rellich_residual, tol)
-        report.add_check("rellich_source_residual", idr.source_residual, tol)
-        if idr.pohozaev_residual is not None:
-            report.add_check("pohozaev_identity_residual", idr.pohozaev_residual, tol)
-        report.add_check("vanishing_boundary_term", abs(idr.vanishing_boundary_term),
+        report.add_check("rellich_identity_residual", idr["rellich"]["residual"], tol)
+        report.add_check("rellich_source_residual", idr["rellich_source"]["residual"], tol)
+        if idr["pohozaev"]["residual"] is not None:
+            report.add_check("pohozaev_identity_residual", idr["pohozaev"]["residual"], tol)
+        report.add_check("vanishing_boundary_term", abs(idr["vanishing_boundary_term"]),
                          1e-10)
 
     if report.violations:
@@ -586,7 +583,7 @@ def export_fields(report, out_dir):
 
 
 def _write_solution(report, out_dir):
-    """The CSV fields and the solver log of a solved run."""
+    """The CSV fields and, after a solve, the solver log of a run."""
     result, domain, fld = report.result, report.domain, report.spectral_field
     xy_u = [domain.xy[:, 0], domain.xy[:, 1], result.u,
             result.grad[:, 0], result.grad[:, 1]]
@@ -606,9 +603,10 @@ def _write_solution(report, out_dir):
              rellich_density, pohozaev_density]
     _write_csv(os.path.join(out_dir, "boundary.csv"), BOUNDARY_COLUMNS, bcols)
 
-    with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:
-        json.dump(_sanitize(result.log), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if result.log:  # a reloaded run never re-solves and keeps its persisted log
+        with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:
+            json.dump(_sanitize(result.log), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def load_run(run_dir):

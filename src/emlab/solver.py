@@ -471,28 +471,21 @@ def solve_radial(model, radii, n=2, resolution=4096, rtol=1e-10, atol=1e-12):
     if not 0.0 <= r_lo < r_hi:
         raise ValueError("need 0 <= inner radius < outer radius")
 
-    if r_lo == 0.0:
-        r0 = 0.0 if n == 1 else 1e-8 * r_hi
+    r0 = r_lo if r_lo > 0.0 else (0.0 if n == 1 else 1e-8 * r_hi)
 
-        def boundary_miss(alpha):
-            w0 = eval_jet(model, 0.0, alpha).F_q * r0 / n
-            return _integrate(model, n, r0, r_hi, [alpha, w0], rtol, atol).y[0, -1]
+    def start(s):
+        """(u, w) at r0 for the shooting parameter s: u(0) = s with the flux
+        of the symmetric start on a disc, u(a) = 0 and w(a) = s on an annulus."""
+        if r_lo > 0.0:
+            return [0.0, s]
+        return [s, eval_jet(model, 0.0, s).F_q * r0 / n]
 
-        lo, hi = _bracket(boundary_miss, 0.0, 1.0)
-        alpha = lo if lo == hi else brentq(boundary_miss, lo, hi, xtol=1e-12)
-        w0 = eval_jet(model, 0.0, alpha).F_q * r0 / n
-        sol = _integrate(model, n, r0, r_hi, [alpha, w0], rtol, atol, dense=True)
-        parameter = alpha
-    else:
-        r0 = r_lo
+    def boundary_miss(s):
+        return _integrate(model, n, r0, r_hi, start(s), rtol, atol).y[0, -1]
 
-        def boundary_miss(w_a):
-            return _integrate(model, n, r0, r_hi, [0.0, w_a], rtol, atol).y[0, -1]
-
-        lo, hi = _bracket(boundary_miss, 0.0, 1.0)
-        w_a = lo if lo == hi else brentq(boundary_miss, lo, hi, xtol=1e-12)
-        sol = _integrate(model, n, r0, r_hi, [0.0, w_a], rtol, atol, dense=True)
-        parameter = w_a
+    lo, hi = _bracket(boundary_miss, 0.0, 1.0)
+    parameter = lo if lo == hi else brentq(boundary_miss, lo, hi, xtol=1e-12)
+    sol = _integrate(model, n, r0, r_hi, start(parameter), rtol, atol, dense=True)
 
     rs = np.linspace(r0, r_hi, resolution)
     us, ws = sol.sol(rs)

@@ -1,15 +1,14 @@
-"""Pointwise tensor assembly, closed-form spectrum and discrete divergence.
+"""Tensor field, closed-form spectrum and discrete divergence of a solution.
 
 The tensor associated with a solution is ``T = (F_p/p) grad_u x grad_u -
 F Id``: rank-one plus a multiple of the identity, hence symmetric with
 eigenvalue ``p F_p - F`` along the gradient and ``-F`` on its orthogonal
-complement.  The closed-form spectrum is primary; a direct characteristic
-polynomial solve (n <= 3) is the cross-check.
+complement.  The closed-form spectrum is primary; a direct 2x2 eigenvalue
+solve at every node is the cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,91 +21,12 @@ from .lagrangian import ORIGIN_EPS, eval_jet
 DEGENERACY_RTOL = 1e-10
 
 
-@dataclass
-class TensorPoint:
-    """Tensor, closed-form spectrum and jet at one evaluation point."""
-
-    T: np.ndarray
-    lambda1: float
-    lambda_rest: float
-    p: float
-    jet: object
-
-
-def assemble_tensor(jet, grad, p):
-    """Assemble T from a jet and the gradient vector at a point.
-
-    For p below ORIGIN_EPS the rank-one part vanishes identically and the
-    analytic limit is -F(0, q) Id with every eigenvalue equal to -F.
-    """
-    grad = np.asarray(grad, dtype=float)
-    if abs(np.linalg.norm(grad) - p) > 1e-12 * max(1.0, p):
-        raise ValueError("|grad| must agree with p to 1e-12")
-    n = len(grad)
-    if p > ORIGIN_EPS:
-        T = (jet.F_p / p) * np.outer(grad, grad) - jet.F * np.eye(n)
-        lambda1 = p * jet.F_p - jet.F
-    else:
-        T = -jet.F * np.eye(n)
-        lambda1 = -jet.F
-    return TensorPoint(T=T, lambda1=float(lambda1), lambda_rest=float(-jet.F),
-                       p=float(p), jet=jet)
-
-
 def _eigvals_sym2(T):
     """Ascending eigenvalues of a symmetric 2x2 matrix, or of a stack of them
     given as a (2, 2, N) array."""
     mean = 0.5 * (T[0, 0] + T[1, 1])
     disc = np.hypot(0.5 * (T[0, 0] - T[1, 1]), T[0, 1])
     return np.array([mean - disc, mean + disc])
-
-
-def _eigvals_sym3(T):
-    # trigonometric solve of the characteristic polynomial
-    p1 = T[0, 1] ** 2 + T[0, 2] ** 2 + T[1, 2] ** 2
-    q = np.trace(T) / 3.0
-    if p1 == 0.0:
-        return np.sort(np.diag(T))
-    p2 = sum((T[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
-    pp = math.sqrt(p2 / 6.0)
-    B = (T - q * np.eye(3)) / pp
-    r = np.linalg.det(B) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * pp * math.cos(phi)
-    e3 = q + 2.0 * pp * math.cos(phi + 2.0 * math.pi / 3.0)
-    return np.sort(np.array([e3, 3.0 * q - e1 - e3, e1]))
-
-
-def spectrum_crosscheck(point):
-    """Max deviation between the closed-form spectrum and a direct solve."""
-    n = point.T.shape[0]
-    direct = _eigvals_sym2(point.T) if n == 2 else _eigvals_sym3(point.T)
-    closed = np.sort(np.array([point.lambda1] + [point.lambda_rest] * (n - 1)))
-    return float(np.max(np.abs(direct - closed)))
-
-
-def det_trace(point, n=None):
-    """(det, trace) from the spectrum: the eigenvalue product and sum."""
-    if n is None:
-        n = point.T.shape[0]
-    trace = point.lambda1 + (n - 1) * point.lambda_rest
-    det = point.lambda1 * point.lambda_rest ** (n - 1)
-    return float(det), float(trace)
-
-
-def det_trace_direct(point):
-    """(det, trace) straight from the matrix entries, as the cross-check."""
-    T = point.T
-    n = T.shape[0]
-    trace = float(np.trace(T))
-    if n == 2:
-        det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-    else:
-        det = (T[0, 0] * (T[1, 1] * T[2, 2] - T[1, 2] * T[2, 1])
-               - T[0, 1] * (T[1, 0] * T[2, 2] - T[1, 2] * T[2, 0])
-               + T[0, 2] * (T[1, 0] * T[2, 1] - T[1, 1] * T[2, 0]))
-    return float(det), trace
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emlab.geometry import build_domain, make_shape
-from emlab.lagrangian import make_model
+from emlab.lagrangian import eval_jet, make_model
 from emlab.solver import solve_euler_lagrange, solve_radial
 
 H64 = 1.0 / 64
@@ -23,6 +23,14 @@ def annulus_exact_u(r):
 
 def annulus_exact_du(r):
     return r / 2.0 + ANN_LOG_COEF / r
+
+
+def lambda1_radial(model, profile):
+    """lambda1 along a radial profile; constant when n = 1 (the divergence-
+    free tensor is scalar there, so its derivative vanishes)."""
+    p = np.abs(profile.du)
+    jet = eval_jet(model, p, profile.u)
+    return p * jet.F_p - jet.F
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,12 @@ import pytest
 from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import halton_samples, make_model, pfunction_identity_residual
 from emlab.identities import run_identity_suite
-from emlab.pfunction import gradient_bound_check, lambda1_radial, locate_max
+from emlab.pfunction import gradient_bound_check, locate_max, two_branch_bound
 from emlab.pipeline import export_fields, parse_config, run_pipeline
 from emlab.solver import solve_euler_lagrange, solve_radial
 from emlab.tensor_field import (assemble_field, classify_definiteness,
                                 consistency_report, divergence_residual)
-from conftest import ANN_LOG_COEF, ANN_CONST, annulus_exact_u
+from conftest import ANN_LOG_COEF, ANN_CONST, annulus_exact_u, lambda1_radial
 
 FLOOR = 1e-10
 
@@ -53,15 +53,15 @@ def test_criterion_1_torsion_benchmark(torsion_model):
     fld = report.spectral_field
     prep = locate_max(fld)
     ok = (err <= 2e-3
-          and abs(prep.sup_value - (-0.25)) <= 5e-3
-          and math.hypot(*prep.argmax) <= 2.0 * dom.h
-          and prep.location_class == "critical_set"
+          and abs(prep["sup_value"] - (-0.25)) <= 5e-3
+          and math.hypot(*prep["argmax"]) <= 2.0 * dom.h
+          and prep["location_class"] == "critical_set"
           and fld.definiteness_class == "negative_definite"
           and abs(fld.uniform_constant_C - 0.25) <= 5e-3
           and elapsed <= 10.0)
     verdict(1, ok, f"solver err {err:.2e} <= 2e-3; lambda1 max "
-                   f"{prep.sup_value:.6f} = -0.25 +/- 5e-3 at {prep.argmax} "
-                   f"({prep.location_class}); C = {fld.uniform_constant_C:.6f}; "
+                   f"{prep['sup_value']:.6f} = -0.25 +/- 5e-3 at {prep['argmax']} "
+                   f"({prep['location_class']}); C = {fld.uniform_constant_C:.6f}; "
                    f"runtime {elapsed:.1f}s <= 10s")
 
 
@@ -69,10 +69,10 @@ def test_criterion_2_shifted_torsion(shifted_model, shifted_result, disc64):
     fld = classify_definiteness(assemble_field(shifted_model, shifted_result, disc64))
     prep = locate_max(fld)
     ok = (fld.definiteness_class == "positive_definite"
-          and abs(prep.sup_value - 0.45) <= 5e-3
-          and math.hypot(*prep.argmax) <= 2.0 * disc64.h)
-    verdict(2, ok, f"T {fld.definiteness_class}; lambda1 max {prep.sup_value:.6f} "
-                   f"= 0.45 +/- 5e-3 at {prep.argmax}")
+          and abs(prep["sup_value"] - 0.45) <= 5e-3
+          and math.hypot(*prep["argmax"]) <= 2.0 * disc64.h)
+    verdict(2, ok, f"T {fld.definiteness_class}; lambda1 max {prep['sup_value']:.6f} "
+                   f"= 0.45 +/- 5e-3 at {prep['argmax']}")
 
 
 def test_criterion_3_identity_suite(torsion_model, torsion_result, disc64, torsion128):
@@ -80,11 +80,10 @@ def test_criterion_3_identity_suite(torsion_model, torsion_result, disc64, torsi
     rep64 = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
     dom128, res128 = torsion128
     rep128 = run_identity_suite(assemble_field(torsion_model, res128, dom128))
-    sides = [rep64.rellich_volume, rep64.rellich_boundary,
-             rep64.source_volume, rep64.source_boundary,
-             rep64.pohozaev_volume, rep64.pohozaev_boundary]
-    residuals64 = [rep64.rellich_residual, rep64.source_residual, rep64.pohozaev_residual]
-    residuals128 = [rep128.rellich_residual, rep128.source_residual, rep128.pohozaev_residual]
+    pairs = ("rellich", "rellich_source", "pohozaev")
+    sides = [rep64[k][side] for k in pairs for side in ("volume", "boundary")]
+    residuals64 = [rep64[k]["residual"] for k in pairs]
+    residuals128 = [rep128[k]["residual"] for k in pairs]
     factors = [a / b for a, b in zip(residuals64, residuals128)]
     ok = (all(abs(s - target) <= 2e-2 for s in sides)
           and all(r <= 2e-2 for r in residuals64)
@@ -176,11 +175,11 @@ def test_criterion_7_annulus_counter_case(torsion_model, annulus_result, annulus
     prep = locate_max(assemble_field(torsion_model, annulus_result, annulus64))
     r = np.hypot(annulus64.xy[:, 0], annulus64.xy[:, 1])
     err = float(np.max(np.abs(annulus_result.u - annulus_exact_u(r))))
-    ok = (prep.H_min < 0.0
-          and prep.location_class in ("critical_set", "boundary")
+    ok = (prep["H_min"] < 0.0
+          and prep["location_class"] in ("critical_set", "boundary")
           and err <= 5e-3)
-    verdict(7, ok, f"H_min = {prep.H_min:.3f} < 0; location class "
-                   f"{prep.location_class}; closed-form err {err:.1e} <= 5e-3")
+    verdict(7, ok, f"H_min = {prep['H_min']:.3f} < 0; location class "
+                   f"{prep['location_class']}; closed-form err {err:.1e} <= 5e-3")
 
 
 def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
@@ -194,10 +193,10 @@ def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
     lines, ok = [], True
     for name, model, res, dom in runs:
         prep = locate_max(assemble_field(model, res, dom))
-        excess = prep.sup_value - prep.two_branch_bound()
+        excess = prep["sup_value"] - two_branch_bound(prep)
         ok = ok and excess <= 5e-3
-        if prep.H_min >= 0.0:
-            dev = abs(prep.sup_value - prep.critical_formula_value)
+        if prep["H_min"] >= 0.0:
+            dev = abs(prep["sup_value"] - prep["critical_formula_value"])
             ok = ok and dev <= 5e-3
             lines.append(f"{name}: excess {excess:.1e}, critical-branch dev {dev:.1e}")
         else:

@@ -19,7 +19,6 @@ from emlab.geometry import (
     _shoelace,
     _subsample_cell_area,
     build_domain,
-    boundary_geometry,
     boundary_integral,
     interpolate_node_field,
     make_shape,
@@ -78,7 +77,7 @@ class TestBuildDomain:
             for d in range(4):
                 if dom.nbr[k, d] < 0:
                     pt = dom.xy[k] + DIRS[d] * dom.arm[k, d]
-                    nu, _ = boundary_geometry(DISC, pt, tol=1e-9)
+                    nu, _ = DISC.boundary_geometry(pt, tol=1e-9)
                     assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_sum_to_area(self):
@@ -118,7 +117,7 @@ def _assert_sound_build(shape, h):
     assert np.all(arms > 0.5 * ON_BOUNDARY_TOL * h)
     assert np.all(arms <= h)
     for k, d in zip(*np.nonzero(faces)):
-        boundary_geometry(shape, dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
+        shape.boundary_geometry(dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
     area = dom.weights.sum() + dom.dropped_area
     assert area == pytest.approx(shape.area(), rel=AREA_RTOL)
     return dom
@@ -195,29 +194,29 @@ class TestTangency:
 
 class TestBoundaryGeometry:
     def test_disc_curvature(self):
-        nu, H = boundary_geometry(DISC, (1.0, 0.0))
+        nu, H = DISC.boundary_geometry((1.0, 0.0))
         assert H == pytest.approx(1.0)
         assert nu == pytest.approx([1.0, 0.0])
 
     def test_annulus_inner_curvature_negative(self):
-        nu, H = boundary_geometry(ANNULUS, (0.3, 0.0))
+        nu, H = ANNULUS.boundary_geometry((0.3, 0.0))
         assert H == pytest.approx(-1.0 / 0.3)
         assert nu == pytest.approx([-1.0, 0.0])
 
     def test_rectangle_edge_flat(self):
-        nu, H = boundary_geometry(RECT, (1.0, 0.2))
+        nu, H = RECT.boundary_geometry((1.0, 0.2))
         assert H == 0.0
         assert nu == pytest.approx([1.0, 0.0])
 
     def test_off_boundary_rejected(self):
         with pytest.raises(ValueError):
-            boundary_geometry(DISC, (0.5, 0.0))
+            DISC.boundary_geometry((0.5, 0.0))
 
     def test_ellipse_curvature_endpoints(self):
         # kappa = A*B / (A^2 sin^2 + B^2 cos^2)^{3/2}
-        _, H = boundary_geometry(ELLIPSE, (2.0, 0.0))
+        _, H = ELLIPSE.boundary_geometry((2.0, 0.0))
         assert H == pytest.approx(2.0)  # A/B^2
-        _, H = boundary_geometry(ELLIPSE, (0.0, 1.0))
+        _, H = ELLIPSE.boundary_geometry((0.0, 1.0))
         assert H == pytest.approx(1.0 / 4.0)  # B/A^2
 
 
@@ -252,17 +251,17 @@ class TestQuadrature:
     def test_radial_polynomial(self):
         # 2*pi*int_0^1 r (r^2-1)/4 dr = -pi/8
         dom = build_domain(DISC, 1.0 / 64)
-        val = volume_integral(dom, lambda x, y: (x**2 + y**2 - 1.0) / 4.0)
+        x, y = dom.xy.T
+        val = volume_integral(dom, (x**2 + y**2 - 1.0) / 4.0)
         assert val == pytest.approx(-math.pi / 8.0, abs=0.01)
 
     def test_smooth_integrand_halving_factor(self):
-        def f(x, y):
-            return np.cos(1.3 * x) * np.exp(0.5 * y)
+        def integral(dom):
+            return volume_integral(dom, np.cos(1.3 * dom.xy[:, 0]) * np.exp(0.5 * dom.xy[:, 1]))
 
         # reference value from fine-grid quadrature
-        ref = volume_integral(build_domain(DISC, 1.0 / 256), f)
-        errs = [abs(volume_integral(build_domain(DISC, hh), f) - ref)
-                for hh in (1.0 / 32, 1.0 / 64)]
+        ref = integral(build_domain(DISC, 1.0 / 256))
+        errs = [abs(integral(build_domain(DISC, hh)) - ref) for hh in (1.0 / 32, 1.0 / 64)]
         assert errs[0] / errs[1] >= 1.8
 
     def test_core_mask_excludes_collar(self):

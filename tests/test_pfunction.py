@@ -1,5 +1,6 @@
 """Principal-eigenvalue field, maximum location and gradient bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from emlab.errors import EmptyCriticalSetError, UnconvergedError
 from emlab.lagrangian import eval_jet, make_expression_model
-from emlab.pfunction import (check_max_principle_conditions,
-                             gradient_bound_check, lambda1_radial, locate_max)
+from emlab.pfunction import (check_max_principle_conditions, gradient_bound_check,
+                             locate_max, two_branch_bound)
 from emlab.solver import solve_radial
 from emlab.tensor_field import assemble_field
-from conftest import annulus_exact_du, annulus_exact_u
+from conftest import annulus_exact_du, annulus_exact_u, lambda1_radial
 
 
 class TestLambda1Field:
@@ -41,7 +42,6 @@ class TestLambda1Field:
         assert np.max(np.abs(lam - fld.lambda1)) <= 1e-12
 
     def test_refuses_unconverged(self, torsion_model, torsion_result, disc64):
-        import dataclasses
         broken = dataclasses.replace(torsion_result, converged=False)
         with pytest.raises(UnconvergedError):
             assemble_field(torsion_model, broken, disc64)
@@ -50,38 +50,38 @@ class TestLambda1Field:
 class TestLocateMax:
     def test_torsion_disc(self, torsion_model, torsion_result, disc64):
         rep = locate_max(assemble_field(torsion_model, torsion_result, disc64))
-        assert rep.location_class == "critical_set"
-        assert rep.sup_value == pytest.approx(-0.25, abs=5e-3)
-        assert math.hypot(*rep.argmax) <= 2.0 * disc64.h
-        assert rep.critical_formula_value == pytest.approx(-0.25, abs=5e-3)
-        assert rep.H_min == pytest.approx(1.0)
+        assert rep["location_class"] == "critical_set"
+        assert rep["sup_value"] == pytest.approx(-0.25, abs=5e-3)
+        assert math.hypot(*rep["argmax"]) <= 2.0 * disc64.h
+        assert rep["critical_formula_value"] == pytest.approx(-0.25, abs=5e-3)
+        assert rep["H_min"] == pytest.approx(1.0)
         # convex boundary: sup equals the critical branch
-        assert abs(rep.sup_value - rep.critical_formula_value) <= 5e-3
+        assert abs(rep["sup_value"] - rep["critical_formula_value"]) <= 5e-3
 
     def test_shifted_disc(self, shifted_model, shifted_result, disc64):
         rep = locate_max(assemble_field(shifted_model, shifted_result, disc64))
-        assert rep.location_class == "critical_set"
-        assert rep.sup_value == pytest.approx(0.45, abs=5e-3)
+        assert rep["location_class"] == "critical_set"
+        assert rep["sup_value"] == pytest.approx(0.45, abs=5e-3)
 
     def test_annulus(self, torsion_model, annulus_result, annulus64):
         rep = locate_max(assemble_field(torsion_model, annulus_result, annulus64))
-        assert rep.H_min == pytest.approx(-1.0 / 0.3, rel=1e-12)
-        assert rep.location_class in ("critical_set", "boundary")
-        assert rep.location_class != "interior_noncritical"
+        assert rep["H_min"] == pytest.approx(-1.0 / 0.3, rel=1e-12)
+        assert rep["location_class"] in ("critical_set", "boundary")
+        assert rep["location_class"] != "interior_noncritical"
         # brute-force the closed-form profile: lambda1 = du^2/2 - (u + 1/2)
         r = np.linspace(0.3, 1.0, 20001)
         lam_exact = 0.5 * annulus_exact_du(r) ** 2 - (annulus_exact_u(r) + 0.5)
         sup_exact = float(np.max(lam_exact))
-        assert rep.sup_value == pytest.approx(sup_exact, abs=5e-3)
+        assert rep["sup_value"] == pytest.approx(sup_exact, abs=5e-3)
         # the true maximum sits on the inner circle for this geometry
-        assert rep.location_class == "boundary"
-        assert math.hypot(*rep.argmax) == pytest.approx(0.3, abs=2.0 * annulus64.h)
-        assert rep.sup_value <= rep.two_branch_bound() + 5e-3
+        assert rep["location_class"] == "boundary"
+        assert math.hypot(*rep["argmax"]) == pytest.approx(0.3, abs=2.0 * annulus64.h)
+        assert rep["sup_value"] <= two_branch_bound(rep) + 5e-3
 
     def test_zero_solution_every_node_critical(self, laplace_model, laplace_result, disc64):
         rep = locate_max(assemble_field(laplace_model, laplace_result, disc64))
-        assert len(rep.critical_set_idx) == disc64.n_interior
-        assert rep.sup_value == pytest.approx(-1.0, abs=1e-10)
+        assert rep["critical_set_size"] == disc64.n_interior
+        assert rep["sup_value"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_two_branch_bound_all_runs(self, torsion_model, torsion_result, disc64,
                                        shifted_model, shifted_result,
@@ -92,8 +92,8 @@ class TestLocateMax:
                                    (exp_model, exp_result, disc64),
                                    (torsion_model, annulus_result, annulus64)]:
             rep = locate_max(assemble_field(model, result, dom))
-            assert rep.sup_value <= rep.two_branch_bound() + 5e-3
-            assert rep.location_class != "interior_noncritical"
+            assert rep["sup_value"] <= two_branch_bound(rep) + 5e-3
+            assert rep["location_class"] != "interior_noncritical"
 
 
 class TestGradientBound:
@@ -124,13 +124,12 @@ class TestGradientBound:
 
     def test_empty_critical_set_raises(self, torsion_model, torsion_result, disc64):
         fld = assemble_field(torsion_model, torsion_result, disc64)
-        rep = locate_max(fld)
-        import dataclasses
-        fake = dataclasses.replace(rep, critical_set_idx=np.array([], dtype=int),
-                                   critical_formula_value=None,
-                                   critical_set_empty=True)
+        fake = dataclasses.replace(fld, critical_set_idx=np.array([], dtype=int))
+        sec = locate_max(fake)
+        assert sec["critical_set_empty"] and sec["critical_formula_value"] is None
+        assert two_branch_bound(sec) == sec["boundary_formula_value"]
         with pytest.raises(EmptyCriticalSetError):
-            gradient_bound_check(fld, report=fake)
+            gradient_bound_check(fake)
 
 
 class TestRadialConstancy:

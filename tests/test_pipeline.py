@@ -16,9 +16,9 @@ from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
                             EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
-                            FIELD_COLUMNS, RunReport, _write_csv, analyze_into,
-                            export_fields, load_run, parse_config, run_pipeline,
-                            validate_report)
+                            FIELD_COLUMNS, RunReport, _sanitize, _write_csv,
+                            analyze_into, export_fields, load_run, parse_config,
+                            run_pipeline, validate_report)
 
 TORSION_CONFIG = {
     "model": {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
@@ -392,6 +392,14 @@ def test_csv_writer_equals_row_loop(tmp_path):
     assert (tmp_path / "e.csv").read_text() == "a\n"
 
 
+def test_sanitize_gives_strict_json():
+    doc = _sanitize({"a": np.bool_(True), "b": np.float64("nan"), "c": float("nan"),
+                     "d": np.int64(3), 4: (np.float32(0.25), np.array([1.0, np.inf]))})
+    assert doc == {"a": True, "b": "nan", "c": "nan", "d": 3, "4": [0.25, [1.0, "inf"]]}
+    assert type(doc["a"]) is bool and type(doc["d"]) is int
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         digests = []
@@ -603,6 +611,38 @@ class TestCli:
             fh.write("\n".join([header] + doctored) + "\n")
         assert main(["verify", "--in", out]) == EXIT_INVARIANT
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model,shape,spacing,strict,code", [
+        (TORSION_CONFIG["model"], TORSION_CONFIG["shape"], 1.0 / 32, False, EXIT_OK),
+        (TORSION_CONFIG["model"], {"kind": "annulus", "parameters": [0.3, 1.0]},
+         1.0 / 32, False, EXIT_OK),
+        ({"name": "minimal_surface", "parameters": [1.0, 0.5]},
+         {"kind": "ellipse", "parameters": [1.0, 0.5]}, 1.0 / 32, False, EXIT_OK),
+        ({"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
+         {"kind": "rectangle", "parameters": [1.0, 0.7]}, 1.0 / 32, False, EXIT_OK),
+        # convexity fails on the solution's range only: the solve runs, then
+        # the strict hypothesis check stops the analyses
+        ({"expression": "0.5*p**2 - 0.02*q**4*p**4 + 4.4*q", "smooth_at_origin": True},
+         TORSION_CONFIG["shape"], 1.0 / 16, True, EXIT_HYPOTHESIS),
+    ], ids=["torsion_disc", "torsion_annulus", "minsurf_ellipse", "exp_rectangle",
+            "strict_after_solve"])
+    def test_round_trip_keeps_files_and_exit_code(self, tmp_path, capsys, model, shape,
+                                                   spacing, strict, code):
+        cfg_path = write_config(tmp_path, {"model": model, "shape": shape,
+                                           "spacing": spacing})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]
+                    + ["--strict"] * strict) == code
+
+        def persisted():
+            return {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != "timings.json"}
+
+        before = persisted()
+        assert main(["analyze", "--in", str(out)]) == code
+        assert persisted() == before
+        assert main(["verify", "--in", str(out)]) == code
+        assert main(["report", "--in", str(out)]) == code
 
     def test_refused_run_verifies_with_its_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={

@@ -1,6 +1,7 @@
 """Tensor assembly, closed-form spectrum, definiteness, discrete divergence."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,11 +12,91 @@ from emlab.errors import UnconvergedError
 from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import ORIGIN_EPS, eval_jet
 from emlab.solver import solve_euler_lagrange
-from emlab.tensor_field import (TensorPoint, _interior_diff_ops, assemble_field,
-                                assemble_tensor, classify_definiteness,
-                                consistency_report, det_trace, det_trace_direct,
-                                divergence_residual, spectrum_crosscheck)
+from emlab.tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
+                                classify_definiteness, consistency_report,
+                                divergence_residual)
 from conftest import ANN_LOG_COEF, ANN_CONST
+
+
+# ---------------------------------------------------------------------------
+# pointwise reference: the tensor at one point in n = 2 or 3 dimensions, the
+# algebra that SpectralField and consistency_report evaluate over a grid
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass
+class TensorPoint:
+    """Tensor, closed-form spectrum and jet at one evaluation point."""
+
+    T: np.ndarray
+    lambda1: float
+    lambda_rest: float
+    p: float
+    jet: object
+
+
+def assemble_tensor(jet, grad, p):
+    """Assemble T from a jet and the gradient vector at a point.
+
+    For p below ORIGIN_EPS the rank-one part vanishes identically and the
+    analytic limit is -F(0, q) Id with every eigenvalue equal to -F.
+    """
+    grad = np.asarray(grad, dtype=float)
+    if abs(np.linalg.norm(grad) - p) > 1e-12 * max(1.0, p):
+        raise ValueError("|grad| must agree with p to 1e-12")
+    n = len(grad)
+    if p > ORIGIN_EPS:
+        T = (jet.F_p / p) * np.outer(grad, grad) - jet.F * np.eye(n)
+        lambda1 = p * jet.F_p - jet.F
+    else:
+        T = -jet.F * np.eye(n)
+        lambda1 = -jet.F
+    return TensorPoint(T=T, lambda1=float(lambda1), lambda_rest=float(-jet.F),
+                       p=float(p), jet=jet)
+
+
+def _eigvals_sym3(T):
+    # trigonometric solve of the characteristic polynomial
+    p1 = T[0, 1] ** 2 + T[0, 2] ** 2 + T[1, 2] ** 2
+    q = np.trace(T) / 3.0
+    if p1 == 0.0:
+        return np.sort(np.diag(T))
+    p2 = sum((T[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
+    pp = math.sqrt(p2 / 6.0)
+    B = (T - q * np.eye(3)) / pp
+    r = np.linalg.det(B) / 2.0
+    r = min(1.0, max(-1.0, r))
+    phi = math.acos(r) / 3.0
+    e1 = q + 2.0 * pp * math.cos(phi)
+    e3 = q + 2.0 * pp * math.cos(phi + 2.0 * math.pi / 3.0)
+    return np.sort(np.array([e3, 3.0 * q - e1 - e3, e1]))
+
+
+def spectrum_crosscheck(point):
+    """Max deviation between the closed-form spectrum and a direct solve."""
+    n = point.T.shape[0]
+    direct = _eigvals_sym2(point.T) if n == 2 else _eigvals_sym3(point.T)
+    closed = np.sort(np.array([point.lambda1] + [point.lambda_rest] * (n - 1)))
+    return float(np.max(np.abs(direct - closed)))
+
+
+def det_trace(point):
+    """(det, trace) from the spectrum: the eigenvalue product and sum."""
+    n = point.T.shape[0]
+    trace = point.lambda1 + (n - 1) * point.lambda_rest
+    det = point.lambda1 * point.lambda_rest ** (n - 1)
+    return float(det), float(trace)
+
+
+def det_trace_direct(point):
+    """(det, trace) straight from the matrix entries, as the cross-check."""
+    T = point.T
+    if T.shape[0] == 2:
+        det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+    else:
+        det = (T[0, 0] * (T[1, 1] * T[2, 2] - T[1, 2] * T[2, 1])
+               - T[0, 1] * (T[1, 0] * T[2, 2] - T[1, 2] * T[2, 0])
+               + T[0, 2] * (T[1, 0] * T[2, 1] - T[1, 1] * T[2, 0]))
+    return float(det), float(np.trace(T))
 
 
 class TestAssembleTensor:
