@@ -139,12 +139,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EvaluationError as exc:
-        # a model singular somewhere it is evaluated is a configuration fault
-        print(f"configuration error: model evaluation failed: {exc}", file=sys.stderr)
+    except (ConfigError, EvaluationError) as exc:
+        # a model singular somewhere it is evaluated is a configuration fault;
+        # the message goes on one line (a YAML parse error spans several)
+        cause = "model evaluation failed: " if isinstance(exc, EvaluationError) else ""
+        print(f"configuration error: {cause}{' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -38,9 +38,9 @@ MAX_COLLAR_DEPTH = 2.0
 # ---------------------------------------------------------------------------
 
 class Shape:
-    """Common interface: exact inside tests, areas, boundary samples and
-    geometry.  Cut distances, and the cut-cell areas of curved shapes, are
-    bisected on ``inside``."""
+    """Common interface: exact inside tests, boundary samples and the
+    curvature of the sagitta correction.  Cut distances, and the cut-cell
+    areas of curved shapes, are bisected on ``inside``."""
 
     kind = "shape"
     smooth_boundary = True
@@ -52,9 +52,6 @@ class Shape:
         """Half-extents (ex, ey) of the bounding box around the center."""
         raise NotImplementedError
 
-    def area(self):
-        raise NotImplementedError
-
     def perimeter(self):
         raise NotImplementedError
 
@@ -62,19 +59,29 @@ class Shape:
         """List of (length, sampler) pairs; sampler(n) -> (pts, nu, H, w)."""
         raise NotImplementedError
 
-    def boundary_geometry(self, pt, tol=1e-9):
-        """Outward unit normal and mean curvature at a boundary point.
-
-        H >= 0 where the domain is locally convex.  Raises ValueError when
-        the point is off the boundary by more than ``tol`` (relative to the
-        shape scale).
-        """
+    def curvature_at(self, x, y):
+        """Signed curvature of the boundary piece closest to each point of
+        the arrays x, y, for the chord-sagitta correction of the cut-cell
+        areas (a shape with exact ``cell_areas`` needs none)."""
         raise NotImplementedError
 
-    def curvature_near(self, pt):
-        """Signed curvature of the boundary piece closest to pt (for the
-        chord-sagitta quadrature correction); 0 disables the correction."""
-        return 0.0
+
+def _circle(cx, cy, R, sign):
+    """Boundary sampler of the circle of radius R about (cx, cy); with sign
+    -1 the outward normal points into the circle, where the domain is
+    concave."""
+    def sampler(n):
+        theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        radial = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = np.column_stack([cx + R * radial[:, 0], cy + R * radial[:, 1]])
+        return pts, sign * radial, np.full(n, sign / R), np.full(n, 2.0 * math.pi * R / n)
+    return sampler
+
+
+def _hypot(x, y):
+    """``math.hypot`` over arrays: ``np.hypot`` rounds some values
+    differently, and the cut-cell areas keep the bits of the scalar one."""
+    return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
 
 
 class Disc(Shape):
@@ -92,32 +99,14 @@ class Disc(Shape):
     def extent(self):
         return self.R, self.R
 
-    def area(self):
-        return math.pi * self.R ** 2
-
     def perimeter(self):
         return 2.0 * math.pi * self.R
 
     def boundary_components(self):
-        def sampler(n):
-            theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-            nu = np.column_stack([np.cos(theta), np.sin(theta)])
-            pts = np.column_stack([self.cx + self.R * nu[:, 0],
-                                   self.cy + self.R * nu[:, 1]])
-            H = np.full(n, 1.0 / self.R)
-            w = np.full(n, 2.0 * math.pi * self.R / n)
-            return pts, nu, H, w
-        return [(self.perimeter(), sampler)]
+        return [(self.perimeter(), _circle(self.cx, self.cy, self.R, 1.0))]
 
-    def boundary_geometry(self, pt, tol=1e-9):
-        rx, ry = pt[0] - self.cx, pt[1] - self.cy
-        r = math.hypot(rx, ry)
-        if abs(r - self.R) > tol * max(1.0, self.R):
-            raise ValueError(f"point {pt} is off the disc boundary")
-        return np.array([rx / r, ry / r]), 1.0 / self.R
-
-    def curvature_near(self, pt):
-        return 1.0 / self.R
+    def curvature_at(self, x, y):
+        return np.full(np.shape(x), 1.0 / self.R)
 
 
 class Annulus(Shape):
@@ -136,44 +125,16 @@ class Annulus(Shape):
     def extent(self):
         return self.b, self.b
 
-    def area(self):
-        return math.pi * (self.b ** 2 - self.a ** 2)
-
     def perimeter(self):
         return 2.0 * math.pi * (self.a + self.b)
 
     def boundary_components(self):
-        def outer_sampler(n):
-            theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-            nu = np.column_stack([np.cos(theta), np.sin(theta)])
-            pts = np.column_stack([self.cx + self.b * nu[:, 0],
-                                   self.cy + self.b * nu[:, 1]])
-            return pts, nu, np.full(n, 1.0 / self.b), np.full(n, 2 * math.pi * self.b / n)
+        return [(2.0 * math.pi * self.b, _circle(self.cx, self.cy, self.b, 1.0)),
+                (2.0 * math.pi * self.a, _circle(self.cx, self.cy, self.a, -1.0))]
 
-        def inner_sampler(n):
-            theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-            radial = np.column_stack([np.cos(theta), np.sin(theta)])
-            pts = np.column_stack([self.cx + self.a * radial[:, 0],
-                                   self.cy + self.a * radial[:, 1]])
-            # outward normal points into the hole; boundary is concave there
-            return pts, -radial, np.full(n, -1.0 / self.a), np.full(n, 2 * math.pi * self.a / n)
-
-        return [(2 * math.pi * self.b, outer_sampler),
-                (2 * math.pi * self.a, inner_sampler)]
-
-    def boundary_geometry(self, pt, tol=1e-9):
-        rx, ry = pt[0] - self.cx, pt[1] - self.cy
-        r = math.hypot(rx, ry)
-        scale = max(1.0, self.b)
-        if abs(r - self.b) <= tol * scale:
-            return np.array([rx / r, ry / r]), 1.0 / self.b
-        if abs(r - self.a) <= tol * scale:
-            return np.array([-rx / r, -ry / r]), -1.0 / self.a
-        raise ValueError(f"point {pt} is off the annulus boundary")
-
-    def curvature_near(self, pt):
-        r = math.hypot(pt[0] - self.cx, pt[1] - self.cy)
-        return 1.0 / self.b if abs(r - self.b) < abs(r - self.a) else -1.0 / self.a
+    def curvature_at(self, x, y):
+        r = _hypot(np.asarray(x) - self.cx, np.asarray(y) - self.cy)
+        return np.where(np.abs(r - self.b) < np.abs(r - self.a), 1.0 / self.b, -1.0 / self.a)
 
 
 class Ellipse(Shape):
@@ -192,9 +153,6 @@ class Ellipse(Shape):
     def extent(self):
         return self.A, self.B
 
-    def area(self):
-        return math.pi * self.A * self.B
-
     def perimeter(self):
         big, small = max(self.A, self.B), min(self.A, self.B)
         return 4.0 * big * float(ellipe(1.0 - (small / big) ** 2))
@@ -212,24 +170,17 @@ class Ellipse(Shape):
             return pts, nu, H, w
         return [(self.perimeter(), sampler)]
 
-    def boundary_geometry(self, pt, tol=1e-9):
-        X, Y = (pt[0] - self.cx) / self.A, (pt[1] - self.cy) / self.B
-        rho = math.hypot(X, Y)
-        if abs(rho - 1.0) > tol:
-            raise ValueError(f"point {pt} is off the ellipse boundary")
-        grad = np.array([X / self.A, Y / self.B])
-        nu = grad / np.linalg.norm(grad)
-        st, ct = Y / rho, X / rho
-        H = self.A * self.B / ((self.A * st) ** 2 + (self.B * ct) ** 2) ** 1.5
-        return nu, H
-
-    def curvature_near(self, pt):
-        X, Y = (pt[0] - self.cx) / self.A, (pt[1] - self.cy) / self.B
-        rho = math.hypot(X, Y)
-        if rho == 0.0:
-            return 0.0
-        st, ct = Y / rho, X / rho
-        return self.A * self.B / ((self.A * st) ** 2 + (self.B * ct) ** 2) ** 1.5
+    def curvature_at(self, x, y):
+        """Curvature at the boundary point of the same polar angle in the
+        scaled coordinates; 0 at the centre.  Powers go through
+        ``np.float_power``, which rounds as the scalar ``**`` does."""
+        X, Y = (np.asarray(x) - self.cx) / self.A, (np.asarray(y) - self.cy) / self.B
+        rho = _hypot(X, Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            st, ct = Y / rho, X / rho
+            denom = np.float_power(self.A * st, 2) + np.float_power(self.B * ct, 2)
+            kappa = self.A * self.B / np.float_power(denom, 1.5)
+        return np.where(rho == 0.0, 0.0, kappa)
 
 
 class Rectangle(Shape):
@@ -248,9 +199,6 @@ class Rectangle(Shape):
 
     def extent(self):
         return self.w / 2.0, self.hgt / 2.0
-
-    def area(self):
-        return self.w * self.hgt
 
     def perimeter(self):
         return 2.0 * (self.w + self.hgt)
@@ -277,23 +225,14 @@ class Rectangle(Shape):
 
         return [(self.perimeter(), sampler)]
 
-    def boundary_geometry(self, pt, tol=1e-9):
-        hw, hh = self.w / 2.0, self.hgt / 2.0
-        dx, dy = pt[0] - self.cx, pt[1] - self.cy
-        scale = max(1.0, hw, hh)
-        sides = [(abs(dx - hw), (1.0, 0.0)), (abs(dx + hw), (-1.0, 0.0)),
-                 (abs(dy - hh), (0.0, 1.0)), (abs(dy + hh), (0.0, -1.0))]
-        dist, nu = min(sides, key=lambda s: s[0])
-        if dist > tol * scale or abs(dx) > hw + tol * scale or abs(dy) > hh + tol * scale:
-            raise ValueError(f"point {pt} is off the rectangle boundary")
-        return np.array(nu), 0.0
-
-    def exact_cell_area(self, x, y, h):
-        """Axis-aligned overlap; exact even at corners, where a chord is not."""
+    def cell_areas(self, x, y, h):
+        """Axis-aligned overlap of the cells centred at the arrays x, y;
+        exact even at corners, where a chord is not."""
         h2 = h / 2.0
-        wx = min(x + h2, self.cx + self.w / 2) - max(x - h2, self.cx - self.w / 2)
-        wy = min(y + h2, self.cy + self.hgt / 2) - max(y - h2, self.cy - self.hgt / 2)
-        return max(wx, 0.0) * max(wy, 0.0)
+        wx = np.minimum(x + h2, self.cx + self.w / 2) - np.maximum(x - h2, self.cx - self.w / 2)
+        wy = (np.minimum(y + h2, self.cy + self.hgt / 2)
+              - np.maximum(y - h2, self.cy - self.hgt / 2))
+        return np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
 
 
 SHAPE_KINDS = {"disc": (Disc, 1), "annulus": (Annulus, 2),
@@ -370,12 +309,14 @@ def _clip_cell_areas(shape, x, y, h):
 
     Chord polygon through exact edge crossings, plus a circular-segment
     (sagitta) correction ``H L^3 / 12`` signed by the local curvature.  The
-    crossings of all cells are bisected together.
+    crossings of all cells are bisected together.  Cells where a chord is
+    ambiguous (saddles, no corner inside) or gives an area out of range are
+    subsampled.
     """
-    if hasattr(shape, "exact_cell_area"):
-        return np.array([shape.exact_cell_area(xc, yc, h) for xc, yc in zip(x, y)])
-    h2 = h / 2.0
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if hasattr(shape, "cell_areas"):  # the rectangle's are exact
+        return shape.cell_areas(x, y, h)
+    h2 = h / 2.0
     cx = np.column_stack([x - h2, x + h2, x + h2, x - h2])
     cy = np.column_stack([y - h2, y - h2, y + h2, y + h2])
     flags = shape.inside(cx, cy)
@@ -383,73 +324,56 @@ def _clip_cell_areas(shape, x, y, h):
     saddle = ((flags == [True, False, True, False]).all(axis=1)
               | (flags == [False, True, False, True]).all(axis=1))
     chord = (n_in > 0) & (n_in < 4) & ~saddle
-    # crossing edges in cell-major, edge-minor order: the order the
-    # polygons below consume them
+    # a chord cell has exactly two crossing edges; in cell-major, edge-minor
+    # order the crossings of each cell are the pairs q[0::2], q[1::2]
     edge_cut = chord[:, None] & (flags != np.roll(flags, -1, axis=1))
     ci, k0 = np.nonzero(edge_cut)
     k1 = (k0 + 1) % 4
     k_in = np.where(flags[ci, k0], k0, k1)
     k_out = np.where(flags[ci, k0], k1, k0)
-    crossings = iter(zip(*_bisect_crossings(shape, cx[ci, k_in], cy[ci, k_in],
-                                            cx[ci, k_out], cy[ci, k_out])))
+    qx, qy = _bisect_crossings(shape, cx[ci, k_in], cy[ci, k_in], cx[ci, k_out], cy[ci, k_out])
 
-    areas = np.empty(len(x))
-    for c in range(len(x)):
-        if n_in[c] == 4:
-            areas[c] = h * h
-            continue
-        if not chord[c]:  # no corner inside, or a saddle cell: chord ambiguous
-            empty = n_in[c] == 0 and not bool(shape.inside(x[c], y[c]))
-            areas[c] = 0.0 if empty else _subsample_cell_area(shape, x[c], y[c], h)
-            continue
-        poly, cuts = [], []
-        for k in range(4):
-            if flags[c, k]:
-                poly.append((cx[c, k], cy[c, k]))
-            if edge_cut[c, k]:
-                crossing = next(crossings)
-                poly.append(crossing)
-                cuts.append(crossing)
-        area = _shoelace(poly)
-        if len(cuts) == 2:
-            (x0, y0), (x1, y1) = cuts
-            chord_len = math.hypot(x1 - x0, y1 - y0)
-            kappa = shape.curvature_near(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
-            area += kappa * chord_len ** 3 / 12.0
-        if not 0.0 <= area <= h * h * (1.0 + 1e-9):
-            area = _subsample_cell_area(shape, x[c], y[c], h)
-        areas[c] = area
+    # polygon vertex slots 2k (corner k) and 2k + 1 (crossing on edge k),
+    # used slots moved to the front in order and the rest filled with the
+    # first vertex, so that they add exact zeros to the shoelace sum
+    used = np.stack([flags, edge_cut], axis=2).reshape(-1, 8)
+    vx, vy = np.repeat(cx, 2, axis=1), np.repeat(cy, 2, axis=1)
+    vx[ci, 2 * k0 + 1], vy[ci, 2 * k0 + 1] = qx, qy
+    c = np.nonzero(chord)[0]
+    order = np.argsort(~used[c], axis=1, kind="stable")
+    fill = ~np.take_along_axis(used[c], order, axis=1)
+    vx = np.take_along_axis(vx[c], order, axis=1)
+    vy = np.take_along_axis(vy[c], order, axis=1)
+    vx, vy = np.where(fill, vx[:, :1], vx), np.where(fill, vy[:, :1], vy)
+    # the shoelace terms summed one slot after another, in vertex order
+    terms = vx * np.roll(vy, -1, axis=1) - np.roll(vx, -1, axis=1) * vy
+    area = np.abs(np.cumsum(terms, axis=1)[:, -1]) / 2.0
+    chord_len = _hypot(qx[1::2] - qx[0::2], qy[1::2] - qy[0::2])
+    kappa = shape.curvature_at((qx[0::2] + qx[1::2]) / 2.0, (qy[0::2] + qy[1::2]) / 2.0)
+    area = area + kappa * np.float_power(chord_len, 3) / 12.0
+
+    areas = np.where(n_in == 4, h * h, 0.0)
+    areas[c] = area
+    in_range = (0.0 <= areas) & (areas <= h * h * (1.0 + 1e-9))
+    ambiguous = ~chord & (n_in < 4) & ((n_in > 0) | shape.inside(x, y))
+    # those are counted on 32 x 32 subsamples per cell, in one pass
+    sub = np.nonzero(ambiguous | (chord & ~in_range))[0]
+    offs = (np.arange(32) + 0.5) / 32 - 0.5
+    hits = shape.inside(x[sub, None, None] + offs[:, None] * h, y[sub, None, None] + offs * h)
+    areas[sub] = h * h * np.count_nonzero(hits, axis=(1, 2)).astype(float) / (32 * 32)
     return areas
 
 
-def _bisect_crossings(shape, ax, ay, bx, by, iterations=60):
+def _bisect_crossings(shape, ax, ay, bx, by):
     """Boundary crossings on the segments from inside points (ax, ay) to
-    outside points (bx, by), all bisected together."""
-    for _ in range(iterations):
+    outside points (bx, by), all bisected together in 60 steps, enough to
+    reach the last bit."""
+    for _ in range(60):
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
         inside = shape.inside(mx, my)
         ax, ay = np.where(inside, mx, ax), np.where(inside, my, ay)
         bx, by = np.where(inside, bx, mx), np.where(inside, by, my)
     return 0.5 * (ax + bx), 0.5 * (ay + by)
-
-
-def _shoelace(poly):
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for k in range(len(poly)):
-        x0, y0 = poly[k]
-        x1, y1 = poly[(k + 1) % len(poly)]
-        s += x0 * y1 - x1 * y0
-    return abs(s) / 2.0
-
-
-def _subsample_cell_area(shape, x, y, h, n=32):
-    offs = (np.arange(n) + 0.5) / n - 0.5
-    xs = x + offs * h
-    ys = y + offs * h
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return h * h * float(np.count_nonzero(shape.inside(X, Y))) / (n * n)
 
 
 def build_domain(shape, spacing):
@@ -532,20 +456,11 @@ def build_domain(shape, spacing):
     weights, dropped = acc[:n_int], float(acc[n_int])
 
     # boundary samples, one block per component
-    bpts, bnu, bH, bw, bcomp = [], [], [], [], []
-    for comp, (length, sampler) in enumerate(shape.boundary_components()):
-        n = max(64, int(math.ceil(2.0 * length / h)))
-        pts, nu, H, w = sampler(n)
-        bpts.append(pts)
-        bnu.append(nu)
-        bH.append(H)
-        bw.append(w)
-        bcomp.append(np.full(len(pts), comp, dtype=np.int64))
-    bpts = np.vstack(bpts)
-    bnu = np.vstack(bnu)
-    bH = np.concatenate(bH)
-    bw = np.concatenate(bw)
-    bcomp = np.concatenate(bcomp)
+    samples = [sampler(max(64, int(math.ceil(2.0 * length / h))))
+               for length, sampler in shape.boundary_components()]
+    bpts, bnu, bH, bw = (np.concatenate(parts) for parts in zip(*samples))
+    bcomp = np.concatenate([np.full(len(pts), comp, dtype=np.int64)
+                            for comp, (pts, *_) in enumerate(samples)])
 
     # nearly every node of a disc is almost equidistant from the ring of
     # samples, which makes an unbounded nearest-sample query slow; the
@@ -582,12 +497,13 @@ def boundary_integral(domain, density):
     return float(np.dot(domain.bw, values))
 
 
-def star_center_margin(shape, x0, samples_per_component=4096):
+def star_center_margin(shape, x0):
     """min over the boundary of <y - x0, nu(y)>; >= 0 certifies that the
-    shape is star-shaped with respect to x0 at sample resolution."""
+    shape is star-shaped with respect to x0 at the resolution of 4096
+    samples per boundary component."""
     margin = math.inf
     for _, sampler in shape.boundary_components():
-        pts, nu, _, _ = sampler(samples_per_component)
+        pts, nu, _, _ = sampler(4096)
         rel = pts - np.asarray(x0, dtype=float)
         margin = min(margin, float(np.min(np.einsum("ij,ij->i", rel, nu))))
     return margin

@@ -23,17 +23,20 @@ from .geometry import boundary_integral, star_center_margin, volume_integral
 from .lagrangian import eval_jet
 from .pfunction import QUADRATIC_FAMILY
 
+#: space dimension n of the identities
+N_DIM = 2
 
-def verify_rellich_identity(fld, n=2):
+
+def verify_rellich_identity(fld):
     """Volume integral of (p F_p - n F) against the boundary flux <X, T nu>
     of an evaluated solution (pivot ``fld.x0``)."""
     jet = fld.jet
-    volume = volume_integral(fld.domain, fld.p * jet.F_p - n * jet.F)
+    volume = volume_integral(fld.domain, fld.p * jet.F_p - N_DIM * jet.F)
     boundary = boundary_integral(fld.domain, fld.boundary_flux)
     return volume, boundary, abs(volume - boundary)
 
 
-def verify_rellich_source_form(fld, n=2):
+def verify_rellich_source_form(fld):
     """Volume integral of (-u F_q - n F) against the same boundary flux.
 
     The boundary term u <L_xi, nu> vanishes identically for homogeneous
@@ -41,8 +44,8 @@ def verify_rellich_source_form(fld, n=2):
     value alongside the plus-sign volume variant.
     """
     domain, u, jet = fld.domain, fld.result.u, fld.jet
-    volume = volume_integral(domain, -u * jet.F_q - n * jet.F)
-    volume_plus_sign = volume_integral(domain, u * jet.F_q - n * jet.F)
+    volume = volume_integral(domain, -u * jet.F_q - N_DIM * jet.F)
+    volume_plus_sign = volume_integral(domain, u * jet.F_q - N_DIM * jet.F)
 
     # u = 0 at every boundary sample by the Dirichlet data
     u_boundary = np.zeros(domain.n_boundary)
@@ -54,7 +57,7 @@ def verify_rellich_source_form(fld, n=2):
              "volume_with_plus_sign": volume_plus_sign})
 
 
-def verify_pohozaev_identity(fld, n=2):
+def verify_pohozaev_identity(fld):
     """Specialized identity for the family F = p^2/2 + Phi(q).
 
     ``int((2-n)/2 |grad u|^2 - n Phi(u)) = oint <X, nu> (dnu^2/2 - Phi(0))``.
@@ -62,7 +65,7 @@ def verify_pohozaev_identity(fld, n=2):
     if fld.model.name not in QUADRATIC_FAMILY:
         raise ValueError(f"model {fld.model.name!r} is not of the quadratic-gradient family")
     domain = fld.domain
-    volume = volume_integral(domain, 0.5 * (2 - n) * fld.p ** 2 - n * fld.phi)
+    volume = volume_integral(domain, 0.5 * (2 - N_DIM) * fld.p ** 2 - N_DIM * fld.phi)
 
     dnu = fld.result.normal_derivative
     boundary = boundary_integral(domain, fld.X_dot_nu * (0.5 * dnu ** 2 - fld.phi0))
@@ -71,14 +74,13 @@ def verify_pohozaev_identity(fld, n=2):
             {"boundary_with_halved_density": boundary_halved})
 
 
-def nonexistence_obstruction(model, domain, x0=None, pohozaev=None, tol=2e-2):
+def nonexistence_obstruction(model, domain, x0=None, pohozaev=None):
     """Sign diagnostic for the specialized identity on star-shaped domains.
 
     When <X, nu> >= 0 on the whole boundary and Phi(0) < 0, the boundary
-    side is pointwise non-negative; a volume side that is negative beyond
-    tolerance is then flagged.  ``pohozaev`` is the result of
-    ``verify_pohozaev_identity`` for a solution, if there is one.  Pure
-    diagnostic, no existence claim.
+    side is pointwise non-negative; a volume side below -2e-2 is then
+    flagged.  ``pohozaev`` is the result of ``verify_pohozaev_identity`` for
+    a solution, if there is one.  Pure diagnostic, no existence claim.
     """
     x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
     margin = star_center_margin(domain.shape, x0)
@@ -95,7 +97,7 @@ def nonexistence_obstruction(model, domain, x0=None, pohozaev=None, tol=2e-2):
         volume, boundary = pohozaev[:2]
         out["volume_value"] = volume
         out["boundary_value"] = boundary
-        if out["boundary_sign_guaranteed"] == 1 and volume < -tol:
+        if out["boundary_sign_guaranteed"] == 1 and volume < -2e-2:
             out["obstruction_flag"] = True
     return out
 

@@ -338,20 +338,19 @@ def pfunction_identity_residual(model, p, q):
 def halton_samples(count, box):
     """Deterministic low-discrepancy (p, q) samples over a box (bases 2 and 3)."""
 
-    def vdc(n, base):
-        x, denom = 0.0, 1.0
-        while n:
-            n, rem = divmod(n, base)
+    def radical_inverse(base):
+        # digit by digit for all indices 1..count at once; a finished index
+        # adds exact zeros
+        n, x, denom = np.arange(1, count + 1), np.zeros(count), 1.0
+        while n.any():
+            n, digit = np.divmod(n, base)
             denom *= base
-            x += rem / denom
+            x += digit / denom
         return x
 
     (p_lo, p_hi), (q_lo, q_hi) = box
-    pts = np.empty((count, 2))
-    for i in range(count):
-        pts[i, 0] = p_lo + (p_hi - p_lo) * vdc(i + 1, 2)
-        pts[i, 1] = q_lo + (q_hi - q_lo) * vdc(i + 1, 3)
-    return pts
+    return np.column_stack([p_lo + (p_hi - p_lo) * radical_inverse(2),
+                            q_lo + (q_hi - q_lo) * radical_inverse(3)])
 
 
 def _box_samples(box, samples):

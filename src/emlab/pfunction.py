@@ -19,6 +19,9 @@ QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_powe
 #: the compatibility identity holds where its residual stays strictly below this
 IDENTITY_RESIDUAL_TOL = 1e-11
 
+#: tolerance of the nodewise eigenvalue and family bounds
+GRADIENT_BOUND_TOL = 1e-6
+
 
 def locate_max(fld):
     """The ``pfunction`` report section of an evaluated solution: the
@@ -52,7 +55,7 @@ def two_branch_bound(section):
                            section["critical_formula_value"]) if v is not None)
 
 
-def gradient_bound_check(fld, tol=1e-6):
+def gradient_bound_check(fld):
     """Check lambda1 <= -min F(0, u) over the critical set, nodewise.
 
     For the quadratic-gradient family additionally checks the pointwise
@@ -78,21 +81,21 @@ def gradient_bound_check(fld, tol=1e-6):
         family_margin = (fld.phi - phi_m) - 0.5 * fld.p ** 2
         family_worst = float(np.min(family_margin))
 
-    ok = (not applicable) or worst >= -tol
+    ok = (not applicable) or worst >= -GRADIENT_BOUND_TOL
     if family_worst is not None and applicable:
-        ok = ok and family_worst >= -tol
+        ok = ok and family_worst >= -GRADIENT_BOUND_TOL
     return {"applicable": applicable, "worst_margin": worst,
             "family_margin": family_worst, "bound": bound, "ok": bool(ok),
-            "tolerance": tol}
+            "tolerance": GRADIENT_BOUND_TOL}
 
 
-def check_max_principle_conditions(model, result, samples=1000):
+def check_max_principle_conditions(model, result):
     """Evaluate the maximum-principle prerequisites on the realized range.
 
-    Over the solution's (p, q) range inflated by 10%: the ellipticity
-    minimum (min F_pp, whose positivity also makes the candidate increasing
-    in p^2 since its p^2-derivative is F_pp/2), and the compatibility
-    identity residual maximum.
+    At 1000 Halton samples over the solution's (p, q) range inflated by
+    10%: the ellipticity minimum (min F_pp, whose positivity also makes the
+    candidate increasing in p^2 since its p^2-derivative is F_pp/2), and the
+    compatibility identity residual maximum.
     """
     if not result.converged:
         raise UnconvergedError("condition checks require a converged solution")
@@ -101,7 +104,7 @@ def check_max_principle_conditions(model, result, samples=1000):
     half = 0.5 * (M - m)
     q_lo, q_hi = m - 0.2 * half - 1e-12, M + 0.2 * half + 1e-12
     box = ((max(1e-6, 1e-3 * p_max), 1.1 * max(p_max, 1e-6)), (q_lo, q_hi))
-    pts = _box_samples(box, samples)
+    pts = _box_samples(box, 1000)
     jet = eval_jet(model, pts[:, 0], pts[:, 1])
     res = pfunction_identity_residual(model, pts[:, 0], pts[:, 1])
     min_fpp = float(np.min(jet.F_pp))

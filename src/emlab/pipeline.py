@@ -50,7 +50,7 @@ RADIAL_ORACLE_TOL = 5e-3
 # configuration
 # ---------------------------------------------------------------------------
 
-_SOLVER_KEYS = set(SolverConfig().as_dict())
+_SOLVER_DEFAULTS = SolverConfig().as_dict()
 
 
 @dataclass
@@ -66,7 +66,7 @@ class RunConfig:
 def _reject_unknown(mapping, allowed, context):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {context} keys: {sorted(map(str, unknown))}")
 
 
 def _flag(mapping, key, default, context):
@@ -76,6 +76,28 @@ def _flag(mapping, key, default, context):
     if not isinstance(value, bool):
         raise ConfigError(f"{context}.{key} must be true or false, got {value!r}")
     return value
+
+
+def _number(value, context, kind=float):
+    """A YAML number as ``kind``, which takes an int only where ``kind`` is
+    int: a bool or a string is not a number, nor an int beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ConfigError(f"{context} must be {'an integer' if kind is int else 'a number'}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{context} must be finite") from None
+
+
+def _numbers(value, context, length=None):
+    """A YAML list of numbers, of ``length`` where that is known: a string,
+    a mapping or a list of another length is refused rather than read
+    character by character, key by key or cut short."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list of numbers")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{context} must be a list of {length} numbers, got {len(value)}")
+    return [_number(v, f"each entry of {context}") for v in value]
 
 
 def parse_config(data):
@@ -97,7 +119,8 @@ def parse_config(data):
                 str(mspec["expression"]), _flag(mspec, "smooth_at_origin", False, "model"))
         else:
             _reject_unknown(mspec, {"name", "parameters"}, "model")
-            model = make_model(mspec.get("name", ""), mspec.get("parameters", []))
+            model = make_model(mspec.get("name", ""),
+                               _numbers(mspec.get("parameters", []), "model.parameters"))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad model: {exc}") from None
 
@@ -106,22 +129,22 @@ def parse_config(data):
         raise ConfigError("shape must be a mapping")
     _reject_unknown(sspec, {"kind", "parameters", "center"}, "shape")
     try:
-        shape = make_shape(sspec.get("kind", ""), sspec.get("parameters", []),
-                           center=tuple(sspec.get("center", (0.0, 0.0))))
+        shape = make_shape(sspec.get("kind", ""),
+                           _numbers(sspec.get("parameters", []), "shape.parameters"),
+                           center=_numbers(sspec.get("center", [0.0, 0.0]), "shape.center", 2))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad shape: {exc}") from None
 
-    try:
-        spacing = float(data["spacing"])
-    except (ValueError, TypeError, OverflowError):
-        raise ConfigError("spacing must be numeric") from None
+    spacing = _number(data["spacing"], "spacing")
     if not (math.isfinite(spacing) and spacing > 0):
         raise ConfigError("spacing must be a positive finite number")
 
     sol = data.get("solver", {})
     if not isinstance(sol, dict):
         raise ConfigError("solver must be a mapping")
-    _reject_unknown(sol, _SOLVER_KEYS, "solver")
+    _reject_unknown(sol, set(_SOLVER_DEFAULTS), "solver")
+    for key, value in sol.items():
+        _number(value, f"solver.{key}", type(_SOLVER_DEFAULTS[key]))
     try:
         solver = SolverConfig(**sol)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -129,10 +152,7 @@ def parse_config(data):
 
     x0 = data.get("x0")
     if x0 is not None:
-        try:
-            x0 = (float(x0[0]), float(x0[1]))
-        except (ValueError, TypeError, IndexError, OverflowError):
-            raise ConfigError("x0 must be a pair of numbers") from None
+        x0 = tuple(_numbers(x0, "x0", 2))
         if not all(math.isfinite(v) for v in x0):
             raise ConfigError("x0 must be finite")
 

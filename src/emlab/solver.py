@@ -435,9 +435,9 @@ def _radial_rhs(model, n):
     return rhs
 
 
-def _integrate(model, n, r0, r1, y0, rtol, atol, dense=False):
+def _integrate(model, n, r0, r1, y0, dense=False):
     sol = solve_ivp(_radial_rhs(model, n), (r0, r1), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=dense)
+                    rtol=1e-10, atol=1e-12, dense_output=dense)
     if not sol.success:
         raise EmlabError(f"radial integration failed: {sol.message}")
     return sol
@@ -459,7 +459,7 @@ def _bracket(fn, x0, scale):
     raise EmlabError("radial shooting failed to bracket the boundary condition")
 
 
-def solve_radial(model, radii, n=2, resolution=4096, rtol=1e-10, atol=1e-12):
+def solve_radial(model, radii, n=2, resolution=4096):
     """Shooting oracle for the radial problem (r^{n-1} g u')' = r^{n-1} F_q.
 
     ``radii = (0, R)`` solves with the symmetry condition u'(0) = 0;
@@ -481,11 +481,11 @@ def solve_radial(model, radii, n=2, resolution=4096, rtol=1e-10, atol=1e-12):
         return [s, eval_jet(model, 0.0, s).F_q * r0 / n]
 
     def boundary_miss(s):
-        return _integrate(model, n, r0, r_hi, start(s), rtol, atol).y[0, -1]
+        return _integrate(model, n, r0, r_hi, start(s)).y[0, -1]
 
     lo, hi = _bracket(boundary_miss, 0.0, 1.0)
     parameter = lo if lo == hi else brentq(boundary_miss, lo, hi, xtol=1e-12)
-    sol = _integrate(model, n, r0, r_hi, start(parameter), rtol, atol, dense=True)
+    sol = _integrate(model, n, r0, r_hi, start(parameter), dense=True)
 
     rs = np.linspace(r0, r_hi, resolution)
     us, ws = sol.sol(rs)

@@ -206,14 +206,14 @@ def _interior_diff_ops(domain):
     return domain._tensor_diff_ops
 
 
-def divergence_residual(fld, domain=None, collar_depth=2.0):
+def divergence_residual(fld, domain=None):
     """Row-wise discrete divergence of T and its sup norm away from the
-    boundary collar (the claim Div T = 0 is interior)."""
+    boundary collar of depth 2 h (the claim Div T = 0 is interior)."""
     domain = domain or fld.domain
     Dx, Dy = _interior_diff_ops(domain)
     div_x = Dx @ fld.T11 + Dy @ fld.T12
     div_y = Dx @ fld.T12 + Dy @ fld.T22
-    core = domain.core_mask(collar_depth)
+    core = domain.core_mask()
     residual = np.column_stack([div_x, div_y])
     norm = float(np.max(np.abs(residual[core]))) if core.any() else float("nan")
     return residual, norm

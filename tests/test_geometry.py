@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from emlab.geometry import (
     MAX_COLLAR_DEPTH,
     ON_BOUNDARY_TOL,
     _clip_cell_areas,
-    _shoelace,
-    _subsample_cell_area,
     build_domain,
     boundary_integral,
     interpolate_node_field,
@@ -30,6 +29,63 @@ DISC = make_shape("disc", [1.0])
 ANNULUS = make_shape("annulus", [0.3, 1.0])
 ELLIPSE = make_shape("ellipse", [2.0, 1.0])
 RECT = make_shape("rectangle", [2.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# exact shape geometry that only the tests read
+# ---------------------------------------------------------------------------
+
+def _area(shape):
+    if shape.kind == "disc":
+        return math.pi * shape.R ** 2
+    if shape.kind == "annulus":
+        return math.pi * (shape.b ** 2 - shape.a ** 2)
+    if shape.kind == "ellipse":
+        return math.pi * shape.A * shape.B
+    return shape.w * shape.hgt
+
+
+def _boundary_geometry(shape, pt, tol=1e-9):
+    """Outward unit normal and mean curvature at a boundary point.
+
+    H >= 0 where the domain is locally convex.  Raises ValueError when the
+    point is off the boundary by more than ``tol`` (relative to the shape
+    scale).
+    """
+    if shape.kind == "disc":
+        rx, ry = pt[0] - shape.cx, pt[1] - shape.cy
+        r = math.hypot(rx, ry)
+        if abs(r - shape.R) > tol * max(1.0, shape.R):
+            raise ValueError(f"point {pt} is off the disc boundary")
+        return np.array([rx / r, ry / r]), 1.0 / shape.R
+    if shape.kind == "annulus":
+        rx, ry = pt[0] - shape.cx, pt[1] - shape.cy
+        r = math.hypot(rx, ry)
+        scale = max(1.0, shape.b)
+        if abs(r - shape.b) <= tol * scale:
+            return np.array([rx / r, ry / r]), 1.0 / shape.b
+        if abs(r - shape.a) <= tol * scale:
+            return np.array([-rx / r, -ry / r]), -1.0 / shape.a
+        raise ValueError(f"point {pt} is off the annulus boundary")
+    if shape.kind == "ellipse":
+        X, Y = (pt[0] - shape.cx) / shape.A, (pt[1] - shape.cy) / shape.B
+        rho = math.hypot(X, Y)
+        if abs(rho - 1.0) > tol:
+            raise ValueError(f"point {pt} is off the ellipse boundary")
+        grad = np.array([X / shape.A, Y / shape.B])
+        nu = grad / np.linalg.norm(grad)
+        st, ct = Y / rho, X / rho
+        H = shape.A * shape.B / ((shape.A * st) ** 2 + (shape.B * ct) ** 2) ** 1.5
+        return nu, H
+    hw, hh = shape.w / 2.0, shape.hgt / 2.0
+    dx, dy = pt[0] - shape.cx, pt[1] - shape.cy
+    scale = max(1.0, hw, hh)
+    sides = [(abs(dx - hw), (1.0, 0.0)), (abs(dx + hw), (-1.0, 0.0)),
+             (abs(dy - hh), (0.0, 1.0)), (abs(dy + hh), (0.0, -1.0))]
+    dist, nu = min(sides, key=lambda s: s[0])
+    if dist > tol * scale or abs(dx) > hw + tol * scale or abs(dy) > hh + tol * scale:
+        raise ValueError(f"point {pt} is off the rectangle boundary")
+    return np.array(nu), 0.0
 
 
 class TestBuildDomain:
@@ -51,14 +107,14 @@ class TestBuildDomain:
         shape = make_shape("ellipse", [2.0, 0.5])
         dom = build_domain(shape, 1.0 / 32)
         area = volume_integral(dom, np.ones(dom.n_interior))
-        assert area == pytest.approx(shape.area(), rel=1e-6)
+        assert area == pytest.approx(_area(shape), rel=1e-6)
         assert dom.dropped_area == 0.0
 
     def test_offset_center_disc(self):
         shape = make_shape("disc", [0.7], center=(0.33, -0.21))
         dom = build_domain(shape, 1.0 / 32)
         area = volume_integral(dom, np.ones(dom.n_interior))
-        assert area == pytest.approx(shape.area(), rel=1e-6)
+        assert area == pytest.approx(_area(shape), rel=1e-6)
 
     def test_annulus_has_two_boundary_components(self):
         dom = build_domain(ANNULUS, 1.0 / 64)
@@ -77,13 +133,13 @@ class TestBuildDomain:
             for d in range(4):
                 if dom.nbr[k, d] < 0:
                     pt = dom.xy[k] + DIRS[d] * dom.arm[k, d]
-                    nu, _ = DISC.boundary_geometry(pt, tol=1e-9)
+                    nu, _ = _boundary_geometry(DISC, pt, tol=1e-9)
                     assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_sum_to_area(self):
         for shape in (DISC, ELLIPSE, RECT):
             dom = build_domain(shape, 1.0 / 32)
-            assert np.sum(dom.weights) == pytest.approx(shape.area(), rel=2e-4)
+            assert np.sum(dom.weights) == pytest.approx(_area(shape), rel=2e-4)
 
     def test_boundary_weights_sum_to_perimeter(self):
         for shape in (DISC, ANNULUS, ELLIPSE, RECT):
@@ -117,9 +173,9 @@ def _assert_sound_build(shape, h):
     assert np.all(arms > 0.5 * ON_BOUNDARY_TOL * h)
     assert np.all(arms <= h)
     for k, d in zip(*np.nonzero(faces)):
-        shape.boundary_geometry(dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
+        _boundary_geometry(shape, dom.xy[k] + DIRS[d] * dom.arm[k, d], tol=1e-9)
     area = dom.weights.sum() + dom.dropped_area
-    assert area == pytest.approx(shape.area(), rel=AREA_RTOL)
+    assert area == pytest.approx(_area(shape), rel=AREA_RTOL)
     return dom
 
 
@@ -194,29 +250,29 @@ class TestTangency:
 
 class TestBoundaryGeometry:
     def test_disc_curvature(self):
-        nu, H = DISC.boundary_geometry((1.0, 0.0))
+        nu, H = _boundary_geometry(DISC, (1.0, 0.0))
         assert H == pytest.approx(1.0)
         assert nu == pytest.approx([1.0, 0.0])
 
     def test_annulus_inner_curvature_negative(self):
-        nu, H = ANNULUS.boundary_geometry((0.3, 0.0))
+        nu, H = _boundary_geometry(ANNULUS, (0.3, 0.0))
         assert H == pytest.approx(-1.0 / 0.3)
         assert nu == pytest.approx([-1.0, 0.0])
 
     def test_rectangle_edge_flat(self):
-        nu, H = RECT.boundary_geometry((1.0, 0.2))
+        nu, H = _boundary_geometry(RECT, (1.0, 0.2))
         assert H == 0.0
         assert nu == pytest.approx([1.0, 0.0])
 
     def test_off_boundary_rejected(self):
         with pytest.raises(ValueError):
-            DISC.boundary_geometry((0.5, 0.0))
+            _boundary_geometry(DISC, (0.5, 0.0))
 
     def test_ellipse_curvature_endpoints(self):
         # kappa = A*B / (A^2 sin^2 + B^2 cos^2)^{3/2}
-        _, H = ELLIPSE.boundary_geometry((2.0, 0.0))
+        _, H = _boundary_geometry(ELLIPSE, (2.0, 0.0))
         assert H == pytest.approx(2.0)  # A/B^2
-        _, H = ELLIPSE.boundary_geometry((0.0, 1.0))
+        _, H = _boundary_geometry(ELLIPSE, (0.0, 1.0))
         assert H == pytest.approx(1.0 / 4.0)  # B/A^2
 
 
@@ -288,19 +344,62 @@ def _bisect_crossing_loop(shape, p_in, p_out, iterations=60):
     return 0.5 * (ax + bx), 0.5 * (ay + by)
 
 
-def _clip_cell_area_loop(shape, x, y, h):
-    if hasattr(shape, "exact_cell_area"):
-        return shape.exact_cell_area(x, y, h)
+def _shoelace(poly):
+    if len(poly) < 3:
+        return 0.0
+    s = 0.0
+    for k in range(len(poly)):
+        x0, y0 = poly[k]
+        x1, y1 = poly[(k + 1) % len(poly)]
+        s += x0 * y1 - x1 * y0
+    return abs(s) / 2.0
+
+
+def _subsample_cell_area(shape, x, y, h, n=32):
+    offs = (np.arange(n) + 0.5) / n - 0.5
+    xs = x + offs * h
+    ys = y + offs * h
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return h * h * float(np.count_nonzero(shape.inside(X, Y))) / (n * n)
+
+
+def _exact_cell_area(shape, x, y, h):
+    h2 = h / 2.0
+    wx = min(x + h2, shape.cx + shape.w / 2) - max(x - h2, shape.cx - shape.w / 2)
+    wy = min(y + h2, shape.cy + shape.hgt / 2) - max(y - h2, shape.cy - shape.hgt / 2)
+    return max(wx, 0.0) * max(wy, 0.0)
+
+
+def _curvature_near(shape, pt):
+    if shape.kind == "disc":
+        return 1.0 / shape.R
+    if shape.kind == "annulus":
+        r = math.hypot(pt[0] - shape.cx, pt[1] - shape.cy)
+        return 1.0 / shape.b if abs(r - shape.b) < abs(r - shape.a) else -1.0 / shape.a
+    X, Y = (pt[0] - shape.cx) / shape.A, (pt[1] - shape.cy) / shape.B
+    rho = math.hypot(X, Y)
+    if rho == 0.0:
+        return 0.0
+    st, ct = Y / rho, X / rho
+    return shape.A * shape.B / ((shape.A * st) ** 2 + (shape.B * ct) ** 2) ** 1.5
+
+
+def _clip_cell_area_branch(shape, x, y, h):
+    """The branch of the cut-cell formula that a cell takes, and its area."""
+    if shape.kind == "rectangle":
+        return "rectangle", _exact_cell_area(shape, x, y, h)
     h2 = h / 2.0
     corners = [(x - h2, y - h2), (x + h2, y - h2), (x + h2, y + h2), (x - h2, y + h2)]
     flags = [bool(shape.inside(cx, cy)) for cx, cy in corners]
     n_in = sum(flags)
     if n_in == 4:
-        return h * h
+        return "full", h * h
     if n_in == 0:
-        return _subsample_cell_area(shape, x, y, h) if bool(shape.inside(x, y)) else 0.0
+        if bool(shape.inside(x, y)):
+            return "centre", _subsample_cell_area(shape, x, y, h)
+        return "empty", 0.0
     if flags in ([True, False, True, False], [False, True, False, True]):
-        return _subsample_cell_area(shape, x, y, h)
+        return "saddle", _subsample_cell_area(shape, x, y, h)
     poly, crossings = [], []
     for k in range(4):
         c0, c1 = corners[k], corners[(k + 1) % 4]
@@ -315,11 +414,15 @@ def _clip_cell_area_loop(shape, x, y, h):
     if len(crossings) == 2:
         (x0, y0), (x1, y1) = crossings
         chord = math.hypot(x1 - x0, y1 - y0)
-        kappa = shape.curvature_near(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+        kappa = _curvature_near(shape, ((x0 + x1) / 2.0, (y0 + y1) / 2.0))
         area += kappa * chord ** 3 / 12.0
     if not 0.0 <= area <= h * h * (1.0 + 1e-9):
-        return _subsample_cell_area(shape, x, y, h)
-    return area
+        return "out_of_range", _subsample_cell_area(shape, x, y, h)
+    return "chord", area
+
+
+def _clip_cell_area_loop(shape, x, y, h):
+    return _clip_cell_area_branch(shape, x, y, h)[1]
 
 
 def _interpolate_loop(domain, values, pts):
@@ -397,6 +500,20 @@ def _axis_cut_loop(shape, x, y, direction, length):
     return min(roots[0], 1.0)
 
 
+def _cut_cells(shape, dom):
+    """Centres of the cells whose areas ``build_domain`` clips: the cells
+    with some corners inside, and those of interior nodes with none."""
+    h = dom.h
+    interior = dom.interior_index >= 0
+    CX, CY = np.meshgrid(dom.gx0 - h / 2.0 + np.arange(dom.nx + 1) * h,
+                         dom.gy0 - h / 2.0 + np.arange(dom.ny + 1) * h, indexing="ij")
+    corner_in = shape.inside(CX, CY)
+    cell_nin = (corner_in[:-1, :-1].astype(np.int8) + corner_in[1:, :-1]
+                + corner_in[1:, 1:] + corner_in[:-1, 1:])
+    cut_i, cut_j = np.nonzero((cell_nin > 0) & (cell_nin < 4) | (interior & (cell_nin == 0)))
+    return cut_i, cut_j, cell_nin
+
+
 def _cell_weights_loop(shape, dom):
     """Cut-cell areas scattered one cell at a time: to the cell's own node,
     else to the first interior neighbor in ``neighbor_pref`` order, else to
@@ -405,17 +522,12 @@ def _cell_weights_loop(shape, dom):
     interior = dom.interior_index >= 0
     xs = dom.gx0 + np.arange(nx) * h
     ys = dom.gy0 + np.arange(ny) * h
-    CX, CY = np.meshgrid(dom.gx0 - h / 2.0 + np.arange(nx + 1) * h,
-                         dom.gy0 - h / 2.0 + np.arange(ny + 1) * h, indexing="ij")
-    corner_in = shape.inside(CX, CY)
-    cell_nin = (corner_in[:-1, :-1].astype(np.int8) + corner_in[1:, :-1]
-                + corner_in[1:, 1:] + corner_in[:-1, 1:])
+    cut_i, cut_j, cell_nin = _cut_cells(shape, dom)
     weights = np.zeros(dom.n_interior)
     fi, fj = np.nonzero(interior & (cell_nin == 4))
     weights[dom.interior_index[fi, fj]] = h * h
     dropped = 0.0
     neighbor_pref = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)]
-    cut_i, cut_j = np.nonzero((cell_nin > 0) & (cell_nin < 4) | (interior & (cell_nin == 0)))
     cut_areas = _clip_cell_areas(shape, xs[cut_i], ys[cut_j], h)
     for i, j, area in zip(cut_i, cut_j, cut_areas.tolist()):
         if area <= 0.0:
@@ -433,19 +545,30 @@ def _cell_weights_loop(shape, dom):
     return weights, dropped
 
 
-class _DiscWithSpeck(geometry.Disc):
-    """The unit disc plus a speck around one cell corner 1.5 h beyond the
-    rim: its four cut cells have no interior node among their neighbors,
-    so their areas are dropped."""
+def _clip_cell_areas_loop(shape, xs, ys, h):
+    return np.array([_clip_cell_area_loop(shape, x, y, h) for x, y in zip(xs, ys)])
 
-    def __init__(self, h):
+
+class _DiscWithSpecks(geometry.Disc):
+    """The unit disc plus round specks ``(x, y, radius)`` beyond its rim."""
+
+    def __init__(self, *specks):
         super().__init__(1.0)
-        self.speck = (1.0 + 1.5 * h, 0.5 * h, 0.2 * h)
+        self.specks = specks
 
     def inside(self, x, y):
-        sx, sy, r = self.speck
-        return super().inside(x, y) | ((np.asarray(x) - sx) ** 2
-                                       + (np.asarray(y) - sy) ** 2 < r * r)
+        x, y = np.asarray(x), np.asarray(y)
+        out = super().inside(x, y)
+        for sx, sy, r in self.specks:
+            out = out | ((x - sx) ** 2 + (y - sy) ** 2 < r * r)
+        return out
+
+
+def _disc_with_speck(h):
+    """A speck around one cell corner 1.5 h beyond the rim: its four cut
+    cells have no interior node among their neighbors, so their areas are
+    dropped."""
+    return _DiscWithSpecks((1.0 + 1.5 * h, 0.5 * h, 0.2 * h))
 
 
 def _seeded_shapes(h, count=3):
@@ -461,8 +584,7 @@ class TestLoopReferences:
         for shape in _seeded_shapes(h):
             dom = build_domain(shape, h)
             with monkeypatch.context() as m:
-                m.setattr(geometry, "_clip_cell_areas", lambda sh, xs, ys, hh: np.array(
-                    [_clip_cell_area_loop(sh, x, y, hh) for x, y in zip(xs, ys)]))
+                m.setattr(geometry, "_clip_cell_areas", _clip_cell_areas_loop)
                 ref = build_domain(shape, h)
             assert np.array_equal(dom.weights, ref.weights)
             assert np.array_equal(dom.arm, ref.arm)
@@ -491,7 +613,7 @@ class TestLoopReferences:
 
     def test_dropped_area_equals_loop(self):
         h = 1.0 / 8
-        shape = _DiscWithSpeck(h)
+        shape = _disc_with_speck(h)
         dom = build_domain(shape, h)
         weights, dropped = _cell_weights_loop(shape, dom)
         assert dropped > 0.0
@@ -529,6 +651,57 @@ class TestLoopReferences:
             pts = np.column_stack([X.ravel(), Y.ravel()])
             assert np.array_equal(interpolate_node_field(dom, values, pts),
                                   _interpolate_loop(dom, values, pts))
+
+
+#: every branch of the cut-cell formula
+BRANCHES = {"rectangle", "full", "empty", "centre", "saddle", "chord", "out_of_range"}
+
+
+class TestCutCellBranches:
+    """Shapes that reach the fallbacks of the cut-cell formula.  No circle
+    makes a saddle cell (the British flag theorem), so two specks sit on
+    one cell's diagonal corners; a speck of radius 0.3 h around a node
+    covers its cell's centre and no corner; a thin ellipse leaves the
+    centres of its tip cells inside, and the tip curvature A / B^2 pushes
+    the sagitta-corrected chord areas past h^2."""
+
+    H = 1.0 / 8
+    SHAPES = {
+        "saddle": _DiscWithSpecks((8.5 * H, 8.5 * H, 0.2 * H), (9.5 * H, 9.5 * H, 0.2 * H)),
+        "centre": _DiscWithSpecks((9.0 * H, -9.0 * H, 0.3 * H)),
+        "thin_ellipse": make_shape("ellipse", [1.0, 0.1]),
+    }
+
+    @pytest.mark.parametrize("name,branch", [("saddle", "saddle"), ("centre", "centre"),
+                                             ("thin_ellipse", "centre"),
+                                             ("thin_ellipse", "out_of_range")])
+    def test_fallback_equals_loop(self, name, branch, monkeypatch):
+        shape, h = self.SHAPES[name], self.H
+        dom = build_domain(shape, h)
+        cut_i, cut_j, _ = _cut_cells(shape, dom)
+        x, y = dom.gx0 + cut_i * h, dom.gy0 + cut_j * h
+        branches, ref = zip(*(_clip_cell_area_branch(shape, a, b, h) for a, b in zip(x, y)))
+        assert branch in branches
+        assert np.array_equal(_clip_cell_areas(shape, x, y, h), ref)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_clip_cell_areas", _clip_cell_areas_loop)
+            loop_dom = build_domain(shape, h)
+        assert np.array_equal(dom.weights, loop_dom.weights)
+        assert dom.dropped_area == loop_dom.dropped_area
+
+    def test_every_branch_equals_loop(self):
+        # every lattice cell, not only the clipped ones, so full cells count
+        h, hits = self.H, Counter()
+        for shape in [*self.SHAPES.values(), *_seeded_shapes(h, count=1)]:
+            dom = build_domain(shape, h)
+            X, Y = np.meshgrid(dom.gx0 + np.arange(dom.nx) * h,
+                               dom.gy0 + np.arange(dom.ny) * h, indexing="ij")
+            x, y = X.ravel(), Y.ravel()
+            branches, ref = zip(*(_clip_cell_area_branch(shape, a, b, h)
+                                  for a, b in zip(x, y)))
+            hits.update(branches)
+            assert np.array_equal(_clip_cell_areas(shape, x, y, h), ref)
+        assert set(hits) == BRANCHES
 
 
 class TestBoundedDistance:

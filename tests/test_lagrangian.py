@@ -163,6 +163,36 @@ class TestPFunctionIdentity:
             pfunction_identity_residual(TORSION, 0.0, 0.0)
 
 
+def _halton_loop(count, box):
+    """One sample at a time, one digit at a time: the reference for the
+    whole-array ``halton_samples``."""
+
+    def vdc(n, base):
+        x, denom = 0.0, 1.0
+        while n:
+            n, rem = divmod(n, base)
+            denom *= base
+            x += rem / denom
+        return x
+
+    (p_lo, p_hi), (q_lo, q_hi) = box
+    pts = np.empty((count, 2))
+    for i in range(count):
+        pts[i, 0] = p_lo + (p_hi - p_lo) * vdc(i + 1, 2)
+        pts[i, 1] = q_lo + (q_hi - q_lo) * vdc(i + 1, 3)
+    return pts
+
+
+class TestHaltonSamples:
+    @pytest.mark.parametrize("box", [((1e-3, 2.0), (-2.0, 2.0)), ((0.0, 1.0), (0.0, 1.0)),
+                                     ((1e-6, 0.37), (-1e-12, 3.3))])
+    def test_equals_loop(self, box):
+        for count in (0, 1, 2, 3, 9, 100, 512, 1000):
+            pts = halton_samples(count, box)
+            assert pts.shape == (count, 2)
+            assert np.array_equal(pts, _halton_loop(count, box))
+
+
 class TestExpressionModels:
     def test_expression_matches_catalog(self):
         custom = make_expression_model("0.5*p**2 + q + 0.5", smooth_at_origin=True)

@@ -1,15 +1,20 @@
 """Config validation, pipeline exit codes, exports, determinism, CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema import ValidationError
 
 from emlab.cli import main
@@ -100,6 +105,44 @@ class TestConfigParsing:
         cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, **change))
         assert main(["check", "--config", cfg_path]) == EXIT_CONFIG
         assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"x0": {"a": 1}},
+        {"x0": "12"},
+        {"x0": [0.1, 0.2, 0.3]},
+        {"model": {"name": "dirichlet_affine", "parameters": "51"}},
+        {"model": {"name": "dirichlet_affine", "parameters": [True, 1.0]}},
+        {"shape": {"kind": "disc", "parameters": [1.0], "center": "12"}},
+        {"shape": {"kind": "disc", "parameters": {"r": 1.0}}},
+        {"spacing": True},
+        {"spacing": "0.0625"},
+        {"solver": {"max_iterations": 2.5}},
+        {"solver": {"residual_tol": False}},
+    ], ids=["x0_mapping", "x0_string", "x0_three", "parameters_string",
+            "parameters_bool", "center_string", "shape_parameters_mapping",
+            "spacing_bool", "spacing_string", "max_iterations_float", "tol_bool"])
+    def test_numbers_must_be_yaml_numbers(self, change, tmp_path, capsys):
+        # strings were read character by character, lists cut to two
+        # values and booleans read as 0 and 1
+        with pytest.raises(ConfigError):
+            parse_config(dict(TORSION_CONFIG, **change))
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, **change))
+        assert main(["solve", "--config", cfg_path, "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError, match="unknown top-level keys"):
+            parse_config({**TORSION_CONFIG, "extra": 1, 1: 2})
+
+    def test_unparseable_yaml_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("spacing: 0.0625\n{1: 2}: 3\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot parse config" in err and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -676,3 +719,90 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# random configurations through the command line
+# ---------------------------------------------------------------------------
+
+#: values of the wrong type, length or range for any key
+_JUNK = st.sampled_from([
+    "12", "", "disc", True, False, None, float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.5,
+    10 ** 400, {"a": 1}, {0: 0.5}, [], [True, 1.0], [0.5], [0.1, 0.2, 0.3], [[0.5]],
+]) | st.lists(st.floats(-2.0, 2.0), max_size=3)
+
+_PAIR = st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2)
+_MODELS = st.sampled_from([
+    {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
+    {"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
+    {"name": "minimal_surface", "parameters": [1.0, 0.5]},
+    # refused for ellipticity, exit 1
+    {"name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]},
+    # convexity fails on the solution's range: exit 2 when strict
+    {"expression": "0.5*p**2 - 0.02*q**4*p**4 + 4.4*q", "smooth_at_origin": True},
+])
+_SHAPES = st.one_of(
+    st.tuples(st.just("disc"), st.floats(0.4, 1.2)),
+    st.tuples(st.just("annulus"), st.floats(0.2, 0.4), st.floats(0.8, 1.2)),
+    st.tuples(st.just("ellipse"), st.floats(0.5, 1.2), st.floats(0.5, 1.2)),
+    st.tuples(st.just("rectangle"), st.floats(0.8, 2.0), st.floats(0.8, 2.0)))
+#: where a junk value may replace the valid one
+_PATHS = [("model",), ("model", "parameters"), ("shape",), ("shape", "kind"),
+          ("shape", "parameters"), ("shape", "center"), ("spacing",), ("x0",),
+          ("solver",), ("solver", "max_iterations"), ("solver", "residual_tol")]
+
+
+@st.composite
+def _configs(draw):
+    """A small valid configuration (h >= 1/16), then up to two of its
+    values replaced by junk."""
+    kind, *params = draw(_SHAPES)
+    config = {"model": dict(draw(_MODELS)), "shape": {"kind": kind, "parameters": params},
+              "spacing": draw(st.sampled_from([1.0 / 16, 1.0 / 8])),
+              "solver": {"max_iterations": draw(st.integers(1, 30))}}
+    if draw(st.booleans()):
+        config["shape"]["center"] = draw(_PAIR)
+    if draw(st.booleans()):
+        config["x0"] = draw(_PAIR)
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=2)):
+        node = config
+        for key in path[:-1]:
+            node = node[key] if isinstance(node.get(key), dict) else {}
+        node[path[-1]] = draw(_JUNK)
+    return config
+
+
+def _cli(*argv):
+    """Exit code and stderr of one in-process ``emlab`` command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestConfigFuzz:
+    """Every configuration ends in an exit code from 0 to 4 with no
+    traceback, any report it writes is schema-valid, and ``report`` and
+    ``verify`` on its run directory return the exit code of ``solve``."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=_configs(), strict=st.booleans())
+    def test_exit_codes_survive_the_round_trip(self, config, strict):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.yaml")
+            with open(path, "w") as fh:
+                fh.write(yaml.safe_dump(config))
+            out = os.path.join(tmp, "out")
+            flag = ["--strict"] * strict
+            code, err = _cli("solve", "--config", path, "--out", out, *flag)
+            assert code in (EXIT_OK, EXIT_SOLVER, EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_CONFIG)
+            assert "Traceback" not in err
+            if code == EXIT_CONFIG:
+                assert err.count("\n") == 1
+            report_path = os.path.join(out, "report.json")
+            if os.path.exists(report_path):
+                with open(report_path) as fh:
+                    validate_report(json.load(fh))
+            assert _cli("report", "--in", out, *flag)[0] == code
+            assert _cli("verify", "--in", out)[0] == code

@@ -333,7 +333,7 @@ def _shot_states(model, radii, prof, n=2):
         y0 = [prof.parameter, eval_jet(model, 0.0, prof.parameter).F_q * r0 / n]
     else:
         y0 = [0.0, prof.parameter]
-    sol = _integrate(model, n, r0, prof.r[-1], y0, 1e-10, 1e-12, dense=True)
+    sol = _integrate(model, n, r0, prof.r[-1], y0, dense=True)
     us, ws = sol.sol(prof.r)
     return ws, us
 
