@@ -5,7 +5,16 @@ grids, assembles the associated divergence-free tensor field, and verifies
 its claimed properties at desk scale: symmetry, closed-form spectrum,
 definiteness, the maximum location of the principal eigenvalue, integral
 identities of Rellich/Pohozaev type, and pointwise gradient bounds.
+
+EMLAB_THREADS caps the BLAS/OpenMP threads; it is applied here, before any
+submodule imports numpy, because the BLAS reads its thread count once.
 """
+
+import os
+
+if "EMLAB_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["EMLAB_THREADS"])
 
 from .errors import (ConfigError, DegenerateGridError, EllipticityError,
                      EmlabError, EmptyCriticalSetError, EvaluationError,

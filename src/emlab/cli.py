@@ -2,16 +2,9 @@
 
 Exit codes: 0 success, 1 solver nonconvergence, 2 hypothesis violation in
 strict mode, 3 invariant violation, 4 configuration error.  The only
-environment variable honored is EMLAB_THREADS (BLAS/OpenMP thread count);
-it must be set before heavy numerics are imported, hence the early handling
-below.
+environment variable honored is EMLAB_THREADS (BLAS/OpenMP thread count),
+which the package applies on import.
 """
-
-import os
-
-if "EMLAB_THREADS" in os.environ:  # noqa: E402 - must precede numpy import
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["EMLAB_THREADS"])
 
 import argparse
 import json

@@ -272,7 +272,6 @@ class DiscreteDomain:
     xy: np.ndarray                  # (n_int, 2) physical coordinates
     nbr: np.ndarray                 # (n_int, 4) interior neighbor id or -1
     arm: np.ndarray                 # (n_int, 4) arm length to neighbor/boundary
-    boundary_adjacent: np.ndarray   # (n_int,) bool
     weights: np.ndarray             # (n_int,) clipped cell areas
     bpts: np.ndarray                # (nb, 2) boundary sample points
     bnu: np.ndarray                 # (nb, 2) outward unit normals
@@ -413,7 +412,6 @@ def build_domain(shape, spacing):
     # index lookups one node beyond the lattice read -1 (exterior)
     padded_index = np.pad(interior_index, 1, constant_values=-1)
     nbr = np.column_stack([padded_index[ii + 1 + di, jj + 1 + dj] for di, dj in DIRS])
-    boundary_adjacent = (nbr < 0).any(axis=1)
     # Shortley-Weller arms: the boundary crossing on the segment from each
     # interior node to its exterior neighbor, all bisected together on the
     # predicate that classified the nodes, so every segment has a crossing
@@ -471,8 +469,7 @@ def build_domain(shape, spacing):
 
     return DiscreteDomain(shape=shape, h=h, gx0=gx0, gy0=gy0, nx=nx, ny=ny,
                           interior_index=interior_index,
-                          xy=xy, nbr=nbr, arm=arm,
-                          boundary_adjacent=boundary_adjacent, weights=weights,
+                          xy=xy, nbr=nbr, arm=arm, weights=weights,
                           bpts=bpts, bnu=bnu, bH=bH, bw=bw, bcomp=bcomp,
                           dist=dist, dropped_area=dropped)
 

@@ -36,9 +36,6 @@ class Jet2:
     F_pq: object
     F_qq: object
 
-    def as_tuple(self):
-        return (self.F, self.F_p, self.F_q, self.F_pp, self.F_pq, self.F_qq)
-
 
 @dataclass(frozen=True)
 class LagrangianModel:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +170,7 @@ def load_config(path):
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     return parse_config(data)
 
@@ -311,7 +311,7 @@ def read_report(run_dir):
         with open(path) as fh:
             doc = json.load(fh)
         validate_report(doc)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except ValidationError as exc:
         raise ConfigError(f"malformed {path}: {exc.message}") from None
@@ -329,11 +329,11 @@ def identity_tolerance(h):
 # ---------------------------------------------------------------------------
 
 def _build_domain(config):
-    """The configured domain; a grid the shape cannot support is a
-    configuration error."""
+    """The configured domain; a grid the shape cannot support, or whose
+    lattice cannot be allocated, is a configuration error."""
     try:
         return build_domain(config.shape, config.spacing)
-    except EmlabError as exc:
+    except (EmlabError, MemoryError) as exc:
         raise ConfigError(f"domain build failed: {exc}") from None
 
 
@@ -562,6 +562,9 @@ FIELD_COLUMNS = ["x", "y", "u", "u_x", "u_y", "lambda1", "lambda2",
 TENSOR_COLUMNS = ["T11", "T12", "T22"]  # row-aligned with fields.csv
 BOUNDARY_COLUMNS = ["y_x", "y_y", "nu_x", "nu_y", "H", "weight", "dnu_u",
                     "rellich_density", "pohozaev_density"]
+#: the files of a run with a solution; config.yaml, report.json and
+#: timings.json are written by every run
+SOLUTION_FILES = ("fields.csv", "tensor.csv", "boundary.csv", "solver_log.json")
 
 
 #: rows formatted per string operation when writing a CSV
@@ -584,12 +587,16 @@ def export_fields(report, out_dir):
 
     Identical runs produce byte-identical fields.csv / boundary.csv /
     report.json; timings.json is the only non-deterministic artifact.  Its
-    ``export`` entry is the time of every write before its own.
+    ``export`` entry is the time of every write before its own.  Any of
+    ``SOLUTION_FILES`` that the run does not write is removed, so a reused
+    directory holds no output of an earlier run.
     """
     with _stage(report, "export"):
         os.makedirs(out_dir, exist_ok=True)
-        if report.result is not None:
-            _write_solution(report, out_dir)
+        own = _write_solution(report, out_dir) if report.result is not None else ()
+        for name in set(SOLUTION_FILES).difference(own):
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
             yaml.safe_dump(report.config, fh, sort_keys=True)
         doc = report.as_dict()
@@ -603,8 +610,10 @@ def export_fields(report, out_dir):
 
 
 def _write_solution(report, out_dir):
-    """The CSV fields and, after a solve, the solver log of a run."""
+    """The CSV fields and, after a solve, the solver log of a run; returns
+    the names of the run's own files among ``SOLUTION_FILES``."""
     result, domain, fld = report.result, report.domain, report.spectral_field
+    own = ["fields.csv", "boundary.csv", "solver_log.json"]
     xy_u = [domain.xy[:, 0], domain.xy[:, 1], result.u,
             result.grad[:, 0], result.grad[:, 1]]
     if fld is None:  # the analyses stopped before evaluating the solution
@@ -615,6 +624,7 @@ def _write_solution(report, out_dir):
                          fld.div_T[:, 0], fld.div_T[:, 1]]
         _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
                    [fld.T11, fld.T12, fld.T22])
+        own.append("tensor.csv")
         rellich_density = fld.boundary_flux
         pohozaev_density = fld.X_dot_nu * (0.5 * result.normal_derivative ** 2 - fld.phi0)
     _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, fields)
@@ -627,6 +637,7 @@ def _write_solution(report, out_dir):
         with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:
             json.dump(_sanitize(result.log), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return own
 
 
 def load_run(run_dir):

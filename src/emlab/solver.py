@@ -59,7 +59,6 @@ class SolveResult:
     solution_range: tuple            # (m, M) over the closure (boundary = 0)
     gradient_range: tuple            # (0, p_max)
     log: list = field(default_factory=list)
-    config: SolverConfig = None
     #: discrete fields cannot certify the classical smoothness the theory
     #: assumes; analyses treat it as an assumption, not a verified fact
     regularity_note: str = "classical regularity assumed, not verified"
@@ -269,7 +268,7 @@ def solve_euler_lagrange(model, domain, config=None):
 
     return field_result(domain, u, residual_history=history,
                         converged=res <= cfg.residual_tol, iterations=iterations,
-                        log=log, config=cfg)
+                        log=log)
 
 
 class _Stalled(Exception):
@@ -343,11 +342,10 @@ def field_result(domain, u, **state):
 
 @dataclass
 class RadialProfile:
-    """High-resolution radial solution u(r) with its derivative."""
+    """High-resolution radial solution u(r) and its shooting parameter."""
 
     r: np.ndarray
     u: np.ndarray
-    du: np.ndarray
     parameter: float
 
     def u_at(self, r):
@@ -361,68 +359,48 @@ FLUX_XTOL, FLUX_RTOL = 1e-14, 8.9e-16
 FLUX_MAX_ITERATIONS = 200
 
 
-def _flux_slope(model, p, q):
-    """F_p and F_pp at (p, q) as arrays; a single value takes the scalar
-    path of eval_jet."""
-    jet = eval_jet(model, float(p[0]), float(q[0])) if p.size == 1 else eval_jet(model, p, q)
-    return np.array(jet.F_p, ndmin=1), np.array(jet.F_pp, ndmin=1)
-
-
 def _invert_flux(model, w, q):
     """Solve F_p(p, q) = |w| for p >= 0; returns signed u' matching w.
 
-    Scalars in, scalar out; arrays in, array out.  F_pp > 0 makes F_p
-    increasing in p, so a safeguarded Newton iteration keeps a bracket
-    [lo, hi] around each root and bisects whenever a step leaves it.
+    F_pp > 0 makes F_p increasing in p, so a safeguarded Newton iteration
+    keeps a bracket [lo, hi] around the root and bisects whenever a step
+    leaves it or F_pp vanishes.
     """
-    w_arr, q_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                       np.asarray(q, dtype=float))
-    target = np.abs(w_arr).ravel()
-    qv = q_arr.ravel()
-    p = np.zeros(target.size)
-    idx = np.nonzero(~(target < 1e-300))[0]
-    if idx.size:
-        f0, _ = _flux_slope(model, np.zeros(idx.size), qv[idx])
-        # F_p(0, q) above the flux is only possible for non-smooth origins;
-        # treat those values as flat
-        idx = idx[~(f0 > target[idx])]
-    t, qa = target[idx], qv[idx]
-
-    hi = np.maximum(t, 1e-6)
-    f, fp = _flux_slope(model, hi, qa)
-    for _ in range(200):
-        low = np.nonzero(f < t)[0]
-        if not low.size:
-            break
-        hi[low] *= 2.0
-        if np.any(hi[low] > 1e12):
+    w, q = float(w), float(q)
+    t = abs(w)
+    # F_p(0, q) above the flux is only possible for non-smooth origins;
+    # treat those values as flat
+    if t < 1e-300 or eval_jet(model, 0.0, q).F_p > t:
+        return -0.0 if w < 0.0 else 0.0
+    hi = max(t, 1e-6)
+    jet = eval_jet(model, hi, q)
+    while jet.F_p < t:
+        hi *= 2.0
+        if hi > 1e12:
             raise EmlabError("flux inversion failed: F_p stays below the flux")
-        f[low], fp[low] = _flux_slope(model, hi[low], qa[low])
+        jet = eval_jet(model, hi, q)
 
-    lo = np.zeros(t.size)
-    x = hi.copy()
+    lo, x = 0.0, hi
     for _ in range(FLUX_MAX_ITERATIONS):
-        if not idx.size:
+        res = jet.F_p - t
+        if res == 0.0:
             break
-        res = f - t
-        lo = np.where(res < 0.0, x, lo)
-        hi = np.where(res > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - res / fp
-        x_new = np.where((x_new > lo) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        if res < 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x - res / jet.F_pp if jet.F_pp else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
         delta = 0.5 * (FLUX_XTOL + FLUX_RTOL * x_new)
-        exact = res == 0.0
-        done = exact | (np.abs(x_new - x) <= delta) | (hi - lo <= 2.0 * delta)
-        p[idx[done]] = np.where(exact, x, x_new)[done]
-        keep = ~done
-        idx, t, qa = idx[keep], t[keep], qa[keep]
-        lo, hi, x = lo[keep], hi[keep], x_new[keep]
-        if idx.size:
-            f, fp = _flux_slope(model, x, qa)
-    if idx.size:
+        done = abs(x_new - x) <= delta or hi - lo <= 2.0 * delta
+        x = x_new
+        if done:
+            break
+        jet = eval_jet(model, x, q)
+    else:
         raise EmlabError("flux inversion failed to converge")
-    p = np.where(w_arr.ravel() < 0.0, -p, p).reshape(w_arr.shape)
-    return float(p) if p.ndim == 0 else p
+    return -x if w < 0.0 else x
 
 
 def _radial_rhs(model, n):
@@ -488,10 +466,9 @@ def solve_radial(model, radii, n=2, resolution=4096):
     sol = _integrate(model, n, r0, r_hi, start(parameter), dense=True)
 
     rs = np.linspace(r0, r_hi, resolution)
-    us, ws = sol.sol(rs)
-    dus = _invert_flux(model, ws, us)
+    us = sol.sol(rs)[0]
     # pin the endpoints to the boundary data they were shot against
     us[-1] = 0.0
     if r_lo > 0.0:
         us[0] = 0.0
-    return RadialProfile(r=rs, u=us, du=dus, parameter=parameter)
+    return RadialProfile(r=rs, u=us, parameter=parameter)

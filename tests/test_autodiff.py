@@ -1,5 +1,7 @@
 """Dual-number jets against central finite differences of the plain values."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_vectorized_matches_scalar():
     vec = eval_jet(model, ps, qs)
     for i in range(3):
         scal = eval_jet(model, ps[i], qs[i])
-        for a, b in zip(vec.as_tuple(), scal.as_tuple()):
+        for a, b in zip(dataclasses.astuple(vec), dataclasses.astuple(scal)):
             assert a[i] == pytest.approx(b, rel=1e-15)
 
 

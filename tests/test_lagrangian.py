@@ -1,5 +1,6 @@
 """Model jets, divergence coefficients, hypothesis checks, identity residual."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestExpressionModels:
         for p, q in [(0.0, 0.0), (1.0, -0.2), (2.0, 1.0)]:
             a = eval_jet(custom, p, q)
             b = eval_jet(TORSION, p, q)
-            for x, y in zip(a.as_tuple(), b.as_tuple()):
+            for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
                 assert x == pytest.approx(y, abs=1e-15)
 
     def test_rejects_unknown_names(self):
@@ -233,7 +234,7 @@ JET_MODELS = CATALOG_MODELS + [
 
 def _jet_or_error(model, p, q):
     try:
-        return eval_jet(model, p, q).as_tuple()
+        return dataclasses.astuple(eval_jet(model, p, q))
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc)
 

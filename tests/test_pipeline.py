@@ -6,7 +6,9 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import ValidationError
 
+import emlab
 from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
@@ -459,6 +462,25 @@ class TestDeterminism:
         assert digests[0] == digests[1]
 
 
+def _python(args, **kwargs):
+    """Run ``python *args`` on this checkout's package, with EMLAB_THREADS=1
+    and no other thread variable set."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(emlab.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(EMLAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+def _cap_address_space():
+    """Cap the address space of the calling process at 4 GiB."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
 class TestCli:
     def test_solve_and_friends(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)
@@ -561,6 +583,65 @@ class TestCli:
         assert "radial_oracle_agreement" in doc["status"]["violations"]
         assert main(["verify", "--in", out]) == EXIT_INVARIANT
         assert "[FAIL] radial_oracle_agreement: value=failed: " in capsys.readouterr().out
+
+    def test_reused_directory_keeps_no_stale_files(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["solve", "--config", write_config(tmp_path, TORSION_CONFIG),
+                     "--out", str(out)]) == EXIT_OK
+        # an unconverged run is never evaluated, so it writes no tensor.csv
+        unconverged = write_config(tmp_path, dict(
+            TORSION_CONFIG, model={"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
+            solver={"max_iterations": 1}), "unconverged.yaml")
+        assert main(["solve", "--config", unconverged, "--out", str(out)]) == EXIT_SOLVER
+        assert sorted(os.listdir(out)) == ["boundary.csv", "config.yaml", "fields.csv",
+                                           "report.json", "solver_log.json", "timings.json"]
+        # g = 2 + q turns negative where u < -2: the solver refuses the model
+        refused = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "expression": "0.5*(2 + q)*p**2 + 20*q", "smooth_at_origin": True}), "refused.yaml")
+        assert main(["solve", "--config", refused, "--out", str(out)]) == EXIT_SOLVER
+        assert sorted(os.listdir(out)) == ["config.yaml", "report.json", "timings.json"]
+        report = (out / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_SOLVER
+        assert "0/0 checks passed" in capsys.readouterr().out
+        assert main(["analyze", "--in", str(out)]) == EXIT_SOLVER
+        assert (out / "report.json").read_bytes() == report
+
+    def test_deeply_nested_input_exits_four(self, tmp_path, capsys):
+        deep = "[" * 200000 + "]" * 200000
+        (tmp_path / "report.json").write_text(deep)
+        (tmp_path / "config.yaml").write_text("model: " + deep)
+        assert main(["report", "--in", str(tmp_path)]) == EXIT_CONFIG
+        assert main(["check", "--config", str(tmp_path / "config.yaml")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 2
+        assert err.count("\n") == 2 and "Traceback" not in err
+
+    def test_unallocatable_lattice_exits_four(self, tmp_path):
+        # spacing 1e-6 asks for 2000005^2 lattice doubles (29.1 TiB), which
+        # numpy refuses at once; the address-space cap of the child keeps it
+        # that way on a host that would overcommit
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, spacing=1e-6))
+        proc = _python(["-m", "emlab.cli", "solve", "--config", cfg_path,
+                        "--out", str(tmp_path / "o")], preexec_fn=_cap_address_space)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error: domain build failed: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_emlab_threads_applies_before_numpy_loads(self):
+        # the BLAS reads its thread count once, when numpy first loads
+        probe = ("import os, sys\n"
+                 "seen = []\n"
+                 "class Probe:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy' and not seen:\n"
+                 "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                 "sys.meta_path.insert(0, Probe())\n"
+                 "import emlab.cli\n"
+                 "print(seen)\n")
+        proc = _python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['1']\n"
 
     def test_reload_domain_error_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)

@@ -14,10 +14,10 @@ from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import (ORIGIN_EPS, divergence_coefficients, eval_jet,
                               make_expression_model, make_model)
 from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
-from emlab.solver import (SolverConfig, _assemble, _conductances, _integrate,
+from emlab.solver import (SolverConfig, _assemble, _conductances,
                           _invert_flux, el_residual, solve_euler_lagrange,
                           solve_radial)
-from conftest import annulus_exact_u
+from conftest import annulus_exact_u, radial_du, shot_states
 
 ROUNDING_FLOOR = 1e-10
 
@@ -106,7 +106,7 @@ class TestAnnulus:
 class TestElResidual:
     def test_solved_field_below_tolerance(self, torsion_model, disc64, torsion_result):
         res = el_residual(torsion_model, disc64, torsion_result.u)
-        assert np.max(np.abs(res)) <= torsion_result.config.residual_tol
+        assert np.max(np.abs(res)) <= SolverConfig().residual_tol
 
     def test_injected_closed_form_truncation_order(self, torsion_model):
         # annular profile has log terms, so the truncation error is genuine
@@ -305,8 +305,8 @@ class TestRadialOracle:
 
 
 def _invert_flux_loop(model, w, q):
-    """Reference: the scalar flux inversion by brentq that the whole-array
-    safeguarded Newton replaced."""
+    """Reference: the flux inversion by brentq that the safeguarded Newton
+    replaced."""
     target = abs(w)
     if target < 1e-300:
         return 0.0
@@ -325,19 +325,6 @@ def _invert_flux_loop(model, w, q):
     return p if w >= 0 else -p
 
 
-def _shot_states(model, radii, prof, n=2):
-    """Flux w and value u of the shot solution at the profile radii, before
-    solve_radial pins the endpoints to the boundary data."""
-    r0 = prof.r[0]
-    if radii[0] == 0.0:
-        y0 = [prof.parameter, eval_jet(model, 0.0, prof.parameter).F_q * r0 / n]
-    else:
-        y0 = [0.0, prof.parameter]
-    sol = _integrate(model, n, r0, prof.r[-1], y0, dense=True)
-    us, ws = sol.sol(prof.r)
-    return ws, us
-
-
 class TestFluxInversion:
     EXACT = [("dirichlet_affine", [0.5, 1.0], (0.0, 1.0)),
              ("dirichlet_affine", [0.5, 1.0], (0.3, 1.0)),
@@ -348,25 +335,27 @@ class TestFluxInversion:
         # Newton is exact where F_p = p, so the whole profile keeps its bits
         model = make_model(name, params)
         prof = solve_radial(model, radii, n=2, resolution=512)
-        ws, us = _shot_states(model, radii, prof)
+        ws, us = shot_states(model, radii, prof)
         ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
-        assert np.array_equal(_invert_flux(model, ws, us), ref)
-        assert np.array_equal(prof.du, ref)
-        monkeypatch.setattr(solver, "_invert_flux", np.vectorize(_invert_flux_loop))
+        assert np.array_equal([_invert_flux(model, w, q) for w, q in zip(ws, us)], ref)
+        du = radial_du(model, radii, prof)
+        assert np.array_equal(du, ref)
+        monkeypatch.setattr(solver, "_invert_flux", _invert_flux_loop)
         old = solve_radial(model, radii, n=2, resolution=512)
         assert old.parameter == prof.parameter
         assert np.array_equal(old.u, prof.u)
-        assert np.array_equal(old.du, prof.du)
+        assert np.array_equal(radial_du(model, radii, old), du)
 
     @pytest.mark.parametrize("name,params", [("power_dirichlet", [3.0, 0.0, 1.0]),
                                              ("minimal_surface", [2.0, 1.0])])
     def test_nonlinear_flux_within_tolerance(self, name, params):
         model = make_model(name, params)
         prof = solve_radial(model, (0.0, 1.0), n=2, resolution=512)
-        ws, us = _shot_states(model, (0.0, 1.0), prof)
+        ws, us = shot_states(model, (0.0, 1.0), prof)
         ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
-        assert np.max(np.abs(prof.du - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(np.sign(prof.du), np.sign(ref))
+        du = radial_du(model, (0.0, 1.0), prof)
+        assert np.max(np.abs(du - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(np.sign(du), np.sign(ref))
 
     def test_branches_match_scalar_loop(self):
         # F_p(0, q) = 1 here: fluxes below 1 invert to the flat result
@@ -376,22 +365,36 @@ class TestFluxInversion:
         q = np.linspace(-1.0, 1.0, len(w))
         for model in (kinked, m3):
             ref = np.array([_invert_flux_loop(model, a, b) for a, b in zip(w, q)])
-            got = _invert_flux(model, w, q)
+            got = np.array([_invert_flux(model, a, b) for a, b in zip(w, q)])
             # both stop within brentq's absolute tolerance 1e-14 of the root
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
             assert np.array_equal(got[:2], [0.0, 0.0])  # zero flux
+            # u' takes the sign of the flux, a flat or zero one included
+            assert np.array_equal(np.signbit(got), w < 0.0)
             for a, b, r in zip(w, q, ref):  # scalars in, scalar out
                 out = _invert_flux(model, a, b)
                 assert isinstance(out, float)
                 assert abs(out - r) <= 1e-12 * abs(r) + 1e-14
         flat = w[np.abs(w) < 1.0]
-        assert not np.any(_invert_flux(kinked, flat, np.zeros_like(flat)))
+        assert not np.any([_invert_flux(kinked, a, 0.0) for a in flat])
+
+    def test_vanishing_slope_bisects(self):
+        # F_p = (p - 0.75)^3 + 0.75^3 rises through an inflection at 0.75,
+        # where the search for the flux 0.375 starts: F_pp = 0 there, so the
+        # first step is a bisection rather than a division by zero
+        model = make_expression_model("(p - 0.75)**4/4 + 0.421875*p")
+        assert eval_jet(model, 0.75, 0.0).F_pp == 0.0
+        assert eval_jet(model, 0.375, 0.0).F_p < 0.375 < eval_jet(model, 0.75, 0.0).F_p
+        for w in (0.375, -0.375):
+            ref = _invert_flux_loop(model, w, 0.0)
+            assert abs(_invert_flux(model, w, 0.0) - ref) <= 1e-12 * abs(ref)
 
     def test_flux_above_range_raises(self):
         # F_p = p / sqrt(1 + p^2) < 1: a flux of 1 or more has no preimage
         model = make_model("minimal_surface", [2.0, 1.0])
         with pytest.raises(EmlabError, match="F_p stays below the flux"):
-            _invert_flux(model, np.array([0.5, 1.5]), np.zeros(2))
+            for w in (0.5, 1.5):
+                _invert_flux(model, w, 0.0)
         with pytest.raises(EmlabError, match="F_p stays below the flux"):
             _invert_flux_loop(model, 1.5, 0.0)
         with pytest.raises(EmlabError, match="F_p stays below the flux"):
