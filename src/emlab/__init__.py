@@ -17,8 +17,8 @@ if "EMLAB_THREADS" in os.environ:
         os.environ.setdefault(_var, os.environ["EMLAB_THREADS"])
 
 from .errors import (ConfigError, DegenerateGridError, EllipticityError,
-                     EmlabError, EmptyCriticalSetError, EvaluationError,
-                     OriginLimitError, UnconvergedError)
+                     EmlabError, EvaluationError, OriginLimitError,
+                     UnconvergedError)
 from .geometry import (DiscreteDomain, Shape, boundary_integral, build_domain,
                        make_shape, star_center_margin, volume_integral)
 from .identities import (nonexistence_obstruction, run_identity_suite,

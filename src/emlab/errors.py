@@ -32,7 +32,3 @@ class EllipticityError(EmlabError):
 
 class UnconvergedError(EmlabError):
     """An analysis was asked to run on an unconverged solution."""
-
-
-class EmptyCriticalSetError(EmlabError):
-    """No critical-set nodes were found at the current grid resolution."""

@@ -479,19 +479,21 @@ def build_domain(shape, spacing):
 # ---------------------------------------------------------------------------
 
 def volume_integral(domain, fld):
-    """Cell-weighted sum of a per-node array over interior nodes."""
+    """Cell-weighted sum of a per-node array over interior nodes, in numpy's
+    fixed pairwise order (a BLAS dot would split it by thread count)."""
     values = np.asarray(fld)
     if values.shape != (domain.n_interior,):
         raise ValueError("field must provide one value per interior node")
-    return float(np.dot(domain.weights, values))
+    return float(np.add.reduce(domain.weights * values))
 
 
 def boundary_integral(domain, density):
-    """Arc-weighted sum of a per-sample array over boundary samples."""
+    """Arc-weighted sum of a per-sample array over boundary samples, in the
+    same fixed order as ``volume_integral``."""
     values = np.asarray(density)
     if values.shape != (domain.n_boundary,):
         raise ValueError("density must provide one value per boundary sample")
-    return float(np.dot(domain.bw, values))
+    return float(np.add.reduce(domain.bw * values))
 
 
 def star_center_margin(shape, x0):

@@ -12,19 +12,23 @@ volume integrand is implemented as ``-u F_q - n F`` (the chain rule gives the
 minus sign; the plus-sign variant is reported alongside), and the specialized
 boundary density is implemented as ``<X, nu> (dnu^2/2 - Phi(0))`` (the half
 also often printed on the Phi(0) term is reported alongside).  The trivial
-and closed-form oracles confirm the implemented signs.
+and closed-form oracles confirm the implemented signs.  ``run_identity_suite``
+gives the ``identities`` report section and the residual checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .checks import check
 from .geometry import boundary_integral, star_center_margin, volume_integral
-from .lagrangian import eval_jet
 from .pfunction import QUADRATIC_FAMILY
 
 #: space dimension n of the identities
 N_DIM = 2
+
+#: the boundary term u <L_xi, nu> vanishes to this, u = 0 on the boundary
+VANISHING_TERM_TOL = 1e-10
 
 
 def verify_rellich_identity(fld):
@@ -68,44 +72,38 @@ def verify_pohozaev_identity(fld):
     volume = volume_integral(domain, 0.5 * (2 - N_DIM) * fld.p ** 2 - N_DIM * fld.phi)
 
     dnu = fld.result.normal_derivative
-    boundary = boundary_integral(domain, fld.X_dot_nu * (0.5 * dnu ** 2 - fld.phi0))
+    boundary = boundary_integral(domain, fld.pohozaev_density)
     boundary_halved = boundary_integral(domain, 0.5 * fld.X_dot_nu * (dnu ** 2 - fld.phi0))
     return (volume, boundary, abs(volume - boundary),
             {"boundary_with_halved_density": boundary_halved})
 
 
-def nonexistence_obstruction(model, domain, x0=None, pohozaev=None):
+def nonexistence_obstruction(fld, pohozaev):
     """Sign diagnostic for the specialized identity on star-shaped domains.
 
     When <X, nu> >= 0 on the whole boundary and Phi(0) < 0, the boundary
     side is pointwise non-negative; a volume side below -2e-2 is then
     flagged.  ``pohozaev`` is the result of ``verify_pohozaev_identity`` for
-    a solution, if there is one.  Pure diagnostic, no existence claim.
+    the evaluated solution ``fld``, or None outside the quadratic-gradient
+    family.  Pure diagnostic, no existence claim.
     """
-    x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
-    margin = star_center_margin(domain.shape, x0)
-    phi0 = float(eval_jet(model, 0.0, 0.0).F)
-    out = {"star_margin": margin, "phi0": phi0,
+    margin = star_center_margin(fld.domain.shape, fld.x0)
+    out = {"star_margin": margin, "phi0": fld.phi0,
            "applicable": margin >= 0.0, "obstruction_flag": False,
-           "boundary_sign_guaranteed": 0}
-    if margin >= 0.0 and phi0 < 0.0:
-        out["boundary_sign_guaranteed"] = 1
+           "boundary_sign_guaranteed": int(margin >= 0.0 and fld.phi0 < 0.0)}
     if not out["applicable"]:
         out["note"] = "domain is not star-shaped about x0; obstruction inapplicable"
         return out
     if pohozaev is not None:
-        volume, boundary = pohozaev[:2]
-        out["volume_value"] = volume
-        out["boundary_value"] = boundary
-        if out["boundary_sign_guaranteed"] == 1 and volume < -2e-2:
-            out["obstruction_flag"] = True
+        out["volume_value"], out["boundary_value"] = pohozaev[:2]
+        out["obstruction_flag"] = out["boundary_sign_guaranteed"] == 1 and pohozaev[0] < -2e-2
     return out
 
 
 def run_identity_suite(fld):
-    """The ``identities`` report section of an evaluated solution: every
-    identity pair (volume, boundary, residual) and the obstruction
-    diagnostic, about its pivot ``fld.x0``."""
+    """The ``identities`` report section of an evaluated solution and its
+    checks, as ``(section, checks)``: every identity pair (volume, boundary,
+    residual) and the obstruction diagnostic, about its pivot ``fld.x0``."""
     rellich = verify_rellich_identity(fld)
     *source, extra = verify_rellich_source_form(fld)
     as_printed = {"source_volume_plus_sign": extra["volume_with_plus_sign"]}
@@ -113,13 +111,22 @@ def run_identity_suite(fld):
     if fld.model.name in QUADRATIC_FAMILY:
         pohozaev = verify_pohozaev_identity(fld)
         as_printed["pohozaev_boundary_halved"] = pohozaev[3]["boundary_with_halved_density"]
-    obstruction = nonexistence_obstruction(fld.model, fld.domain, fld.x0, pohozaev)
+    obstruction = nonexistence_obstruction(fld, pohozaev)
+    vanishing = extra["vanishing_boundary_term"]
 
     def pair(sides):
         return dict(zip(("volume", "boundary", "residual"), sides[:3]))
 
-    return {"rellich": pair(rellich), "rellich_source": pair(source),
-            "pohozaev": pair(pohozaev or (None,) * 3), "x0": list(fld.x0),
-            "star_margin": obstruction["star_margin"],
-            "vanishing_boundary_term": extra["vanishing_boundary_term"],
-            "as_printed": as_printed, "obstruction": obstruction}
+    section = {"rellich": pair(rellich), "rellich_source": pair(source),
+               "pohozaev": pair(pohozaev or (None,) * 3), "x0": list(fld.x0),
+               "star_margin": obstruction["star_margin"],
+               "vanishing_boundary_term": vanishing,
+               "as_printed": as_printed, "obstruction": obstruction}
+    # 2e-2 down to h = 1/64, growing as h^2 on coarser grids
+    tol = 2e-2 * max(1.0, (64.0 * fld.domain.h) ** 2)
+    checks = [check("rellich_identity_residual", rellich[2], tol),
+              check("rellich_source_residual", source[2], tol)]
+    if pohozaev is not None:
+        checks.append(check("pohozaev_identity_residual", pohozaev[2], tol))
+    checks.append(check("vanishing_boundary_term", abs(vanishing), VANISHING_TERM_TOL))
+    return section, checks

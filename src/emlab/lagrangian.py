@@ -290,19 +290,19 @@ def divergence_coefficients(model, p, q):
     return np.asarray(g, dtype=float), np.asarray(h, dtype=float)
 
 
-def candidate_p2_derivative(model, p, q):
-    """d(p F_p - F)/d(p^2) built from quotient pieces of the jet.
+def candidate_p2_derivative(p, jet):
+    """d(p F_p - F)/d(p^2) built from quotient pieces of the jet at (p, q).
 
     Equals F_pp/2 analytically (the F_p terms cancel); kept unsimplified so
     the cancellation itself is checkable.
     """
     p_arr = np.asarray(p, dtype=float)
-    jet = eval_jet(model, p_arr, np.asarray(q, dtype=float))
     return (jet.F_p + p_arr * jet.F_pp - jet.F_p) / (2.0 * p_arr)
 
 
-def pfunction_identity_residual(model, p, q):
-    """Residual of the compatibility identity satisfied by phi = p F_p - F.
+def pfunction_identity_residual(p, jet):
+    """Residual of the compatibility identity satisfied by phi = p F_p - F,
+    from the jet at (p, q).
 
     With g = F_p/p and h = -F_q the candidate phi must satisfy
     ``2 (h + p^2 dg/dq) phi_{p2} = (g + 2 p^2 dg/dp2) phi_q``; the two sides
@@ -310,22 +310,17 @@ def pfunction_identity_residual(model, p, q):
     factor is rebuilt separately from the jet rather than simplified first.
     """
     p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
     if np.any(p_arr <= 0):
         raise ValueError("the identity residual requires p > 0")
-    jet = eval_jet(model, p_arr, q_arr)
     g = jet.F_p / p_arr
     h = -jet.F_q
     dg_dq = jet.F_pq / p_arr
     dg_dp2 = (p_arr * jet.F_pp - jet.F_p) / (2.0 * p_arr ** 3)
-    phi_p2 = candidate_p2_derivative(model, p_arr, q_arr)
+    phi_p2 = candidate_p2_derivative(p_arr, jet)
     phi_q = p_arr * jet.F_pq - jet.F_q
     lhs = 2.0 * (h + p_arr ** 2 * dg_dq) * phi_p2
     rhs = (g + 2.0 * p_arr ** 2 * dg_dp2) * phi_q
-    res = np.abs(lhs - rhs)
-    if p_arr.ndim == 0 and q_arr.ndim == 0:
-        return float(res)
-    return res
+    return np.abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,16 @@ import yaml
 from jsonschema import ValidationError
 from jsonschema import validate as _jsonschema_validate
 
-from .errors import (ConfigError, EllipticityError, EmlabError,
-                     EmptyCriticalSetError)
+from .checks import check
+from .errors import ConfigError, EllipticityError, EmlabError
 from .geometry import build_domain, make_shape
 from .identities import run_identity_suite
 from .lagrangian import (PILOT_BOX, check_hypotheses, make_expression_model,
                          make_model)
-from .pfunction import (IDENTITY_RESIDUAL_TOL, check_max_principle_conditions,
-                        gradient_bound_check, locate_max, two_branch_bound)
+from .pfunction import pfunction_report
 from .solver import (SolverConfig, el_residual, field_result,
                      solve_euler_lagrange, solve_radial)
-from .tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
-                           classify_definiteness, consistency_report,
-                           divergence_residual)
+from .tensor_field import assemble_field, spectral_report
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -197,15 +194,12 @@ class RunReport:
     domain: object = field(default=None, repr=False)
     spectral_field: object = field(default=None, repr=False)
 
-    def add_check(self, name, value, tolerance, passed=None, gate=True):
-        """Record a check; its verdict is ``value <= tolerance`` unless
-        ``passed`` gives another."""
-        if passed is None:
-            passed = value <= tolerance
-        self.checks.append({"name": name, "value": value, "tolerance": tolerance,
-                            "passed": bool(passed), "gate": bool(gate)})
-        if gate and not passed:
-            self.violations.append(name)
+    def add_checks(self, *checks):
+        """Record check records in order; a failed gated one is a violation."""
+        for rec in checks:
+            self.checks.append(rec)
+            if rec["gate"] and not rec["passed"]:
+                self.violations.append(rec["name"])
 
     def as_dict(self):
         return _sanitize({
@@ -318,12 +312,6 @@ def read_report(run_dir):
     return doc
 
 
-def identity_tolerance(h):
-    """Residual budget for the integral identities, 2e-2 at h = 1/64 and
-    scaled quadratically on coarser grids."""
-    return 2e-2 * max(1.0, (64.0 * h) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -408,17 +396,6 @@ def _domain_section(domain):
     return sec
 
 
-#: the tensor checks as (check name, consistency_report key, tolerance)
-_TENSOR_CHECKS = (
-    ("tensor_symmetry", "symmetry_max", 0.0),
-    ("tensor_eigenvector_residual", "eigenvector_residual_max", 1e-10),
-    ("tensor_spectrum_crosscheck", "spectrum_crosscheck_max", 1e-10),
-    ("tensor_trace_consistency", "trace_consistency_max", 1e-12),
-    ("tensor_det_consistency", "det_consistency_max_rel", 1e-10),
-    ("det_convention_flip", "det_convention_flip_residual", 1e-10),
-)
-
-
 def analyze_into(report, config, domain, result, strict=False, residual=None):
     """Run every analysis on a solved field, filling the report: hypotheses,
     the radial oracle (discs and annuli), evaluation, tensor, p-function and
@@ -438,20 +415,20 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
         box = ((0.0, 1.1 * max(result.gradient_range[1], 1e-6)), (m - pad, M + pad))
         hyp = check_hypotheses(config.model, box=box, samples=512)
         report.hypotheses = hyp.as_dict()
-        report.add_check("hypothesis_convexity", hyp.min_F_pp, 0.0,
-                         hyp.convexity_ok, gate=False)
+        report.add_checks(check("hypothesis_convexity", hyp.min_F_pp, 0.0,
+                                hyp.convexity_ok, gate=False))
         if config.model.smooth_at_origin:
             # a false smoothness claim silently corrupts g near p = 0
-            report.add_check("origin_smoothness_claim", hyp.origin_smooth_ok,
-                             None, hyp.origin_smooth_ok)
+            report.add_checks(check("origin_smoothness_claim", hyp.origin_smooth_ok,
+                                    None, hyp.origin_smooth_ok))
         if strict and not hyp.convexity_ok:
             report.exit_code = EXIT_HYPOTHESIS
             report.violations.append("hypothesis_convexity")
             return report
 
     if not result.converged:
-        report.add_check("solver_convergence", result.residual_history[-1],
-                         config.solver.residual_tol, False)
+        report.add_checks(check("solver_convergence", result.residual_history[-1],
+                                config.solver.residual_tol, False))
         report.exit_code = EXIT_SOLVER
         return report
 
@@ -460,10 +437,11 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
     try:
         recheck = (residual if residual is not None else
                    float(np.max(np.abs(el_residual(config.model, domain, result.u)))))
-        report.add_check("solver_residual_recheck", recheck, config.solver.residual_tol)
+        report.add_checks(check("solver_residual_recheck", recheck,
+                                config.solver.residual_tol))
     except EmlabError as exc:
-        report.add_check("solver_residual_recheck", f"failed: {exc}",
-                         config.solver.residual_tol, False)
+        report.add_checks(check("solver_residual_recheck", f"failed: {exc}",
+                                config.solver.residual_tol, False))
 
     if config.shape.kind in ("disc", "annulus"):
         with _stage(report, "radial_oracle"):
@@ -478,75 +456,28 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
                 report.solver["radial_oracle"] = {
                     "max_deviation": dev, "parameter": profile.parameter,
                     "tolerance": RADIAL_ORACLE_TOL}
-                report.add_check("radial_oracle_agreement", dev, RADIAL_ORACLE_TOL)
+                report.add_checks(check("radial_oracle_agreement", dev, RADIAL_ORACLE_TOL))
             except EmlabError as exc:
                 report.solver["radial_oracle"] = {"failure": str(exc)}
-                report.add_check("radial_oracle_agreement", f"failed: {exc}",
-                                 RADIAL_ORACLE_TOL, False)
+                report.add_checks(check("radial_oracle_agreement", f"failed: {exc}",
+                                        RADIAL_ORACLE_TOL, False))
 
     if hyp.monotone_q_ok:
         # non-decreasing source models obey the maximum principle: u <= 0
-        report.add_check("maximum_principle_nonpositive", float(np.max(result.u)), 1e-8)
+        report.add_checks(check("maximum_principle_nonpositive",
+                                float(np.max(result.u)), 1e-8))
 
     with _stage(report, "evaluation"):
         fld = report.spectral_field = assemble_field(config.model, result, domain, config.x0)
-
     with _stage(report, "tensor"):
-        classify_definiteness(fld)
-        fld.div_T, div_norm = divergence_residual(fld)
-        cons = consistency_report(fld)
-        report.spectral = {
-            "definiteness_class": fld.definiteness_class,
-            "uniform_constant_C": fld.uniform_constant_C,
-            "sup_lambda1": fld.sup_lambda1,
-            "sup_location": list(fld.sup_location),
-            "sup_location_class": fld.sup_location_class,
-            "div_T_sup_norm_core": div_norm,
-            "consistency": cons,
-        }
-        for name, key, tol in _TENSOR_CHECKS:
-            report.add_check(name, cons[key], tol)
-
+        report.spectral, checks = spectral_report(fld)
+        report.add_checks(*checks)
     with _stage(report, "pfunction"):
-        prep = report.pfunction = locate_max(fld)
-        report.add_check("lambda1_location_class", prep["location_class"], None,
-                         prep["location_class"] != "interior_noncritical")
-        two_branch = two_branch_bound(prep)
-        report.add_check("lambda1_two_branch_bound",
-                         prep["sup_value"] - two_branch, 5e-3,
-                         prep["sup_value"] <= two_branch + 5e-3)
-        if prep["H_min"] >= 0.0 and not prep["critical_set_empty"]:
-            Dx, Dy = _interior_diff_ops(domain)
-            lip = float(np.max(np.hypot(Dx @ fld.lambda1, Dy @ fld.lambda1)))
-            tol = max(5e-3, 2.0 * domain.h * lip)
-            dev = abs(prep["sup_value"] - prep["critical_formula_value"])
-            report.add_check("lambda1_critical_branch_equality", dev, tol)
-        # lambda1 against the nearer eigenvalue of a direct 2x2 solve
-        direct = _eigvals_sym2(np.array([[fld.T11, fld.T12], [fld.T12, fld.T22]]))
-        agreement = float(np.max(np.min(np.abs(direct - fld.lambda1), axis=0)))
-        report.add_check("lambda1_matches_tensor_eigenvalue", agreement, 1e-12)
-        try:
-            gb = gradient_bound_check(fld)
-            report.add_check("gradient_bound_margin", gb["worst_margin"], -1e-6,
-                             gb["ok"], gate=gb["applicable"])
-        except EmptyCriticalSetError:
-            gb = {"applicable": False, "note": "critical set empty at this resolution"}
-        mpc = check_max_principle_conditions(config.model, result)
-        report.add_check("compatibility_identity_residual",
-                         mpc["identity_residual_max"], IDENTITY_RESIDUAL_TOL,
-                         mpc["identity_ok"])
-        prep["gradient_bound"] = gb
-        prep["max_principle_conditions"] = mpc
-
+        report.pfunction, checks = pfunction_report(fld)
+        report.add_checks(*checks)
     with _stage(report, "identities"):
-        idr = report.identities = run_identity_suite(fld)
-        tol = identity_tolerance(domain.h)
-        report.add_check("rellich_identity_residual", idr["rellich"]["residual"], tol)
-        report.add_check("rellich_source_residual", idr["rellich_source"]["residual"], tol)
-        if idr["pohozaev"]["residual"] is not None:
-            report.add_check("pohozaev_identity_residual", idr["pohozaev"]["residual"], tol)
-        report.add_check("vanishing_boundary_term", abs(idr["vanishing_boundary_term"]),
-                         1e-10)
+        report.identities, checks = run_identity_suite(fld)
+        report.add_checks(*checks)
 
     if report.violations:
         report.exit_code = EXIT_INVARIANT
@@ -623,10 +554,9 @@ def _write_solution(report, out_dir):
         fields = xy_u + [fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
                          fld.div_T[:, 0], fld.div_T[:, 1]]
         _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
-                   [fld.T11, fld.T12, fld.T22])
+                   [fld.T[0, 0], fld.T[0, 1], fld.T[1, 1]])
         own.append("tensor.csv")
-        rellich_density = fld.boundary_flux
-        pohozaev_density = fld.X_dot_nu * (0.5 * result.normal_derivative ** 2 - fld.phi0)
+        rellich_density, pohozaev_density = fld.boundary_flux, fld.pohozaev_density
     _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, fields)
     bcols = [domain.bpts[:, 0], domain.bpts[:, 1], domain.bnu[:, 0],
              domain.bnu[:, 1], domain.bH, domain.bw, result.normal_derivative,

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from emlab.geometry import build_domain, make_shape
-from emlab.lagrangian import halton_samples, make_model, pfunction_identity_residual
+from emlab.lagrangian import (eval_jet, halton_samples, make_model,
+                              pfunction_identity_residual)
 from emlab.identities import run_identity_suite
-from emlab.pfunction import gradient_bound_check, locate_max, two_branch_bound
+from emlab.pfunction import gradient_bound_check, locate_max
 from emlab.pipeline import export_fields, parse_config, run_pipeline
 from emlab.solver import solve_euler_lagrange, solve_radial
-from emlab.tensor_field import (assemble_field, classify_definiteness,
-                                consistency_report, divergence_residual)
+from emlab.tensor_field import assemble_field, consistency_report, divergence_residual
 from conftest import ANN_LOG_COEF, ANN_CONST, annulus_exact_u, lambda1_radial
 
 FLOOR = 1e-10
@@ -66,7 +66,7 @@ def test_criterion_1_torsion_benchmark(torsion_model):
 
 
 def test_criterion_2_shifted_torsion(shifted_model, shifted_result, disc64):
-    fld = classify_definiteness(assemble_field(shifted_model, shifted_result, disc64))
+    fld = assemble_field(shifted_model, shifted_result, disc64)
     prep = locate_max(fld)
     ok = (fld.definiteness_class == "positive_definite"
           and abs(prep["sup_value"] - 0.45) <= 5e-3
@@ -77,9 +77,9 @@ def test_criterion_2_shifted_torsion(shifted_model, shifted_result, disc64):
 
 def test_criterion_3_identity_suite(torsion_model, torsion_result, disc64, torsion128):
     target = -3.0 * math.pi / 4.0
-    rep64 = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
+    rep64, _ = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
     dom128, res128 = torsion128
-    rep128 = run_identity_suite(assemble_field(torsion_model, res128, dom128))
+    rep128, _ = run_identity_suite(assemble_field(torsion_model, res128, dom128))
     pairs = ("rellich", "rellich_source", "pohozaev")
     sides = [rep64[k][side] for k in pairs for side in ("volume", "boundary")]
     residuals64 = [rep64[k]["residual"] for k in pairs]
@@ -101,9 +101,7 @@ def test_criterion_4_divergence_residual(torsion_model, torsion_result, disc64,
     for model, res, dom in [(torsion_model, res32, dom32),
                             (torsion_model, torsion_result, disc64),
                             (torsion_model, *reversed(torsion128))]:
-        fld = assemble_field(model, res, dom)
-        _, norm = divergence_residual(fld)
-        norms.append(norm)
+        norms.append(assemble_field(model, res, dom).div_T_sup_norm_core)
     at_floor = all(n <= FLOOR for n in norms)
     factors_ok = at_floor or all(norms[i] / norms[i + 1] >= 1.8 for i in range(2))
 
@@ -118,12 +116,8 @@ def test_criterion_4_divergence_residual(torsion_model, torsion_result, disc64,
         ux, uy = x * coef, y * coef
         F = 0.5 * (ux**2 + uy**2) + (r2 / 4.0 + ANN_LOG_COEF * np.log(np.sqrt(r2))
                                      + ANN_CONST) + 0.5
-
-        class Injected:
-            pass
-        f = Injected()
-        f.T11, f.T12, f.T22 = ux * ux - F, ux * uy, uy * uy - F
-        _, norm = divergence_residual(f, dom)
+        _, norm = divergence_residual(
+            dom, np.array([[ux * ux - F, ux * uy], [ux * uy, uy * uy - F]]))
         inj.append(norm)
     inj_factors = [inj[i] / inj[i + 1] for i in range(2)]
     ok = factors_ok and all(f >= 1.8 for f in inj_factors)
@@ -141,7 +135,7 @@ def test_criterion_5_compatibility_cancellation():
     pts = halton_samples(1000, ((1e-3, 2.0), (-2.0, 2.0)))
     worst = {}
     for model in models:
-        res = pfunction_identity_residual(model, pts[:, 0], pts[:, 1])
+        res = pfunction_identity_residual(pts[:, 0], eval_jet(model, pts[:, 0], pts[:, 1]))
         worst[model.name] = float(np.max(res))
     ok = all(v < 1e-11 for v in worst.values())
     verdict(5, ok, "max compatibility residual over 1000 samples per model: "
@@ -193,7 +187,9 @@ def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
     lines, ok = [], True
     for name, model, res, dom in runs:
         prep = locate_max(assemble_field(model, res, dom))
-        excess = prep["sup_value"] - two_branch_bound(prep)
+        excess = prep["sup_value"] - max(v for v in (prep["boundary_formula_value"],
+                                                     prep["critical_formula_value"])
+                                         if v is not None)
         ok = ok and excess <= 5e-3
         if prep["H_min"] >= 0.0:
             dev = abs(prep["sup_value"] - prep["critical_formula_value"])
@@ -205,7 +201,8 @@ def test_criterion_8_two_branch_formula(torsion_model, torsion_result, disc64,
 
 
 def test_criterion_9_gradient_bound(torsion_model, torsion_result, disc64):
-    gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
+    fld = assemble_field(torsion_model, torsion_result, disc64)
+    gb = gradient_bound_check(fld, locate_max(fld))
     prof = solve_radial(torsion_model, (0.0, 1.0), n=1, resolution=2048)
     spread = float(np.ptp(lambda1_radial(torsion_model, prof, (0.0, 1.0), n=1)))
     ok = (gb["applicable"] and gb["worst_margin"] >= -1e-6

@@ -134,9 +134,9 @@ class TestPohozaev:
 class TestObstruction:
     def test_negative_potential_forces_boundary_sign(self, shifted_model,
                                                      shifted_result, disc64):
-        pohozaev = verify_pohozaev_identity(
-            assemble_field(shifted_model, shifted_result, disc64))
-        out = nonexistence_obstruction(shifted_model, disc64, pohozaev=pohozaev)
+        fld = assemble_field(shifted_model, shifted_result, disc64)
+        pohozaev = verify_pohozaev_identity(fld)
+        out = nonexistence_obstruction(fld, pohozaev)
         assert out["applicable"]
         assert out["phi0"] == pytest.approx(-0.2)
         assert out["boundary_sign_guaranteed"] == 1
@@ -144,15 +144,15 @@ class TestObstruction:
         assert out["volume_value"] == pytest.approx(out["boundary_value"], abs=2e-2)
         assert not out["obstruction_flag"]
 
-    def test_annulus_inapplicable(self, torsion_model, annulus64):
-        out = nonexistence_obstruction(torsion_model, annulus64)
+    def test_annulus_inapplicable(self, torsion_model, annulus_result, annulus64):
+        fld = assemble_field(torsion_model, annulus_result, annulus64)
+        out = nonexistence_obstruction(fld, verify_pohozaev_identity(fld))
         assert out["star_margin"] < 0.0
         assert not out["applicable"]
 
     def test_torsion_no_obstruction(self, torsion_model, torsion_result, disc64):
-        pohozaev = verify_pohozaev_identity(
-            assemble_field(torsion_model, torsion_result, disc64))
-        out = nonexistence_obstruction(torsion_model, disc64, pohozaev=pohozaev)
+        fld = assemble_field(torsion_model, torsion_result, disc64)
+        out = nonexistence_obstruction(fld, verify_pohozaev_identity(fld))
         assert out["applicable"]
         assert out["boundary_sign_guaranteed"] == 0  # Phi(0) = 1/2 > 0
         assert not out["obstruction_flag"]
@@ -160,16 +160,22 @@ class TestObstruction:
 
 class TestSuite:
     def test_full_report(self, torsion_model, torsion_result, disc64):
-        doc = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
+        doc, checks = run_identity_suite(assemble_field(torsion_model, torsion_result, disc64))
         assert doc["rellich"]["residual"] <= 2e-2
         assert doc["rellich_source"]["residual"] <= 2e-2
         assert doc["pohozaev"]["residual"] <= 2e-2
         assert doc["star_margin"] == pytest.approx(1.0, abs=1e-6)
         assert "source_volume_plus_sign" in doc["as_printed"]
         assert "pohozaev_boundary_halved" in doc["as_printed"]
+        assert [(c["name"], c["value"], c["passed"]) for c in checks] == [
+            ("rellich_identity_residual", doc["rellich"]["residual"], True),
+            ("rellich_source_residual", doc["rellich_source"]["residual"], True),
+            ("pohozaev_identity_residual", doc["pohozaev"]["residual"], True),
+            ("vanishing_boundary_term", abs(doc["vanishing_boundary_term"]), True)]
 
     def test_non_family_model_skips_pohozaev(self, minsurf_model, disc64):
         res = solve_euler_lagrange(minsurf_model, disc64)
-        rep = run_identity_suite(assemble_field(minsurf_model, res, disc64))
+        rep, checks = run_identity_suite(assemble_field(minsurf_model, res, disc64))
         assert rep["pohozaev"] == {"volume": None, "boundary": None, "residual": None}
         assert rep["rellich"]["residual"] <= 2e-2
+        assert "pohozaev_identity_residual" not in [c["name"] for c in checks]

@@ -6,13 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from emlab.errors import EmptyCriticalSetError, UnconvergedError
+from emlab.errors import UnconvergedError
 from emlab.lagrangian import eval_jet, make_expression_model
 from emlab.pfunction import (check_max_principle_conditions, gradient_bound_check,
-                             locate_max, two_branch_bound)
+                             locate_max, pfunction_report)
 from emlab.solver import solve_radial
 from emlab.tensor_field import assemble_field
 from conftest import annulus_exact_du, annulus_exact_u, lambda1_radial
+
+
+def two_branch_bound(section):
+    """max of the admissible branches of the sup formula in a ``locate_max``
+    section."""
+    return max(v for v in (section["boundary_formula_value"],
+                           section["critical_formula_value"]) if v is not None)
+
+
+def bound_check(model, result, domain):
+    fld = assemble_field(model, result, domain)
+    return gradient_bound_check(fld, locate_max(fld))
 
 
 class TestLambda1Field:
@@ -98,7 +110,7 @@ class TestLocateMax:
 
 class TestGradientBound:
     def test_torsion_margins(self, torsion_model, torsion_result, disc64):
-        gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
+        gb = bound_check(torsion_model, torsion_result, disc64)
         assert gb["applicable"]
         assert gb["ok"]
         assert gb["worst_margin"] >= -1e-6
@@ -106,7 +118,7 @@ class TestGradientBound:
 
     def test_family_bound_closed_form(self, torsion_model, torsion_result, disc64):
         # p^2/2 = r^2/8 <= Phi(u) - Phi(m) = r^2/4: margin r^2/8 at radius r
-        gb = gradient_bound_check(assemble_field(torsion_model, torsion_result, disc64))
+        gb = bound_check(torsion_model, torsion_result, disc64)
         r2 = disc64.xy[:, 0] ** 2 + disc64.xy[:, 1] ** 2
         phi_diff = torsion_result.u - torsion_result.solution_range[0]
         margin = phi_diff - 0.5 * torsion_result.p**2
@@ -114,22 +126,27 @@ class TestGradientBound:
         assert gb["family_margin"] == pytest.approx(float(np.min(margin)), abs=1e-12)
 
     def test_shifted_bound_attained_at_center(self, shifted_model, shifted_result, disc64):
-        gb = gradient_bound_check(assemble_field(shifted_model, shifted_result, disc64))
+        gb = bound_check(shifted_model, shifted_result, disc64)
         assert gb["bound"] == pytest.approx(0.45, abs=5e-3)
         assert gb["ok"]
 
     def test_zero_solution_equality(self, laplace_model, laplace_result, disc64):
-        gb = gradient_bound_check(assemble_field(laplace_model, laplace_result, disc64))
+        gb = bound_check(laplace_model, laplace_result, disc64)
         assert gb["worst_margin"] == pytest.approx(0.0, abs=1e-10)
 
-    def test_empty_critical_set_raises(self, torsion_model, torsion_result, disc64):
+    def test_empty_critical_set_has_no_bound(self, torsion_model, torsion_result, disc64):
         fld = assemble_field(torsion_model, torsion_result, disc64)
         fake = dataclasses.replace(fld, critical_set_idx=np.array([], dtype=int))
         sec = locate_max(fake)
         assert sec["critical_set_empty"] and sec["critical_formula_value"] is None
         assert two_branch_bound(sec) == sec["boundary_formula_value"]
-        with pytest.raises(EmptyCriticalSetError):
-            gradient_bound_check(fake)
+        note = {"applicable": False, "note": "critical set empty at this resolution"}
+        assert gradient_bound_check(fake, sec) == note
+        section, checks = pfunction_report(fake)
+        assert section["gradient_bound"] == note
+        names = [c["name"] for c in checks]
+        assert "gradient_bound_margin" not in names
+        assert "lambda1_critical_branch_equality" not in names
 
 
 class TestRadialConstancy:
@@ -146,23 +163,25 @@ class TestRadialConstancy:
 
 
 class TestMaxPrincipleConditions:
-    def test_quadratic_family(self, torsion_model, torsion_result):
-        rep = check_max_principle_conditions(torsion_model, torsion_result)
+    def test_quadratic_family(self, torsion_model, torsion_result, disc64):
+        rep = check_max_principle_conditions(
+            assemble_field(torsion_model, torsion_result, disc64))
         assert rep["ellipticity_ok"]
         assert rep["min_F_pp"] == pytest.approx(1.0)
         assert rep["min_candidate_p2_derivative"] == pytest.approx(0.5)
         assert rep["identity_residual_max"] < 1e-12
 
-    def test_minimal_surface_range(self, minsurf_model, torsion_result):
+    def test_minimal_surface_range(self, minsurf_model, torsion_result, disc64):
         # min F_pp over the realized box is (1 + p_box^2)^{-3/2}
-        rep = check_max_principle_conditions(minsurf_model, torsion_result)
+        rep = check_max_principle_conditions(
+            assemble_field(minsurf_model, torsion_result, disc64))
         p_hi = rep["box"][0][1]
         assert rep["min_F_pp"] == pytest.approx((1.0 + p_hi**2) ** -1.5, rel=1e-6)
         assert rep["ellipticity_ok"]
 
-    def test_convexity_violation_witnessed(self, torsion_result):
+    def test_convexity_violation_witnessed(self, torsion_result, disc64):
         concave = make_expression_model("q - 0.5*p**2", smooth_at_origin=True)
-        rep = check_max_principle_conditions(concave, torsion_result)
+        rep = check_max_principle_conditions(assemble_field(concave, torsion_result, disc64))
         assert not rep["ellipticity_ok"]
         p, q, value = rep["ellipticity_witness"]
         assert value <= 0.0

@@ -253,6 +253,56 @@ class TestSharedEvaluation:
         assert sorted(field_sized) == sorted([(n, False), (n, True), (nb, False)])
 
 
+_HYPOTHESIS_CHECKS = [("hypothesis_convexity", False), ("origin_smoothness_claim", True),
+                      ("solver_residual_recheck", True)]
+_TENSOR_CHECKS = [("tensor_symmetry", True), ("tensor_eigenvector_residual", True),
+                  ("tensor_spectrum_crosscheck", True), ("tensor_trace_consistency", True),
+                  ("tensor_det_consistency", True), ("det_convention_flip", True)]
+
+
+class TestCheckList:
+    """The ordered (name, gate) list of the checks of three coarse runs."""
+
+    def test_torsion_disc(self):
+        report = run_pipeline(parse_config(TORSION_CONFIG))
+        assert [(c["name"], c["gate"]) for c in report.checks] == [
+            *_HYPOTHESIS_CHECKS, ("radial_oracle_agreement", True),
+            ("maximum_principle_nonpositive", True), *_TENSOR_CHECKS,
+            ("lambda1_location_class", True), ("lambda1_two_branch_bound", True),
+            ("lambda1_critical_branch_equality", True),
+            ("lambda1_matches_tensor_eigenvalue", True), ("gradient_bound_margin", True),
+            ("compatibility_identity_residual", True), ("rellich_identity_residual", True),
+            ("rellich_source_residual", True), ("pohozaev_identity_residual", True),
+            ("vanishing_boundary_term", True)]
+
+    def test_torsion_annulus(self):
+        # concave inner boundary: no critical-branch equality, the gradient
+        # bound is reported ungated
+        report = run_pipeline(parse_config(dict(
+            TORSION_CONFIG, shape={"kind": "annulus", "parameters": [0.3, 1.0]})))
+        assert [(c["name"], c["gate"]) for c in report.checks] == [
+            *_HYPOTHESIS_CHECKS, ("radial_oracle_agreement", True),
+            ("maximum_principle_nonpositive", True), *_TENSOR_CHECKS,
+            ("lambda1_location_class", True), ("lambda1_two_branch_bound", True),
+            ("lambda1_matches_tensor_eigenvalue", True), ("gradient_bound_margin", False),
+            ("compatibility_identity_residual", True), ("rellich_identity_residual", True),
+            ("rellich_source_residual", True), ("pohozaev_identity_residual", True),
+            ("vanishing_boundary_term", True)]
+
+    def test_ellipse_outside_the_quadratic_family(self):
+        # no radial oracle on an ellipse, no Pohozaev identity for this model
+        report = run_pipeline(parse_config(dict(
+            TORSION_CONFIG, model={"name": "minimal_surface", "parameters": [2.0, 1.0]},
+            shape={"kind": "ellipse", "parameters": [1.0, 0.6]})))
+        assert [(c["name"], c["gate"]) for c in report.checks] == [
+            *_HYPOTHESIS_CHECKS, ("maximum_principle_nonpositive", True), *_TENSOR_CHECKS,
+            ("lambda1_location_class", True), ("lambda1_two_branch_bound", True),
+            ("lambda1_critical_branch_equality", True),
+            ("lambda1_matches_tensor_eigenvalue", True), ("gradient_bound_margin", True),
+            ("compatibility_identity_residual", True), ("rellich_identity_residual", True),
+            ("rellich_source_residual", True), ("vanishing_boundary_term", True)]
+
+
 class TestResidualRecheck:
     def test_fresh_solve_reuses_solver_residual(self, monkeypatch):
         import emlab.pipeline
@@ -291,7 +341,8 @@ class TestExportAndReload:
         assert len(rows) == report.domain.n_interior
         fld = report.spectral_field
         for i in (0, len(rows) // 2, len(rows) - 1):
-            assert rows[i] == "%.17g,%.17g,%.17g" % (fld.T11[i], fld.T12[i], fld.T22[i])
+            assert rows[i] == "%.17g,%.17g,%.17g" % (fld.T[0, 0, i], fld.T[0, 1, i],
+                                                     fld.T[1, 1, i])
 
     def test_evaluated_columns_are_filled(self, run_dir):
         fields, boundary = _evaluated_columns(run_dir[0])
@@ -462,13 +513,13 @@ class TestDeterminism:
         assert digests[0] == digests[1]
 
 
-def _python(args, **kwargs):
-    """Run ``python *args`` on this checkout's package, with EMLAB_THREADS=1
-    and no other thread variable set."""
+def _python(args, threads=1, **kwargs):
+    """Run ``python *args`` on this checkout's package, with EMLAB_THREADS
+    set to ``threads`` and no other thread variable set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(emlab.__file__)))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(EMLAB_THREADS="1",
+    env.update(EMLAB_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, **kwargs)
@@ -642,6 +693,19 @@ class TestCli:
         proc = _python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['1']\n"
+
+    def test_report_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # the identity quadratures must not leave their summation order to
+        # the BLAS, which splits a dot product across its threads
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, spacing=1.0 / 64))
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            proc = _python(["-m", "emlab.cli", "solve", "--config", cfg_path,
+                            "--out", str(out)], threads=threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_reload_domain_error_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)

@@ -12,9 +12,9 @@ from emlab.errors import UnconvergedError
 from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import ORIGIN_EPS, eval_jet
 from emlab.solver import solve_euler_lagrange
-from emlab.tensor_field import (_eigvals_sym2, _interior_diff_ops, assemble_field,
-                                classify_definiteness, consistency_report,
-                                divergence_residual)
+from emlab.tensor_field import (_eigvals_sym2, assemble_field, classify_definiteness,
+                                consistency_report, divergence_residual,
+                                interior_diff_ops)
 from conftest import ANN_LOG_COEF, ANN_CONST
 
 
@@ -215,13 +215,13 @@ class TestDetTrace:
 
 class TestClassifyDefiniteness:
     def test_torsion_negative_definite(self, torsion_model, torsion_result, disc64):
-        fld = classify_definiteness(assemble_field(torsion_model, torsion_result, disc64))
+        fld = assemble_field(torsion_model, torsion_result, disc64)
         assert fld.definiteness_class == "negative_definite"
         assert fld.uniform_constant_C == pytest.approx(0.25, abs=5e-3)
         assert fld.sup_location_class == "critical_set"
 
     def test_shifted_positive_definite(self, shifted_model, shifted_result, disc64):
-        fld = classify_definiteness(assemble_field(shifted_model, shifted_result, disc64))
+        fld = assemble_field(shifted_model, shifted_result, disc64)
         assert fld.definiteness_class == "positive_definite"
         assert fld.sup_lambda1 == pytest.approx(0.45, abs=5e-3)
         all_eigs = np.concatenate([fld.lambda1, fld.lambda_rest,
@@ -229,12 +229,25 @@ class TestClassifyDefiniteness:
         assert np.min(all_eigs) > 0.0
 
     def test_zero_solution_negative_definite(self, laplace_model, laplace_result, disc64):
-        fld = classify_definiteness(assemble_field(laplace_model, laplace_result, disc64))
+        fld = assemble_field(laplace_model, laplace_result, disc64)
         assert fld.definiteness_class == "negative_definite"
         assert fld.uniform_constant_C == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("eigenvalues, expected", [
+        (([-3.0, -1.0], [-2.0]), ("negative_definite", 1.0)),
+        (([3.0, 1.0], [2.0]), ("positive_definite", None)),
+        (([-3.0, 1.0], [2.0]), ("indefinite", None)),
+        (([-3.0, -1.0], [-1e-12]), ("degenerate", None)),
+    ])
+    def test_every_class(self, eigenvalues, expected):
+        assert classify_definiteness(*map(np.array, eigenvalues)) == expected
+
+    def test_field_is_frozen(self, torsion_model, torsion_result, disc64):
+        fld = assemble_field(torsion_model, torsion_result, disc64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fld.definiteness_class = "indefinite"
+
     def test_refuses_unconverged(self, torsion_model, torsion_result, disc64):
-        import dataclasses
         broken = dataclasses.replace(torsion_result, converged=False)
         with pytest.raises(UnconvergedError):
             assemble_field(torsion_model, broken, disc64)
@@ -244,16 +257,13 @@ class TestDivergence:
     def test_solved_torsion_at_rounding_floor(self, torsion_model, torsion_result, disc64):
         # quadratic tensor: discrete divergence is exact to rounding
         fld = assemble_field(torsion_model, torsion_result, disc64)
-        _, norm = divergence_residual(fld)
-        assert norm <= 1e-10
+        assert fld.div_T_sup_norm_core <= 1e-10
+        residual, norm = divergence_residual(disc64, fld.T)
+        assert np.array_equal(residual, fld.div_T) and norm == fld.div_T_sup_norm_core
 
     def test_constant_field_zero(self, disc64):
-        class Fld:
-            T11 = np.full(disc64.n_interior, 2.0)
-            T12 = np.full(disc64.n_interior, -1.0)
-            T22 = np.full(disc64.n_interior, 0.5)
-            domain = disc64
-        _, norm = divergence_residual(Fld(), disc64)
+        T = np.array([[2.0, -1.0], [-1.0, 0.5]])[:, :, None] * np.ones(disc64.n_interior)
+        _, norm = divergence_residual(disc64, T)
         assert norm == 0.0
 
     @staticmethod
@@ -264,19 +274,13 @@ class TestDivergence:
         ux, uy = x * coef, y * coef
         u = r2 / 4.0 + ANN_LOG_COEF * np.log(np.sqrt(r2)) + ANN_CONST
         F = 0.5 * (ux**2 + uy**2) + u + 0.5
-
-        class Fld:
-            pass
-        fld = Fld()
-        fld.T11, fld.T12, fld.T22 = ux * ux - F, ux * uy, uy * uy - F
-        fld.domain = dom
-        return fld
+        return np.array([[ux * ux - F, ux * uy], [ux * uy, uy * uy - F]])
 
     def test_injected_exact_field_truncation_decay(self):
         norms = []
         for h in (1 / 32, 1 / 64, 1 / 128):
             dom = build_domain(make_shape("annulus", [0.3, 1.0]), h)
-            _, norm = divergence_residual(self._exact_annulus_field(dom), dom)
+            _, norm = divergence_residual(dom, self._exact_annulus_field(dom))
             norms.append(norm)
         assert norms[0] / norms[1] >= 1.8
         assert norms[1] / norms[2] >= 1.8
@@ -287,22 +291,18 @@ class TestDivergence:
         for h in (1 / 16, 1 / 32):
             dom = build_domain(make_shape("disc", [1.0]), h)
             res = solve_euler_lagrange(exp_model, dom)
-            _, norm = divergence_residual(assemble_field(exp_model, res, dom))
-            norms.append(norm)
+            norms.append(assemble_field(exp_model, res, dom).div_T_sup_norm_core)
         assert norms[0] / norms[1] >= 2.0
 
     def test_perturbation_sensitivity(self, torsion_model, torsion_result, disc64):
-        fld = assemble_field(torsion_model, torsion_result, disc64)
-        _, base = divergence_residual(fld)
-        import dataclasses
+        base = assemble_field(torsion_model, torsion_result, disc64).div_T_sup_norm_core
         bump = 1e-2 * np.exp(-(disc64.xy[:, 0] ** 2 + disc64.xy[:, 1] ** 2) / 0.1)
         u_pert = torsion_result.u + bump
         from emlab.solver import gradient_operators
         Gx, Gy = gradient_operators(disc64)
         grad = np.column_stack([Gx @ u_pert, Gy @ u_pert])
         pert_res = dataclasses.replace(torsion_result, u=u_pert, grad=grad)
-        fld_pert = assemble_field(torsion_model, pert_res, disc64)
-        _, perturbed = divergence_residual(fld_pert)
+        perturbed = assemble_field(torsion_model, pert_res, disc64).div_T_sup_norm_core
         assert perturbed >= 10.0 * base
 
 
@@ -368,7 +368,7 @@ def _consistency_loop(fld):
     for i in range(len(fld.lambda1)):
         grad = fld.result.grad[i]
         pt = TensorPoint(
-            T=np.array([[fld.T11[i], fld.T12[i]], [fld.T12[i], fld.T22[i]]]),
+            T=fld.T[:, :, i],
             lambda1=float(fld.lambda1[i]), lambda_rest=float(fld.lambda_rest[i]),
             p=float(fld.p[i]), jet=None)
         sym_max = max(sym_max, abs(pt.T[0, 1] - pt.T[1, 0]))
@@ -396,7 +396,7 @@ class TestLoopReferences:
     def test_diff_ops_equal_loop(self, disc64, annulus64):
         for dom in (disc64, annulus64,
                     build_domain(make_shape("rectangle", [2.0, 1.0]), 1.0 / 16)):
-            for op, ref in zip(_interior_diff_ops(dom), _diff_ops_loop(dom)):
+            for op, ref in zip(interior_diff_ops(dom), _diff_ops_loop(dom)):
                 assert np.array_equal(op.indptr, ref.indptr)
                 assert np.array_equal(op.indices, ref.indices)
                 assert np.array_equal(op.data, ref.data)
