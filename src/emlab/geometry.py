@@ -4,15 +4,18 @@ Nodes are classified by the exact sign of the shape's implicit description;
 boundary-adjacent nodes store cut distances along grid axes, bisected to the
 last bit on that same description.  Volume quadrature uses per-cell clipped
 areas (chord polygons, subsample fallback), boundary quadrature uses
-analytic arc-length weights at midpoint samples.
+analytic arc-length weights at midpoint samples.  The domain also owns the
+grid's sparse difference operators, built at first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
@@ -258,9 +261,10 @@ def make_shape(kind, parameters, center=(0.0, 0.0)):
 # discrete domain
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteDomain:
-    """Embedded Cartesian grid over a shape, immutable after build."""
+    """Embedded Cartesian grid over a shape, immutable after build; its
+    difference operators are built at first use and kept."""
 
     shape: Shape
     h: float
@@ -300,6 +304,60 @@ class DiscreteDomain:
         if depth > MAX_COLLAR_DEPTH:
             raise ValueError(f"collar depth {depth} exceeds MAX_COLLAR_DEPTH")
         return self.dist >= depth * self.h - 1e-12
+
+    @cached_property
+    def grad_ops(self):
+        """Sparse (d/dx, d/dy) over interior nodes for fields that vanish on
+        the boundary: centred where both neighbors are interior, else the
+        second-order 3-point stencil with the bisected arm, from which the
+        boundary value drops out."""
+        n = self.n_interior
+        ops = []
+        for d_plus, d_minus in ((_E, _W), (_N, _S)):
+            b, a = self.arm[:, d_plus], self.arm[:, d_minus]
+            jp, jm = self.nbr[:, d_plus], self.nbr[:, d_minus]
+            # f'(0) = -b/(a(a+b)) f(-a) + (b-a)/(ab) f(0) + a/(b(a+b)) f(b)
+            ops.append(_stencil_matrix(n, [
+                (slice(None), np.arange(n), (b - a) / (a * b)),
+                (jp >= 0, jp, a / (b * (a + b))),
+                (jm >= 0, jm, -b / (a * (a + b)))]))
+        return tuple(ops)
+
+    @cached_property
+    def diff_ops(self):
+        """Sparse (d/dx, d/dy) from interior values only: centred where both
+        neighbors exist, else one-sided into the interior, second order on
+        two nodes and first order on one; zero at isolated nodes.  They lose
+        an order in the boundary collar, which norms downstream exclude."""
+        idx, nbr = np.arange(self.n_interior), self.nbr
+        ops = []
+        for d_plus, d_minus in ((_E, _W), (_N, _S)):
+            jp, jm = nbr[:, d_plus], nbr[:, d_minus]
+            jpp = np.where(jp >= 0, nbr[jp, d_plus], -1)
+            jmm = np.where(jm >= 0, nbr[jm, d_minus], -1)
+            forward = (jp >= 0) & (jm < 0)
+            backward = (jm >= 0) & (jp < 0)
+            stencils = [  # (row mask, [(column, coefficient * h), ...])
+                ((jp >= 0) & (jm >= 0), [(jp, 0.5), (jm, -0.5)]),
+                (forward & (jpp >= 0), [(idx, -1.5), (jp, 2.0), (jpp, -0.5)]),
+                (forward & (jpp < 0), [(idx, -1.0), (jp, 1.0)]),
+                (backward & (jmm >= 0), [(idx, 1.5), (jm, -2.0), (jmm, 0.5)]),
+                (backward & (jmm < 0), [(idx, 1.0), (jm, -1.0)]),
+            ]
+            ops.append(_stencil_matrix(self.n_interior, [
+                (mask, col, c / self.h) for mask, terms in stencils for col, c in terms]))
+        return tuple(ops)
+
+
+def _stencil_matrix(n, terms):
+    """The (n, n) CSR matrix of stencil terms ``(rows, cols, coef)``: each
+    puts ``coef[i]`` at ``(i, cols[i])`` for the rows ``i`` that the index
+    ``rows`` selects, a scalar ``coef`` in every one.  Terms enter in order,
+    which fixes the CSR layout."""
+    idx = np.arange(n)
+    rows, cols, vals = zip(*[(idx[m], c[m], np.broadcast_to(v, n)[m]) for m, c, v in terms])
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 def _clip_cell_areas(shape, x, y, h):
@@ -382,6 +440,10 @@ def build_domain(shape, spacing):
         raise ValueError("spacing must be positive")
     h = float(spacing)
     ex, ey = shape.extent()
+    # a bound on the node count, inf where the extent overflows in spacings
+    if not (2.0 * ex / h + 7.0) * (2.0 * ey / h + 7.0) <= np.iinfo(np.intp).max:
+        raise DegenerateGridError(
+            f"the lattice at spacing {h} has more nodes than numpy can index")
     mx = int(math.ceil(ex / h)) + 2
     my = int(math.ceil(ey / h)) + 2
     gx0, gy0 = shape.cx - mx * h, shape.cy - my * h
@@ -420,6 +482,12 @@ def build_domain(shape, spacing):
     px, py = xy[k, 0], xy[k, 1]
     qx, qy = _bisect_crossings(shape, px, py, px + DIRS[d, 0] * h, py + DIRS[d, 1] * h)
     arm[k, d] = np.minimum(np.hypot(qx - px, qy - py), h)
+    if not arm.min() > 0.0:
+        # the node coordinates are too coarse, in floating point, to place
+        # a crossing between a node and its neighbor
+        raise DegenerateGridError(
+            f"a zero-length arm at spacing {h}: the lattice coordinates cannot "
+            "resolve the boundary")
 
     # clipped cell areas; cut cells of exterior nodes fold into the nearest
     # interior neighbor so the cells tile the full domain area
@@ -509,7 +577,8 @@ def star_center_margin(shape, x0):
 
 
 def interpolate_node_field(domain, values, pts):
-    """Bilinear interpolation of an interior-node field at arbitrary points.
+    """Bilinear interpolation of an interior-node field, ``(n,)`` or
+    ``(n, k)`` values, at arbitrary points.
 
     Cells with a non-interior corner fall back to the value at the nearest
     interior node, so querying close to the boundary stays defined (at
@@ -527,7 +596,8 @@ def interpolate_node_field(domain, values, pts):
     w = np.array([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
     valid = ids >= 0
     v00, v10, v01, v11 = values[np.where(valid, ids, 0)]
-    out = w[0] * v00 + w[1] * v10 + w[2] * v01 + w[3] * v11
+    w00, w10, w01, w11 = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    out = w00 * v00 + w10 * v10 + w01 * v01 + w11 * v11
     # heaviest interior corner, ties to the larger node id
     w_in = np.where(valid, w, -np.inf)
     best = np.max(np.where(valid & (w_in == w_in.max(axis=0)), ids, -1), axis=0)

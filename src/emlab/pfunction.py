@@ -13,7 +13,6 @@ import numpy as np
 
 from .checks import check
 from .lagrangian import _box_samples, eval_jet, pfunction_identity_residual
-from .tensor_field import interior_diff_ops
 
 #: models of the quadratic-gradient family F = p^2/2 + Phi(q)
 QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_power"}
@@ -132,7 +131,7 @@ def pfunction_report(fld):
                     sup <= two_branch + SUP_FORMULA_TOL)]
     if section["H_min"] >= 0.0 and not section["critical_set_empty"]:
         # within the variation of lambda1 over two grid spacings
-        Dx, Dy = interior_diff_ops(fld.domain)
+        Dx, Dy = fld.domain.diff_ops
         lip = float(np.max(np.hypot(Dx @ fld.lambda1, Dy @ fld.lambda1)))
         checks.append(check("lambda1_critical_branch_equality",
                             abs(sup - section["critical_formula_value"]),

@@ -339,33 +339,31 @@ def _stage(report, name):
 def run_pipeline(config, strict=False):
     """Execute the configured run end to end and assemble the report.
 
-    Solver failure short-circuits with a partial report (exit 1); strict
-    mode escalates a convexity violation to exit 2 before solving; gated
-    invariant check failures yield exit 3.
+    A model that fails strict convexity on the pilot box is refused before
+    the domain is built: exit 2 in strict mode, else exit 1 as a solver
+    refusal.  Solver failure short-circuits with a partial report (exit 1);
+    gated invariant check failures yield exit 3.
     """
     report = RunReport(config=config.raw)
     with _stage(report, "hypotheses_pilot"):
         pilot = check_hypotheses(config.model, box=PILOT_BOX, samples=256)
+    report.hypotheses = pilot.as_dict()
     if strict and not pilot.convexity_ok:
-        report.hypotheses = pilot.as_dict()
         report.exit_code = EXIT_HYPOTHESIS
         report.violations.append("hypothesis_convexity")
         return report
+    if not pilot.convexity_ok:
+        return _refused(report, "model fails strict convexity on the pilot box",
+                        {"pilot_box": PILOT_BOX,
+                         "witness": pilot.violation_witnesses.get("convexity")})
 
     with _stage(report, "domain"):
         domain = _build_domain(config)
-
     try:
         with _stage(report, "solve"):
             result = solve_euler_lagrange(config.model, domain, config.solver)
     except EllipticityError as exc:
-        report.solver = {"converged": False, "iterations": 0,
-                         "final_residual": None,
-                         "failure": f"ellipticity breakdown: {exc}",
-                         "witness": exc.witness}
-        report.hypotheses = pilot.as_dict()
-        report.exit_code = EXIT_SOLVER
-        return report
+        return _refused(report, str(exc), exc.witness)
 
     report.solver = {
         "converged": result.converged,
@@ -379,6 +377,14 @@ def run_pipeline(config, strict=False):
     }
     analyze_into(report, config, domain, result, strict=strict,
                  residual=result.residual_history[-1])
+    return report
+
+
+def _refused(report, reason, witness):
+    """End the run as an ellipticity refusal of the solver (exit 1)."""
+    report.solver = {"converged": False, "iterations": 0, "final_residual": None,
+                     "failure": f"ellipticity breakdown: {reason}", "witness": witness}
+    report.exit_code = EXIT_SOLVER
     return report
 
 

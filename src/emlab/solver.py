@@ -7,6 +7,8 @@ Jacobian-free Newton-GMRES loop (Knoll & Keyes, J. Comput. Phys. 193, 2004)
 preconditioned by the warm start's LU (in a minimum-degree order on A + A^T,
 Liu, ACM Trans. Math. Softw. 11, 1985), with an inexact-Newton forcing term
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+Gradients come from the domain's ``grad_ops``; the boundary normal
+derivative extrapolates them from three interpolated depths.
 ``solve_radial`` is an independent high-accuracy ODE oracle for radially
 symmetric problems, including the 1D case n = 1.
 """
@@ -24,7 +26,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, interpolate_node_field
-from .lagrangian import PILOT_BOX, check_hypotheses, divergence_coefficients, eval_jet
+from .lagrangian import divergence_coefficients, eval_jet
 
 
 @dataclass
@@ -72,45 +74,9 @@ class SolveResult:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def gradient_operators(domain):
-    """Sparse d/dx and d/dy over interior nodes.
-
-    Centered where both neighbors are interior; one-sided second-order
-    3-point stencils with the bisected cut distance next to the boundary
-    (boundary values are homogeneous, so they drop out of the matrix).
-    """
-    cached = getattr(domain, "_grad_ops", None)
-    if cached is not None:
-        return cached
-    n = domain.n_interior
-    ops = []
-    for d_plus, d_minus in ((_E, _W), (_N, _S)):
-        b = domain.arm[:, d_plus]
-        a = domain.arm[:, d_minus]
-        rows, cols, vals = [], [], []
-        idx = np.arange(n)
-        # f'(0) = -b/(a(a+b)) f(-a) + (b-a)/(ab) f(0) + a/(b(a+b)) f(b)
-        rows.append(idx)
-        cols.append(idx)
-        vals.append((b - a) / (a * b))
-        m = domain.nbr[:, d_plus] >= 0
-        rows.append(idx[m])
-        cols.append(domain.nbr[m, d_plus])
-        vals.append((a / (b * (a + b)))[m])
-        m = domain.nbr[:, d_minus] >= 0
-        rows.append(idx[m])
-        cols.append(domain.nbr[m, d_minus])
-        vals.append((-b / (a * (a + b)))[m])
-        ops.append(sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)))
-    domain._grad_ops = tuple(ops)
-    return domain._grad_ops
-
-
 def _face_conductances(model, domain, u):
     """Face conductances and the nodal |grad u|^2, from averaged neighbor states."""
-    Gx, Gy = gradient_operators(domain)
+    Gx, Gy = domain.grad_ops
     p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     g_faces = []
     for d in range(4):
@@ -163,23 +129,18 @@ def el_residual(model, domain, u):
 def _normal_derivative(domain, grad):
     """du/dnu at boundary samples by extrapolation along -nu.
 
-    Samples the interpolated nodal gradient at three equispaced depths and
-    extrapolates the normal component quadratically back to the boundary;
-    the truncation is O(depth^3) against the third radial derivative, which
-    matters on concave boundary pieces where it is large.
+    Samples the interpolated nodal gradient at three equispaced depths, in
+    one interpolation of all three rings of points, and extrapolates the
+    normal component quadratically back to the boundary; the truncation is
+    O(depth^3) against the third radial derivative, which matters on
+    concave boundary pieces where it is large.
     """
     s = 1.5 * domain.h
-    q1 = _normal_component(domain, grad, s)
-    q2 = _normal_component(domain, grad, 2.0 * s)
-    q3 = _normal_component(domain, grad, 3.0 * s)
+    depths = np.array([s, 2.0 * s, 3.0 * s])[:, None, None]
+    pts = (domain.bpts - depths * domain.bnu).reshape(-1, 2)
+    g = interpolate_node_field(domain, grad, pts).reshape(3, domain.n_boundary, 2)
+    q1, q2, q3 = g[..., 0] * domain.bnu[:, 0] + g[..., 1] * domain.bnu[:, 1]
     return 3.0 * q1 - 3.0 * q2 + q3
-
-
-def _normal_component(domain, grad, depth):
-    pts = domain.bpts - depth * domain.bnu
-    gx = interpolate_node_field(domain, grad[:, 0], pts)
-    gy = interpolate_node_field(domain, grad[:, 1], pts)
-    return gx * domain.bnu[:, 0] + gy * domain.bnu[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +177,11 @@ def solve_euler_lagrange(model, domain, config=None):
     ``residual_tol``, on ``max_iterations``, when no halving lowers the
     residual, or when ``omega max|d| <= step_tol``; nonconvergence is
     reported, not raised.  Each iteration logs its residual, accepted omega
-    (``damping``, 0 when none was) and GMRES iteration count.
+    (``damping``, 0 when none was) and GMRES iteration count.  A model is
+    refused here only where g(0, 0) or a face coefficient is not positive;
+    ``run_pipeline`` checks its convexity on ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
-    pilot = check_hypotheses(model, box=PILOT_BOX, samples=128)
-    if not pilot.convexity_ok:
-        raise EllipticityError(
-            "model fails strict convexity on the pilot box",
-            witness={"pilot_box": PILOT_BOX,
-                     "witness": pilot.violation_witnesses.get("convexity")})
-
     n = domain.n_interior
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
     if g0 <= 0.0:
@@ -325,7 +281,7 @@ def field_result(domain, u, **state):
     """SolveResult for the field ``u``: its gradient, the boundary normal
     derivative and the value and gradient ranges, plus the solver ``state``
     (residual history, convergence flag, iterations, ...)."""
-    Gx, Gy = gradient_operators(domain)
+    Gx, Gy = domain.grad_ops
     grad = np.column_stack([Gx @ u, Gy @ u])
     dnu = _normal_derivative(domain, grad)
     p = np.hypot(grad[:, 0], grad[:, 1])

@@ -4,7 +4,8 @@ The tensor associated with a solution is ``T = (F_p/p) grad_u x grad_u -
 F Id``: rank-one plus a multiple of the identity, hence symmetric with
 eigenvalue ``p F_p - F`` along the gradient and ``-F`` on its orthogonal
 complement.  The closed-form spectrum is primary; a direct 2x2 eigenvalue
-solve at every node is the cross-check.  ``spectral_report`` gives the
+solve at every node is the cross-check.  ``Div T`` is taken with the
+domain's interior-only ``diff_ops``.  ``spectral_report`` gives the
 ``spectral`` report section and the tensor checks.
 """
 
@@ -13,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .checks import check
 from .errors import UnconvergedError
-from .geometry import _E, _N, _S, _W
 from .lagrangian import ORIGIN_EPS, eval_jet
 
 DEGENERACY_RTOL = 1e-10
-
 
 
 def _eigvals_sym2(T):
@@ -170,53 +168,11 @@ def classify_definiteness(*eigenvalues):
 # discrete divergence
 # ---------------------------------------------------------------------------
 
-def interior_diff_ops(domain):
-    """d/dx and d/dy using interior nodes only (no boundary values).
-
-    Centered where both neighbors exist; otherwise one-sided second order
-    into the interior when two nodes are available, first order for one,
-    zero for isolated nodes.  Norms downstream exclude the boundary collar,
-    where these stencils lose an order.
-    """
-    cached = getattr(domain, "_tensor_diff_ops", None)
-    if cached is not None:
-        return cached
-    n = domain.n_interior
-    h = domain.h
-    nbr = domain.nbr
-    idx = np.arange(n)
-    ops = []
-    for d_plus, d_minus in ((_E, _W), (_N, _S)):
-        jp, jm = nbr[:, d_plus], nbr[:, d_minus]
-        jpp = np.where(jp >= 0, nbr[jp, d_plus], -1)
-        jmm = np.where(jm >= 0, nbr[jm, d_minus], -1)
-        forward = (jp >= 0) & (jm < 0)
-        backward = (jm >= 0) & (jp < 0)
-        stencils = [  # (row mask, [(column, coefficient * h), ...])
-            ((jp >= 0) & (jm >= 0), [(jp, 0.5), (jm, -0.5)]),
-            (forward & (jpp >= 0), [(idx, -1.5), (jp, 2.0), (jpp, -0.5)]),
-            (forward & (jpp < 0), [(idx, -1.0), (jp, 1.0)]),
-            (backward & (jmm >= 0), [(idx, 1.5), (jm, -2.0), (jmm, 0.5)]),
-            (backward & (jmm < 0), [(idx, 1.0), (jm, -1.0)]),
-        ]
-        rows, cols, vals = [], [], []
-        for mask, terms in stencils:
-            for col, c in terms:
-                rows.append(idx[mask])
-                cols.append(col[mask])
-                vals.append(np.full(np.count_nonzero(mask), c / h))
-        ops.append(sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)))
-    domain._tensor_diff_ops = tuple(ops)
-    return domain._tensor_diff_ops
-
-
 def divergence_residual(domain, T):
-    """Row-wise discrete divergence of the (2, 2, n_int) tensor stack ``T``
-    and its sup norm away from the boundary collar of depth 2 h (the claim
-    Div T = 0 is interior)."""
-    Dx, Dy = interior_diff_ops(domain)
+    """Row-wise discrete divergence of the (2, 2, n_int) tensor stack ``T``,
+    by the domain's interior-only ``diff_ops``, and its sup norm away from
+    the boundary collar of depth 2 h (the claim Div T = 0 is interior)."""
+    Dx, Dy = domain.diff_ops
     div_x = Dx @ T[0, 0] + Dy @ T[0, 1]
     div_y = Dx @ T[0, 1] + Dy @ T[1, 1]
     core = domain.core_mask()

@@ -1,5 +1,6 @@
 """Domain building, normals/curvature, star margins and quadrature."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from emlab import geometry
@@ -102,6 +104,25 @@ class TestBuildDomain:
     def test_tight_annulus_gap_raises(self):
         with pytest.raises(DegenerateGridError):
             build_domain(make_shape("annulus", [0.9, 1.0]), 1.0 / 16)
+
+    @pytest.mark.parametrize("radius,spacing", [(1.0, 1e-300), (1e300, 1e-300)])
+    def test_lattice_beyond_index_range_raises(self, radius, spacing):
+        # more nodes than numpy can index, and an extent that overflows in
+        # grid spacings: refused before anything is allocated
+        with pytest.raises(DegenerateGridError, match="more nodes than numpy can index"):
+            build_domain(make_shape("disc", [radius]), spacing)
+
+    def test_unresolvable_center_raises(self):
+        # at x = 1e14 the lattice coordinates are 1/64 apart: a crossing
+        # between a node and its neighbor rounds onto the node
+        with pytest.raises(DegenerateGridError, match="zero-length arm"):
+            build_domain(make_shape("disc", [1.0], center=(1e14, 0.0)), 0.1)
+
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("ellipse", [1.0, 0.6]),
+                                             ("annulus", [0.3, 1.0])])
+    def test_far_center_keeps_positive_arms(self, kind, params):
+        dom = build_domain(make_shape(kind, params, center=(1e9, -1e9)), 1.0 / 16)
+        assert dom.arm.min() > 0.0
 
     def test_high_aspect_ellipse_area(self):
         shape = make_shape("ellipse", [2.0, 0.5])
@@ -651,6 +672,101 @@ class TestLoopReferences:
             pts = np.column_stack([X.ravel(), Y.ravel()])
             assert np.array_equal(interpolate_node_field(dom, values, pts),
                                   _interpolate_loop(dom, values, pts))
+
+
+# ---------------------------------------------------------------------------
+# the difference operators as they were built outside the domain, one COO
+# term list per stencil branch, as references for the domain's members
+# ---------------------------------------------------------------------------
+
+def _gradient_operators_ref(domain):
+    n = domain.n_interior
+    ops = []
+    for d_plus, d_minus in ((0, 1), (2, 3)):
+        b = domain.arm[:, d_plus]
+        a = domain.arm[:, d_minus]
+        rows, cols, vals = [], [], []
+        idx = np.arange(n)
+        rows.append(idx)
+        cols.append(idx)
+        vals.append((b - a) / (a * b))
+        m = domain.nbr[:, d_plus] >= 0
+        rows.append(idx[m])
+        cols.append(domain.nbr[m, d_plus])
+        vals.append((a / (b * (a + b)))[m])
+        m = domain.nbr[:, d_minus] >= 0
+        rows.append(idx[m])
+        cols.append(domain.nbr[m, d_minus])
+        vals.append((-b / (a * (a + b)))[m])
+        ops.append(sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)))
+    return ops
+
+
+def _interior_diff_ops_ref(domain):
+    n, h, nbr = domain.n_interior, domain.h, domain.nbr
+    idx = np.arange(n)
+    ops = []
+    for d_plus, d_minus in ((0, 1), (2, 3)):
+        jp, jm = nbr[:, d_plus], nbr[:, d_minus]
+        jpp = np.where(jp >= 0, nbr[jp, d_plus], -1)
+        jmm = np.where(jm >= 0, nbr[jm, d_minus], -1)
+        forward = (jp >= 0) & (jm < 0)
+        backward = (jm >= 0) & (jp < 0)
+        stencils = [
+            ((jp >= 0) & (jm >= 0), [(jp, 0.5), (jm, -0.5)]),
+            (forward & (jpp >= 0), [(idx, -1.5), (jp, 2.0), (jpp, -0.5)]),
+            (forward & (jpp < 0), [(idx, -1.0), (jp, 1.0)]),
+            (backward & (jmm >= 0), [(idx, 1.5), (jm, -2.0), (jmm, 0.5)]),
+            (backward & (jmm < 0), [(idx, 1.0), (jm, -1.0)]),
+        ]
+        rows, cols, vals = [], [], []
+        for mask, terms in stencils:
+            for col, c in terms:
+                rows.append(idx[mask])
+                cols.append(col[mask])
+                vals.append(np.full(np.count_nonzero(mask), c / h))
+        ops.append(sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n)))
+    return ops
+
+
+class TestDomainOperators:
+    @pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 40])
+    @pytest.mark.parametrize("shape", [DISC, ANNULUS, ELLIPSE, RECT], ids=lambda s: s.kind)
+    def test_operators_equal_references(self, shape, h):
+        dom = build_domain(shape, h)
+        for ops, refs in ((dom.grad_ops, _gradient_operators_ref(dom)),
+                          (dom.diff_ops, _interior_diff_ops_ref(dom))):
+            for op, ref in zip(ops, refs, strict=True):
+                assert np.array_equal(op.indptr, ref.indptr)
+                assert np.array_equal(op.indices, ref.indices)
+                assert np.array_equal(op.data, ref.data)
+
+    def test_operators_built_once_at_first_use(self):
+        dom = build_domain(DISC, 1.0 / 16)
+        assert "grad_ops" not in vars(dom) and "diff_ops" not in vars(dom)
+        assert dom.grad_ops is dom.grad_ops
+        assert dom.diff_ops is dom.diff_ops
+
+    def test_domain_is_frozen(self):
+        dom = build_domain(DISC, 1.0 / 16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dom.h = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dom._cache = ()
+
+    def test_stacked_values_interpolate_column_by_column(self, annulus64):
+        values = np.random.default_rng(9).standard_normal((annulus64.n_interior, 3))
+        pts = np.vstack([annulus64.bpts - 3.0 * annulus64.h * annulus64.bnu,
+                         [[0.0, 0.0], [5.0, -5.0]]])
+        stacked = interpolate_node_field(annulus64, values, pts)
+        assert stacked.shape == (len(pts), 3)
+        for k in range(3):
+            assert np.array_equal(stacked[:, k],
+                                  interpolate_node_field(annulus64, values[:, k], pts))
 
 
 #: every branch of the cut-cell formula

@@ -22,6 +22,7 @@ from jsonschema import ValidationError
 import emlab
 from emlab.cli import main
 from emlab.errors import ConfigError
+from emlab.lagrangian import PILOT_BOX, check_hypotheses
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
                             EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
                             FIELD_COLUMNS, RunReport, _sanitize, _write_csv,
@@ -205,6 +206,19 @@ class TestPipeline:
         report = run_pipeline(cfg)
         assert report.exit_code == EXIT_SOLVER
         assert report.solver["failure"] is not None
+
+    def test_pilot_refusal_text_and_witness(self):
+        cfg = parse_config(dict(TORSION_CONFIG, model={
+            "expression": "q - 0.5*p**2", "smooth_at_origin": True}))
+        report = run_pipeline(cfg)
+        assert report.exit_code == EXIT_SOLVER
+        assert report.solver["failure"] == (
+            "ellipticity breakdown: model fails strict convexity on the pilot box")
+        pilot = check_hypotheses(cfg.model, box=PILOT_BOX, samples=256)
+        assert report.solver["witness"] == {
+            "pilot_box": PILOT_BOX, "witness": pilot.violation_witnesses["convexity"]}
+        assert report.hypotheses == pilot.as_dict()
+        assert "domain" not in report.timings
 
     def test_degenerate_model_strict_exits_two_before_solving(self):
         cfg = parse_config(dict(TORSION_CONFIG, model={
@@ -584,7 +598,9 @@ class TestCli:
         assert doc["solver"]["final_residual"] is None
         assert doc["solver"]["witness"]["witness"] is not None
         timings = json.loads((out / "timings.json").read_text())
-        assert {"domain", "solve", "export"} <= set(timings)
+        # the pilot box refuses the model before the domain is built
+        assert {"hypotheses_pilot", "export"} <= set(timings)
+        assert not {"domain", "solve"} & set(timings)
 
     def test_unconverged_run_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(
@@ -678,6 +694,19 @@ class TestCli:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("configuration error: domain build failed: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("shape,spacing", [
+        ({"kind": "disc", "parameters": [1.0]}, 1e-300),
+        ({"kind": "disc", "parameters": [1e300]}, 1e-300),
+        ({"kind": "disc", "parameters": [1.0], "center": [1e14, 0.0]}, 0.1),
+    ], ids=["index_range", "overflow", "unresolved_center"])
+    def test_unbuildable_lattice_exits_four(self, tmp_path, capsys, shape, spacing):
+        # each is refused before the lattice is allocated
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, shape=shape, spacing=spacing))
+        assert main(["solve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: domain build failed: ")
+        assert err.count("\n") == 1
 
     def test_emlab_threads_applies_before_numpy_loads(self):
         # the BLAS reads its thread count once, when numpy first loads

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from emlab import lagrangian, solver
 from emlab.errors import EllipticityError, EmlabError, OriginLimitError
-from emlab.geometry import build_domain, make_shape
+from emlab.geometry import build_domain, interpolate_node_field, make_shape
 from emlab.lagrangian import (ORIGIN_EPS, divergence_coefficients, eval_jet,
                               make_expression_model, make_model)
 from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
@@ -422,7 +422,7 @@ def _divergence_coefficients_sweeps(model, p, q):
 def _face_coefficients_loop(model, domain, u):
     """Reference: diffusion coefficient per face from averaged neighbor
     states, as lists of per-direction arrays."""
-    Gx, Gy = solver.gradient_operators(domain)
+    Gx, Gy = domain.grad_ops
     p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     g_faces = []
     for d in range(4):
@@ -469,6 +469,8 @@ def _el_residual_assembled(model, domain, u):
 
 STENCIL_SHAPES = [("disc", [1.0]), ("annulus", [0.3, 1.0]), ("ellipse", [1.0, 0.6]),
                   ("rectangle", [1.0, 0.7])]
+STENCIL_SHAPES_H = [(kind, params, h) for kind, params in STENCIL_SHAPES
+                    for h in (1 / 16, 1 / 40)]
 STENCIL_MODELS = [make_model("dirichlet_affine", [0.5, 1.0]),
                   make_model("minimal_surface", [2.0, 1.0]),
                   make_expression_model("0.5*p**2 + exp(q) + log(1 + p*p) - q/3",
@@ -482,7 +484,7 @@ class TestFluxStencil:
         x, y = dom.xy[:, 0], dom.xy[:, 1]
         bowl = (x * x + y * y - 1.0) / 4.0
         plateau = np.minimum(bowl, -0.1)  # flat core: p = 0 at nodes and faces
-        Gx, Gy = solver.gradient_operators(dom)
+        Gx, Gy = dom.grad_ops
         assert np.any(np.hypot(Gx @ plateau, Gy @ plateau) <= ORIGIN_EPS)
         noisy = bowl + 1e-3 * np.random.default_rng(7).standard_normal(dom.n_interior)
         for model in STENCIL_MODELS:
@@ -556,3 +558,54 @@ class TestFluxStencil:
         assert report.exit_code == EXIT_SOLVER
         assert report.solver["witness"]["direction"] == "+x"
         assert report.solver["witness"]["node"] == [-0.0625, -0.4375]
+
+
+def _normal_derivative_six_calls(domain, grad):
+    """Reference: the normal derivative from one interpolation per depth and
+    gradient component."""
+    s = 1.5 * domain.h
+    q = []
+    for depth in (s, 2.0 * s, 3.0 * s):
+        pts = domain.bpts - depth * domain.bnu
+        gx = interpolate_node_field(domain, grad[:, 0], pts)
+        gy = interpolate_node_field(domain, grad[:, 1], pts)
+        q.append(gx * domain.bnu[:, 0] + gy * domain.bnu[:, 1])
+    return 3.0 * q[0] - 3.0 * q[1] + q[2]
+
+
+def _cells_without_interior_corner(domain, pts):
+    """Points whose lattice cell has no interior corner: those take the
+    nearest-node fallback of the interpolation."""
+    i0 = np.clip(np.floor((pts[:, 0] - domain.gx0) / domain.h).astype(int), 0, domain.nx - 2)
+    j0 = np.clip(np.floor((pts[:, 1] - domain.gy0) / domain.h).astype(int), 0, domain.ny - 2)
+    corners = np.array([domain.interior_index[i0 + di, j0 + dj]
+                        for di in (0, 1) for dj in (0, 1)])
+    return int(np.count_nonzero((corners < 0).all(axis=0)))
+
+
+class TestNormalDerivative:
+    @pytest.mark.parametrize("kind,params,h", STENCIL_SHAPES_H + [
+        ("annulus", [0.3, 0.3 + 3.5 / 32], 1 / 32)])
+    def test_one_pass_equals_six_calls(self, kind, params, h):
+        dom = build_domain(make_shape(kind, params), h)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        u = (x * x + y * y - 1.0) / 4.0 + 0.1 * np.sin(3.0 * x) * y
+        grad = np.column_stack([dom.grad_ops[0] @ u, dom.grad_ops[1] @ u])
+        assert np.array_equal(solver._normal_derivative(dom, grad),
+                              _normal_derivative_six_calls(dom, grad))
+
+    def test_thin_annulus_takes_the_fallback(self):
+        # 3.5 spacings wide: the deepest ring of points leaves the domain
+        h = 1 / 32
+        dom = build_domain(make_shape("annulus", [0.3, 0.3 + 3.5 * h]), h)
+        assert _cells_without_interior_corner(dom, dom.bpts - 4.5 * h * dom.bnu) > 0
+
+    def test_one_interpolation_per_field(self, monkeypatch, disc64, torsion_result):
+        calls = []
+        real = solver.interpolate_node_field
+        monkeypatch.setattr(solver, "interpolate_node_field",
+                            lambda *a: calls.append(1) or real(*a))
+        again = solver.field_result(disc64, torsion_result.u, residual_history=[0.0],
+                                    converged=True, iterations=0)
+        assert len(calls) == 1
+        assert np.array_equal(again.normal_derivative, torsion_result.normal_derivative)

@@ -13,8 +13,7 @@ from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import ORIGIN_EPS, eval_jet
 from emlab.solver import solve_euler_lagrange
 from emlab.tensor_field import (_eigvals_sym2, assemble_field, classify_definiteness,
-                                consistency_report, divergence_residual,
-                                interior_diff_ops)
+                                consistency_report, divergence_residual)
 from conftest import ANN_LOG_COEF, ANN_CONST
 
 
@@ -298,8 +297,7 @@ class TestDivergence:
         base = assemble_field(torsion_model, torsion_result, disc64).div_T_sup_norm_core
         bump = 1e-2 * np.exp(-(disc64.xy[:, 0] ** 2 + disc64.xy[:, 1] ** 2) / 0.1)
         u_pert = torsion_result.u + bump
-        from emlab.solver import gradient_operators
-        Gx, Gy = gradient_operators(disc64)
+        Gx, Gy = disc64.grad_ops
         grad = np.column_stack([Gx @ u_pert, Gy @ u_pert])
         pert_res = dataclasses.replace(torsion_result, u=u_pert, grad=grad)
         perturbed = assemble_field(torsion_model, pert_res, disc64).div_T_sup_norm_core
@@ -396,7 +394,7 @@ class TestLoopReferences:
     def test_diff_ops_equal_loop(self, disc64, annulus64):
         for dom in (disc64, annulus64,
                     build_domain(make_shape("rectangle", [2.0, 1.0]), 1.0 / 16)):
-            for op, ref in zip(interior_diff_ops(dom), _diff_ops_loop(dom)):
+            for op, ref in zip(dom.diff_ops, _diff_ops_loop(dom)):
                 assert np.array_equal(op.indptr, ref.indptr)
                 assert np.array_equal(op.indices, ref.indices)
                 assert np.array_equal(op.data, ref.data)
