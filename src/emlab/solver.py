@@ -3,9 +3,14 @@
 The 2D path discretizes the divergence form conservatively on the embedded
 grid (face-centered fluxes, cut-distance stencils at boundary-adjacent
 nodes), warm-starts from the constant-coefficient problem and runs one
-Jacobian-free Newton-GMRES loop (Knoll & Keyes, J. Comput. Phys. 193, 2004)
-preconditioned by the warm start's LU (in a minimum-degree order on A + A^T,
-Liu, ACM Trans. Math. Softw. 11, 1985), with an inexact-Newton forcing term
+Newton-Krylov loop (Knoll & Keyes, J. Comput. Phys. 193, 2004; Kelley,
+*Solving Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 3).  Each
+step multiplies by the exact Jacobian of the discrete residual, built from
+the same second-order jets, inside a restarted GMRES (Saad & Schultz, SIAM
+J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise order, so
+no result depends on the BLAS thread count.  GMRES is right-preconditioned
+by the warm start's LU (in a minimum-degree order on A + A^T, Liu, ACM
+Trans. Math. Softw. 11, 1985) and stops at an inexact-Newton forcing term
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 Gradients come from the domain's ``grad_ops``; the boundary normal
 derivative extrapolates them from three interpolated depths.
@@ -22,11 +27,11 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, interpolate_node_field
-from .lagrangian import divergence_coefficients, eval_jet
+from .lagrangian import ORIGIN_EPS, divergence_coefficients, eval_jet
 
 
 @dataclass
@@ -74,16 +79,23 @@ class SolveResult:
 # discrete operators
 # ---------------------------------------------------------------------------
 
+def _face_state(domain, u, p2, d):
+    """State of the faces in direction ``d``: the means of ``p2`` and of ``u``
+    over the two nodes of each face.  A face to the boundary takes the node's
+    own ``p2`` and the boundary value u = 0."""
+    nb = domain.nbr[:, d]
+    has = nb >= 0
+    return (np.where(has, 0.5 * (p2 + p2[nb]), p2),
+            np.where(has, 0.5 * (u + u[nb]), 0.5 * u))
+
+
 def _face_conductances(model, domain, u):
     """Face conductances and the nodal |grad u|^2, from averaged neighbor states."""
     Gx, Gy = domain.grad_ops
     p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
     g_faces = []
     for d in range(4):
-        nb = domain.nbr[:, d]
-        has = nb >= 0
-        s = np.where(has, 0.5 * (p2 + p2[nb]), p2)
-        uf = np.where(has, 0.5 * (u + u[nb]), 0.5 * u)
+        s, uf = _face_state(domain, u, p2, d)
         g, _ = divergence_coefficients(model, np.sqrt(np.maximum(s, 0.0)), uf)
         if np.any(g <= 0.0):
             k = int(np.argmax(g <= 0.0))
@@ -126,6 +138,69 @@ def el_residual(model, domain, u):
             + c[_E] * u_nb[:, _E] + c[_N] * u_nb[:, _N] + h_src)
 
 
+#: below this |grad u| the Jacobian drops its terms with a 1/p quotient, the
+#: derivatives of g = F_p/p in p^2 and in q and of h = -F_q in p^2:
+#: (p F_pp - F_p)/p^3 keeps only about eps/p^2 of its digits, while the
+#: dropped terms are O(p) against the flux stencil, so J is inexact only
+#: where the field is nearly flat, which Newton-Krylov tolerates
+JACOBIAN_P_CUT = 1e-4
+
+
+def _quotients(p, jet):
+    """``dg/d(p^2) = (p F_pp - F_p)/(2 p^3)`` and ``F_pq/p`` from the jet at
+    (p, q), with g = F_p/p; both are 0 where p <= JACOBIAN_P_CUT."""
+    big = p > JACOBIAN_P_CUT
+    pc = np.where(big, p, 1.0)
+    return (np.where(big, (pc * jet.F_pp - jet.F_p) / (2.0 * pc ** 3), 0.0),
+            np.where(big, jet.F_pq / pc, 0.0))
+
+
+def _jacobian(model, domain, u):
+    """The product ``v -> J v`` with the Jacobian of ``el_residual`` at ``u``.
+
+    With ``R = sum_d c_d (u_d - u) + h`` and ``c_d = g(s_d, uf_d)/(arm_d span)``,
+    ``J v = sum_d [c_d (v_d - v) + t_d (g_s ds_d + g_q duf_d)] + h_s dp2 + h_q v``,
+    where ``t_d = (u_d - u)/(arm_d span)``, ``dp2 = 2 (Gx u Gx v + Gy u Gy v)``,
+    ``ds_d`` and ``duf_d`` are the face states of ``dp2`` and ``v``, and
+    ``g_s, g_q, h_s, h_q`` are the partials of g and h in p^2 and q.  The
+    coefficients come from one jet sweep per face and one at the nodes; they
+    fold into a 5-point stencil on ``v`` and one on ``dp2 / 2``, so a product
+    is two sparse products and a few whole-array operations.
+    """
+    Gx, Gy = domain.grad_ops
+    ux, uy = Gx @ u, Gy @ u
+    p2 = ux * ux + uy * uy
+    p = np.sqrt(p2)
+    jet = eval_jet(model, p, u)
+    # h_q = -F_qq and 2 h_s = -F_pq/p; v enters through v_d (c_d and half of
+    # duf_d = (v + v_d)/2) and v itself, dp2 through ds_d = (dp2 + dp2_d)/2,
+    # where a boundary face reads v_d = 0 and dp2_d = dp2
+    e0, f0 = -jet.F_qq, -_quotients(p, jet)[1]
+    e, a = np.empty((2, 4, len(u)))
+    inv_span = _conductances(domain, 1.0)
+    u_ext = np.append(u, 0.0)
+    for d in range(4):
+        s, uf = _face_state(domain, u, p2, d)
+        P = np.sqrt(np.maximum(s, 0.0))
+        jet = eval_jet(model, P, uf)
+        # g is the limit F_pp(0, q) below ORIGIN_EPS, as in divergence_coefficients
+        c = inv_span[d] * np.where(P > ORIGIN_EPS, jet.F_p / np.maximum(P, ORIGIN_EPS),
+                                   jet.F_pp)
+        g_s, g_q = _quotients(P, jet)
+        t = inv_span[d] * (u_ext[domain.nbr[:, d]] - u)
+        half_b = 0.5 * t * g_q
+        e[d], a[d] = c + half_b, t * g_s
+        e0 = e0 + half_b - c
+        f0 = f0 + np.where(domain.nbr[:, d] >= 0, a[d], 2.0 * a[d])
+
+    def product(v):
+        half_dp2 = ux * (Gx @ v) + uy * (Gy @ v)
+        return ((e * np.append(v, 0.0)[domain.nbr].T).sum(axis=0) + e0 * v
+                + (a * np.append(half_dp2, 0.0)[domain.nbr].T).sum(axis=0)
+                + f0 * half_dp2)
+    return product
+
+
 def _normal_derivative(domain, grad):
     """du/dnu at boundary samples by extrapolation along -nu.
 
@@ -150,7 +225,7 @@ def _normal_derivative(domain, grad):
 #: inexact-Newton forcing term: GMRES stops at this fraction of |R|, which
 #: keeps each step a few Krylov iterations yet Newton's rate near the root
 GMRES_RTOL = 1e-4
-#: GMRES iterations per restart cycle (scipy's default)
+#: GMRES iterations per restart cycle
 GMRES_RESTART = 20
 #: restart cycles per Newton step; bounds the linear work where J is
 #: singular, as when the problem has no solution
@@ -159,8 +234,6 @@ GMRES_MAX_RESTARTS = 10
 #: fraction of its value after the previous full cycle has stalled, and ends
 #: the Newton step: where J is singular, further cycles only repeat it
 GMRES_STALL_FACTOR = 0.5
-#: relative step of the finite-difference Jacobian-vector product
-JV_REL_STEP = math.sqrt(np.finfo(float).eps)
 
 
 def solve_euler_lagrange(model, domain, config=None):
@@ -170,19 +243,20 @@ def solve_euler_lagrange(model, domain, config=None):
     ``div(g(0, 0) grad .)`` gives the warm start, on which linear models
     have already converged; it is factorized in a minimum-degree order on
     ``A + A^T`` with diagonal pivots.  Each Newton step solves ``J d = -R``
-    by GMRES, with ``J v`` a finite-difference product on ``el_residual``
-    and the same LU as preconditioner (it is never refactorized), until
-    ``GMRES_RTOL``, ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is
-    accepted by max-norm backtracking from omega = 1.  The loop stops on
+    by ``_gmres``, with ``J v`` the exact Jacobian product of ``_jacobian``
+    (built from the jets once per step) and the same LU as right
+    preconditioner (it is never refactorized), until ``GMRES_RTOL``,
+    ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is accepted by
+    max-norm backtracking from omega = 1.  The loop stops on
     ``residual_tol``, on ``max_iterations``, when no halving lowers the
     residual, or when ``omega max|d| <= step_tol``; nonconvergence is
     reported, not raised.  Each iteration logs its residual, accepted omega
-    (``damping``, 0 when none was) and GMRES iteration count.  A model is
-    refused here only where g(0, 0) or a face coefficient is not positive;
-    ``run_pipeline`` checks its convexity on ``PILOT_BOX`` before.
+    (``damping``, 0 when none was) and its GMRES iterations, restart cycles
+    and whether a stalled cycle ended them.  A model is refused here only
+    where g(0, 0) or a face coefficient is not positive; ``run_pipeline``
+    checks its convexity on ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
-    n = domain.n_interior
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
     if g0 <= 0.0:
         raise EllipticityError("g(0, 0) is not positive",
@@ -193,18 +267,17 @@ def solve_euler_lagrange(model, domain, config=None):
     lu0 = splu(_assemble(domain, _conductances(domain, g0)).tocsc(),
                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
-    precond = LinearOperator((n, n), matvec=lu0.solve)
-    u = lu0.solve(np.full(n, -h0))
+    u = lu0.solve(np.full(domain.n_interior, -h0))
 
     R = el_residual(model, domain, u)
     res = float(np.max(np.abs(R)))
     history = [res]
     log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init",
-            "linear_iterations": 0}]
+            "linear_iterations": 0, "restart_cycles": 0, "stalled": False}]
     iterations = 0
     while res > cfg.residual_tol and iterations < cfg.max_iterations:
         iterations += 1
-        step, linear_iterations = _newton_step(model, domain, u, R, precond)
+        step, stats = _gmres(_jacobian(model, domain, u), -R, lu0.solve)
         omega = 1.0
         for _ in range(5):
             u_try = u + omega * step
@@ -218,7 +291,7 @@ def solve_euler_lagrange(model, domain, config=None):
             omega = 0.0
         history.append(res)
         log.append({"iteration": iterations, "residual": res, "damping": omega,
-                    "phase": "newton", "linear_iterations": linear_iterations})
+                    "phase": "newton", **stats})
         if omega * float(np.max(np.abs(step))) <= cfg.step_tol:
             break
 
@@ -227,54 +300,81 @@ def solve_euler_lagrange(model, domain, config=None):
                         log=log)
 
 
-class _Stalled(Exception):
-    """A full GMRES restart cycle stalled; the argument is the iterate it
-    reached."""
+def _dot(a, b):
+    """``a . b`` summed in numpy's pairwise order, which, unlike a BLAS dot
+    product, no thread count changes."""
+    return float(np.add.reduce(a * b))
 
 
-def _newton_step(model, domain, u, R, precond):
-    """GMRES solution d of ``J d = -R`` at ``u``, with the number of GMRES
-    iterations it took.  ``J v`` is the forward difference of
-    ``el_residual`` along ``v``.  A full restart cycle that stalls (see
-    ``GMRES_STALL_FACTOR``) ends the step at the iterate it reached."""
-    scale = JV_REL_STEP * max(1.0, float(np.linalg.norm(u)))
+def _norm(a):
+    """The 2-norm of ``a``, summed as ``_dot`` sums."""
+    return math.sqrt(_dot(a, a))
 
-    def jv(v):
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return np.zeros_like(v)
-        eps = scale / norm
-        return (el_residual(model, domain, u + eps * v) - R) / eps
 
-    products = cycles = cycle_start = 0
+def _gmres(jv, b, precond):
+    """Restarted GMRES for ``J x = b`` from x = 0, right-preconditioned by
+    ``precond`` (an approximate inverse of J), with the statistics of the
+    Newton step's log entry.
+
+    Arnoldi with modified Gram-Schmidt, and Givens rotations that update the
+    residual norm each iteration (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+    7, 1986; Kelley, *Solving Nonlinear Equations with Newton's Method*,
+    SIAM 2003, ch. 3).  A cycle stops at ``GMRES_RTOL |b|`` or after
+    ``GMRES_RESTART`` iterations, then adds ``precond(V y)`` to x; a full
+    cycle whose preconditioned residual ``|precond(b - J x)|`` is above
+    ``GMRES_STALL_FACTOR`` times that of the previous full cycle has stalled
+    and ends the solve.  Every sum is ``_dot``'s, so the result has the same
+    bits under any thread count.
+    """
+    m = GMRES_RESTART
+    x, r = np.zeros_like(b), b
+    V = np.empty((m + 1, len(b)))  # the Arnoldi basis of a cycle
+    tol = GMRES_RTOL * _norm(b)
     floor = math.inf  # preconditioned residual after the last full cycle
-
-    def product(v):
-        nonlocal products
-        products += 1
-        return jv(v)
-
-    def after_cycle(x):
-        # a cycle's products are its iterations plus the J x of scipy's own
-        # residual test at its end
-        nonlocal cycles, cycle_start, floor
-        full = products - cycle_start - 1 == GMRES_RESTART
-        cycles, cycle_start = cycles + 1, products
-        if full:
-            res = float(np.linalg.norm(precond.matvec(-R - jv(x))))
+    iterations = cycles = 0
+    stalled = False
+    while cycles < GMRES_MAX_RESTARTS:
+        if cycles:  # the last cycle ran full length without converging
+            r = b - jv(x)
+            res = _norm(precond(r))
             if res > GMRES_STALL_FACTOR * floor:
-                raise _Stalled(x)
+                stalled = True
+                break
             floor = res
-
-    n = len(u)
-    try:  # with its dtype given, the operator makes no probing product
-        step, _ = gmres(LinearOperator((n, n), matvec=product, dtype=float), -R,
-                        rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                        maxiter=GMRES_MAX_RESTARTS, M=precond, callback=after_cycle,
-                        callback_type="x")
-    except _Stalled as stop:
-        step = stop.args[0]
-    return step, products - cycles
+        cycles += 1
+        H = np.zeros((m, m))  # the rotated Hessenberg matrix, triangular
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        g[0] = _norm(r)
+        V[0] = r / g[0]
+        for k in range(m):
+            w = jv(precond(V[k]))
+            for i in range(k + 1):
+                H[i, k] = _dot(w, V[i])
+                w -= H[i, k] * V[i]
+            w_norm = _norm(w)
+            for i in range(k):
+                H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                        cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+            rho = math.hypot(H[k, k], w_norm)
+            cs[k], sn[k] = H[k, k] / rho, w_norm / rho
+            H[k, k] = rho
+            g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+            iterations += 1
+            done = abs(g[k + 1]) <= tol or w_norm == 0.0
+            if done:
+                break
+            V[k + 1] = w / w_norm
+        y = np.zeros(k + 1)
+        for i in range(k, -1, -1):
+            y[i] = (g[i] - _dot(H[i, i + 1:k + 1], y[i + 1:])) / H[i, i]
+        z = y[0] * V[0]
+        for i in range(1, k + 1):
+            z += y[i] * V[i]
+        x += precond(z)
+        if done:
+            break
+    return x, {"linear_iterations": iterations, "restart_cycles": cycles,
+               "stalled": stalled}
 
 
 def field_result(domain, u, **state):

@@ -736,6 +736,27 @@ class TestCli:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_newton_solve_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # the seed-1 ellipse of the benchmark: at h = 1/128 the vectors are
+        # long enough for the BLAS to split a sum across threads, which the
+        # Newton-GMRES solve must not leave to it
+        cfg_path = write_config(tmp_path, {
+            "model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
+            "shape": {"kind": "ellipse", "parameters": [1.0, 0.6],
+                      "center": [0.0010497206571281345, 0.00662057606982213]},
+            "spacing": 1.0 / 128})
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            proc = _python(["-m", "emlab.cli", "solve", "--config", cfg_path,
+                            "--out", str(out)], threads=threads)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            runs.append({name: (out / name).read_bytes() for name in (
+                "report.json", "fields.csv", "tensor.csv", "boundary.csv",
+                "solver_log.json")})
+        assert len(json.loads(runs[0]["solver_log.json"])) > 2  # Newton steps ran
+        assert runs[0] == runs[1]
+
     def test_reload_domain_error_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)
         out = tmp_path / "out"

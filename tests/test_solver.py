@@ -194,25 +194,21 @@ class TestNewtonLoop:
         assert torsion_result.iterations == 0
         assert [e["phase"] for e in torsion_result.log] == ["init"]
 
-    def test_no_solution_stops_stalled_gmres(self, monkeypatch):
-        # without the stall stop this solve makes 425 residual evaluations,
-        # and its last step runs all 200 GMRES iterations at a preconditioned
-        # residual that stays at 1.17e-2 from iteration 20 on
+    def test_no_solution_stops_stalled_gmres(self):
+        # without the stall stop this solve runs 652 GMRES iterations: its
+        # last three steps run all 200 at a singular J
         dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
-        calls = []
-        real = solver.el_residual
-        monkeypatch.setattr(solver, "el_residual",
-                            lambda *a: calls.append(1) or real(*a))
         res = solve_euler_lagrange(make_model(*self.CURVATURE_3), dom)
         assert not res.converged
-        assert len(calls) <= 425 // 2
+        assert sum(e["linear_iterations"] for e in res.log) <= 652 // 2
+        assert any(e["stalled"] for e in res.log)
         assert all(e["linear_iterations"] < 20 * solver.GMRES_MAX_RESTARTS
                    for e in res.log)
 
     @pytest.mark.parametrize("model,kind,params,h,linear", [
         (("dirichlet_exponential", [1.0, 1.0]), "disc", [1.0], 1 / 32, [0, 2, 3]),
         # its later steps run two or more full restart cycles (a stall factor
-        # of 0 changes the solve from step 5 on), and converge
+        # of 0 changes the solve from step 6 on), and converge
         (CURVATURE_3, "annulus", [0.3, 1.0], 1 / 48, None)])
     def test_stall_stop_idle_on_convergent_solves(self, model, kind, params, h, linear,
                                                   monkeypatch):
@@ -233,11 +229,17 @@ class TestNewtonLoop:
     def test_log_counts_gmres_iterations(self, exp_result):
         init, *steps = exp_result.log
         assert init["phase"] == "init" and init["linear_iterations"] == 0
+        assert init["restart_cycles"] == 0 and init["stalled"] is False
         assert steps
         for entry in steps:
             assert entry["phase"] == "newton"
             assert type(entry["linear_iterations"]) is int
-            assert 1 <= entry["linear_iterations"] <= 20 * solver.GMRES_MAX_RESTARTS
+            assert type(entry["restart_cycles"]) is int
+            assert 1 <= entry["restart_cycles"] <= solver.GMRES_MAX_RESTARTS
+            # every cycle but the last runs full length
+            assert (entry["linear_iterations"] - 1) // solver.GMRES_RESTART == \
+                entry["restart_cycles"] - 1
+            assert entry["stalled"] is False
             assert 0.0 < entry["damping"] <= 1.0
 
 
@@ -558,6 +560,98 @@ class TestFluxStencil:
         assert report.exit_code == EXIT_SOLVER
         assert report.solver["witness"]["direction"] == "+x"
         assert report.solver["witness"]["node"] == [-0.0625, -0.4375]
+
+
+#: one parameter set per catalog model, and the benchmark's expression model
+JACOBIAN_MODELS = [make_model(name, params) for name, params in [
+    ("dirichlet_affine", [0.5, 1.0]), ("dirichlet_exponential", [1.0, 1.0]),
+    ("dirichlet_power", [1.0, 3]), ("power_dirichlet", [3.0, 0.0, 1.0]),
+    ("minimal_surface", [2.0, 1.0])]] + [
+    make_expression_model("sqrt(1 + p**2) + q", smooth_at_origin=True)]
+
+
+def _centred_difference(model, dom, u, v, eps=1e-7):
+    return (el_residual(model, dom, u + eps * v)
+            - el_residual(model, dom, u - eps * v)) / (2 * eps)
+
+
+class TestJacobian:
+    def test_covers_the_catalog(self):
+        assert {m.name for m in JACOBIAN_MODELS} == set(lagrangian.CATALOG) | {"expression"}
+
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("ellipse", [1.0, 0.6])])
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=lambda m: m.name)
+    def test_product_matches_centred_difference(self, model, kind, params):
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        rng = np.random.default_rng(13)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        u = (x * x + y * y - 1.0) / 4.0 + 0.05 * rng.standard_normal(dom.n_interior)
+        v = rng.standard_normal(dom.n_interior)
+        fd = _centred_difference(model, dom, u, v)
+        jv = solver._jacobian(model, dom, u)(v)
+        assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("model", [
+        make_expression_model("sqrt(1 + p**2) + q", smooth_at_origin=True),
+        # F_pq = p: d g/dq = 1 is one of the terms dropped below the cut
+        make_expression_model("0.5*(2 + q)*p**2 + q", smooth_at_origin=True)],
+        ids=["minimal_surface", "q_dependent_g"])
+    def test_below_the_cut(self, model):
+        # a flat core with p = 0 exactly, tilted by 1e-5: p falls below the cut
+        dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        u = np.minimum((x * x + y * y - 1.0) / 4.0, -0.1)
+        v = np.random.default_rng(17).standard_normal(dom.n_interior)
+        Gx, Gy = dom.grad_ops
+        for field in (u, u + 1e-5 * x):
+            p = np.hypot(Gx @ field, Gy @ field)
+            assert np.count_nonzero(p < solver.JACOBIAN_P_CUT) > 100
+            fd = _centred_difference(model, dom, field, v)
+            jv = solver._jacobian(model, dom, field)(v)
+            assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_one_jet_sweep_per_face_and_at_the_nodes(self, monkeypatch):
+        dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
+        u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0
+        sweeps = []
+        monkeypatch.setattr(solver, "eval_jet",
+                            lambda *a: sweeps.append(1) or eval_jet(*a))
+        product = solver._jacobian(JACOBIAN_MODELS[-1], dom, u)
+        assert len(sweeps) == 5
+        product(u)
+        assert len(sweeps) == 5
+
+
+class TestGmres:
+    @staticmethod
+    def _system(seed):
+        # eigenvalues spread over [1, 100]: a cycle of 20 iterations gains
+        # about two digits, so the tolerance takes more than one
+        rng = np.random.default_rng(seed)
+        A = np.diag(np.linspace(1.0, 100.0, 120)) + rng.standard_normal((120, 120)) / 20
+        return A, rng.standard_normal(120)
+
+    def test_restarts_to_the_tolerance(self):
+        A, b = self._system(1)
+        x, stats = solver._gmres(lambda v: A @ v, b, np.copy)
+        assert np.linalg.norm(b - A @ x) <= 1.001 * solver.GMRES_RTOL * np.linalg.norm(b)
+        assert stats["restart_cycles"] == 3 and not stats["stalled"]
+        assert 2 * solver.GMRES_RESTART < stats["linear_iterations"] < 3 * solver.GMRES_RESTART
+
+    def test_exact_preconditioner_converges_at_once(self):
+        A, b = self._system(2)
+        x, stats = solver._gmres(lambda v: A @ v, b, lambda v: np.linalg.solve(A, v))
+        assert stats == {"linear_iterations": 1, "restart_cycles": 1, "stalled": False}
+        assert np.max(np.abs(A @ x - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_singular_system_stalls(self):
+        # b has a component outside the range of A: no cycle removes it
+        A, b = self._system(3)
+        A[:, 0] = A[0, :] = 0.0
+        b[0] = 1.0
+        x, stats = solver._gmres(lambda v: A @ v, b, np.copy)
+        assert stats["stalled"] and stats["restart_cycles"] < solver.GMRES_MAX_RESTARTS
+        assert stats["linear_iterations"] == stats["restart_cycles"] * solver.GMRES_RESTART
 
 
 def _normal_derivative_six_calls(domain, grad):
