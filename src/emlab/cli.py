@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 solver nonconvergence, 2 hypothesis violation in
 strict mode, 3 invariant violation, 4 configuration error.  The only
-environment variable honored is EMLAB_THREADS (BLAS/OpenMP thread count),
-which the package applies on import.
+environment variable honored is EMLAB_THREADS (BLAS/OpenMP thread count,
+which the package applies on import, and a cap on the CPUs the CSV export
+uses).
 """
 
 import argparse

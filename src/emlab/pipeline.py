@@ -6,6 +6,11 @@ analyses, folded into a single report whose numeric claims each carry the
 tolerance they were checked against.  Identical configurations must produce
 byte-identical ``report.json`` and ``fields.csv``; wall-clock timings
 therefore live in a separate sidecar file.
+
+The export writes each CSV in blocks of ``CSV_BLOCK_ROWS`` rows.  With 2
+usable CPUs, at most one forked child formats the second half of the rows
+of each CSV of at least ``CSV_FORK_MIN_ROWS`` rows, with the same blocks,
+so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
+import struct
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -506,17 +513,145 @@ SOLUTION_FILES = ("fields.csv", "tensor.csv", "boundary.csv", "solver_log.json")
 
 #: rows formatted per string operation when writing a CSV
 CSV_BLOCK_ROWS = 8192
+#: fewest rows of a CSV whose second half a forked child formats
+CSV_FORK_MIN_ROWS = 2 * CSV_BLOCK_ROWS
 
 
-def _write_csv(path, header, cols):
-    """Write equal-length columns as CSV, every value as ``%.17g``."""
-    data = np.column_stack(cols)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), CSV_BLOCK_ROWS):
-            block = data[start:start + CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+def _csv_blocks(data, start, stop):
+    """Rows ``start:stop`` of ``data`` as ``%.17g`` CSV bytes, one string
+    operation per ``CSV_BLOCK_ROWS`` rows counted from ``start``."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for first in range(start, stop, CSV_BLOCK_ROWS):
+        block = data[first:min(first + CSV_BLOCK_ROWS, stop)]
+        yield ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, capped by ``EMLAB_THREADS`` where
+    that holds a positive integer; 1 where the platform has no affinity."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    with suppress(ValueError):
+        cap = int(os.environ.get("EMLAB_THREADS", ""))
+        if cap > 0:
+            cpus = min(cpus, cap)
+    return cpus
+
+
+def _write_csvs(tables):
+    """Write each ``(path, header, cols)`` table of equal-length columns as
+    CSV, every value as ``%.17g``.
+
+    A table of at least ``CSV_FORK_MIN_ROWS`` rows is split at the block
+    boundary nearest its middle.  With 2 usable CPUs one forked child
+    formats the rows after every split while this process writes the rows
+    before them, and the child's bytes are then copied after those; the
+    blocks, and so the bytes, are those of the serial loop.  Returns the
+    child's ``export_child`` timing entry, or None when no child ran.
+    """
+    parts = []
+    for path, header, cols in tables:
+        data = np.column_stack(cols)
+        n = len(data)
+        split = (n if n < CSV_FORK_MIN_ROWS else
+                 (n + CSV_BLOCK_ROWS) // (2 * CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS)
+        parts.append((path, (",".join(header) + "\n").encode(), data, split))
+    if all(split == len(data) for *_, data, split in parts) or _usable_cpus() < 2:
+        return _write_serial(parts)
+    return _write_csvs_forked(parts)
+
+
+def _write_serial(parts):
+    """Write every row of each part in this process."""
+    for path, head, data, _ in parts:
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.writelines(_csv_blocks(data, 0, len(data)))
+
+
+def _write_csvs_forked(parts):
+    """The forked path of ``_write_csvs``.
+
+    The child formats all its rows before it writes any, so that it never
+    waits on the pipe while this process formats; it makes no BLAS call,
+    opens no file and leaves by ``os._exit``, so it never returns into the
+    caller's stack.  If it fails, exits non-zero or sends a short stream,
+    each file is cut back to this process's rows and the rest is formatted
+    here; if it cannot be forked, every row is.  If this process raises,
+    the child is killed and reaped first.
+    """
+    t0 = time.perf_counter()
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(rfd)
+        os.close(wfd)
+        return _write_serial(parts)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            _send_tails(wfd, [(data, split) for *_, data, split in parts])
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    files, reaped = [], None
+    try:
+        with open(rfd, "rb") as pipe:
+            for path, head, data, split in parts:
+                files.append(open(path, "wb"))
+                files[-1].write(head)
+                files[-1].writelines(_csv_blocks(data, 0, split))
+            ends = [fh.tell() for fh in files]
+            received = _receive_tails(pipe, files)
+        reaped = os.wait4(pid, 0)
+        child = {"seconds": time.perf_counter() - t0,
+                 "max_rss_mb": reaped[2].ru_maxrss / 1024,
+                 "fallback": not received or reaped[1] != 0}
+        if child["fallback"]:
+            for fh, end, (*_, data, split) in zip(files, ends, parts):
+                fh.seek(end)
+                fh.truncate()
+                fh.writelines(_csv_blocks(data, split, len(data)))
+    finally:
+        if reaped is None:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+        for fh in files:
+            fh.close()
+    return child
+
+
+def _send_tails(fd, tails):
+    """The child's work: format the rows of each ``(data, split)`` from
+    ``split`` on, then send their sizes and their bytes through ``fd``."""
+    texts = [list(_csv_blocks(data, split, len(data))) for data, split in tails]
+    sizes = struct.pack(f"<{len(texts)}Q", *(sum(map(len, t)) for t in texts))
+    for chunk in [sizes, *(b for t in texts for b in t)]:
+        view = memoryview(chunk)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive_tails(pipe, files):
+    """Copy the child's bytes from ``pipe`` after each file's own rows;
+    False if the stream ends early or runs on past its announced sizes."""
+    sizes = pipe.read(8 * len(files))
+    if len(sizes) < 8 * len(files):
+        return False
+    for fh, size in zip(files, struct.unpack(f"<{len(files)}Q", sizes)):
+        while size:
+            chunk = pipe.read(min(size, 1 << 20))
+            if not chunk:
+                return False
+            fh.write(chunk)
+            size -= len(chunk)
+    return not pipe.read(1)
 
 
 def export_fields(report, out_dir):
@@ -548,7 +683,10 @@ def export_fields(report, out_dir):
 
 def _write_solution(report, out_dir):
     """The CSV fields and, after a solve, the solver log of a run; returns
-    the names of the run's own files among ``SOLUTION_FILES``."""
+    the names of the run's own files among ``SOLUTION_FILES``.  When a
+    forked child formatted part of the CSV rows, its wall time, peak memory
+    and whether its rows were formatted again here go to
+    ``report.timings["export_child"]``."""
     result, domain, fld = report.result, report.domain, report.spectral_field
     own = ["fields.csv", "boundary.csv", "solver_log.json"]
     xy_u = [domain.xy[:, 0], domain.xy[:, 1], result.u,
@@ -556,18 +694,22 @@ def _write_solution(report, out_dir):
     if fld is None:  # the analyses stopped before evaluating the solution
         fields = xy_u + [np.full(domain.n_interior, np.nan)] * 6
         rellich_density = pohozaev_density = np.full(domain.n_boundary, np.nan)
+        tables = []
     else:
         fields = xy_u + [fld.lambda1, fld.lambda_rest, fld.det, fld.trace,
                          fld.div_T[:, 0], fld.div_T[:, 1]]
-        _write_csv(os.path.join(out_dir, "tensor.csv"), TENSOR_COLUMNS,
-                   [fld.T[0, 0], fld.T[0, 1], fld.T[1, 1]])
+        tables = [("tensor.csv", TENSOR_COLUMNS, [fld.T[0, 0], fld.T[0, 1], fld.T[1, 1]])]
         own.append("tensor.csv")
         rellich_density, pohozaev_density = fld.boundary_flux, fld.pohozaev_density
-    _write_csv(os.path.join(out_dir, "fields.csv"), FIELD_COLUMNS, fields)
     bcols = [domain.bpts[:, 0], domain.bpts[:, 1], domain.bnu[:, 0],
              domain.bnu[:, 1], domain.bH, domain.bw, result.normal_derivative,
              rellich_density, pohozaev_density]
-    _write_csv(os.path.join(out_dir, "boundary.csv"), BOUNDARY_COLUMNS, bcols)
+    tables += [("fields.csv", FIELD_COLUMNS, fields),
+               ("boundary.csv", BOUNDARY_COLUMNS, bcols)]
+    child = _write_csvs([(os.path.join(out_dir, name), header, cols)
+                         for name, header, cols in tables])
+    if child is not None:
+        report.timings["export_child"] = child
 
     if result.log:  # a reloaded run never re-solves and keeps its persisted log
         with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:

@@ -8,6 +8,7 @@ import os
 import re
 import resource
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -20,14 +21,18 @@ from hypothesis import strategies as st
 from jsonschema import ValidationError
 
 import emlab
+from emlab import pipeline
 from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.lagrangian import PILOT_BOX, check_hypotheses
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
                             EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
-                            FIELD_COLUMNS, RunReport, _sanitize, _write_csv,
+                            FIELD_COLUMNS, RunReport, _sanitize, _write_csvs,
                             analyze_into, export_fields, load_run, parse_config,
                             run_pipeline, validate_report)
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 TORSION_CONFIG = {
     "model": {"name": "dirichlet_affine", "parameters": [0.5, 1.0]},
@@ -489,18 +494,176 @@ def _write_csv_loop(path, header, cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def test_csv_writer_equals_row_loop(tmp_path):
+def _csv_columns(n, ncols):
+    """``ncols`` columns of ``n`` rows: special values (nan, +-inf, -0.0,
+    subnormal, max double), random magnitudes and the row index."""
     rng = np.random.default_rng(11)
-    n = 2 * CSV_BLOCK_ROWS + 3
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
                         0.1, 1.0 / 3.0, 2.0 ** 60, -1e-17])
-    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
-            np.resize(special, n), np.arange(n, dtype=float)]
-    _write_csv(tmp_path / "a.csv", ["a", "b", "c"], cols)
-    _write_csv_loop(tmp_path / "b.csv", ["a", "b", "c"], cols)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    _write_csv(tmp_path / "e.csv", ["a"], [np.empty(0)])
+    cols = [np.resize(special, n), rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n),
+            np.arange(n, dtype=float)]
+    return cols[:ncols]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Count 2 usable CPUs, so that the CSV writer forks on any machine."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+
+def test_csv_writer_equals_row_loop(tmp_path, two_cpus):
+    # from 2 * CSV_BLOCK_ROWS rows on, a forked child formats the second half
+    for n in (2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3,
+              5 * CSV_BLOCK_ROWS + 7):
+        for ncols in (1, 3):
+            header = ["a", "b", "c"][:ncols]
+            cols = _csv_columns(n, ncols)
+            child = _write_csvs([(tmp_path / "a.csv", header, cols)])
+            assert (child is not None) == (n >= 2 * CSV_BLOCK_ROWS)
+            assert child is None or not child["fallback"]
+            _assert_no_child()
+            _write_csv_loop(tmp_path / "b.csv", header, cols)
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert _write_csvs([(tmp_path / "e.csv", ["a"], [np.empty(0)])]) is None
     assert (tmp_path / "e.csv").read_text() == "a\n"
+
+
+class TestForkedCsvFailures:
+    """Whatever goes wrong with the child, the files hold the serial bytes
+    and no child outlives the writer."""
+
+    N = 2 * CSV_BLOCK_ROWS + 3
+
+    def _tables(self, tmp_path):
+        return [(tmp_path / "t.csv", ["a"], _csv_columns(self.N, 1)),
+                (tmp_path / "f.csv", ["a", "b", "c"], _csv_columns(self.N, 3))]
+
+    def _assert_serial_bytes(self, tmp_path):
+        for name, header, cols in self._tables(tmp_path):
+            _write_csv_loop(tmp_path / "ref.csv", header, cols)
+            assert name.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_child_raises(self, tmp_path, two_cpus, monkeypatch):
+        def fail(fd, tails):
+            raise RuntimeError("child body failed")
+        monkeypatch.setattr(pipeline, "_send_tails", fail)
+        child = _write_csvs(self._tables(tmp_path))
+        assert child["fallback"]
+        _assert_no_child()
+        self._assert_serial_bytes(tmp_path)
+
+    @pytest.mark.parametrize("sent", [0.5, 1.0], ids=["half_stream", "full_stream"])
+    def test_child_exits_nonzero(self, tmp_path, two_cpus, monkeypatch, sent):
+        def send_and_exit(fd, tails):
+            texts = [b"".join(pipeline._csv_blocks(data, split, len(data)))
+                     for data, split in tails]
+            stream = struct.pack(f"<{len(texts)}Q", *map(len, texts)) + b"".join(texts)
+            view = memoryview(stream)[:int(len(stream) * sent)]
+            while view:
+                view = view[os.write(fd, view):]
+            os._exit(3)
+        monkeypatch.setattr(pipeline, "_send_tails", send_and_exit)
+        child = _write_csvs(self._tables(tmp_path))
+        assert child["fallback"]
+        _assert_no_child()
+        self._assert_serial_bytes(tmp_path)
+
+    def test_parent_write_error_propagates(self, tmp_path, two_cpus, monkeypatch):
+        parent, blocks = os.getpid(), pipeline._csv_blocks
+
+        def parent_fails(data, start, stop):
+            if os.getpid() == parent:
+                raise OSError(28, "No space left on device")
+            return blocks(data, start, stop)
+        monkeypatch.setattr(pipeline, "_csv_blocks", parent_fails)
+        with pytest.raises(OSError, match="No space left"):
+            _write_csvs(self._tables(tmp_path))
+        _assert_no_child()
+
+    def test_fork_refused(self, tmp_path, two_cpus, monkeypatch):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refuse)
+        assert _write_csvs(self._tables(tmp_path)) is None
+        self._assert_serial_bytes(tmp_path)
+
+
+def test_export_bytes_do_not_depend_on_the_fork(tmp_path, monkeypatch):
+    # h = 1/32 has about 3200 rows: a low threshold makes the child run
+    report = run_pipeline(parse_config(dict(TORSION_CONFIG, spacing=1.0 / 32)))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    export_fields(report, str(tmp_path / "serial"))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "CSV_BLOCK_ROWS", 256)
+    monkeypatch.setattr(pipeline, "CSV_FORK_MIN_ROWS", 512)
+    export_fields(report, str(tmp_path / "forked"))
+    _assert_no_child()
+    for name in ("report.json", "fields.csv", "tensor.csv", "boundary.csv",
+                 "solver_log.json"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "forked" / name).read_bytes()), name
+    serial, forked = (json.loads((tmp_path / side / "timings.json").read_text())
+                      for side in ("serial", "forked"))
+    assert "export_child" not in serial
+    assert not forked["export_child"]["fallback"]
+    assert forked["export_child"]["seconds"] > 0
+    assert forked["export_child"]["max_rss_mb"] > 0
+
+
+class TestSerialCsvPath:
+    """One usable CPU means no fork: the writer never calls ``os.fork``."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def fork():
+            pytest.fail("os.fork called on the serial path")
+        monkeypatch.setattr(os, "fork", fork)
+        # the torsion disc config has about 12.9k rows
+        monkeypatch.setattr(pipeline, "CSV_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(pipeline, "CSV_FORK_MIN_ROWS", 2048)
+
+    def _solve(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", os.path.join(CONFIGS, "torsion_disc.yaml"),
+                     "--out", str(out)]) == EXIT_OK
+        assert "export_child" not in json.loads((out / "timings.json").read_text())
+
+    def test_emlab_threads_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMLAB_THREADS", "1")
+        self._solve(tmp_path)
+
+    def test_one_cpu_affinity(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EMLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self._solve(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_emlab_threads_not_a_positive_integer(tmp_path, monkeypatch, value):
+    # such a value caps nothing, neither the BLAS nor the CSV writer, and
+    # ends in no traceback; the torsion disc config, below the fork
+    # threshold, is written without a fork
+    monkeypatch.setenv("EMLAB_THREADS", value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert pipeline._usable_cpus() == 3
+    out = tmp_path / "out"
+    script = ("import os, sys\n"
+              "def fork():\n"
+              "    raise AssertionError('os.fork called')\n"
+              "os.fork = fork\n"
+              "from emlab.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = _python(["-c", script, "solve", "--config",
+                    os.path.join(CONFIGS, "torsion_disc.yaml"), "--out", str(out)],
+                   threads=value)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "export_child" not in json.loads((out / "timings.json").read_text())
 
 
 def test_sanitize_gives_strict_json():
@@ -737,9 +900,12 @@ class TestCli:
         assert reports[0] == reports[1]
 
     def test_newton_solve_bytes_do_not_depend_on_thread_count(self, tmp_path):
-        # the seed-1 ellipse of the benchmark: at h = 1/128 the vectors are
-        # long enough for the BLAS to split a sum across threads, which the
-        # Newton-GMRES solve must not leave to it
+        """The seed-1 ellipse of the benchmark: at h = 1/128 the vectors are
+        long enough for the BLAS to split a sum across threads, which the
+        Newton-GMRES solve must not leave to it.  Its export has about 31k
+        rows, so under EMLAB_THREADS=2 on 2 CPUs a forked child formats half
+        of each large CSV, and under =1 no child runs: this also compares the
+        forked export with the serial one end to end."""
         cfg_path = write_config(tmp_path, {
             "model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
             "shape": {"kind": "ellipse", "parameters": [1.0, 0.6],
@@ -756,6 +922,9 @@ class TestCli:
                 "solver_log.json")})
         assert len(json.loads(runs[0]["solver_log.json"])) > 2  # Newton steps ran
         assert runs[0] == runs[1]
+        forked = ["export_child" in json.loads((tmp_path / f"threads{k}" / "timings.json")
+                                               .read_text()) for k in (1, 2)]
+        assert forked == [False, len(os.sched_getaffinity(0)) >= 2]
 
     def test_reload_domain_error_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)
