@@ -8,9 +8,10 @@ byte-identical ``report.json`` and ``fields.csv``; wall-clock timings
 therefore live in a separate sidecar file.
 
 The export writes each CSV in blocks of ``CSV_BLOCK_ROWS`` rows.  With 2
-usable CPUs, at most one forked child formats the second half of the rows
-of each CSV of at least ``CSV_FORK_MIN_ROWS`` rows, with the same blocks,
-so the bytes do not depend on the CPU count.
+usable CPUs, at most one forked child writes the header and the first half
+of the rows of each CSV of at least ``CSV_FORK_MIN_ROWS`` rows, while the
+run formats the second half with the same blocks and appends it once the
+child has exited, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import signal
-import struct
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -546,10 +546,13 @@ def _write_csvs(tables):
 
     A table of at least ``CSV_FORK_MIN_ROWS`` rows is split at the block
     boundary nearest its middle.  With 2 usable CPUs one forked child
-    formats the rows after every split while this process writes the rows
-    before them, and the child's bytes are then copied after those; the
-    blocks, and so the bytes, are those of the serial loop.  Returns the
-    child's ``export_child`` timing entry, or None when no child ran.
+    writes each file's header and the rows before its split while this
+    process formats the rows after every split into memory, and appends
+    them once it has reaped the child; the blocks, and so the bytes, are
+    those of the serial loop.  If the child cannot be forked or does not
+    exit 0, this process writes every file whole.  If this process raises,
+    the child is killed and reaped first.  Returns the child's
+    ``export_child`` timing entry, or None when no child ran.
     """
     parts = []
     for path, header, cols in tables:
@@ -558,100 +561,49 @@ def _write_csvs(tables):
         split = (n if n < CSV_FORK_MIN_ROWS else
                  (n + CSV_BLOCK_ROWS) // (2 * CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS)
         parts.append((path, (",".join(header) + "\n").encode(), data, split))
-    if all(split == len(data) for *_, data, split in parts) or _usable_cpus() < 2:
-        return _write_serial(parts)
-    return _write_csvs_forked(parts)
-
-
-def _write_serial(parts):
-    """Write every row of each part in this process."""
-    for path, head, data, _ in parts:
-        with open(path, "wb") as fh:
-            fh.write(head)
-            fh.writelines(_csv_blocks(data, 0, len(data)))
-
-
-def _write_csvs_forked(parts):
-    """The forked path of ``_write_csvs``.
-
-    The child formats all its rows before it writes any, so that it never
-    waits on the pipe while this process formats; it makes no BLAS call,
-    opens no file and leaves by ``os._exit``, so it never returns into the
-    caller's stack.  If it fails, exits non-zero or sends a short stream,
-    each file is cut back to this process's rows and the rest is formatted
-    here; if it cannot be forked, every row is.  If this process raises,
-    the child is killed and reaped first.
-    """
-    t0 = time.perf_counter()
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(rfd)
-        os.close(wfd)
-        return _write_serial(parts)
-    if pid == 0:
+    pid = None
+    if any(split < len(data) for *_, data, split in parts) and _usable_cpus() > 1:
+        t0 = time.perf_counter()
+        with suppress(OSError):  # no process to spare
+            pid = os.fork()
+    if pid is None:
+        _write_heads([(path, head, data, len(data)) for path, head, data, _ in parts])
+        return None
+    if pid == 0:  # the child makes no BLAS call and never returns to the caller
         code = 1
         try:
-            os.close(rfd)
-            _send_tails(wfd, [(data, split) for *_, data, split in parts])
+            _write_heads(parts)
             code = 0
         finally:
             os._exit(code)
-    os.close(wfd)
-    files, reaped = [], None
+    reaped = None
     try:
-        with open(rfd, "rb") as pipe:
-            for path, head, data, split in parts:
-                files.append(open(path, "wb"))
-                files[-1].write(head)
-                files[-1].writelines(_csv_blocks(data, 0, split))
-            ends = [fh.tell() for fh in files]
-            received = _receive_tails(pipe, files)
+        tails = [list(_csv_blocks(data, split, len(data))) for *_, data, split in parts]
         reaped = os.wait4(pid, 0)
-        child = {"seconds": time.perf_counter() - t0,
-                 "max_rss_mb": reaped[2].ru_maxrss / 1024,
-                 "fallback": not received or reaped[1] != 0}
-        if child["fallback"]:
-            for fh, end, (*_, data, split) in zip(files, ends, parts):
-                fh.seek(end)
-                fh.truncate()
-                fh.writelines(_csv_blocks(data, split, len(data)))
     finally:
         if reaped is None:
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.wait4(pid, 0)
-        for fh in files:
-            fh.close()
+    child = {"seconds": time.perf_counter() - t0,
+             "max_rss_mb": reaped[2].ru_maxrss / 1024,
+             "fallback": reaped[1] != 0}
+    if child["fallback"]:
+        _write_heads(parts)
+    for (path, *_), tail in zip(parts, tails):
+        if tail:
+            with open(path, "ab") as fh:
+                fh.writelines(tail)
     return child
 
 
-def _send_tails(fd, tails):
-    """The child's work: format the rows of each ``(data, split)`` from
-    ``split`` on, then send their sizes and their bytes through ``fd``."""
-    texts = [list(_csv_blocks(data, split, len(data))) for data, split in tails]
-    sizes = struct.pack(f"<{len(texts)}Q", *(sum(map(len, t)) for t in texts))
-    for chunk in [sizes, *(b for t in texts for b in t)]:
-        view = memoryview(chunk)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _receive_tails(pipe, files):
-    """Copy the child's bytes from ``pipe`` after each file's own rows;
-    False if the stream ends early or runs on past its announced sizes."""
-    sizes = pipe.read(8 * len(files))
-    if len(sizes) < 8 * len(files):
-        return False
-    for fh, size in zip(files, struct.unpack(f"<{len(files)}Q", sizes)):
-        while size:
-            chunk = pipe.read(min(size, 1 << 20))
-            if not chunk:
-                return False
-            fh.write(chunk)
-            size -= len(chunk)
-    return not pipe.read(1)
+def _write_heads(parts):
+    """Write each ``(path, head, data, split)`` afresh: the header ``head``
+    and the rows of ``data`` before ``split``."""
+    for path, head, data, split in parts:
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.writelines(_csv_blocks(data, 0, split))
 
 
 def export_fields(report, out_dir):
@@ -661,31 +613,35 @@ def export_fields(report, out_dir):
     report.json; timings.json is the only non-deterministic artifact.  Its
     ``export`` entry is the time of every write before its own.  Any of
     ``SOLUTION_FILES`` that the run does not write is removed, so a reused
-    directory holds no output of an earlier run.
+    directory holds no output of an earlier run.  A directory that cannot
+    be created or written raises ``ConfigError``.
     """
-    with _stage(report, "export"):
-        os.makedirs(out_dir, exist_ok=True)
-        own = _write_solution(report, out_dir) if report.result is not None else ()
-        for name in set(SOLUTION_FILES).difference(own):
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name))
-        with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
-            yaml.safe_dump(report.config, fh, sort_keys=True)
-        doc = report.as_dict()
-        validate_report(doc)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+    try:
+        with _stage(report, "export"):
+            os.makedirs(out_dir, exist_ok=True)
+            own = _write_solution(report, out_dir) if report.result is not None else ()
+            for name in set(SOLUTION_FILES).difference(own):
+                with suppress(FileNotFoundError):
+                    os.remove(os.path.join(out_dir, name))
+            with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
+                yaml.safe_dump(report.config, fh, sort_keys=True)
+            doc = report.as_dict()
+            validate_report(doc)
+            with open(os.path.join(out_dir, "report.json"), "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        with open(os.path.join(out_dir, "timings.json"), "w") as fh:
+            json.dump(_sanitize(report.timings), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    with open(os.path.join(out_dir, "timings.json"), "w") as fh:
-        json.dump(_sanitize(report.timings), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write run to {out_dir}: {exc}") from None
 
 
 def _write_solution(report, out_dir):
     """The CSV fields and, after a solve, the solver log of a run; returns
     the names of the run's own files among ``SOLUTION_FILES``.  When a
-    forked child formatted part of the CSV rows, its wall time, peak memory
-    and whether its rows were formatted again here go to
+    forked child wrote part of the CSV rows, its wall time, peak memory and
+    whether it failed, so that every file was written whole here, go to
     ``report.timings["export_child"]``."""
     result, domain, fld = report.result, report.domain, report.spectral_field
     own = ["fields.csv", "boundary.csv", "solver_log.json"]

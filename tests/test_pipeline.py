@@ -8,10 +8,10 @@ import os
 import re
 import resource
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -487,7 +487,8 @@ class TestBreadth:
 
 
 def _write_csv_loop(path, header, cols):
-    """Reference: the row-by-row f-string writer that _write_csv replaced."""
+    """Reference: a row-by-row f-string writer, the serial bytes that
+    _write_csvs must reproduce on every path."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*cols):
@@ -548,10 +549,19 @@ class TestForkedCsvFailures:
             _write_csv_loop(tmp_path / "ref.csv", header, cols)
             assert name.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def _in_child(self, monkeypatch, heads):
+        """Make the child call ``heads(parts, write)`` in place of
+        ``write(parts)``, ``write`` being the real ``_write_heads``."""
+        parent, write = os.getpid(), pipeline._write_heads
+
+        def patched(parts):
+            return write(parts) if os.getpid() == parent else heads(parts, write)
+        monkeypatch.setattr(pipeline, "_write_heads", patched)
+
     def test_child_raises(self, tmp_path, two_cpus, monkeypatch):
-        def fail(fd, tails):
+        def fail(parts, write):
             raise RuntimeError("child body failed")
-        monkeypatch.setattr(pipeline, "_send_tails", fail)
+        self._in_child(monkeypatch, fail)
         child = _write_csvs(self._tables(tmp_path))
         assert child["fallback"]
         _assert_no_child()
@@ -559,17 +569,25 @@ class TestForkedCsvFailures:
 
     @pytest.mark.parametrize("sent", [0.5, 1.0], ids=["half_stream", "full_stream"])
     def test_child_exits_nonzero(self, tmp_path, two_cpus, monkeypatch, sent):
-        def send_and_exit(fd, tails):
-            texts = [b"".join(pipeline._csv_blocks(data, split, len(data)))
-                     for data, split in tails]
-            stream = struct.pack(f"<{len(texts)}Q", *map(len, texts)) + b"".join(texts)
-            view = memoryview(stream)[:int(len(stream) * sent)]
-            while view:
-                view = view[os.write(fd, view):]
+        # a non-zero exit is a failure even after every child row is written
+        def write_part_and_exit(parts, write):
+            write([(path, head, data, int(split * sent))
+                   for path, head, data, split in parts])
             os._exit(3)
-        monkeypatch.setattr(pipeline, "_send_tails", send_and_exit)
+        self._in_child(monkeypatch, write_part_and_exit)
         child = _write_csvs(self._tables(tmp_path))
         assert child["fallback"]
+        _assert_no_child()
+        self._assert_serial_bytes(tmp_path)
+
+    def test_slow_child(self, tmp_path, two_cpus, monkeypatch):
+        # this process appends only after the child, which truncates, exits
+        def sleep_and_write(parts, write):
+            time.sleep(0.5)
+            write(parts)
+        self._in_child(monkeypatch, sleep_and_write)
+        child = _write_csvs(self._tables(tmp_path))
+        assert not child["fallback"]
         _assert_no_child()
         self._assert_serial_bytes(tmp_path)
 
@@ -726,6 +744,31 @@ class TestCli:
             TORSION_CONFIG, shape={"kind": "disc", "parameters": [-1.0]}))
         assert main(["solve", "--config", cfg_path, "--out",
                      str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_unwritable_run_directory_exits_four(self):
+        proc = _python(["-m", "emlab.cli", "solve", "--config",
+                        os.path.join(CONFIGS, "torsion_disc.yaml"),
+                        "--out", os.path.join(os.devnull, "run")])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error: cannot write run to ")
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_csv_of_a_forked_export_exits_four(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the child cannot open fields.csv and exits 1, and the run's own
+        # write of every file whole then fails too; the torsion disc config
+        # has about 12.9k rows
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "CSV_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(pipeline, "CSV_FORK_MIN_ROWS", 2048)
+        out = tmp_path / "out"
+        (out / "fields.csv").mkdir(parents=True)
+        assert main(["solve", "--config", os.path.join(CONFIGS, "torsion_disc.yaml"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        _assert_no_child()
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write run to {out}: ")
+        assert "Is a directory" in err and "Traceback" not in err
 
     def test_missing_config_exits_four(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml"),
