@@ -265,27 +265,33 @@ def eval_jet(model, p, q):
     return Jet2(*entries)
 
 
+def diffusion_coefficient(model, p, q, jet):
+    """g = F_p/p from the ``jet`` at the arrays (p, q), and its limit F_pp(0, q)
+    where p <= ORIGIN_EPS, which holds only where F_p(0, q) = 0: a model that
+    does not claim ``smooth_at_origin`` is refused there (``OriginLimitError``).
+    The one place where g is formed."""
+    g = jet.F_p / np.maximum(p, ORIGIN_EPS)
+    small = p <= ORIGIN_EPS
+    if np.any(small):
+        if not model.smooth_at_origin:
+            raise OriginLimitError(
+                f"model {model.name!r} is not smooth at the origin; "
+                "g = F_p/p has no declared p -> 0 limit")
+        g = np.where(small, eval_jet(model, np.zeros_like(p), q).F_pp, g)
+    return g
+
+
 def divergence_coefficients(model, p, q):
     """Coefficients (g, h) of the divergence form of the optimality equation.
 
-    g(p, q) = F_p/p with the analytic limit F_pp(0, q) used for p below
-    ORIGIN_EPS (valid when F_p(0, q) = 0), and h = -F_q, from one jet at (p, q).
+    g = F_p/p by ``diffusion_coefficient`` and h = -F_q, from one jet at
+    (p, q); scalars in, floats out.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
-    scalar = p_arr.ndim == 0 and q_arr.ndim == 0
-    small = p_arr <= ORIGIN_EPS
-    if np.any(small) and not model.smooth_at_origin:
-        raise OriginLimitError(
-            f"model {model.name!r} is not smooth at the origin; "
-            "g = F_p/p has no declared p -> 0 limit")
     jet = eval_jet(model, p_arr, q_arr)
-    g = jet.F_p / np.maximum(p_arr, ORIGIN_EPS)
-    if np.any(small):
-        jet0 = eval_jet(model, np.zeros_like(p_arr), q_arr)
-        g = np.where(small, jet0.F_pp, g)
-    h = -jet.F_q
-    if scalar:
+    g, h = diffusion_coefficient(model, p_arr, q_arr, jet), -jet.F_q
+    if p_arr.ndim == 0 and q_arr.ndim == 0:
         return float(g), float(h)
     return np.asarray(g, dtype=float), np.asarray(h, dtype=float)
 

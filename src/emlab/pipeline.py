@@ -10,8 +10,9 @@ therefore live in a separate sidecar file.
 The export writes each CSV in blocks of ``CSV_BLOCK_ROWS`` rows.  With 2
 usable CPUs, at most one forked child writes the header and the first half
 of the rows of each CSV of at least ``CSV_FORK_MIN_ROWS`` rows, while the
-run formats the second half with the same blocks and appends it once the
-child has exited, so the bytes do not depend on the CPU count.
+run formats the second half and appends it once the child has exited.
+``%.17g`` formats every value on its own, so the bytes depend neither on
+the CPU count nor on where a block starts.
 """
 
 from __future__ import annotations
@@ -544,12 +545,12 @@ def _write_csvs(tables):
     """Write each ``(path, header, cols)`` table of equal-length columns as
     CSV, every value as ``%.17g``.
 
-    A table of at least ``CSV_FORK_MIN_ROWS`` rows is split at the block
-    boundary nearest its middle.  With 2 usable CPUs one forked child
-    writes each file's header and the rows before its split while this
-    process formats the rows after every split into memory, and appends
-    them once it has reaped the child; the blocks, and so the bytes, are
-    those of the serial loop.  If the child cannot be forked or does not
+    A table of n >= ``CSV_FORK_MIN_ROWS`` rows is split at row n // 2.
+    With 2 usable CPUs one forked child writes each file's header and the
+    rows before its split while this process formats the rows after every
+    split into memory, and appends them once it has reaped the child; each
+    value is formatted on its own, so the bytes are those of the serial
+    loop wherever its blocks start.  If the child cannot be forked or does not
     exit 0, this process writes every file whole.  If this process raises,
     the child is killed and reaped first.  Returns the child's
     ``export_child`` timing entry, or None when no child ran.
@@ -558,8 +559,7 @@ def _write_csvs(tables):
     for path, header, cols in tables:
         data = np.column_stack(cols)
         n = len(data)
-        split = (n if n < CSV_FORK_MIN_ROWS else
-                 (n + CSV_BLOCK_ROWS) // (2 * CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS)
+        split = n if n < CSV_FORK_MIN_ROWS else n // 2
         parts.append((path, (",".join(header) + "\n").encode(), data, split))
     pid = None
     if any(split < len(data) for *_, data, split in parts) and _usable_cpus() > 1:

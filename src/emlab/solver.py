@@ -31,7 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, interpolate_node_field
-from .lagrangian import ORIGIN_EPS, divergence_coefficients, eval_jet
+from .lagrangian import diffusion_coefficient, divergence_coefficients, eval_jet
 
 
 @dataclass
@@ -79,34 +79,26 @@ class SolveResult:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def _face_state(domain, u, p2, d):
-    """State of the faces in direction ``d``: the means of ``p2`` and of ``u``
-    over the two nodes of each face.  A face to the boundary takes the node's
-    own ``p2`` and the boundary value u = 0."""
+def _faces(model, domain, u, p2, d):
+    """``(P, jet, g)`` of the faces in direction ``d``: P^2 and the face value
+    are the means of ``p2`` and of ``u`` over the two nodes of each face (a
+    face to the boundary takes the node's own ``p2`` and the boundary value
+    u = 0), the jet is taken at that state and g = F_p/P from it.  A face
+    whose g is not positive is refused with its witness."""
     nb = domain.nbr[:, d]
     has = nb >= 0
-    return (np.where(has, 0.5 * (p2 + p2[nb]), p2),
-            np.where(has, 0.5 * (u + u[nb]), 0.5 * u))
-
-
-def _face_conductances(model, domain, u):
-    """Face conductances and the nodal |grad u|^2, from averaged neighbor states."""
-    Gx, Gy = domain.grad_ops
-    p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
-    g_faces = []
-    for d in range(4):
-        s, uf = _face_state(domain, u, p2, d)
-        g, _ = divergence_coefficients(model, np.sqrt(np.maximum(s, 0.0)), uf)
-        if np.any(g <= 0.0):
-            k = int(np.argmax(g <= 0.0))
-            raise EllipticityError(
-                "non-positive diffusion coefficient at a face",
-                witness={"node": [float(domain.xy[k, 0]), float(domain.xy[k, 1])],
-                         "direction": ["+x", "-x", "+y", "-y"][d],
-                         "p_face": float(np.sqrt(max(s[k], 0.0))),
-                         "u_face": float(uf[k]), "g": float(g[k])})
-        g_faces.append(g)
-    return _conductances(domain, np.array(g_faces)), p2
+    P = np.sqrt(np.where(has, 0.5 * (p2 + p2[nb]), p2))
+    uf = np.where(has, 0.5 * (u + u[nb]), 0.5 * u)
+    jet = eval_jet(model, P, uf)
+    g = diffusion_coefficient(model, P, uf, jet)
+    if np.any(g <= 0.0):
+        k = int(np.argmax(g <= 0.0))
+        raise EllipticityError(
+            "non-positive diffusion coefficient at a face",
+            witness={"node": [float(domain.xy[k, 0]), float(domain.xy[k, 1])],
+                     "direction": ["+x", "-x", "+y", "-y"][d],
+                     "p_face": float(P[k]), "u_face": float(uf[k]), "g": float(g[k])})
+    return P, jet, g
 
 
 def _conductances(domain, g):
@@ -129,8 +121,11 @@ def _assemble(domain, c):
 def el_residual(model, domain, u):
     """Pointwise discrete div(g grad u) + h at the interior nodes."""
     u = np.asarray(u, dtype=float)
-    c, p2 = _face_conductances(model, domain, u)
-    _, h_src = divergence_coefficients(model, np.sqrt(np.maximum(p2, 0.0)), u)
+    Gx, Gy = domain.grad_ops
+    p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+    c = _conductances(domain, np.array([_faces(model, domain, u, p2, d)[2]
+                                        for d in range(4)]))
+    h_src = -eval_jet(model, np.sqrt(p2), u).F_q
     u_nb = np.append(u, 0.0)[domain.nbr]  # a boundary neighbour (-1) reads 0
     # summed as the sorted CSR row of A sums them (from +0.0, in node-id order
     # S, W, self, E, N), so the residual keeps the bits of A @ u + h
@@ -180,12 +175,8 @@ def _jacobian(model, domain, u):
     inv_span = _conductances(domain, 1.0)
     u_ext = np.append(u, 0.0)
     for d in range(4):
-        s, uf = _face_state(domain, u, p2, d)
-        P = np.sqrt(np.maximum(s, 0.0))
-        jet = eval_jet(model, P, uf)
-        # g is the limit F_pp(0, q) below ORIGIN_EPS, as in divergence_coefficients
-        c = inv_span[d] * np.where(P > ORIGIN_EPS, jet.F_p / np.maximum(P, ORIGIN_EPS),
-                                   jet.F_pp)
+        P, jet, g = _faces(model, domain, u, p2, d)
+        c = inv_span[d] * g
         g_s, g_q = _quotients(P, jet)
         t = inv_span[d] * (u_ext[domain.nbr[:, d]] - u)
         half_b = 0.5 * t * g_q

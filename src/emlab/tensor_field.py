@@ -17,7 +17,7 @@ import numpy as np
 
 from .checks import check
 from .errors import UnconvergedError
-from .lagrangian import ORIGIN_EPS, eval_jet
+from .lagrangian import ORIGIN_EPS, diffusion_coefficient, eval_jet
 
 DEGENERACY_RTOL = 1e-10
 
@@ -102,8 +102,7 @@ def assemble_field(model, result, domain, x0=None):
     moving = pb > ORIGIN_EPS
     blambda1 = np.where(moving, pb * bjet.F_p - bjet.F, -bjet.F)
     blambda_rest = -bjet.F
-    # g = F_p/p with its p -> 0 limit F_pp, as in divergence_coefficients
-    g = np.where(moving, bjet.F_p / np.maximum(pb, ORIGIN_EPS), bjet.F_pp)
+    g = diffusion_coefficient(model, pb, np.zeros_like(pb), bjet)
     phi0 = float(eval_jet(model, 0.0, 0.0).F)
     x0 = (domain.shape.cx, domain.shape.cy) if x0 is None else tuple(x0)
     X_dot_nu = ((domain.bpts[:, 0] - x0[0]) * domain.bnu[:, 0]

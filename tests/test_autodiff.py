@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlab.autodiff import Dual2
 from emlab.lagrangian import eval_jet, make_model, make_expression_model
@@ -94,3 +96,38 @@ def test_arithmetic_identities():
 def test_negative_p_rejected():
     with pytest.raises(ValueError):
         eval_jet(MODELS[0], -0.1, 0.0)
+
+
+def _grow(sub):
+    """Expression trees one level deeper than ``sub``; every argument of
+    ``/``, ``log`` and ``sqrt`` and every base of a power is kept positive,
+    and the argument of ``exp`` and a variable exponent within [-1/2, 1/2]."""
+    def bounded(a):
+        return f"{a} / (1 + {a}*{a})"
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]} / (1 + {t[1]}*{t[1]}))"),
+        st.tuples(sub, st.sampled_from(["2", "3", "0.5", "1.5", "-1"])).map(
+            lambda t: f"(1 + {t[0]}*{t[0]}) ** {t[1]}"),
+        st.tuples(sub, sub).map(lambda t: f"(1 + {t[0]}*{t[0]}) ** ({bounded(t[1])})"),
+        sub.map(lambda a: f"exp({bounded(a)})"),
+        sub.map(lambda a: f"log(1 + {a}*{a})"),
+        sub.map(lambda a: f"sqrt(1 + {a}*{a})"))
+
+
+EXPRESSIONS = st.recursive(st.sampled_from(["p", "q", "0.5", "2"]), _grow, max_leaves=5)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(EXPRESSIONS, st.floats(0.2, 1.0), st.floats(0.2, 1.0))
+def test_random_expression_jets_match_central_differences(text, p, q):
+    # first-order entries against central differences of the value, second
+    # order against central differences of the first-order entries
+    d = 1e-6
+    jet = eval_jet(make_expression_model(text), np.array([p, p + d, p - d, p, p]),
+                   np.array([q, q, q, q + d, q - d]))
+    scale = max(1.0, *(float(np.max(np.abs(e))) for e in dataclasses.astuple(jet)))
+    for exact, fd in [(jet.F_p, jet.F), (jet.F_pp, jet.F_p), (jet.F_pq, jet.F_q)]:
+        assert abs(exact[0] - (fd[1] - fd[2]) / (2 * d)) <= 1e-6 * scale
+    for exact, fd in [(jet.F_q, jet.F), (jet.F_qq, jet.F_q), (jet.F_pq, jet.F_p)]:
+        assert abs(exact[0] - (fd[3] - fd[4]) / (2 * d)) <= 1e-6 * scale

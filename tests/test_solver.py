@@ -1,6 +1,7 @@
 """2D solves against closed forms and the independent radial oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
 from emlab.solver import (SolverConfig, _assemble, _conductances,
                           _invert_flux, el_residual, solve_euler_lagrange,
                           solve_radial)
+from emlab.tensor_field import assemble_field
 from conftest import annulus_exact_u, radial_du, shot_states
 
 ROUNDING_FLOOR = 1e-10
@@ -403,6 +405,19 @@ class TestFluxInversion:
             _invert_flux(model, -2.0, 0.0)
 
 
+def _count_sweeps(monkeypatch):
+    """A list that grows by one per jet sweep, through whichever emlab
+    namespace the sweep calls ``eval_jet``."""
+    sweeps, real = [], lagrangian.eval_jet
+    for name, mod in list(sys.modules.items()):
+        if name == "emlab" or name.startswith("emlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr,
+                                        lambda *a, **k: sweeps.append(1) or real(*a, **k))
+    return sweeps
+
+
 def _divergence_coefficients_sweeps(model, p, q):
     """Reference: the coefficients from three jet sweeps, g at
     max(p, ORIGIN_EPS), the F_pp(0, q) limit, and h again at p."""
@@ -528,10 +543,7 @@ class TestFluxStencil:
     def test_residual_sweeps_each_jet_once(self, monkeypatch):
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
         u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0 + 0.01 * dom.xy[:, 0]
-        sweeps = []
-        real = lagrangian.eval_jet
-        monkeypatch.setattr(lagrangian, "eval_jet",
-                            lambda *a, **k: sweeps.append(1) or real(*a, **k))
+        sweeps = _count_sweeps(monkeypatch)
         el_residual(STENCIL_MODELS[1], dom, u)
         assert len(sweeps) == 5  # four face directions and the nodal source
 
@@ -610,12 +622,40 @@ class TestJacobian:
             jv = solver._jacobian(model, dom, field)(v)
             assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
 
+    def test_origin_limit_as_in_the_residual(self):
+        # F_pp = 1 + 6p: below ORIGIN_EPS g is the limit F_pp(0, q) = 1 in the
+        # residual, the Jacobian and the boundary flux alike, not F_pp(p, q)
+        cubic = make_expression_model("0.5*p**2 + p**3 + q", smooth_at_origin=True)
+        plain = make_expression_model("0.5*p**2 + q", smooth_at_origin=True)
+        dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        u = np.minimum((x * x + y * y - 1.0) / 4.0, -0.1) + 1e-10 * x
+        Gx, Gy = dom.grad_ops
+        p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
+        has = dom.nbr >= 0
+        faces = np.sqrt(np.where(has, 0.5 * (p2[:, None] + p2[dom.nbr]), p2[:, None]))
+        assert np.any((faces > 0.0) & (faces <= ORIGIN_EPS))
+        flat = (np.sqrt(p2) < solver.JACOBIAN_P_CUT) & np.all(
+            faces < solver.JACOBIAN_P_CUT, axis=1)
+        assert np.count_nonzero(flat) > 50
+        v = np.random.default_rng(19).standard_normal(dom.n_interior)
+        for fn in (el_residual, lambda *a: solver._jacobian(*a)(v)):
+            assert np.array_equal(fn(cubic, dom, u)[flat], fn(plain, dom, u)[flat])
+
+        shallow = solver.field_result(dom, 1e-10 * (x * x + y * y - 1.0) / 4.0,
+                                   residual_history=[0.0], converged=True,
+                                   iterations=0)
+        dnu = shallow.normal_derivative
+        fld = assemble_field(cubic, shallow, dom)
+        assert np.all((np.abs(dnu) <= ORIGIN_EPS) & (dnu != 0.0))
+        g0 = eval_jet(cubic, 0.0, 0.0).F_pp
+        assert np.array_equal(fld.boundary_flux,
+                              fld.X_dot_nu * (g0 * dnu ** 2 - fld.boundary_jet.F))
+
     def test_one_jet_sweep_per_face_and_at_the_nodes(self, monkeypatch):
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
         u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0
-        sweeps = []
-        monkeypatch.setattr(solver, "eval_jet",
-                            lambda *a: sweeps.append(1) or eval_jet(*a))
+        sweeps = _count_sweeps(monkeypatch)
         product = solver._jacobian(JACOBIAN_MODELS[-1], dom, u)
         assert len(sweeps) == 5
         product(u)
