@@ -16,6 +16,11 @@ class Dual2:
 
     __slots__ = ("v", "dp", "dq", "dpp", "dpq", "dqq")
 
+    # numpy defers to the reflected operators below: a float64 or ndarray
+    # operand then lifts into one Dual2 (not an object array of jets), and
+    # a float64 constant times a jet skips numpy's object-array dispatch
+    __array_ufunc__ = None
+
     def __init__(self, v, dp=0.0, dq=0.0, dpp=0.0, dpq=0.0, dqq=0.0):
         self.v = v
         self.dp = dp

@@ -1,9 +1,11 @@
 """Integrand models F(p, q) with exact second-order derivative jets.
 
 ``p`` stands for the gradient magnitude ``|grad u|`` and ``q`` for the field
-value ``u``.  Every model evaluates through :class:`~emlab.autodiff.Dual2`,
-so the six jet entries are exact (no divided differences) and vectorize over
-numpy arrays.
+value ``u``.  Every model is an expression compiled by one compiler: a
+config's expression as given, and a catalog model from its template with the
+checked parameters as named constants.  It evaluates through
+:class:`~emlab.autodiff.Dual2`, so the six jet entries are exact (no divided
+differences) and vectorize over numpy arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class LagrangianModel:
 
     name: str
     parameters: tuple
-    evaluator: object  # callable (Dual2, Dual2) -> Dual2
+    evaluator: object  # callable (Dual2, Dual2) -> Dual2, or float64 for a constant F
     smooth_at_origin: bool = True
 
 
@@ -81,59 +83,25 @@ class HypothesisReport:
 # catalog
 # ---------------------------------------------------------------------------
 
-def _dirichlet_affine(a, b):
-    def ev(p, q):
-        return 0.5 * p * p + a + b * q
-    return ev
-
-
-def _dirichlet_exponential(a, b):
-    def ev(p, q):
-        return 0.5 * p * p + a * ad.exp(b * q)
-    return ev
-
-
-def _dirichlet_power(a, k):
-    def ev(p, q):
-        return 0.5 * p * p + a * q ** k
-    return ev
-
-
-def _power_dirichlet(m, a, b):
-    def ev(p, q):
-        return (1.0 / m) * p ** m + a + b * q
-    return ev
-
-
-def _minimal_surface(a, b):
-    def ev(p, q):
-        return ad.sqrt(1.0 + p * p) + a + b * q
-    return ev
-
-
-#: name -> (factory, parameter count, short description)
+#: name -> (template over p, q and the named parameters, parameter names)
 CATALOG = {
-    "dirichlet_affine": (_dirichlet_affine, 2,
-                         "F = p^2/2 + a + b*q"),
-    "dirichlet_exponential": (_dirichlet_exponential, 2,
-                              "F = p^2/2 + a*exp(b*q)"),
-    "dirichlet_power": (_dirichlet_power, 2,
-                        "F = p^2/2 + a*q^k (k a positive integer >= 2)"),
-    "power_dirichlet": (_power_dirichlet, 3,
-                        "F = p^m/m + a + b*q (m > 1)"),
-    "minimal_surface": (_minimal_surface, 2,
-                        "F = sqrt(1 + p^2) + a + b*q"),
+    "dirichlet_affine": ("0.5 * p * p + a + b * q", ("a", "b")),
+    "dirichlet_exponential": ("0.5 * p * p + a * exp(b * q)", ("a", "b")),
+    "dirichlet_power": ("0.5 * p * p + a * q ** k", ("a", "k")),
+    "power_dirichlet": ("(1.0 / m) * p ** m + a + b * q", ("m", "a", "b")),
+    "minimal_surface": ("sqrt(1.0 + p * p) + a + b * q", ("a", "b")),
 }
 
 
 def make_model(name, parameters):
-    """Build a catalog model from its name and numeric parameter list."""
+    """Build a catalog model: its template compiled with the validated
+    numeric parameters as named constants."""
     if name not in CATALOG:
         raise ValueError(f"unknown model {name!r}; choose from {sorted(CATALOG)}")
-    factory, nparams, _ = CATALOG[name]
+    template, names = CATALOG[name]
     params = tuple(float(x) for x in parameters)
-    if len(params) != nparams:
-        raise ValueError(f"model {name!r} expects {nparams} parameters, got {len(params)}")
+    if len(params) != len(names):
+        raise ValueError(f"model {name!r} expects {len(names)} parameters, got {len(params)}")
     if not all(math.isfinite(v) for v in params):
         raise ValueError(f"model {name!r} parameters must be finite")
     if name == "dirichlet_power":
@@ -143,7 +111,8 @@ def make_model(name, parameters):
         params = (params[0], int(k))
     if name == "power_dirichlet" and params[0] <= 1.0:
         raise ValueError("power_dirichlet exponent m must exceed 1")
-    return LagrangianModel(name=name, parameters=params, evaluator=factory(*params))
+    return LagrangianModel(name=name, parameters=params,
+                           evaluator=_compile_expression(template, dict(zip(names, params))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +123,9 @@ _ALLOWED_CALLS = {"exp": ad.exp, "log": ad.log, "sqrt": ad.sqrt}
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
 
 
-def _compile_expression(text):
-    """Compile a +,-,*,/,**,exp,log,sqrt expression over p, q into an evaluator."""
+def _compile_expression(text, constants):
+    """Compile a +,-,*,/,**,exp,log,sqrt expression over p, q and the names
+    of ``constants`` into an evaluator (Dual2, Dual2) -> Dual2 or float64."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -164,11 +134,14 @@ def _compile_expression(text):
     def build(node):
         if isinstance(node, ast.Expression):
             return build(node.body)
+        if isinstance(node, ast.Name) and node.id in constants:
+            node = ast.Constant(constants[node.id])
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValueError(f"non-numeric constant {node.value!r}")
             # float64, so that arithmetic on constants alone (1/0) gives a
-            # non-finite value rather than raising ZeroDivisionError
+            # non-finite value rather than raising ZeroDivisionError; an
+            # exponent stays a number, so Dual2's integer power rules apply
             c = np.float64(node.value)
             return lambda p, q: c
         if isinstance(node, ast.Name):
@@ -197,10 +170,6 @@ def _compile_expression(text):
                 return lambda p, q: left(p, q) * right(p, q)
             if op is ast.Div:
                 return lambda p, q: left(p, q) / right(p, q)
-            # power: constant exponents stay numeric so integer rules apply
-            if isinstance(node.right, ast.Constant):
-                exponent = float(node.right.value)
-                return lambda p, q: left(p, q) ** exponent
             return lambda p, q: left(p, q) ** right(p, q)
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
@@ -217,9 +186,8 @@ def _compile_expression(text):
 
 def make_expression_model(expression, smooth_at_origin=False):
     """Build a custom model from an arithmetic expression string over p and q."""
-    evaluator = _compile_expression(expression)
     return LagrangianModel(name="expression", parameters=(),
-                           evaluator=lambda p, q: Dual2._lift(evaluator(p, q)),
+                           evaluator=_compile_expression(expression, {}),
                            smooth_at_origin=smooth_at_origin)
 
 
@@ -266,18 +234,20 @@ def eval_jet(model, p, q):
 
 
 def diffusion_coefficient(model, p, q, jet):
-    """g = F_p/p from the ``jet`` at the arrays (p, q), and its limit F_pp(0, q)
-    where p <= ORIGIN_EPS, which holds only where F_p(0, q) = 0: a model that
-    does not claim ``smooth_at_origin`` is refused there (``OriginLimitError``).
-    The one place where g is formed."""
-    g = jet.F_p / np.maximum(p, ORIGIN_EPS)
+    """g = F_p/p from the ``jet`` at (p, q), and its limit F_pp(0, q) where
+    p <= ORIGIN_EPS, which holds only where F_p(0, q) = 0: a model that does
+    not claim ``smooth_at_origin`` is refused there (``OriginLimitError``).
+    The limit's jet is taken at those points only.  The one place where g is
+    formed."""
+    g = np.asarray(jet.F_p / np.maximum(p, ORIGIN_EPS))
     small = p <= ORIGIN_EPS
     if np.any(small):
         if not model.smooth_at_origin:
             raise OriginLimitError(
                 f"model {model.name!r} is not smooth at the origin; "
                 "g = F_p/p has no declared p -> 0 limit")
-        g = np.where(small, eval_jet(model, np.zeros_like(p), q).F_pp, g)
+        q_small = np.broadcast_to(q, g.shape)[small]
+        g[small] = eval_jet(model, np.zeros_like(q_small), q_small).F_pp
     return g
 
 

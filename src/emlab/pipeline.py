@@ -695,6 +695,8 @@ def load_run(run_dir):
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot reload run from {run_dir}: {exc}") from None
 
+    if not np.all(np.isfinite(u)):
+        raise ConfigError(f"cannot reload run from {run_dir}: fields.csv holds a non-finite u")
     domain = _build_domain(config)
     if len(u) != domain.n_interior:
         raise ConfigError("persisted field does not match the configured grid")

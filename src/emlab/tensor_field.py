@@ -89,7 +89,7 @@ def assemble_field(model, result, domain, x0=None):
         raise UnconvergedError("tensor assembly requires a converged solution")
     p, u = result.p, result.u
     jet = eval_jet(model, p, u)
-    coef = np.where(p > ORIGIN_EPS, jet.F_p / np.maximum(p, ORIGIN_EPS), 0.0)
+    coef = diffusion_coefficient(model, p, u, jet)
     ux, uy = result.grad[:, 0], result.grad[:, 1]
     T12 = coef * ux * uy
     T = np.array([[coef * ux * ux - jet.F, T12], [T12, coef * uy * uy - jet.F]])

@@ -93,6 +93,18 @@ def test_arithmetic_identities():
          - f(0.8 - d, -0.3 + d) + f(0.8 - d, -0.3 - d)) / (4 * d**2), abs=1e-4)
 
 
+def test_numpy_operands_lift_into_one_jet():
+    # a float64 or an ndarray on the left reaches Dual2's reflected operator
+    # rather than building an object array of jets
+    d = Dual2(np.array([0.5, 2.0]), dp=np.array([1.0, -1.0]), dpq=np.array([0.25, 3.0]))
+    for left, plain in [(np.ones(2), 1.0), (np.float64(2.0), 2.0)]:
+        for out, ref in [(left * d, d * plain), (left + d, d + plain),
+                         (left - d, -d + plain), (left / d, d.reciprocal() * plain)]:
+            assert isinstance(out, Dual2)
+            for name in Dual2.__slots__:
+                assert np.array_equal(getattr(out, name), getattr(ref, name))
+
+
 def test_negative_p_rejected():
     with pytest.raises(ValueError):
         eval_jet(MODELS[0], -0.1, 0.0)

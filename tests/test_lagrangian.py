@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emlab.errors import OriginLimitError
+from emlab import autodiff as ad
+from emlab.errors import EvaluationError, OriginLimitError
 from emlab.lagrangian import (
     CATALOG,
     candidate_p2_derivative,
@@ -220,6 +221,47 @@ class TestExpressionModels:
     def test_rejects_calls(self):
         with pytest.raises(ValueError):
             make_expression_model("__import__('os').system('true')")
+
+
+# The hand-written evaluators that the catalog templates replaced, kept as
+# references: a template must give their jets bit for bit.
+REFERENCE_EVALUATORS = {
+    "dirichlet_affine": lambda a, b: lambda p, q: 0.5 * p * p + a + b * q,
+    "dirichlet_exponential": lambda a, b: lambda p, q: 0.5 * p * p + a * ad.exp(b * q),
+    "dirichlet_power": lambda a, k: lambda p, q: 0.5 * p * p + a * q ** k,
+    "power_dirichlet": lambda m, a, b: lambda p, q: (1.0 / m) * p ** m + a + b * q,
+    "minimal_surface": lambda a, b: lambda p, q: ad.sqrt(1.0 + p * p) + a + b * q,
+}
+
+TEMPLATE_CASES = ([("dirichlet_affine", [0.5, 1.0]), ("dirichlet_affine", [-0.2, -3.0]),
+                   ("dirichlet_exponential", [1.0, 1.0]), ("dirichlet_exponential", [-0.3, 2.5]),
+                   ("minimal_surface", [0.0, 0.0]), ("minimal_surface", [2.0, 1.0])]
+                  + [("dirichlet_power", [0.5, k]) for k in (2, 3, 4)]
+                  + [("power_dirichlet", [m, 0.1, 1.0]) for m in (1.5, 2.0, 2.5, 3.0, 4.0)])
+
+
+def _jet_bits(model, p, q):
+    """The six jet entries as raw bytes, or the type of the evaluation error."""
+    try:
+        jet = eval_jet(model, p, q)
+    except EvaluationError as exc:
+        return type(exc)
+    return [np.asarray(e, dtype=float).tobytes() for e in dataclasses.astuple(jet)]
+
+
+@pytest.mark.parametrize("name, params", TEMPLATE_CASES,
+                         ids=["-".join([n] + [str(x) for x in p]) for n, p in TEMPLATE_CASES])
+def test_catalog_template_matches_reference_bit_for_bit(name, params):
+    model = make_model(name, params)
+    reference = dataclasses.replace(
+        model, evaluator=REFERENCE_EVALUATORS[name](*model.parameters))
+    rng = np.random.default_rng(11)
+    p = np.concatenate([[0.0, 1e-9, 1.0], rng.uniform(0.0, 3.0, 200)])
+    q = np.concatenate([[0.0, -0.5, 2.0], rng.uniform(-2.0, 2.0, 200)])
+    # whole arrays with p = 0 (singular for m < 2), without it, and each point
+    for pp, qq in [(p, q), (p[1:], q[1:])] + list(zip(p[:30].tolist(), q[:30].tolist())):
+        assert _jet_bits(model, pp, qq) == _jet_bits(reference, pp, qq)
+    assert all(isinstance(e, float) for e in dataclasses.astuple(eval_jet(model, 1.0, 0.5)))
 
 
 def test_catalog_names_stable():

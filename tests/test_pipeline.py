@@ -443,16 +443,17 @@ class TestReloadParse:
         assert np.array_equal(result.u.view(np.uint64),
                               _load_u_loop(fields).view(np.uint64))
 
-    @pytest.mark.parametrize("mangle", ["text", "short_row", "missing_rows", "no_u"])
+    @pytest.mark.parametrize("mangle", ["text", "nan", "inf", "short_row", "missing_rows",
+                                        "no_u"])
     def test_malformed_fields_exit_four(self, run_dir, tmp_path, capsys, mangle):
         out = str(tmp_path / "run")
         shutil.copytree(run_dir[0], out)
         fields = os.path.join(out, "fields.csv")
         with open(fields) as fh:
             header, *rows = fh.read().splitlines()
-        if mangle == "text":
+        if mangle in ("text", "nan", "inf"):
             cells = rows[3].split(",")
-            cells[FIELD_COLUMNS.index("u")] = "abc"
+            cells[FIELD_COLUMNS.index("u")] = "abc" if mangle == "text" else mangle
             rows[3] = ",".join(cells)
         elif mangle == "short_row":
             rows[-1] = ",".join(rows[-1].split(",")[:2])
@@ -468,6 +469,8 @@ class TestReloadParse:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
+        # refused as a reload fault on one line, not blamed on the model
+        assert len(err.splitlines()) == 1 and "model evaluation" not in err
 
 
 class TestBreadth:

@@ -624,7 +624,8 @@ class TestJacobian:
 
     def test_origin_limit_as_in_the_residual(self):
         # F_pp = 1 + 6p: below ORIGIN_EPS g is the limit F_pp(0, q) = 1 in the
-        # residual, the Jacobian and the boundary flux alike, not F_pp(p, q)
+        # residual, the Jacobian, the tensor and the boundary flux alike, not
+        # F_pp(p, q)
         cubic = make_expression_model("0.5*p**2 + p**3 + q", smooth_at_origin=True)
         plain = make_expression_model("0.5*p**2 + q", smooth_at_origin=True)
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
@@ -651,6 +652,10 @@ class TestJacobian:
         g0 = eval_jet(cubic, 0.0, 0.0).F_pp
         assert np.array_equal(fld.boundary_flux,
                               fld.X_dot_nu * (g0 * dnu ** 2 - fld.boundary_jet.F))
+        level = fld.p <= ORIGIN_EPS
+        ux, uy = shallow.grad[level, 0], shallow.grad[level, 1]
+        assert np.count_nonzero(ux * uy) > 50
+        assert np.array_equal(fld.T[0, 1][level], g0 * ux * uy)
 
     def test_one_jet_sweep_per_face_and_at_the_nodes(self, monkeypatch):
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
