@@ -201,34 +201,17 @@ def eval_jet(model, p, q):
     Scalars in, scalar jet out; arrays in, array jet out.  Raises on p < 0
     and on non-finite results (singular expression at the evaluation point).
     """
-    if isinstance(p, float) and isinstance(q, float):
-        # scalar fast path: the same float64 arithmetic as a 0-d array, and
-        # float64 (not Python float) so that a division by zero stays inf
-        p, q = np.float64(p), np.float64(q)
-        if p < 0:
-            raise ValueError("gradient magnitude p must be non-negative")
-        with np.errstate(all="ignore"):
-            out = Dual2._lift(model.evaluator(Dual2(p, dp=1.0), Dual2(q, dq=1.0)))
-        entries = [float(e) for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
-        if not all(math.isfinite(e) for e in entries):
-            raise EvaluationError(
-                f"model {model.name!r} produced a non-finite jet entry")
-        return Jet2(*entries)
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
+    p_arr, q_arr = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if np.any(p_arr < 0):
         raise ValueError("gradient magnitude p must be non-negative")
-    scalar = p_arr.ndim == 0 and q_arr.ndim == 0
     with np.errstate(all="ignore"):  # singular points surface as non-finite
-        out = model.evaluator(Dual2.var_p(p_arr), Dual2.var_q(q_arr))
-    out = Dual2._lift(out)
-    entries = [np.broadcast_to(np.asarray(e, dtype=float),
-                               np.broadcast_shapes(p_arr.shape, q_arr.shape))
+        out = Dual2._lift(model.evaluator(Dual2.var_p(p_arr), Dual2.var_q(q_arr)))
+    shape = np.broadcast_shapes(p_arr.shape, q_arr.shape)
+    entries = [np.broadcast_to(np.asarray(e, dtype=float), shape)
                for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
     if not all(np.all(np.isfinite(e)) for e in entries):
-        raise EvaluationError(
-            f"model {model.name!r} produced a non-finite jet entry")
-    if scalar:
+        raise EvaluationError(f"model {model.name!r} produced a non-finite jet entry")
+    if not shape:  # scalars in, floats out
         entries = [float(e) for e in entries]
     return Jet2(*entries)
 

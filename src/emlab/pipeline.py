@@ -412,16 +412,36 @@ def _domain_section(domain):
 
 def analyze_into(report, config, domain, result, strict=False, residual=None):
     """Run every analysis on a solved field, filling the report: hypotheses,
-    the radial oracle (discs and annuli), evaluation, tensor, p-function and
-    identities, in that order.
+    the residual recheck, the radial oracle (discs and annuli), evaluation,
+    tensor, p-function and identities, in that order.
 
     Shared between a fresh pipeline run and re-analysis of persisted fields;
     everything here is deterministic given (config, u).  ``residual`` is
     max |el_residual| at ``result.u`` where the caller has it, as a fresh
-    solve does; otherwise it is recomputed from ``u``.
+    solve does; otherwise it is recomputed from ``u``, and a converged field
+    that fails the recheck ends the run with that one check (exit 3).
     """
     report.result, report.domain = result, domain
     report.domain_info = _domain_section(domain)
+
+    # the equation residual of a converged field, recomputed on a reloaded
+    # run against tampered or mismatched data; a field that fails it is no
+    # solution, so the hypotheses do not sample the model on its (p, u) box,
+    # where an absurd u would blame the model
+    if result.converged:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                recheck = check("solver_residual_recheck",
+                                residual if residual is not None else
+                                float(np.max(np.abs(el_residual(config.model, domain, result.u)))),
+                                config.solver.residual_tol)
+        except EmlabError as exc:
+            recheck = check("solver_residual_recheck", f"failed: {exc}",
+                            config.solver.residual_tol, False)
+        if not recheck["passed"]:
+            report.add_checks(recheck)
+            report.exit_code = EXIT_INVARIANT
+            return report
 
     with _stage(report, "hypotheses"):
         m, M = result.solution_range
@@ -446,24 +466,14 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
         report.exit_code = EXIT_SOLVER
         return report
 
-    # the equation residual of the field actually analyzed; on a reloaded run
-    # it is recomputed, which guards against tampered or mismatched data
-    try:
-        recheck = (residual if residual is not None else
-                   float(np.max(np.abs(el_residual(config.model, domain, result.u)))))
-        report.add_checks(check("solver_residual_recheck", recheck,
-                                config.solver.residual_tol))
-    except EmlabError as exc:
-        report.add_checks(check("solver_residual_recheck", f"failed: {exc}",
-                                config.solver.residual_tol, False))
+    report.add_checks(recheck)
 
     if config.shape.kind in ("disc", "annulus"):
         with _stage(report, "radial_oracle"):
             radii = ((0.0, config.shape.R) if config.shape.kind == "disc"
                      else (config.shape.a, config.shape.b))
             try:
-                profile = solve_radial(config.model, radii, n=2,
-                                       resolution=max(1024, 16 * int(1.0 / config.spacing)))
+                profile = solve_radial(config.model, radii, n=2)
                 r = np.hypot(domain.xy[:, 0] - config.shape.cx,
                              domain.xy[:, 1] - config.shape.cy)
                 dev = float(np.max(np.abs(result.u - profile.u_at(r))))

@@ -14,7 +14,7 @@ Trans. Math. Softw. 11, 1985) and stops at an inexact-Newton forcing term
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
 Gradients come from the domain's ``grad_ops``; the boundary normal
 derivative extrapolates them from three interpolated depths.
-``solve_radial`` is an independent high-accuracy ODE oracle for radially
+``solve_radial`` is an independent Chebyshev collocation oracle for radially
 symmetric problems, including the 1D case n = 1.
 """
 
@@ -24,9 +24,8 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import EllipticityError, EmlabError
@@ -387,135 +386,100 @@ def field_result(domain, u, **state):
 # radial oracle
 # ---------------------------------------------------------------------------
 
+#: degree N of the radial oracle's Chebyshev interpolant on the Lobatto nodes
+#: cos(pi j/N); odd, so that no node of a disc sits at r = 0
+RADIAL_DEGREE = 63
+#: Newton stops once a step's max-norm is at most RADIAL_STEP_TOL max(1, |u|)
+RADIAL_STEP_TOL, RADIAL_MAX_STEPS = 1e-12, 50
+#: a profile whose last 8 Chebyshev coefficients exceed this fraction of its
+#: largest is unresolved, as where Newton stops with no solution (0.08 and up);
+#: smooth profiles read 5e-15, and those with a kink from odd powers of p in F
+#: where u' changes sign up to 1.5e-4, still within 4e-4 of u
+RADIAL_TAIL_TOL = 1e-3
+
+
+def _lobatto_operators(N):
+    """The nodes ``x_j = cos(pi j/N)``, their differentiation matrix with the
+    negative-sum diagonal (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000,
+    ch. 6), and the map from nodal values to Chebyshev coefficients,
+    ``c_k = (2/N) w_k sum_j w_j u_j cos(pi j k/N)`` with w = 1/2 at both ends."""
+    j = np.arange(N + 1)
+    x, w = np.cos(np.pi * j / N), np.where(j % N == 0, 0.5, 1.0)
+    c = (-1.0) ** j / w
+    D = c[:, None] / c / (x[:, None] - x + np.eye(N + 1))
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return x, D, (2.0 / N) * w[:, None] * np.cos(np.pi * np.outer(j, j) / N) * w
+
+
+_NODES, _DIFF, _TO_CHEB = _lobatto_operators(RADIAL_DEGREE)
+
+
 @dataclass
 class RadialProfile:
-    """High-resolution radial solution u(r) and its shooting parameter."""
+    """u and u' as the Chebyshev series ``coef[0]`` and ``coef[1]`` in
+    t = (r - mid)/half, on [-R, R] for a disc and [a, b] for an annulus, and
+    ``parameter``: u(0) on a disc, the flux F_p(|u'(a)|, 0) sign(u'(a)) on
+    an annulus."""
 
-    r: np.ndarray
-    u: np.ndarray
+    mid: float
+    half: float
+    coef: np.ndarray
     parameter: float
 
     def u_at(self, r):
-        return np.interp(r, self.r, self.u)
+        return chebval((np.asarray(r) - self.mid) / self.half, self.coef[0])
+
+    def du_at(self, r):
+        return chebval((np.asarray(r) - self.mid) / self.half, self.coef[1])
 
 
-#: flux inversion stops once a Newton or bisection step, or the bracket,
-#: is below ``FLUX_XTOL + FLUX_RTOL * p`` (half of it for a step), which is
-#: at least as tight as brentq at the same tolerances
-FLUX_XTOL, FLUX_RTOL = 1e-14, 8.9e-16
-FLUX_MAX_ITERATIONS = 200
+def solve_radial(model, radii, n=2):
+    """Chebyshev collocation oracle for the radial problem
+    ``(r^{n-1} Psi)' = r^{n-1} F_q`` with ``Psi = F_p(|u'|, u) sign(u')``.
 
-
-def _invert_flux(model, w, q):
-    """Solve F_p(p, q) = |w| for p >= 0; returns signed u' matching w.
-
-    F_pp > 0 makes F_p increasing in p, so a safeguarded Newton iteration
-    keeps a bracket [lo, hi] around the root and bisects whenever a step
-    leaves it or F_pp vanishes.
+    ``radii = (0, R)`` collocates the profile's even extension on [-R, R],
+    which carries u'(0) = 0; ``radii = (a, b)`` with a > 0 collocates [a, b].
+    Newton from u = 0 solves ``Psi' + (n - 1) Psi/x = F_q`` at the interior
+    nodes and u = 0 at both ends, with ``u' = D u`` and the Jacobian
+    ``(D + diag((n-1)/x)) (diag(F_pp) D + diag(F_pq s)) - diag(F_pq s) D - diag(F_qq)``,
+    s = sign(u') (Trefethen, ch. 14; Boyd, *Chebyshev and Fourier Spectral
+    Methods*, 2001).  u' is the series of ``D u``: differentiating u's series
+    would scale its rounding by up to N^2.  Raises ``EmlabError`` where
+    Newton does not converge or the profile is unresolved.
     """
-    w, q = float(w), float(q)
-    t = abs(w)
-    # F_p(0, q) above the flux is only possible for non-smooth origins;
-    # treat those values as flat
-    if t < 1e-300 or eval_jet(model, 0.0, q).F_p > t:
-        return -0.0 if w < 0.0 else 0.0
-    hi = max(t, 1e-6)
-    jet = eval_jet(model, hi, q)
-    while jet.F_p < t:
-        hi *= 2.0
-        if hi > 1e12:
-            raise EmlabError("flux inversion failed: F_p stays below the flux")
-        jet = eval_jet(model, hi, q)
-
-    lo, x = 0.0, hi
-    for _ in range(FLUX_MAX_ITERATIONS):
-        res = jet.F_p - t
-        if res == 0.0:
-            break
-        if res < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - res / jet.F_pp if jet.F_pp else math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        delta = 0.5 * (FLUX_XTOL + FLUX_RTOL * x_new)
-        done = abs(x_new - x) <= delta or hi - lo <= 2.0 * delta
-        x = x_new
-        if done:
-            break
-        jet = eval_jet(model, x, q)
-    else:
-        raise EmlabError("flux inversion failed to converge")
-    return -x if w < 0.0 else x
-
-
-def _radial_rhs(model, n):
-    def rhs(r, y):
-        u, w = y
-        v = _invert_flux(model, w, u)
-        jet = eval_jet(model, abs(v), u)
-        dw = jet.F_q - ((n - 1) * w / r if n > 1 else 0.0)
-        return [v, dw]
-    return rhs
-
-
-def _integrate(model, n, r0, r1, y0, dense=False):
-    sol = solve_ivp(_radial_rhs(model, n), (r0, r1), y0, method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=dense)
-    if not sol.success:
-        raise EmlabError(f"radial integration failed: {sol.message}")
-    return sol
-
-
-def _bracket(fn, x0, scale):
-    """Deterministic sign-change bracket around x0 by geometric expansion."""
-    f0 = fn(x0)
-    if f0 == 0.0:
-        return x0, x0
-    step = scale
-    for _ in range(80):
-        lo, hi = x0 - step, x0 + step
-        if fn(lo) * f0 < 0.0:
-            return lo, x0
-        if fn(hi) * f0 < 0.0:
-            return x0, hi
-        step *= 2.0
-    raise EmlabError("radial shooting failed to bracket the boundary condition")
-
-
-def solve_radial(model, radii, n=2, resolution=4096):
-    """Shooting oracle for the radial problem (r^{n-1} g u')' = r^{n-1} F_q.
-
-    ``radii = (0, R)`` solves with the symmetry condition u'(0) = 0;
-    ``radii = (a, b)`` with a > 0 solves the two-point problem u(a) = u(b) = 0.
-    The flux variable w = F_p(|u'|, u) sign(u') keeps the system regular
-    even where g degenerates.
-    """
-    r_lo, r_hi = float(radii[0]), float(radii[1])
-    if not 0.0 <= r_lo < r_hi:
+    a, b = float(radii[0]), float(radii[1])
+    if not 0.0 <= a < b:
         raise ValueError("need 0 <= inner radius < outer radius")
-
-    r0 = r_lo if r_lo > 0.0 else (0.0 if n == 1 else 1e-8 * r_hi)
-
-    def start(s):
-        """(u, w) at r0 for the shooting parameter s: u(0) = s with the flux
-        of the symmetric start on a disc, u(a) = 0 and w(a) = s on an annulus."""
-        if r_lo > 0.0:
-            return [0.0, s]
-        return [s, eval_jet(model, 0.0, s).F_q * r0 / n]
-
-    def boundary_miss(s):
-        return _integrate(model, n, r0, r_hi, start(s)).y[0, -1]
-
-    lo, hi = _bracket(boundary_miss, 0.0, 1.0)
-    parameter = lo if lo == hi else brentq(boundary_miss, lo, hi, xtol=1e-12)
-    sol = _integrate(model, n, r0, r_hi, start(parameter), dense=True)
-
-    rs = np.linspace(r0, r_hi, resolution)
-    us = sol.sol(rs)[0]
-    # pin the endpoints to the boundary data they were shot against
-    us[-1] = 0.0
-    if r_lo > 0.0:
-        us[0] = 0.0
-    return RadialProfile(r=rs, u=us, parameter=parameter)
+    mid, half = (0.5 * (a + b), 0.5 * (b - a)) if a > 0.0 else (0.0, b)
+    x = mid + half * _NODES
+    D = _DIFF / half
+    curv = (n - 1) / x
+    u = np.zeros(len(x))
+    for _ in range(RADIAL_MAX_STEPS):
+        du = D @ u
+        s, jet = np.sign(du), eval_jet(model, np.abs(du), u)
+        psi, F_pq_s = jet.F_p * s, jet.F_pq * s
+        R = D @ psi + curv * psi - jet.F_q
+        B = jet.F_pp[:, None] * D + np.diag(F_pq_s)
+        J = D @ B + curv[:, None] * B - F_pq_s[:, None] * D - np.diag(jet.F_qq)
+        ends = [0, RADIAL_DEGREE]  # x = mid + half and x = mid - half
+        R[ends], J[ends] = u[ends], np.eye(len(x))[ends]
+        try:
+            step = np.linalg.solve(J, -R)
+        except np.linalg.LinAlgError:
+            raise EmlabError("radial collocation failed: singular Newton matrix") from None
+        u = u + step
+        if np.max(np.abs(step)) <= RADIAL_STEP_TOL * max(1.0, np.max(np.abs(u))):
+            break
+    else:
+        raise EmlabError("radial collocation failed: Newton did not converge")
+    du = D @ u
+    coef = np.array([_TO_CHEB @ u, _TO_CHEB @ du])
+    tail, top = np.max(np.abs(coef[0, -8:])), np.max(np.abs(coef[0]))
+    if not (np.all(np.isfinite(coef)) and tail <= RADIAL_TAIL_TOL * top):
+        raise EmlabError(f"radial collocation failed: unresolved profile, its last 8 "
+                         f"Chebyshev coefficients reach {tail / top:.3g} of the largest")
+    parameter = (float(chebval(0.0, coef[0])) if a == 0.0 else
+                 float(eval_jet(model, abs(float(du[-1])), 0.0).F_p * np.sign(du[-1])))
+    return RadialProfile(mid=mid, half=half, coef=coef, parameter=parameter)

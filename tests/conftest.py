@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from emlab import solver
 from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import eval_jet, make_model
-from emlab.solver import _integrate, solve_euler_lagrange, solve_radial
+from emlab.solver import solve_euler_lagrange, solve_radial
 
 H64 = 1.0 / 64
 
@@ -26,31 +25,12 @@ def annulus_exact_du(r):
     return r / 2.0 + ANN_LOG_COEF / r
 
 
-def shot_states(model, radii, prof, n=2):
-    """Flux w and value u of the shot solution at the profile radii, before
-    solve_radial pins the endpoints to the boundary data."""
-    r0 = prof.r[0]
-    if radii[0] == 0.0:
-        y0 = [prof.parameter, eval_jet(model, 0.0, prof.parameter).F_q * r0 / n]
-    else:
-        y0 = [0.0, prof.parameter]
-    sol = _integrate(model, n, r0, prof.r[-1], y0, dense=True)
-    us, ws = sol.sol(prof.r)
-    return ws, us
-
-
-def radial_du(model, radii, prof, n=2):
-    """u' at the profile radii: the solver's flux inversion of each shot
-    state, as the radial right-hand side takes it."""
-    ws, us = shot_states(model, radii, prof, n)
-    return np.array([solver._invert_flux(model, w, q) for w, q in zip(ws, us)])
-
-
 def lambda1_radial(model, profile, radii, n):
     """lambda1 along a radial profile; constant when n = 1 (the divergence-
     free tensor is scalar there, so its derivative vanishes)."""
-    p = np.abs(radial_du(model, radii, profile, n))
-    jet = eval_jet(model, p, profile.u)
+    r = np.linspace(radii[0], radii[1], 2048)
+    p = np.abs(profile.du_at(r))
+    jet = eval_jet(model, p, profile.u_at(r))
     return p * jet.F_p - jet.F
 
 

@@ -286,8 +286,8 @@ def _jet_or_error(model, p, q):
 
 
 class TestScalarPath:
-    """Python floats take a scalar path in eval_jet; it must give the bits
-    and the errors of the array path."""
+    """Python floats in eval_jet must give float entries with the bits, and
+    the errors, of a one-point array."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(JET_MODELS),

@@ -151,13 +151,13 @@ class TestGradientBound:
 
 class TestRadialConstancy:
     def test_interval_lambda1_constant(self, torsion_model):
-        prof = solve_radial(torsion_model, (0.0, 1.0), n=1, resolution=2048)
+        prof = solve_radial(torsion_model, (0.0, 1.0), n=1)
         lam = lambda1_radial(torsion_model, prof, (0.0, 1.0), n=1)
         assert float(np.ptp(lam)) <= 1e-6
         assert np.max(np.abs(lam)) <= 1e-6  # closed form gives exactly zero
 
     def test_interval_exponential_model(self, exp_model):
-        prof = solve_radial(exp_model, (0.0, 1.0), n=1, resolution=2048)
+        prof = solve_radial(exp_model, (0.0, 1.0), n=1)
         lam = lambda1_radial(exp_model, prof, (0.0, 1.0), n=1)
         assert float(np.ptp(lam)) <= 1e-6
 

@@ -927,10 +927,12 @@ class TestCli:
                  "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
                  "sys.meta_path.insert(0, Probe())\n"
                  "import emlab.cli\n"
-                 "print(seen)\n")
+                 "print(seen)\n"
+                 "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])\n")
         proc = _python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['1']\n"
+        # the CLI loads neither scipy's ODE integrators nor its root finders
+        assert proc.stdout == "['1']\n[False, False]\n"
 
     def test_report_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # the identity quadratures must not leave their summation order to
@@ -1065,6 +1067,29 @@ class TestCli:
         assert main(["verify", "--in", out]) == EXIT_INVARIANT
         assert "FAIL" in capsys.readouterr().out
 
+    def test_absurd_u_fails_the_residual_recheck(self, tmp_path, capsys):
+        # u = 1e300 at one node overflows the model on the solution's (p, u)
+        # box; the field is no solution, so it fails the residual recheck
+        # rather than blaming the model
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, TORSION_CONFIG),
+                     "--out", str(out)]) == EXIT_OK
+        fields = out / "fields.csv"
+        header, first, *rows = fields.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("u")] = "1e300"
+        fields.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert "[FAIL] solver_residual_recheck" in captured.out
+        assert captured.err == ""
+        assert main(["analyze", "--in", str(out)]) == EXIT_INVARIANT
+        doc = json.loads((out / "report.json").read_text())
+        validate_report(doc)
+        assert doc["status"] == {"exit_code": EXIT_INVARIANT,
+                                 "violations": ["solver_residual_recheck"]}
+
     @pytest.mark.parametrize("model,shape,spacing,strict,code", [
         (TORSION_CONFIG["model"], TORSION_CONFIG["shape"], 1.0 / 32, False, EXIT_OK),
         (TORSION_CONFIG["model"], {"kind": "annulus", "parameters": [0.3, 1.0]},
@@ -1073,12 +1098,22 @@ class TestCli:
          {"kind": "ellipse", "parameters": [1.0, 0.5]}, 1.0 / 32, False, EXIT_OK),
         ({"name": "dirichlet_exponential", "parameters": [1.0, 1.0]},
          {"kind": "rectangle", "parameters": [1.0, 0.7]}, 1.0 / 32, False, EXIT_OK),
+        # F_p < 1 bounds the radial flux: a convex problem the radial oracle
+        # must solve without probing fluxes of 1 or more
+        ({"name": "minimal_surface", "parameters": [1.0, 0.5]},
+         {"kind": "annulus", "parameters": [0.3, 1.0]}, 1.0 / 32, False, EXIT_OK),
+        # F odd in p: the radial profile has a kink in a higher derivative,
+        # at r = 0 of the disc and where u' changes sign in the annulus
+        ({"expression": "0.5*p**2 + p**3 + q", "smooth_at_origin": True},
+         TORSION_CONFIG["shape"], 1.0 / 32, False, EXIT_OK),
+        ({"expression": "0.5*p**2 + p**3 + q", "smooth_at_origin": True},
+         {"kind": "annulus", "parameters": [0.3, 1.0]}, 1.0 / 32, False, EXIT_OK),
         # convexity fails on the solution's range only: the solve runs, then
         # the strict hypothesis check stops the analyses
         ({"expression": "0.5*p**2 - 0.02*q**4*p**4 + 4.4*q", "smooth_at_origin": True},
          TORSION_CONFIG["shape"], 1.0 / 16, True, EXIT_HYPOTHESIS),
     ], ids=["torsion_disc", "torsion_annulus", "minsurf_ellipse", "exp_rectangle",
-            "strict_after_solve"])
+            "minsurf_annulus", "cubic_disc", "cubic_annulus", "strict_after_solve"])
     def test_round_trip_keeps_files_and_exit_code(self, tmp_path, capsys, model, shape,
                                                    spacing, strict, code):
         cfg_path = write_config(tmp_path, {"model": model, "shape": shape,

@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu, spsolve
 
 from emlab import lagrangian, solver
@@ -15,11 +14,10 @@ from emlab.geometry import build_domain, interpolate_node_field, make_shape
 from emlab.lagrangian import (ORIGIN_EPS, divergence_coefficients, eval_jet,
                               make_expression_model, make_model)
 from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
-from emlab.solver import (SolverConfig, _assemble, _conductances,
-                          _invert_flux, el_residual, solve_euler_lagrange,
-                          solve_radial)
+from emlab.solver import (SolverConfig, _assemble, _conductances, el_residual,
+                          solve_euler_lagrange, solve_radial)
 from emlab.tensor_field import assemble_field
-from conftest import annulus_exact_u, radial_du, shot_states
+from conftest import annulus_exact_du, annulus_exact_u
 
 ROUNDING_FLOOR = 1e-10
 
@@ -277,11 +275,12 @@ class TestWarmStartLU:
 
 class TestRadialOracle:
     def test_torsion_center_value(self, torsion_radial):
-        assert torsion_radial.u[0] == pytest.approx(-0.25, abs=1e-6)
+        assert torsion_radial.u_at(0.0) == pytest.approx(-0.25, abs=1e-6)
+        assert torsion_radial.parameter == torsion_radial.u_at(0.0)
 
     def test_laplace_identically_zero(self, laplace_model):
-        prof = solve_radial(laplace_model, (0.0, 1.0), n=2, resolution=512)
-        assert np.max(np.abs(prof.u)) <= 1e-10
+        prof = solve_radial(laplace_model, (0.0, 1.0), n=2)
+        assert np.max(np.abs(prof.u_at(np.linspace(0.0, 1.0, 101)))) <= 1e-10
 
     def test_2d_matches_radial_torsion(self, torsion_result, torsion_radial, disc64):
         r = np.hypot(disc64.xy[:, 0], disc64.xy[:, 1])
@@ -293,116 +292,63 @@ class TestRadialOracle:
         dev = np.max(np.abs(exp_result.u - exp_radial.u_at(r)))
         assert dev <= 5e-3
 
+    @staticmethod
+    def assert_profile(prof, r, u, du):
+        assert np.max(np.abs(prof.u_at(r) - u)) <= 1e-13
+        assert np.max(np.abs(prof.du_at(r) - du)) <= 1e-13
+
     def test_annulus_radial_matches_closed_form(self, torsion_model):
-        prof = solve_radial(torsion_model, (0.3, 1.0), n=2, resolution=1024)
-        assert np.max(np.abs(prof.u - annulus_exact_u(prof.r))) <= 1e-8
+        prof = solve_radial(torsion_model, (0.3, 1.0), n=2)
+        r = np.linspace(0.3, 1.0, 1001)
+        self.assert_profile(prof, r, annulus_exact_u(r), annulus_exact_du(r))
+        # the flux w(a) = u'(a) of this model
+        assert prof.parameter == pytest.approx(annulus_exact_du(0.3), abs=1e-13)
+
+    def test_disc_matches_closed_form(self, torsion_radial):
+        # n = 2: u'' + (1/r) u' = 1 on the unit disc gives u = (r^2-1)/4
+        r = np.linspace(0.0, 1.0, 1001)
+        self.assert_profile(torsion_radial, r, (r**2 - 1.0) / 4.0, r / 2.0)
 
     def test_interval_problem(self, torsion_model):
         # n = 1: u'' = 1 on (-1, 1) restricted to r in [0, 1]: u = (r^2-1)/2
-        prof = solve_radial(torsion_model, (0.0, 1.0), n=1, resolution=512)
-        assert np.max(np.abs(prof.u - (prof.r**2 - 1.0) / 2.0)) <= 1e-8
+        prof = solve_radial(torsion_model, (0.0, 1.0), n=1)
+        r = np.linspace(0.0, 1.0, 1001)
+        self.assert_profile(prof, r, (r**2 - 1.0) / 2.0, r)
 
     def test_three_dimensional_ball(self, torsion_model):
         # n = 3: u'' + (2/r) u' = 1 on the unit ball gives u = (r^2-1)/6
-        prof = solve_radial(torsion_model, (0.0, 1.0), n=3, resolution=512)
-        assert np.max(np.abs(prof.u - (prof.r**2 - 1.0) / 6.0)) <= 1e-8
+        prof = solve_radial(torsion_model, (0.0, 1.0), n=3)
+        r = np.linspace(0.0, 1.0, 1001)
+        self.assert_profile(prof, r, (r**2 - 1.0) / 6.0, r / 3.0)
 
+    CUBIC = make_expression_model("0.5*p**2 + p**3 + q", smooth_at_origin=True)
 
-def _invert_flux_loop(model, w, q):
-    """Reference: the flux inversion by brentq that the safeguarded Newton
-    replaced."""
-    target = abs(w)
-    if target < 1e-300:
-        return 0.0
-    jet0 = eval_jet(model, 0.0, q)
-    if jet0.F_p > target:
-        return 0.0
-    hi = max(target, 1e-6)
-    for _ in range(200):
-        if eval_jet(model, hi, q).F_p >= target:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            raise EmlabError("flux inversion failed: F_p stays below the flux")
-    p = brentq(lambda pp: eval_jet(model, pp, q).F_p - target, 0.0, hi,
-               xtol=1e-14, rtol=8.9e-16)
-    return p if w >= 0 else -p
+    def test_odd_power_of_p_on_the_disc(self):
+        # Psi = u' + 3u'|u'| = r/2 gives u' = (sqrt(1 + 6r) - 1)/6, so the
+        # even extension has a |x|^3 term, and the Chebyshev coefficients
+        # fall only like k^-4: the profile is resolved, if not to rounding
+        prof = solve_radial(self.CUBIC, (0.0, 1.0), n=2)
+        r = np.linspace(0.0, 1.0, 1001)
+        u = ((1.0 + 6.0 * r) ** 1.5 - 7.0 ** 1.5) / 54.0 - (r - 1.0) / 6.0
+        assert np.max(np.abs(prof.u_at(r) - u)) <= 1e-5
+        assert np.max(np.abs(prof.du_at(r) - (np.sqrt(1.0 + 6.0 * r) - 1.0) / 6.0)) <= 5e-4
 
+    def test_odd_power_of_p_on_the_annulus(self):
+        # u' changes sign inside; the flux obeys r Psi(r) = a w(a) + (r^2 - a^2)/2
+        a = 0.3
+        prof = solve_radial(self.CUBIC, (a, 1.0), n=2)
+        r = np.linspace(a, 1.0, 1001)
+        du = prof.du_at(r)
+        flux = r * (du + 3.0 * du * np.abs(du)) - a * prof.parameter
+        assert np.max(np.abs(flux - (r * r - a * a) / 2.0)) <= 5e-4
+        assert np.max(np.abs(prof.u_at(np.array([a, 1.0])))) <= 1e-15
 
-class TestFluxInversion:
-    EXACT = [("dirichlet_affine", [0.5, 1.0], (0.0, 1.0)),
-             ("dirichlet_affine", [0.5, 1.0], (0.3, 1.0)),
-             ("dirichlet_exponential", [1.0, 1.0], (0.0, 1.0))]
-
-    @pytest.mark.parametrize("name,params,radii", EXACT)
-    def test_profile_equals_scalar_loop(self, name, params, radii, monkeypatch):
-        # Newton is exact where F_p = p, so the whole profile keeps its bits
-        model = make_model(name, params)
-        prof = solve_radial(model, radii, n=2, resolution=512)
-        ws, us = shot_states(model, radii, prof)
-        ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
-        assert np.array_equal([_invert_flux(model, w, q) for w, q in zip(ws, us)], ref)
-        du = radial_du(model, radii, prof)
-        assert np.array_equal(du, ref)
-        monkeypatch.setattr(solver, "_invert_flux", _invert_flux_loop)
-        old = solve_radial(model, radii, n=2, resolution=512)
-        assert old.parameter == prof.parameter
-        assert np.array_equal(old.u, prof.u)
-        assert np.array_equal(radial_du(model, radii, old), du)
-
-    @pytest.mark.parametrize("name,params", [("power_dirichlet", [3.0, 0.0, 1.0]),
-                                             ("minimal_surface", [2.0, 1.0])])
-    def test_nonlinear_flux_within_tolerance(self, name, params):
-        model = make_model(name, params)
-        prof = solve_radial(model, (0.0, 1.0), n=2, resolution=512)
-        ws, us = shot_states(model, (0.0, 1.0), prof)
-        ref = np.array([_invert_flux_loop(model, w, q) for w, q in zip(ws, us)])
-        du = radial_du(model, (0.0, 1.0), prof)
-        assert np.max(np.abs(du - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(np.sign(du), np.sign(ref))
-
-    def test_branches_match_scalar_loop(self):
-        # F_p(0, q) = 1 here: fluxes below 1 invert to the flat result
-        kinked = make_expression_model("p + 0.5*p**2 + q")
-        m3 = make_model("power_dirichlet", [3.0, 0.0, 1.0])
-        w = np.array([0.0, 1e-310, -1e-300, 5e-7, -0.5, 0.999, 1.5, -3.0, 40.0, 1e6])
-        q = np.linspace(-1.0, 1.0, len(w))
-        for model in (kinked, m3):
-            ref = np.array([_invert_flux_loop(model, a, b) for a, b in zip(w, q)])
-            got = np.array([_invert_flux(model, a, b) for a, b in zip(w, q)])
-            # both stop within brentq's absolute tolerance 1e-14 of the root
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14)
-            assert np.array_equal(got[:2], [0.0, 0.0])  # zero flux
-            # u' takes the sign of the flux, a flat or zero one included
-            assert np.array_equal(np.signbit(got), w < 0.0)
-            for a, b, r in zip(w, q, ref):  # scalars in, scalar out
-                out = _invert_flux(model, a, b)
-                assert isinstance(out, float)
-                assert abs(out - r) <= 1e-12 * abs(r) + 1e-14
-        flat = w[np.abs(w) < 1.0]
-        assert not np.any([_invert_flux(kinked, a, 0.0) for a in flat])
-
-    def test_vanishing_slope_bisects(self):
-        # F_p = (p - 0.75)^3 + 0.75^3 rises through an inflection at 0.75,
-        # where the search for the flux 0.375 starts: F_pp = 0 there, so the
-        # first step is a bisection rather than a division by zero
-        model = make_expression_model("(p - 0.75)**4/4 + 0.421875*p")
-        assert eval_jet(model, 0.75, 0.0).F_pp == 0.0
-        assert eval_jet(model, 0.375, 0.0).F_p < 0.375 < eval_jet(model, 0.75, 0.0).F_p
-        for w in (0.375, -0.375):
-            ref = _invert_flux_loop(model, w, 0.0)
-            assert abs(_invert_flux(model, w, 0.0) - ref) <= 1e-12 * abs(ref)
-
-    def test_flux_above_range_raises(self):
-        # F_p = p / sqrt(1 + p^2) < 1: a flux of 1 or more has no preimage
-        model = make_model("minimal_surface", [2.0, 1.0])
-        with pytest.raises(EmlabError, match="F_p stays below the flux"):
-            for w in (0.5, 1.5):
-                _invert_flux(model, w, 0.0)
-        with pytest.raises(EmlabError, match="F_p stays below the flux"):
-            _invert_flux_loop(model, 1.5, 0.0)
-        with pytest.raises(EmlabError, match="F_p stays below the flux"):
-            _invert_flux(model, -2.0, 0.0)
+    @pytest.mark.parametrize("radii", [(0.0, 1.0), (0.3, 1.0)])
+    def test_unsolvable_problem_raises(self, radii):
+        # mean curvature 3: 3 |area| exceeds the perimeter, so there is no
+        # profile, and Newton stops on an unresolved polynomial
+        with pytest.raises(EmlabError, match="radial collocation failed"):
+            solve_radial(make_model("minimal_surface", [0.0, 3.0]), radii, n=2)
 
 
 def _count_sweeps(monkeypatch):
