@@ -8,10 +8,11 @@ Newton-Krylov loop (Knoll & Keyes, J. Comput. Phys. 193, 2004; Kelley,
 step multiplies by the exact Jacobian of the discrete residual, built from
 the same second-order jets, inside a restarted GMRES (Saad & Schultz, SIAM
 J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise order, so
-no result depends on the BLAS thread count.  GMRES is right-preconditioned
-by the warm start's LU (in a minimum-degree order on A + A^T, Liu, ACM
-Trans. Math. Softw. 11, 1985) and stops at an inexact-Newton forcing term
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+no result depends on the BLAS thread count.  GMRES, which also solves the
+warm start, is right-preconditioned by one V-cycle of a smoothed-aggregation
+multigrid hierarchy on the constant-coefficient operator, and a Newton step
+stops at an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug, SIAM
+J. Numer. Anal. 19, 1982) that tightens as the residual falls.
 Gradients come from the domain's ``grad_ops``; the boundary normal
 derivative extrapolates them from three interpolated depths.
 ``solve_radial`` is an independent Chebyshev collocation oracle for radially
@@ -212,9 +213,14 @@ def _normal_derivative(domain, grad):
 # nonlinear solve
 # ---------------------------------------------------------------------------
 
-#: inexact-Newton forcing term: GMRES stops at this fraction of |R|, which
-#: keeps each step a few Krylov iterations yet Newton's rate near the root
+#: inexact-Newton forcing term of the first step, and the largest of any:
+#: GMRES stops at this fraction of |R|
 GMRES_RTOL = 1e-4
+#: a later step's forcing term is FORCING_GAMMA rho^2, rho being the factor by
+#: which the last step cut the residual (Eisenstat & Walker, SIAM J. Sci.
+#: Comput. 17, 1996, choice 2), but at least 0.5 residual_tol/|R|, below
+#: which a step only oversolves (Kelley, SIAM 1995, sec. 6.3)
+FORCING_GAMMA = 0.9
 #: GMRES iterations per restart cycle
 GMRES_RESTART = 20
 #: restart cycles per Newton step; bounds the linear work where J is
@@ -222,58 +228,108 @@ GMRES_RESTART = 20
 GMRES_MAX_RESTARTS = 10
 #: a full restart cycle that leaves the preconditioned residual above this
 #: fraction of its value after the previous full cycle has stalled, and ends
-#: the Newton step: where J is singular, further cycles only repeat it
-GMRES_STALL_FACTOR = 0.5
+#: the Newton step: where J is singular, further cycles only repeat it (at
+#: 0.5 the V-cycle stalls the convergent curvature-3 annulus at h = 1/64)
+GMRES_STALL_FACTOR = 0.7
+#: GMRES stops the warm start at this fraction of |b|, where the solution
+#: agrees with a direct solve to rounding
+WARM_START_RTOL = 1e-12
+#: a multigrid level of at most this many nodes is the coarsest, solved by splu
+MG_COARSEST = 300
+#: damping of the Jacobi step that smooths the tentative prolongator, and of
+#: the V-cycle's Jacobi smoother, on the 5-point operator
+MG_PROLONG_OMEGA, MG_SMOOTH_OMEGA = 2.0 / 3.0, 0.8
+
+
+def _multigrid(A, index):
+    """One V(1,1)-cycle ``b -> x ~ A^-1 b`` of smoothed-aggregation multigrid
+    (Vaněk, Mandel & Brezina, Computing 56, 1996) on the lattice ``index``
+    (node ids, -1 off the domain): node ``(i, j)`` joins aggregate
+    ``(i // 2, j // 2)``, one damped Jacobi step of ``A`` smooths the
+    prolongator, coarse operators are ``P^T A P``, each level smooths by one
+    damped Jacobi sweep before and after its coarse correction, and ``splu``
+    solves the first level of at most ``MG_COARSEST`` nodes (on a small grid,
+    ``A`` itself).  The cycle is linear in ``b``, as ``_gmres`` needs."""
+    levels = []
+    while A.shape[0] > MG_COARSEST:
+        ii, jj = np.nonzero(index >= 0)
+        coarse = np.full(((index.shape[0] + 1) // 2, (index.shape[1] + 1) // 2), -1)
+        keys, agg = np.unique((ii // 2) * coarse.shape[1] + jj // 2, return_inverse=True)
+        coarse.flat[keys] = np.arange(len(keys))
+        T = sparse.csr_matrix((np.ones(len(agg)), (index[ii, jj], agg)),
+                              shape=(A.shape[0], len(keys)))
+        dinv = 1.0 / A.diagonal()
+        # the weights suit rho(D^-1 A) <= 2, which Gershgorin's bound (the top
+        # row sum of |D^-1 A|) gives the 5-point operator; four coarsenings
+        # down, the unscaled rho reaches 3.3, so they are scaled by 2/bound
+        dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
+        P = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr()
+        R = P.T.tocsr()
+        levels.append((A, dinv, P, R))
+        A, index = (R @ (A @ P)).tocsr(), coarse
+    lu = splu(A.tocsc())
+    # a closure that called itself would be a reference cycle, keeping the
+    # hierarchy in memory after the solve until a garbage collection
+    return lambda b: _v_cycle(levels, lu, b)
+
+
+def _v_cycle(levels, lu, b, k=0):
+    """The V-cycle of ``_multigrid`` from level ``k`` down."""
+    if k == len(levels):
+        return lu.solve(b)
+    A, dinv, P, R = levels[k]
+    x = MG_SMOOTH_OMEGA * dinv * b
+    x = x + P @ _v_cycle(levels, lu, R @ (b - A @ x), k + 1)
+    return x + MG_SMOOTH_OMEGA * dinv * (b - A @ x)
 
 
 def solve_euler_lagrange(model, domain, config=None):
     """Solve the optimality equation with u = 0 on the shape boundary.
 
-    One Newton loop.  The LU of the constant-coefficient operator
-    ``div(g(0, 0) grad .)`` gives the warm start, on which linear models
-    have already converged; it is factorized in a minimum-degree order on
-    ``A + A^T`` with diagonal pivots.  Each Newton step solves ``J d = -R``
-    by ``_gmres``, with ``J v`` the exact Jacobian product of ``_jacobian``
-    (built from the jets once per step) and the same LU as right
-    preconditioner (it is never refactorized), until ``GMRES_RTOL``,
-    ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is accepted by
-    max-norm backtracking from omega = 1.  The loop stops on
-    ``residual_tol``, on ``max_iterations``, when no halving lowers the
-    residual, or when ``omega max|d| <= step_tol``; nonconvergence is
-    reported, not raised.  Each iteration logs its residual, accepted omega
-    (``damping``, 0 when none was) and its GMRES iterations, restart cycles
-    and whether a stalled cycle ended them.  A model is refused here only
-    where g(0, 0) or a face coefficient is not positive; ``run_pipeline``
-    checks its convexity on ``PILOT_BOX`` before.
+    One Newton loop.  ``_multigrid`` builds one hierarchy on the
+    constant-coefficient operator ``A = div(g(0, 0) grad .)``, and its
+    V-cycle preconditions every linear solve.  The warm start solves
+    ``A u = -h(0, 0)`` by ``_gmres`` to ``WARM_START_RTOL``; linear models
+    have converged there.  Each Newton step solves ``J d = -R`` by
+    ``_gmres``, with ``J v`` the exact Jacobian product of ``_jacobian``
+    (built from the jets once per step), until the forcing term
+    (``GMRES_RTOL``, then ``FORCING_GAMMA``), ``GMRES_MAX_RESTARTS`` or a
+    stalled restart cycle, and is accepted by max-norm backtracking from
+    omega = 1.  The loop stops on ``residual_tol``, on ``max_iterations``,
+    when no halving lowers the residual, or when ``omega max|d| <=
+    step_tol``; nonconvergence is reported, not raised.  Each iteration,
+    the warm start included, logs its residual, accepted omega
+    (``damping``, 0 when none was) and its GMRES iterations, restart
+    cycles and whether a stalled cycle ended them.  A model is refused
+    here only where g(0, 0) or a face coefficient is not positive;
+    ``run_pipeline`` checks its convexity on ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
     if g0 <= 0.0:
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
-    # with g0 > 0 the operator is an irreducibly diagonally dominant M-matrix,
-    # which elimination with diagonal pivots keeps dominant; minimum degree on
-    # A + A^T (the stencil is structurally symmetric) halves the default fill
-    lu0 = splu(_assemble(domain, _conductances(domain, g0)).tocsc(),
-               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True})
-    u = lu0.solve(np.full(domain.n_interior, -h0))
+    A0 = _assemble(domain, _conductances(domain, g0))
+    cycle = _multigrid(A0, domain.interior_index)
+    u, stats = _gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0), cycle,
+                      rtol=WARM_START_RTOL)
 
     R = el_residual(model, domain, u)
     res = float(np.max(np.abs(R)))
     history = [res]
-    log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init",
-            "linear_iterations": 0, "restart_cycles": 0, "stalled": False}]
-    iterations = 0
+    log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init", **stats}]
+    iterations, eta = 0, GMRES_RTOL
     while res > cfg.residual_tol and iterations < cfg.max_iterations:
         iterations += 1
-        step, stats = _gmres(_jacobian(model, domain, u), -R, lu0.solve)
+        step, stats = _gmres(_jacobian(model, domain, u), -R, cycle, rtol=eta)
         omega = 1.0
         for _ in range(5):
             u_try = u + omega * step
             R_try = el_residual(model, domain, u_try)
             r_try = float(np.max(np.abs(R_try)))
             if r_try < res:
+                eta = min(GMRES_RTOL, max(FORCING_GAMMA * (r_try / res) ** 2,
+                                          0.5 * cfg.residual_tol / r_try))
                 u, R, res = u_try, R_try, r_try
                 break
             omega *= 0.5
@@ -301,25 +357,27 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def _gmres(jv, b, precond):
+def _gmres(jv, b, precond, rtol=GMRES_RTOL):
     """Restarted GMRES for ``J x = b`` from x = 0, right-preconditioned by
     ``precond`` (an approximate inverse of J), with the statistics of the
-    Newton step's log entry.
+    warm start's or the Newton step's log entry.
 
     Arnoldi with modified Gram-Schmidt, and Givens rotations that update the
     residual norm each iteration (Saad & Schultz, SIAM J. Sci. Stat. Comput.
     7, 1986; Kelley, *Solving Nonlinear Equations with Newton's Method*,
-    SIAM 2003, ch. 3).  A cycle stops at ``GMRES_RTOL |b|`` or after
+    SIAM 2003, ch. 3).  A cycle stops at ``rtol |b|`` or after
     ``GMRES_RESTART`` iterations, then adds ``precond(V y)`` to x; a full
     cycle whose preconditioned residual ``|precond(b - J x)|`` is above
     ``GMRES_STALL_FACTOR`` times that of the previous full cycle has stalled
-    and ends the solve.  Every sum is ``_dot``'s, so the result has the same
-    bits under any thread count.
+    and ends the solve.  ``b = 0`` gives x = 0 after no iteration.  Every
+    sum is ``_dot``'s, so the result has the same bits under any thread count.
     """
     m = GMRES_RESTART
     x, r = np.zeros_like(b), b
+    tol = rtol * _norm(b)
+    if tol == 0.0:  # b = 0, so x = 0
+        return x, {"linear_iterations": 0, "restart_cycles": 0, "stalled": False}
     V = np.empty((m + 1, len(b)))  # the Arnoldi basis of a cycle
-    tol = GMRES_RTOL * _norm(b)
     floor = math.inf  # preconditioned residual after the last full cycle
     iterations = cycles = 0
     stalled = False

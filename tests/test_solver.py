@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from emlab import lagrangian, solver
 from emlab.errors import EllipticityError, EmlabError, OriginLimitError
@@ -206,9 +206,9 @@ class TestNewtonLoop:
                    for e in res.log)
 
     @pytest.mark.parametrize("model,kind,params,h,linear", [
-        (("dirichlet_exponential", [1.0, 1.0]), "disc", [1.0], 1 / 32, [0, 2, 3]),
+        (("dirichlet_exponential", [1.0, 1.0]), "disc", [1.0], 1 / 32, [14, 5, 7]),
         # its later steps run two or more full restart cycles (a stall factor
-        # of 0 changes the solve from step 6 on), and converge
+        # of 0 changes the solve from step 5 on), and converge
         (CURVATURE_3, "annulus", [0.3, 1.0], 1 / 48, None)])
     def test_stall_stop_idle_on_convergent_solves(self, model, kind, params, h, linear,
                                                   monkeypatch):
@@ -228,11 +228,10 @@ class TestNewtonLoop:
 
     def test_log_counts_gmres_iterations(self, exp_result):
         init, *steps = exp_result.log
-        assert init["phase"] == "init" and init["linear_iterations"] == 0
-        assert init["restart_cycles"] == 0 and init["stalled"] is False
+        assert init["phase"] == "init" and init["damping"] == 0.0
         assert steps
-        for entry in steps:
-            assert entry["phase"] == "newton"
+        for entry in exp_result.log:
+            assert entry["phase"] == ("init" if entry is init else "newton")
             assert type(entry["linear_iterations"]) is int
             assert type(entry["restart_cycles"]) is int
             assert 1 <= entry["restart_cycles"] <= solver.GMRES_MAX_RESTARTS
@@ -240,37 +239,69 @@ class TestNewtonLoop:
             assert (entry["linear_iterations"] - 1) // solver.GMRES_RESTART == \
                 entry["restart_cycles"] - 1
             assert entry["stalled"] is False
-            assert 0.0 < entry["damping"] <= 1.0
+        assert all(0.0 < entry["damping"] <= 1.0 for entry in steps)
 
 
-def _warm_start_lu(model, dom, monkeypatch):
-    """Solve, returning the one matrix the solve factorized and its LU."""
+def _warm_start_factorizations(model, dom, monkeypatch):
+    """Solve, returning the result and each matrix the solve factorized."""
     seen = []
     real = solver.splu
-    monkeypatch.setattr(solver, "splu",
-                        lambda A, **k: seen.append((A, real(A, **k))) or seen[-1][1])
-    solve_euler_lagrange(model, dom)
-    (A, lu), = seen
-    return A, lu
+    monkeypatch.setattr(solver, "splu", lambda A, **k: seen.append(A) or real(A, **k))
+    return solve_euler_lagrange(model, dom), seen
 
 
-class TestWarmStartLU:
+class TestWarmStartMultigrid:
     @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("annulus", [0.3, 1.0]),
                                              ("ellipse", [1.0, 0.6]),
                                              ("rectangle", [1.0, 0.7])])
-    def test_diagonal_pivots_and_solve(self, kind, params, torsion_model, monkeypatch):
+    def test_matches_direct_solve(self, kind, params, torsion_model, monkeypatch):
         dom = build_domain(make_shape(kind, params), 1 / 64)
-        A, lu = _warm_start_lu(torsion_model, dom, monkeypatch)
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        b = np.random.default_rng(5).standard_normal(dom.n_interior)
-        ref = spsolve(A, b)
-        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        res, (coarsest,) = _warm_start_factorizations(torsion_model, dom, monkeypatch)
+        assert res.iterations == 0 and res.log[0]["linear_iterations"] > 1
+        assert coarsest.shape[0] <= solver.MG_COARSEST < dom.n_interior
+        g0, h0 = divergence_coefficients(torsion_model, 0.0, 0.0)
+        ref = spsolve(_assemble(dom, _conductances(dom, g0)).tocsc(),
+                      np.full(dom.n_interior, -h0))
+        assert np.max(np.abs(res.u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_fill_below_default_ordering(self, torsion_model, disc64, monkeypatch):
-        # minimum degree on A + A^T: 0.53 of the default COLAMD fill here
-        A, lu = _warm_start_lu(torsion_model, disc64, monkeypatch)
-        default = splu(A)
-        assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
+    def test_v_cycle_contracts_the_residual(self):
+        # the first cycle from x = 0 raises the max-norm residual about 70-fold,
+        # at the rows of short arms; each later one cuts it to 0.33 to 0.37
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 128)
+        A = _assemble(dom, _conductances(dom, 1.0))
+        cycle = solver._multigrid(A, dom.interior_index)
+        b = np.ones(dom.n_interior)
+        x = cycle(b)
+        for _ in range(5):
+            before = np.max(np.abs(b - A @ x))
+            x = x + cycle(b - A @ x)
+            assert np.max(np.abs(b - A @ x)) <= 0.4 * before
+
+    def test_small_grid_is_solved_directly(self, torsion_model, monkeypatch):
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 8)
+        assert dom.n_interior <= solver.MG_COARSEST
+        res, (A,) = _warm_start_factorizations(torsion_model, dom, monkeypatch)
+        assert A.shape == (dom.n_interior, dom.n_interior)
+        assert res.log[0]["linear_iterations"] == 1
+
+    def test_zero_source_is_solved_by_zero(self, disc64, monkeypatch):
+        # h(0, 0) = 0: the warm start's right-hand side vanishes
+        res, _ = _warm_start_factorizations(make_model("dirichlet_power", [1.0, 2]),
+                                            disc64, monkeypatch)
+        assert res.converged and res.iterations == 0
+        assert not np.any(res.u)
+        assert res.log[0]["linear_iterations"] == 0
+
+    @pytest.mark.parametrize("offset", [(0.37, 0.61), (0.5, 0.5), (0.83, 0.29)])
+    def test_closed_form_to_rounding_at_any_offset(self, offset, torsion_model):
+        # the benchmark's disc gate allows 1e-10; the warm start's tolerance
+        # leaves about 1e-15 here
+        h = 1 / 128
+        c = (offset[0] * h, offset[1] * h)
+        dom = build_domain(make_shape("disc", [1.0], c), h)
+        res = solve_euler_lagrange(torsion_model, dom)
+        r2 = (dom.xy[:, 0] - c[0]) ** 2 + (dom.xy[:, 1] - c[1]) ** 2
+        assert np.max(np.abs(res.u - (r2 - 1.0) / 4.0)) <= 1e-12
 
 
 class TestRadialOracle:
@@ -643,6 +674,53 @@ class TestGmres:
         x, stats = solver._gmres(lambda v: A @ v, b, np.copy)
         assert stats["stalled"] and stats["restart_cycles"] < solver.GMRES_MAX_RESTARTS
         assert stats["linear_iterations"] == stats["restart_cycles"] * solver.GMRES_RESTART
+
+
+#: the catalog sweep's grids: h = 1/32 on 4 shapes, then h = 1/64 on 3, all
+#: centred at (0.37 h, 0.61 h)
+SWEEP_GRIDS = ([(kind, params, 32) for kind, params in STENCIL_SHAPES]
+               + [(kind, params, 64) for kind, params in STENCIL_SHAPES[:3]])
+#: per model, on SWEEP_GRIDS in order: the Newton steps with the warm-start
+#: LU that the multigrid preconditioner replaced (None: the solve stopped
+#: unconverged, as where no solution exists), and the summed GMRES
+#: iterations, warm start included, with the multigrid preconditioner.
+#: power_dirichlet has a finite positive g(0, 0) only at m = 2, where it is
+#: dirichlet_affine; dirichlet_power [1, 2] has h(0, 0) = 0
+SWEEP = [
+    (("dirichlet_affine", [0.5, 1.0]), [0] * 7, [14, 14, 14, 14, 14, 15, 15]),
+    (("power_dirichlet", [2.0, 0.0, 1.0]), [0] * 7, [14, 14, 14, 14, 14, 15, 15]),
+    (("dirichlet_power", [1.0, 2]), [0] * 7, [0] * 7),
+    (("dirichlet_exponential", [1.0, 1.0]), [2] * 7, [26, 24, 26, 25, 27, 27, 32]),
+    (("dirichlet_exponential", [0.5, 2.0]), [3, 2, 2, 2, 3, 2, 2],
+     [29, 25, 27, 26, 32, 32, 34]),
+    (("minimal_surface", [0.0, 3.0]), [None, 7, None, 4, None, 10, None],
+     [118, 164, 294, 46, 137, 830, 162]),
+    (("0.5*p**2 + 0.25*p**4 + q",), [4, 3, 3, 3, 4, 4, 3], [40, 33, 33, 30, 41, 41, 35]),
+    (("sqrt(1 + p**2) + q",), [3] * 7, [32, 30, 32, 31, 35, 34, 35]),
+    (("0.5*p**2 + p**3 + q",), [5, 4, 4, 4, 5, 4, 4], [43, 45, 43, 42, 53, 49, 47]),
+]
+#: summed GMRES iterations may exceed SWEEP's by this factor
+SWEEP_GMRES_MARGIN = 1.25
+
+
+@pytest.fixture(scope="module")
+def sweep_domains():
+    return [build_domain(make_shape(kind, params, (0.37 / n, 0.61 / n)), 1.0 / n)
+            for kind, params, n in SWEEP_GRIDS]
+
+
+class TestCatalogSweep:
+    @pytest.mark.parametrize("model,steps,gmres", SWEEP, ids=[
+        "-".join(map(str, [m[0], *m[1]])) if len(m) == 2 else m[0] for m, _, _ in SWEEP])
+    def test_converges_within_one_step_of_the_lu(self, model, steps, gmres, sweep_domains):
+        model = (make_model(*model) if len(model) == 2
+                 else make_expression_model(model[0], smooth_at_origin=True))
+        for dom, lu_steps, linear in zip(sweep_domains, steps, gmres):
+            res = solve_euler_lagrange(model, dom)
+            assert res.converged == (lu_steps is not None)
+            if res.converged:
+                assert res.iterations <= lu_steps + 1
+            assert sum(e["linear_iterations"] for e in res.log) <= SWEEP_GMRES_MARGIN * linear
 
 
 def _normal_derivative_six_calls(domain, grad):
