@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
-from scipy.special import ellipe
 
 from .errors import DegenerateGridError
 
@@ -157,8 +156,7 @@ class Ellipse(Shape):
         return self.A, self.B
 
     def perimeter(self):
-        big, small = max(self.A, self.B), min(self.A, self.B)
-        return 4.0 * big * float(ellipe(1.0 - (small / big) ** 2))
+        return _ellipse_perimeter(self.A, self.B)
 
     def boundary_components(self):
         def sampler(n):
@@ -184,6 +182,30 @@ class Ellipse(Shape):
             denom = np.float_power(self.A * st, 2) + np.float_power(self.B * ct, 2)
             kappa = self.A * self.B / np.float_power(denom, 1.5)
         return np.where(rho == 0.0, 0.0, kappa)
+
+
+#: pi to 40 digits, for the perimeter's AGM in 40-digit decimal arithmetic
+_PI = Decimal("3.141592653589793238462643383279502884197")
+
+
+def _ellipse_perimeter(semi_x, semi_y):
+    """Perimeter ``4 a E(e^2)`` of the ellipse with semi-axes a >= b, by
+    the arithmetic-geometric mean (Abramowitz & Stegun 17.6):
+    ``2 pi (a^2 - sum_n 2^(n-1) c_n^2) / M(a, b)`` with ``c_0^2 = a^2 - b^2``
+    and ``c_n = (a_(n-1) - b_(n-1)) / 2``.  Run in 40 digits, so that the
+    float returned is the exact perimeter correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b = Decimal(max(semi_x, semi_y)), Decimal(min(semi_x, semi_y))
+        total, scale = (a * a + b * b) / 2, 1
+        while True:
+            c = (a - b) / 2
+            a, b = (a + b) / 2, (a * b).sqrt()
+            total -= scale * c * c
+            scale *= 2
+            # the next c is below c^2 / a, past the working digits
+            if c <= a.scaleb(-ctx.prec // 2):
+                return float(2 * _PI * total / a)
 
 
 class Rectangle(Shape):
@@ -283,7 +305,8 @@ class DiscreteDomain:
     bw: np.ndarray                  # (nb,) arc weights
     bcomp: np.ndarray               # (nb,) boundary component id
     #: (n_int,) distance to the nearest boundary sample: exact up to
-    #: MAX_COLLAR_DEPTH * h, inf beyond (only the collar is ever asked about)
+    #: MAX_COLLAR_DEPTH * h, inf beyond (only the collar is ever asked about);
+    #: found in the lattice windows around the samples, with no KD tree
     dist: np.ndarray
     dropped_area: float = 0.0
 
@@ -435,7 +458,9 @@ def _bisect_crossings(shape, ax, ay, bx, by):
 
 def build_domain(shape, spacing):
     """Classify a symmetric node lattice against the shape and precompute
-    cut distances, clipped cell areas and boundary samples."""
+    cut distances, clipped cell areas, boundary samples and the collar
+    distances ``dist``, the last from lattice windows around the samples
+    rather than a KD tree."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     h = float(spacing)
@@ -528,12 +553,20 @@ def build_domain(shape, spacing):
     bcomp = np.concatenate([np.full(len(pts), comp, dtype=np.int64)
                             for comp, (pts, *_) in enumerate(samples)])
 
-    # nearly every node of a disc is almost equidistant from the ring of
-    # samples, which makes an unbounded nearest-sample query slow; the
-    # bound is exclusive, so query a little beyond it and cut back
-    bound = MAX_COLLAR_DEPTH * h
-    dist, _ = cKDTree(bpts).query(xy, distance_upper_bound=bound * (1.0 + 1e-9))
-    dist[dist > bound] = np.inf
+    # every node within MAX_COLLAR_DEPTH * h of a sample lies in the
+    # (2r + 1)^2 window of lattice nodes around the sample's cell: each node
+    # keeps its least distance to the samples whose windows hold it
+    r = int(math.ceil(MAX_COLLAR_DEPTH)) + 1
+    offsets = np.arange(-r, r + 1)
+    wi = np.floor((bpts[:, 0] - gx0) / h).astype(np.int64)[:, None, None] + offsets[:, None]
+    wj = np.floor((bpts[:, 1] - gy0) / h).astype(np.int64)[:, None, None] + offsets
+    window = interior_index[np.clip(wi, 0, nx - 1), np.clip(wj, 0, ny - 1)]
+    held = window >= 0
+    sample, node = np.nonzero(held)[0], window[held]
+    dx, dy = xy[node, 0] - bpts[sample, 0], xy[node, 1] - bpts[sample, 1]
+    dist = np.full(n_int, np.inf)
+    np.minimum.at(dist, node, np.sqrt(dx * dx + dy * dy))
+    dist[dist > MAX_COLLAR_DEPTH * h] = np.inf
 
     return DiscreteDomain(shape=shape, h=h, gx0=gx0, gy0=gy0, nx=nx, ny=ny,
                           interior_index=interior_index,
@@ -580,9 +613,11 @@ def interpolate_node_field(domain, values, pts):
     """Bilinear interpolation of an interior-node field, ``(n,)`` or
     ``(n, k)`` values, at arbitrary points.
 
-    Cells with a non-interior corner fall back to the value at the nearest
-    interior node, so querying close to the boundary stays defined (at
-    reduced order there).
+    Cells with a non-interior corner fall back to the value at their
+    heaviest interior corner, so querying close to the boundary stays
+    defined (at reduced order there).  A cell with no interior corner takes
+    the value at the nearest interior node, from a KD tree: that rare branch
+    alone imports ``scipy.spatial``.
     """
     values = np.asarray(values)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -605,6 +640,8 @@ def interpolate_node_field(domain, values, pts):
     out[partial] = values[best[partial]]
     lost = best < 0
     if lost.any():
+        # rare, so scipy.spatial is imported here rather than with the module
+        from scipy.spatial import cKDTree
         _, nearest = cKDTree(domain.xy).query(pts[lost])
         out[lost] = values[nearest]
     return out

@@ -20,15 +20,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import signal
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import yaml
-from jsonschema import ValidationError
-from jsonschema import validate as _jsonschema_validate
+from jsonschema import ValidationError, validators
+from jsonschema.exceptions import best_match
 
 from .checks import check
 from .errors import ConfigError, EllipticityError, EmlabError
@@ -83,10 +85,25 @@ def _flag(mapping, key, default, context):
     return value
 
 
+#: a float with an exponent, which YAML 1.1 reads as a float only with a
+#: dot in the mantissa and a sign on the exponent; groups: sign, mantissa,
+#: exponent sign, exponent digits
+_EXPONENT_FLOAT = re.compile(r"([-+]?)(\d+\.?\d*|\.\d+)[eE]([-+]?)(\d+)")
+
+
 def _number(value, context, kind=float):
     """A YAML number as ``kind``, which takes an int only where ``kind`` is
-    int: a bool or a string is not a number, nor an int beyond float range."""
+    int: a bool or a string is not a number, nor an int beyond float range.
+    A float that YAML 1.1 read as a string, such as ``1e-2``, is refused
+    with its YAML spelling."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        spelled = kind is float and isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value)
+        if spelled:
+            sign, mantissa, exp_sign, digits = spelled.groups()
+            mantissa += "" if "." in mantissa else ".0"
+            raise ConfigError(
+                f"{context} must be a number; YAML reads {value!r} as a string, "
+                f"write {sign}{mantissa}e{exp_sign or '+'}{digits}")
         raise ConfigError(f"{context} must be {'an integer' if kind is int else 'a number'}")
     try:
         return kind(value)
@@ -301,8 +318,19 @@ REPORT_SCHEMA = {
 }
 
 
+@cache
+def _report_validator():
+    """The validator of ``REPORT_SCHEMA``, built once: ``jsonschema.validate``
+    would check the schema itself again on every call."""
+    return validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+
+
 def validate_report(report_dict):
-    _jsonschema_validate(report_dict, REPORT_SCHEMA)
+    """Raise the ``ValidationError`` that ``jsonschema.validate`` would:
+    its ``best_match`` of the errors of ``report_dict``."""
+    error = best_match(_report_validator().iter_errors(report_dict))
+    if error is not None:
+        raise error
 
 
 def read_report(run_dir):

@@ -822,8 +822,12 @@ class TestCutCellBranches:
 
 class TestBoundedDistance:
     def test_exact_in_collar_inf_beyond(self):
-        for shape in _seeded_shapes(1.0 / 32, count=1):
-            dom = build_domain(shape, 1.0 / 32)
+        # the lattice-window distances against a full KD-tree query, in
+        # every bit; the thin annulus has overlapping inner and outer collars
+        h = 1.0 / 64
+        thin = make_shape("annulus", [0.3, 0.3 + 3.5 * h], center=(0.3 * h, 0.7 * h))
+        for shape in [*_seeded_shapes(h), thin]:
+            dom = build_domain(shape, h)
             full, _ = cKDTree(dom.bpts).query(dom.xy)
             bound = MAX_COLLAR_DEPTH * dom.h
             near = full <= bound
@@ -833,3 +837,22 @@ class TestBoundedDistance:
                 assert np.array_equal(dom.core_mask(depth), full >= depth * dom.h - 1e-12)
             with pytest.raises(ValueError):
                 dom.core_mask(MAX_COLLAR_DEPTH + 1.0)
+
+
+class TestEllipsePerimeter:
+    def test_within_four_ulp_of_ellipe(self):
+        # scipy.special is the oracle here only; emlab never loads it
+        from scipy.special import ellipe
+        for big in (1.0, 0.45, 3.0):
+            for ratio in np.geomspace(1.0, 1e-3, 61):
+                ref = 4.0 * big * float(ellipe(1.0 - ratio ** 2))
+                for semi in ((big, big * ratio), (big * ratio, big)):
+                    err = abs(make_shape("ellipse", semi).perimeter() - ref)
+                    assert err <= 4 * math.ulp(ref), (semi, err / math.ulp(ref))
+
+    def test_boundary_sample_counts_kept(self):
+        # the ellipse (1, 0.6) of the benchmark (h = 1/128) and of the catalog
+        # sweep (h = 1/32 and 1/64): n = ceil(2 L / h) depends on L and h alone
+        for h, count in ((1.0 / 128, 1307), (1.0 / 32, 327), (1.0 / 64, 654)):
+            shape = make_shape("ellipse", [1.0, 0.6], center=(0.37 * h, 0.61 * h))
+            assert build_domain(shape, h).n_boundary == count

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
@@ -27,9 +28,9 @@ from emlab.errors import ConfigError
 from emlab.lagrangian import PILOT_BOX, check_hypotheses
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
                             EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
-                            FIELD_COLUMNS, RunReport, _sanitize, _write_csvs,
-                            analyze_into, export_fields, load_run, parse_config,
-                            run_pipeline, validate_report)
+                            FIELD_COLUMNS, REPORT_SCHEMA, RunReport, _sanitize,
+                            _write_csvs, analyze_into, export_fields, load_run,
+                            parse_config, run_pipeline, validate_report)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -183,6 +184,22 @@ class TestPipeline:
         doc["status"]["exit_code"] = 99
         with pytest.raises(ValidationError):
             validate_report(doc)
+
+    def test_report_schema_passes_check_schema(self):
+        jsonschema.validators.validator_for(REPORT_SCHEMA).check_schema(REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [], lambda doc: {"status": 3},
+        lambda doc: dict(doc, solver="x"),
+        lambda doc: doc["solver"].update(iterations="abc", converged=1) or doc,
+        lambda doc: doc["checks"].append({"name": 1}) or doc])
+    def test_errors_are_those_of_jsonschema_validate(self, torsion_report, corrupt):
+        doc = corrupt(torsion_report.as_dict())
+        with pytest.raises(ValidationError) as ours:
+            validate_report(doc)
+        with pytest.raises(ValidationError) as ref:
+            jsonschema.validate(doc, REPORT_SCHEMA)
+        assert ours.value.message == ref.value.message
 
     def test_every_check_has_tolerance_tag(self, torsion_report):
         for check in torsion_report.checks:
@@ -742,11 +759,53 @@ class TestCli:
         text = capsys.readouterr().out
         assert "PASS" in text
 
+    def test_runs_load_no_scipy_spatial_special_integrate_or_optimize(self, tmp_path):
+        """Each of these subpackages costs import time that no run needs:
+        a solve and a verify, on a disc and on a non-radial ellipse, load
+        none of them, in a fresh process."""
+        ellipse = {"model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
+                   "shape": {"kind": "ellipse", "parameters": [1.0, 0.6]},
+                   "spacing": 1.0 / 32}
+        runs = []
+        for name, data in (("disc", dict(TORSION_CONFIG, spacing=1.0 / 32)),
+                           ("ellipse", ellipse)):
+            out = str(tmp_path / name)
+            runs += [["solve", "--config", write_config(tmp_path, data, f"{name}.yaml"),
+                      "--out", out], ["verify", "--in", out]]
+        unwanted = ["scipy.spatial", "scipy.special", "scipy.integrate", "scipy.optimize"]
+        proc = _python(["-c", (
+            "import json, sys\n"
+            "from emlab.cli import main\n"
+            "args, unwanted = json.loads(sys.argv[1])\n"
+            "codes = [main(a) for a in args]\n"
+            "print(json.dumps([codes, [m for m in unwanted if m in sys.modules]]))"),
+            json.dumps([runs, unwanted])])
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * 4
+        assert loaded == []
+
     def test_bad_config_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(
             TORSION_CONFIG, shape={"kind": "disc", "parameters": [-1.0]}))
         assert main(["solve", "--config", cfg_path, "--out",
                      str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spacing,radius,message", [
+        ("1e-2", "1.0", "spacing must be a number; YAML reads '1e-2' as a string, "
+                        "write 1.0e-2"),
+        ("0.0625", "1.0e300", "each entry of shape.parameters must be a number; YAML "
+                              "reads '1.0e300' as a string, write 1.0e+300")])
+    def test_yaml_1_1_exponent_exits_four_with_its_spelling(self, tmp_path, capsys,
+                                                            spacing, radius, message):
+        # PyYAML reads a float as a float only with a dot and a signed exponent
+        path = tmp_path / "config.yaml"
+        path.write_text("model: {name: dirichlet_affine, parameters: [0.5, 1.0]}\n"
+                        f"shape: {{kind: disc, parameters: [{radius}]}}\n"
+                        f"spacing: {spacing}\n")
+        assert main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_unwritable_run_directory_exits_four(self):
         proc = _python(["-m", "emlab.cli", "solve", "--config",
