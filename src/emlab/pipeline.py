@@ -7,18 +7,22 @@ tolerance they were checked against.  Identical configurations must produce
 byte-identical ``report.json`` and ``fields.csv``; wall-clock timings
 therefore live in a separate sidecar file.
 
-The export writes each CSV in blocks of ``CSV_BLOCK_ROWS`` rows.  With 2
-usable CPUs, at most one forked child writes the header and the first half
-of the rows of each CSV of at least ``CSV_FORK_MIN_ROWS`` rows, while the
-run formats the second half and appends it once the child has exited.
-``%.17g`` formats every value on its own, so the bytes depend neither on
-the CPU count nor on where a block starts.
+The export writes each CSV in blocks of ``CSV_BLOCK_ROWS`` rows, each
+formatted by ``csvtext.format_rows``: whole-array numpy that writes the
+bytes ``%.17g`` would, and hands the rare value it cannot round with
+certainty to ``%`` itself.  With 2 usable CPUs, at most one forked child
+writes the header and the first half of the rows of each CSV of at least
+``CSV_FORK_MIN_ROWS`` rows, while the run formats the second half and
+appends it once the child has exited.  Every value is formatted on its
+own, so the bytes depend neither on the CPU count nor on where a block
+starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import re
 import signal
@@ -33,6 +37,7 @@ from jsonschema import ValidationError, validators
 from jsonschema.exceptions import best_match
 
 from .checks import check
+from .csvtext import format_rows
 from .errors import ConfigError, EllipticityError, EmlabError
 from .geometry import build_domain, make_shape
 from .identities import run_identity_suite
@@ -550,19 +555,21 @@ BOUNDARY_COLUMNS = ["y_x", "y_y", "nu_x", "nu_y", "H", "weight", "dnu_u",
 SOLUTION_FILES = ("fields.csv", "tensor.csv", "boundary.csv", "solver_log.json")
 
 
-#: rows formatted per string operation when writing a CSV
-CSV_BLOCK_ROWS = 8192
-#: fewest rows of a CSV whose second half a forked child formats
-CSV_FORK_MIN_ROWS = 2 * CSV_BLOCK_ROWS
+#: rows formatted per ``format_rows`` call when writing a CSV
+CSV_BLOCK_ROWS = 2048
+#: fewest rows of a CSV whose first half a forked child writes
+CSV_FORK_MIN_ROWS = 16384
 
 
-def _csv_blocks(data, start, stop):
-    """Rows ``start:stop`` of ``data`` as ``%.17g`` CSV bytes, one string
-    operation per ``CSV_BLOCK_ROWS`` rows counted from ``start``."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+def _csv_blocks(data, start, stop, tally):
+    """Rows ``start:stop`` of ``data`` as ``%.17g`` CSV bytes, one
+    ``format_rows`` call per ``CSV_BLOCK_ROWS`` rows counted from ``start``;
+    adds to ``tally`` the values formatted and those that took ``%``."""
     for first in range(start, stop, CSV_BLOCK_ROWS):
         block = data[first:min(first + CSV_BLOCK_ROWS, stop)]
-        yield ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+        text, slow = format_rows(block)
+        tally += (block.size, slow)
+        yield text
 
 
 def _usable_cpus():
@@ -581,7 +588,7 @@ def _usable_cpus():
 
 def _write_csvs(tables):
     """Write each ``(path, header, cols)`` table of equal-length columns as
-    CSV, every value as ``%.17g``.
+    CSV, every value as ``%.17g`` would print it (``csvtext.format_rows``).
 
     A table of n >= ``CSV_FORK_MIN_ROWS`` rows is split at row n // 2.
     With 2 usable CPUs one forked child writes each file's header and the
@@ -590,8 +597,11 @@ def _write_csvs(tables):
     value is formatted on its own, so the bytes are those of the serial
     loop wherever its blocks start.  If the child cannot be forked or does not
     exit 0, this process writes every file whole.  If this process raises,
-    the child is killed and reaped first.  Returns the child's
-    ``export_child`` timing entry, or None when no child ran.
+    the child is killed and reaped first.
+
+    Returns the timing entries of the export: ``export_values``, the
+    number of values written and of those that ``%`` formatted one by one,
+    and, when a child ran, ``export_child``.
     """
     parts = []
     for path, header, cols in tables:
@@ -599,24 +609,27 @@ def _write_csvs(tables):
         n = len(data)
         split = n if n < CSV_FORK_MIN_ROWS else n // 2
         parts.append((path, (",".join(header) + "\n").encode(), data, split))
+    tally = np.zeros(2, np.int64)
     pid = None
     if any(split < len(data) for *_, data, split in parts) and _usable_cpus() > 1:
+        # the child's tally, in memory that the fork shares
+        child_tally = np.frombuffer(mmap.mmap(-1, tally.nbytes), np.int64)
         t0 = time.perf_counter()
         with suppress(OSError):  # no process to spare
             pid = os.fork()
     if pid is None:
-        _write_heads([(path, head, data, len(data)) for path, head, data, _ in parts])
-        return None
+        _write_heads([(path, head, data, len(data)) for path, head, data, _ in parts], tally)
+        return {"export_values": _values_entry(tally)}
     if pid == 0:  # the child makes no BLAS call and never returns to the caller
         code = 1
         try:
-            _write_heads(parts)
+            _write_heads(parts, child_tally)
             code = 0
         finally:
             os._exit(code)
     reaped = None
     try:
-        tails = [list(_csv_blocks(data, split, len(data))) for *_, data, split in parts]
+        tails = [list(_csv_blocks(data, split, len(data), tally)) for *_, data, split in parts]
         reaped = os.wait4(pid, 0)
     finally:
         if reaped is None:
@@ -627,21 +640,28 @@ def _write_csvs(tables):
              "max_rss_mb": reaped[2].ru_maxrss / 1024,
              "fallback": reaped[1] != 0}
     if child["fallback"]:
-        _write_heads(parts)
+        _write_heads(parts, tally)
+    else:
+        tally += child_tally
     for (path, *_), tail in zip(parts, tails):
         if tail:
             with open(path, "ab") as fh:
                 fh.writelines(tail)
-    return child
+    return {"export_values": _values_entry(tally), "export_child": child}
 
 
-def _write_heads(parts):
+def _values_entry(tally):
+    """The ``export_values`` timing entry of a ``(values, by %)`` tally."""
+    return {"written": int(tally[0]), "formatted_by_percent": int(tally[1])}
+
+
+def _write_heads(parts, tally):
     """Write each ``(path, head, data, split)`` afresh: the header ``head``
-    and the rows of ``data`` before ``split``."""
+    and the rows of ``data`` before ``split``, counted in ``tally``."""
     for path, head, data, split in parts:
         with open(path, "wb") as fh:
             fh.write(head)
-            fh.writelines(_csv_blocks(data, 0, split))
+            fh.writelines(_csv_blocks(data, 0, split, tally))
 
 
 def export_fields(report, out_dir):
@@ -677,10 +697,11 @@ def export_fields(report, out_dir):
 
 def _write_solution(report, out_dir):
     """The CSV fields and, after a solve, the solver log of a run; returns
-    the names of the run's own files among ``SOLUTION_FILES``.  When a
-    forked child wrote part of the CSV rows, its wall time, peak memory and
-    whether it failed, so that every file was written whole here, go to
-    ``report.timings["export_child"]``."""
+    the names of the run's own files among ``SOLUTION_FILES``.  The number
+    of CSV values and of those that ``%`` formatted go to
+    ``report.timings["export_values"]``; when a forked child wrote part of
+    the CSV rows, its wall time, peak memory and whether it failed, so that
+    every file was written whole here, go to ``report.timings["export_child"]``."""
     result, domain, fld = report.result, report.domain, report.spectral_field
     own = ["fields.csv", "boundary.csv", "solver_log.json"]
     xy_u = [domain.xy[:, 0], domain.xy[:, 1], result.u,
@@ -700,10 +721,8 @@ def _write_solution(report, out_dir):
              rellich_density, pohozaev_density]
     tables += [("fields.csv", FIELD_COLUMNS, fields),
                ("boundary.csv", BOUNDARY_COLUMNS, bcols)]
-    child = _write_csvs([(os.path.join(out_dir, name), header, cols)
-                         for name, header, cols in tables])
-    if child is not None:
-        report.timings["export_child"] = child
+    report.timings.update(_write_csvs([(os.path.join(out_dir, name), header, cols)
+                                       for name, header, cols in tables]))
 
     if result.log:  # a reloaded run never re-solves and keeps its persisted log
         with open(os.path.join(out_dir, "solver_log.json"), "w") as fh:

@@ -26,11 +26,12 @@ from emlab import pipeline
 from emlab.cli import main
 from emlab.errors import ConfigError
 from emlab.lagrangian import PILOT_BOX, check_hypotheses
-from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, EXIT_CONFIG,
-                            EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK, EXIT_SOLVER,
-                            FIELD_COLUMNS, REPORT_SCHEMA, RunReport, _sanitize,
-                            _write_csvs, analyze_into, export_fields, load_run,
-                            parse_config, run_pipeline, validate_report)
+from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, CSV_FORK_MIN_ROWS,
+                            EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK,
+                            EXIT_SOLVER, FIELD_COLUMNS, REPORT_SCHEMA, TENSOR_COLUMNS,
+                            RunReport, _sanitize, _write_csvs, analyze_into,
+                            export_fields, load_run, parse_config, run_pipeline,
+                            validate_report)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -538,19 +539,22 @@ def two_cpus(monkeypatch):
 
 
 def test_csv_writer_equals_row_loop(tmp_path, two_cpus):
-    # from 2 * CSV_BLOCK_ROWS rows on, a forked child formats the second half
-    for n in (2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3,
-              5 * CSV_BLOCK_ROWS + 7):
+    # from CSV_FORK_MIN_ROWS rows on, a forked child formats the first half
+    for n in (CSV_FORK_MIN_ROWS - 1, CSV_FORK_MIN_ROWS, CSV_FORK_MIN_ROWS + 3,
+              CSV_FORK_MIN_ROWS + 3 * CSV_BLOCK_ROWS + 7):
         for ncols in (1, 3):
             header = ["a", "b", "c"][:ncols]
             cols = _csv_columns(n, ncols)
-            child = _write_csvs([(tmp_path / "a.csv", header, cols)])
-            assert (child is not None) == (n >= 2 * CSV_BLOCK_ROWS)
+            entries = _write_csvs([(tmp_path / "a.csv", header, cols)])
+            assert entries["export_values"]["written"] == n * ncols
+            child = entries.get("export_child")
+            assert (child is not None) == (n >= CSV_FORK_MIN_ROWS)
             assert child is None or not child["fallback"]
             _assert_no_child()
             _write_csv_loop(tmp_path / "b.csv", header, cols)
             assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    assert _write_csvs([(tmp_path / "e.csv", ["a"], [np.empty(0)])]) is None
+    assert _write_csvs([(tmp_path / "e.csv", ["a"], [np.empty(0)])]) == {
+        "export_values": {"written": 0, "formatted_by_percent": 0}}
     assert (tmp_path / "e.csv").read_text() == "a\n"
 
 
@@ -558,7 +562,7 @@ class TestForkedCsvFailures:
     """Whatever goes wrong with the child, the files hold the serial bytes
     and no child outlives the writer."""
 
-    N = 2 * CSV_BLOCK_ROWS + 3
+    N = CSV_FORK_MIN_ROWS + 3
 
     def _tables(self, tmp_path):
         return [(tmp_path / "t.csv", ["a"], _csv_columns(self.N, 1)),
@@ -571,18 +575,21 @@ class TestForkedCsvFailures:
 
     def _in_child(self, monkeypatch, heads):
         """Make the child call ``heads(parts, write)`` in place of
-        ``write(parts)``, ``write`` being the real ``_write_heads``."""
+        ``write(parts)``, ``write`` being the real ``_write_heads`` with the
+        child's tally."""
         parent, write = os.getpid(), pipeline._write_heads
 
-        def patched(parts):
-            return write(parts) if os.getpid() == parent else heads(parts, write)
+        def patched(parts, tally):
+            if os.getpid() == parent:
+                return write(parts, tally)
+            return heads(parts, lambda p: write(p, tally))
         monkeypatch.setattr(pipeline, "_write_heads", patched)
 
     def test_child_raises(self, tmp_path, two_cpus, monkeypatch):
         def fail(parts, write):
             raise RuntimeError("child body failed")
         self._in_child(monkeypatch, fail)
-        child = _write_csvs(self._tables(tmp_path))
+        child = _write_csvs(self._tables(tmp_path))["export_child"]
         assert child["fallback"]
         _assert_no_child()
         self._assert_serial_bytes(tmp_path)
@@ -595,8 +602,10 @@ class TestForkedCsvFailures:
                    for path, head, data, split in parts])
             os._exit(3)
         self._in_child(monkeypatch, write_part_and_exit)
-        child = _write_csvs(self._tables(tmp_path))
-        assert child["fallback"]
+        entries = _write_csvs(self._tables(tmp_path))
+        assert entries["export_child"]["fallback"]
+        # the failed child's count is dropped with its rows
+        assert entries["export_values"]["written"] == 4 * self.N
         _assert_no_child()
         self._assert_serial_bytes(tmp_path)
 
@@ -606,7 +615,7 @@ class TestForkedCsvFailures:
             time.sleep(0.5)
             write(parts)
         self._in_child(monkeypatch, sleep_and_write)
-        child = _write_csvs(self._tables(tmp_path))
+        child = _write_csvs(self._tables(tmp_path))["export_child"]
         assert not child["fallback"]
         _assert_no_child()
         self._assert_serial_bytes(tmp_path)
@@ -614,10 +623,10 @@ class TestForkedCsvFailures:
     def test_parent_write_error_propagates(self, tmp_path, two_cpus, monkeypatch):
         parent, blocks = os.getpid(), pipeline._csv_blocks
 
-        def parent_fails(data, start, stop):
+        def parent_fails(data, start, stop, tally):
             if os.getpid() == parent:
                 raise OSError(28, "No space left on device")
-            return blocks(data, start, stop)
+            return blocks(data, start, stop, tally)
         monkeypatch.setattr(pipeline, "_csv_blocks", parent_fails)
         with pytest.raises(OSError, match="No space left"):
             _write_csvs(self._tables(tmp_path))
@@ -627,7 +636,7 @@ class TestForkedCsvFailures:
         def refuse():
             raise BlockingIOError(11, "Resource temporarily unavailable")
         monkeypatch.setattr(os, "fork", refuse)
-        assert _write_csvs(self._tables(tmp_path)) is None
+        assert "export_child" not in _write_csvs(self._tables(tmp_path))
         self._assert_serial_bytes(tmp_path)
 
 
@@ -647,6 +656,11 @@ def test_export_bytes_do_not_depend_on_the_fork(tmp_path, monkeypatch):
                 == (tmp_path / "forked" / name).read_bytes()), name
     serial, forked = (json.loads((tmp_path / side / "timings.json").read_text())
                       for side in ("serial", "forked"))
+    # every value of the three CSVs, none of which needs %
+    values = ((len(FIELD_COLUMNS) + len(TENSOR_COLUMNS)) * report.domain.n_interior
+              + len(BOUNDARY_COLUMNS) * report.domain.n_boundary)
+    assert serial["export_values"] == forked["export_values"] == {
+        "written": values, "formatted_by_percent": 0}
     assert "export_child" not in serial
     assert not forked["export_child"]["fallback"]
     assert forked["export_child"]["seconds"] > 0
@@ -762,7 +776,8 @@ class TestCli:
     def test_runs_load_no_scipy_spatial_special_integrate_or_optimize(self, tmp_path):
         """Each of these subpackages costs import time that no run needs:
         a solve and a verify, on a disc and on a non-radial ellipse, load
-        none of them, in a fresh process."""
+        none of them, in a fresh process.  The tables of the CSV kernel are
+        built at the first export, not on import."""
         ellipse = {"model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
                    "shape": {"kind": "ellipse", "parameters": [1.0, 0.6]},
                    "spacing": 1.0 / 32}
@@ -776,14 +791,22 @@ class TestCli:
         proc = _python(["-c", (
             "import json, sys\n"
             "from emlab.cli import main\n"
+            "from emlab import csvtext\n"
+            "tables = (csvtext._pow10, csvtext._digit_words, csvtext._layout)\n"
+            "def built():\n"
+            "    return [t.cache_info().currsize for t in tables]\n"
+            "on_import = built()\n"
             "args, unwanted = json.loads(sys.argv[1])\n"
             "codes = [main(a) for a in args]\n"
-            "print(json.dumps([codes, [m for m in unwanted if m in sys.modules]]))"),
+            "print(json.dumps([codes, [m for m in unwanted if m in sys.modules],\n"
+            "                  on_import, built()]))"),
             json.dumps([runs, unwanted])])
         assert proc.returncode == 0, proc.stderr
-        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        codes, loaded, on_import, after_runs = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [EXIT_OK] * 4
         assert loaded == []
+        assert on_import == [0, 0, 0]
+        assert after_runs == [1, 1, 1]
 
     def test_bad_config_exits_four(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(
@@ -888,6 +911,9 @@ class TestCli:
         fields, boundary = _evaluated_columns(out)
         assert np.isnan(fields).all() and np.isnan(boundary).all()
         assert not os.path.exists(os.path.join(out, "tensor.csv"))
+        # the nan columns print from the kernel's own rows, none through %
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert timings["export_values"]["formatted_by_percent"] == 0
 
     def test_no_solution_exits_one(self, tmp_path, capsys):
         # mean curvature 3 exceeds 2/R on the unit disc: no solution exists
