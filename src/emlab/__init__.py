@@ -20,7 +20,7 @@ from .errors import (ConfigError, DegenerateGridError, EllipticityError,
                      EmlabError, EvaluationError, OriginLimitError,
                      UnconvergedError)
 from .geometry import (DiscreteDomain, Shape, boundary_integral, build_domain,
-                       make_shape, star_center_margin, volume_integral)
+                       make_shape, volume_integral)
 from .identities import (nonexistence_obstruction, run_identity_suite,
                          verify_pohozaev_identity, verify_rellich_identity,
                          verify_rellich_source_form)

@@ -597,18 +597,6 @@ def boundary_integral(domain, density):
     return float(np.add.reduce(domain.bw * values))
 
 
-def star_center_margin(shape, x0):
-    """min over the boundary of <y - x0, nu(y)>; >= 0 certifies that the
-    shape is star-shaped with respect to x0 at the resolution of 4096
-    samples per boundary component."""
-    margin = math.inf
-    for _, sampler in shape.boundary_components():
-        pts, nu, _, _ = sampler(4096)
-        rel = pts - np.asarray(x0, dtype=float)
-        margin = min(margin, float(np.min(np.einsum("ij,ij->i", rel, nu))))
-    return margin
-
-
 def interpolate_node_field(domain, values, pts):
     """Bilinear interpolation of an interior-node field, ``(n,)`` or
     ``(n, k)`` values, at arbitrary points.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checks import check
-from .geometry import boundary_integral, star_center_margin, volume_integral
+from .geometry import boundary_integral, volume_integral
 from .pfunction import QUADRATIC_FAMILY
 
 #: space dimension n of the identities
@@ -81,13 +81,15 @@ def verify_pohozaev_identity(fld):
 def nonexistence_obstruction(fld, pohozaev):
     """Sign diagnostic for the specialized identity on star-shaped domains.
 
-    When <X, nu> >= 0 on the whole boundary and Phi(0) < 0, the boundary
-    side is pointwise non-negative; a volume side below -2e-2 is then
-    flagged.  ``pohozaev`` is the result of ``verify_pohozaev_identity`` for
-    the evaluated solution ``fld``, or None outside the quadratic-gradient
-    family.  Pure diagnostic, no existence claim.
+    The star margin is the least <X, nu> over the boundary samples whose
+    Pohozaev density the identity integrates (``fld.X_dot_nu``).  When it is
+    >= 0 and Phi(0) < 0, each of those densities is non-negative; a volume
+    side below -2e-2 is then flagged.  ``pohozaev`` is the result of
+    ``verify_pohozaev_identity`` for the evaluated solution ``fld``, or None
+    outside the quadratic-gradient family.  Pure diagnostic, no existence
+    claim.
     """
-    margin = star_center_margin(fld.domain.shape, fld.x0)
+    margin = float(np.min(fld.X_dot_nu))
     out = {"star_margin": margin, "phi0": fld.phi0,
            "applicable": margin >= 0.0, "obstruction_flag": False,
            "boundary_sign_guaranteed": int(margin >= 0.0 and fld.phi0 < 0.0)}

@@ -71,6 +71,7 @@ class HypothesisReport:
     monotone_q_ok: bool     # F_q >= 0 throughout the box
     min_F_q: float
     origin_smooth_ok: bool  # F_p(0, q) = 0 wherever smooth_at_origin claims it
+    identity_residual_max: float  # compatibility identity of p F_p - F, over p > 0
     sample_box: tuple
     samples: int
     violation_witnesses: dict = field(default_factory=dict)
@@ -122,18 +123,28 @@ def make_model(name, parameters):
 _ALLOWED_CALLS = {"exp": ad.exp, "log": ad.log, "sqrt": ad.sqrt}
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
 
+#: most levels of nested subexpressions compiled; the compiler and the
+#: evaluator it builds recurse once per level, so this stays well inside
+#: Python's recursion limit
+MAX_EXPRESSION_DEPTH = 200
+
 
 def _compile_expression(text, constants):
     """Compile a +,-,*,/,**,exp,log,sqrt expression over p, q and the names
-    of ``constants`` into an evaluator (Dual2, Dual2) -> Dual2 or float64."""
+    of ``constants`` into an evaluator (Dual2, Dual2) -> Dual2 or float64.
+    A tree deeper than ``MAX_EXPRESSION_DEPTH`` is refused."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
+    except (RecursionError, MemoryError):  # the parser's own nesting limits
+        raise ValueError("cannot parse expression: it nests too deeply") from None
 
-    def build(node):
+    def build(node, depth=0):
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ValueError(f"expression nests more than {MAX_EXPRESSION_DEPTH} levels deep")
         if isinstance(node, ast.Expression):
-            return build(node.body)
+            return build(node.body, 1)
         if isinstance(node, ast.Name) and node.id in constants:
             node = ast.Constant(constants[node.id])
         if isinstance(node, ast.Constant):
@@ -151,7 +162,7 @@ def _compile_expression(text, constants):
                 return lambda p, q: q
             raise ValueError(f"unknown name {node.id!r}; only p and q are available")
         if isinstance(node, ast.UnaryOp):
-            inner = build(node.operand)
+            inner = build(node.operand, depth + 1)
             if isinstance(node.op, ast.USub):
                 return lambda p, q: -inner(p, q)
             if isinstance(node.op, ast.UAdd):
@@ -160,7 +171,7 @@ def _compile_expression(text, constants):
         if isinstance(node, ast.BinOp):
             if type(node.op) not in _ALLOWED_BINOPS:
                 raise ValueError("unsupported binary operator")
-            left, right = build(node.left), build(node.right)
+            left, right = build(node.left, depth + 1), build(node.right, depth + 1)
             op = type(node.op)
             if op is ast.Add:
                 return lambda p, q: left(p, q) + right(p, q)
@@ -177,7 +188,7 @@ def _compile_expression(text, constants):
             if len(node.args) != 1 or node.keywords:
                 raise ValueError(f"{node.func.id} takes exactly one positional argument")
             fn = _ALLOWED_CALLS[node.func.id]
-            inner = build(node.args[0])
+            inner = build(node.args[0], depth + 1)
             return lambda p, q: fn(inner(p, q))
         raise ValueError(f"unsupported syntax element {type(node).__name__}")
 
@@ -304,30 +315,27 @@ def halton_samples(count, box):
                             q_lo + (q_hi - q_lo) * radical_inverse(3)])
 
 
-def _box_samples(box, samples):
-    """Corners, edge midpoints and center plus a Halton fill of the box."""
-    (p_lo, p_hi), (q_lo, q_hi) = box
-    ps = [p_lo, p_hi, (p_lo + p_hi) / 2.0]
-    qs = [q_lo, q_hi, (q_lo + q_hi) / 2.0]
-    fixed = np.array([(a, b) for a in ps for b in qs])
-    if samples > 0:
-        return np.vstack([fixed, halton_samples(samples, box)])
-    return fixed
-
-
-def check_hypotheses(model, box=PILOT_BOX, samples=512):
+def check_hypotheses(model, box=PILOT_BOX):
     """Sample the box deterministically and test the structural hypotheses on F.
 
-    Checks convexity F_pp > 0, positivity F > 0 (case 2), the pair F < 0 and
-    p F_p - F > 0 (case 3), and monotonicity F_q >= 0, recording extremal
-    values and one witness per violated check.
+    One jet sweep over the corners, edge midpoints and centre of the box and
+    512 Halton samples: the solve's pilot and ``emlab check`` draw the same
+    points.  Checks convexity F_pp > 0, positivity F > 0 (case 2), the pair
+    F < 0 and p F_p - F > 0 (case 3), and monotonicity F_q >= 0, recording
+    extremal values and one witness per violated check, and the maximum of
+    the compatibility-identity residual over the samples with p > 0 (those
+    on the p = 0 edge drop out).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    pts = _box_samples(box, samples)
+    (p_lo, p_hi), (q_lo, q_hi) = box
+    fixed = [(a, b) for a in (p_lo, p_hi, (p_lo + p_hi) / 2.0)
+             for b in (q_lo, q_hi, (q_lo + q_hi) / 2.0)]
+    pts = np.vstack([fixed, halton_samples(512, box)])
     p, q = pts[:, 0], pts[:, 1]
     jet = eval_jet(model, p, q)
     phi = p * jet.F_p - jet.F
+    pos = p > 0.0
+    residual = pfunction_identity_residual(
+        p[pos], Jet2(*(e[pos] for e in vars(jet).values())))
 
     witnesses = {}
 
@@ -379,6 +387,7 @@ def check_hypotheses(model, box=PILOT_BOX, samples=512):
         monotone_q_ok=monotone_q_ok,
         min_F_q=float(np.min(jet.F_q)),
         origin_smooth_ok=origin_smooth_ok,
+        identity_residual_max=float(np.max(residual, initial=0.0)),
         sample_box=box,
         samples=len(pts),
         violation_witnesses=witnesses,

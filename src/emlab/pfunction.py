@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checks import check
-from .lagrangian import _box_samples, eval_jet, pfunction_identity_residual
+from .lagrangian import eval_jet
 
 #: models of the quadratic-gradient family F = p^2/2 + Phi(q)
 QUADRATIC_FAMILY = {"dirichlet_affine", "dirichlet_exponential", "dirichlet_power"}
@@ -85,42 +85,31 @@ def gradient_bound_check(fld, located):
             "tolerance": GRADIENT_BOUND_TOL}
 
 
-def check_max_principle_conditions(fld):
-    """Evaluate the maximum-principle prerequisites on the realized range.
-
-    At 1000 Halton samples over the solution's (p, q) range inflated by
-    10%: the ellipticity minimum (min F_pp, whose positivity also makes the
-    candidate increasing in p^2 since its p^2-derivative is F_pp/2), and the
-    compatibility identity residual maximum.
+def check_max_principle_conditions(hyp):
+    """The maximum-principle prerequisites, read from ``hyp``, the
+    ``check_hypotheses`` report on the solution's (p, q) box: the
+    ellipticity minimum (min F_pp, whose positivity also makes the candidate
+    increasing in p^2 since its p^2-derivative is F_pp/2) and the
+    compatibility-identity residual maximum, with the convexity witness
+    where ellipticity fails.
     """
-    model, result = fld.model, fld.result
-    p_max = result.gradient_range[1]
-    m, M = result.solution_range
-    half = 0.5 * (M - m)
-    q_lo, q_hi = m - 0.2 * half - 1e-12, M + 0.2 * half + 1e-12
-    box = ((max(1e-6, 1e-3 * p_max), 1.1 * max(p_max, 1e-6)), (q_lo, q_hi))
-    pts = _box_samples(box, 1000)
-    p, q = pts[:, 0], pts[:, 1]
-    jet = eval_jet(model, p, q)
-    res = pfunction_identity_residual(p, jet)
-    min_fpp = float(np.min(jet.F_pp))
-    i_min = int(np.argmin(jet.F_pp))
     out = {
-        "box": [list(box[0]), list(box[1])],
-        "min_F_pp": min_fpp,
-        "min_candidate_p2_derivative": 0.5 * min_fpp,
-        "identity_residual_max": float(np.max(res)),
-        "ellipticity_ok": min_fpp > 0.0,
-        "identity_ok": float(np.max(res)) < IDENTITY_RESIDUAL_TOL,
+        "box": [list(hyp.sample_box[0]), list(hyp.sample_box[1])],
+        "min_F_pp": hyp.min_F_pp,
+        "min_candidate_p2_derivative": 0.5 * hyp.min_F_pp,
+        "identity_residual_max": hyp.identity_residual_max,
+        "ellipticity_ok": hyp.convexity_ok,
+        "identity_ok": hyp.identity_residual_max < IDENTITY_RESIDUAL_TOL,
     }
-    if min_fpp <= 0.0:
-        out["ellipticity_witness"] = [float(pts[i_min, 0]), float(pts[i_min, 1]), min_fpp]
+    if not hyp.convexity_ok:
+        out["ellipticity_witness"] = list(hyp.violation_witnesses["convexity"])
     return out
 
 
-def pfunction_report(fld):
+def pfunction_report(fld, hyp):
     """The ``pfunction`` report section of an evaluated solution and its
-    checks, as ``(section, checks)``."""
+    checks, as ``(section, checks)``; ``hyp`` is the ``check_hypotheses``
+    report on the solution's (p, q) box."""
     section = locate_max(fld)
     sup, location = section["sup_value"], section["location_class"]
     two_branch = max(v for v in (section["boundary_formula_value"],
@@ -143,7 +132,7 @@ def pfunction_report(fld):
     if not section["critical_set_empty"]:
         checks.append(check("gradient_bound_margin", gb["worst_margin"],
                             -GRADIENT_BOUND_TOL, gb["ok"], gate=gb["applicable"]))
-    mpc = check_max_principle_conditions(fld)
+    mpc = check_max_principle_conditions(hyp)
     checks.append(check("compatibility_identity_residual", mpc["identity_residual_max"],
                         IDENTITY_RESIDUAL_TOL, mpc["identity_ok"]))
     section["gradient_bound"] = gb

@@ -387,7 +387,7 @@ def run_pipeline(config, strict=False):
     """
     report = RunReport(config=config.raw)
     with _stage(report, "hypotheses_pilot"):
-        pilot = check_hypotheses(config.model, box=PILOT_BOX, samples=256)
+        pilot = check_hypotheses(config.model, box=PILOT_BOX)
     report.hypotheses = pilot.as_dict()
     if strict and not pilot.convexity_ok:
         report.exit_code = EXIT_HYPOTHESIS
@@ -480,7 +480,7 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
         m, M = result.solution_range
         pad = 0.1 * max(M - m, 1e-6)
         box = ((0.0, 1.1 * max(result.gradient_range[1], 1e-6)), (m - pad, M + pad))
-        hyp = check_hypotheses(config.model, box=box, samples=512)
+        hyp = check_hypotheses(config.model, box=box)
         report.hypotheses = hyp.as_dict()
         report.add_checks(check("hypothesis_convexity", hyp.min_F_pp, 0.0,
                                 hyp.convexity_ok, gate=False))
@@ -530,7 +530,7 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
         report.spectral, checks = spectral_report(fld)
         report.add_checks(*checks)
     with _stage(report, "pfunction"):
-        report.pfunction, checks = pfunction_report(fld)
+        report.pfunction, checks = pfunction_report(fld, hyp)
         report.add_checks(*checks)
     with _stage(report, "identities"):
         report.identities, checks = run_identity_suite(fld)

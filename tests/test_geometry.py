@@ -23,9 +23,10 @@ from emlab.geometry import (
     boundary_integral,
     interpolate_node_field,
     make_shape,
-    star_center_margin,
     volume_integral,
 )
+from emlab.identities import nonexistence_obstruction
+from emlab.tensor_field import assemble_field
 
 DISC = make_shape("disc", [1.0])
 ANNULUS = make_shape("annulus", [0.3, 1.0])
@@ -298,15 +299,29 @@ class TestBoundaryGeometry:
 
 
 class TestStarMargin:
-    def test_disc_center(self):
-        assert star_center_margin(DISC, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-9)
+    """The star margin is the least <X, nu> over the boundary samples of a
+    solved field, the samples whose Pohozaev density the identity
+    integrates."""
 
-    def test_disc_offset(self):
-        assert star_center_margin(DISC, (0.5, 0.0)) == pytest.approx(0.5, abs=1e-6)
+    @staticmethod
+    def margin(model, result, domain, x0):
+        fld = assemble_field(model, result, domain, x0)
+        return nonexistence_obstruction(fld, None)["star_margin"]
 
-    def test_annulus_never_starshaped(self):
+    def test_disc_center(self, torsion_model, torsion_result, disc64):
+        assert self.margin(torsion_model, torsion_result, disc64,
+                           (0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_disc_offset(self, torsion_model, torsion_result, disc64):
+        # 1 - 0.5 cos(theta) is least at theta = 0, and a sample angle lies
+        # within pi/n of it
+        margin = self.margin(torsion_model, torsion_result, disc64, (0.5, 0.0))
+        bound = 0.5 * (1.0 - math.cos(math.pi / disc64.n_boundary))
+        assert 0.5 - 1e-12 <= margin <= 0.5 + bound + 1e-12
+
+    def test_annulus_never_starshaped(self, torsion_model, annulus_result, annulus64):
         for x0 in [(0.65, 0.0), (0.0, -0.5), (0.4, 0.4)]:
-            assert star_center_margin(ANNULUS, x0) < 0.0
+            assert self.margin(torsion_model, annulus_result, annulus64, x0) < 0.0
 
 
 class TestQuadrature:

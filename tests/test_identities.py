@@ -150,6 +150,20 @@ class TestObstruction:
         assert out["star_margin"] < 0.0
         assert not out["applicable"]
 
+    @pytest.mark.parametrize("model, result, domain, x0", [
+        ("shifted_model", "shifted_result", "disc64", None),
+        ("shifted_model", "shifted_result", "disc64", (0.5, -0.3)),
+        ("torsion_model", "torsion_result", "disc64", (0.2, 0.1)),
+        ("torsion_model", "annulus_result", "annulus64", None)])
+    def test_star_margin_belongs_to_the_integrated_samples(self, request, model,
+                                                           result, domain, x0):
+        fld = assemble_field(*(request.getfixturevalue(n) for n in (model, result, domain)),
+                             x0)
+        section, _ = run_identity_suite(fld)
+        assert section["star_margin"] == float(min(fld.X_dot_nu))
+        if section["obstruction"]["boundary_sign_guaranteed"] == 1:
+            assert fld.pohozaev_density.min() >= 0.0
+
     def test_torsion_no_obstruction(self, torsion_model, torsion_result, disc64):
         fld = assemble_field(torsion_model, torsion_result, disc64)
         out = nonexistence_obstruction(fld, verify_pohozaev_identity(fld))

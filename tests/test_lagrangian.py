@@ -91,7 +91,7 @@ class TestDivergenceCoefficients:
 
 class TestCheckHypotheses:
     def test_torsion_box(self):
-        rep = check_hypotheses(TORSION, box=((0.0, 1.0), (-0.25, 0.0)), samples=256)
+        rep = check_hypotheses(TORSION, box=((0.0, 1.0), (-0.25, 0.0)))
         assert rep.convexity_ok
         assert rep.case2_ok
         assert rep.monotone_q_ok
@@ -99,20 +99,20 @@ class TestCheckHypotheses:
         assert rep.min_F_pp == pytest.approx(1.0)
 
     def test_shifted_box_is_case3(self):
-        rep = check_hypotheses(SHIFTED, box=((0.0, 0.5), (-0.25, 0.0)), samples=256)
+        rep = check_hypotheses(SHIFTED, box=((0.0, 0.5), (-0.25, 0.0)))
         assert rep.case3_ok
         assert not rep.case2_ok
         assert rep.max_F == pytest.approx(-0.075)
         assert rep.min_p_F_p_minus_F == pytest.approx(0.2)
 
     def test_minimal_surface_always_case2(self):
-        rep = check_hypotheses(MINSURF, box=((0.0, 3.0), (-5.0, 5.0)), samples=256)
+        rep = check_hypotheses(MINSURF, box=((0.0, 3.0), (-5.0, 5.0)))
         assert rep.case2_ok
         assert not rep.case3_ok
         assert rep.min_F >= 1.0
 
     def test_witnesses_reproduce(self):
-        rep = check_hypotheses(QUARTIC, box=((0.0, 1.0), (-1.0, 1.0)), samples=128)
+        rep = check_hypotheses(QUARTIC, box=((0.0, 1.0), (-1.0, 1.0)))
         assert not rep.convexity_ok  # F_pp = 3p^2 vanishes at p = 0
         p, q, value = rep.violation_witnesses["convexity"]
         assert eval_jet(QUARTIC, p, q).F_pp == pytest.approx(value, abs=1e-15)
@@ -121,15 +121,28 @@ class TestCheckHypotheses:
     def test_false_origin_smoothness_claim_witnessed(self):
         # declared smooth but F_p(0, q) = 1: the claim must be caught
         model = make_expression_model("p + 0.5*p**2 + q", smooth_at_origin=True)
-        rep = check_hypotheses(model, box=((0.0, 1.0), (-1.0, 1.0)), samples=64)
+        rep = check_hypotheses(model, box=((0.0, 1.0), (-1.0, 1.0)))
         assert not rep.origin_smooth_ok
         _, q, value = rep.violation_witnesses["origin_smoothness"]
         assert value == pytest.approx(1.0)
 
     def test_catalog_models_origin_smooth(self):
         for model in CATALOG_MODELS:
-            rep = check_hypotheses(model, box=((0.0, 1.0), (-1.0, 1.0)), samples=64)
+            rep = check_hypotheses(model, box=((0.0, 1.0), (-1.0, 1.0)))
             assert rep.origin_smooth_ok
+
+    @pytest.mark.parametrize("model", CATALOG_MODELS, ids=lambda m: m.name)
+    def test_identity_residual_over_positive_p(self, model):
+        # the 9 fixed points and 512 Halton samples, less the 3 fixed points
+        # on the p = 0 edge, where the identity is undefined
+        box = ((0.0, 2.0), (-2.0, 2.0))
+        rep = check_hypotheses(model, box=box)
+        assert rep.samples == 521
+        fixed = [(p, q) for p in (2.0, 1.0) for q in (-2.0, 2.0, 0.0)]
+        pts = np.vstack([fixed, halton_samples(512, box)])
+        res = identity_residual(model, pts[:, 0], pts[:, 1])
+        assert rep.identity_residual_max == float(np.max(res))
+        assert rep.identity_residual_max < 1e-11
 
 
 def identity_residual(model, p, q):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from emlab.errors import UnconvergedError
-from emlab.lagrangian import eval_jet, make_expression_model
+from emlab.lagrangian import check_hypotheses, eval_jet, make_expression_model
 from emlab.pfunction import (check_max_principle_conditions, gradient_bound_check,
                              locate_max, pfunction_report)
 from emlab.solver import solve_radial
@@ -20,6 +20,15 @@ def two_branch_bound(section):
     section."""
     return max(v for v in (section["boundary_formula_value"],
                            section["critical_formula_value"]) if v is not None)
+
+
+def solution_hypotheses(model, result):
+    """``check_hypotheses`` on the solution's (p, u) range, padded as the
+    pipeline pads it."""
+    m, M = result.solution_range
+    pad = 0.1 * max(M - m, 1e-6)
+    return check_hypotheses(model, box=((0.0, 1.1 * max(result.gradient_range[1], 1e-6)),
+                                        (m - pad, M + pad)))
 
 
 def bound_check(model, result, domain):
@@ -142,7 +151,8 @@ class TestGradientBound:
         assert two_branch_bound(sec) == sec["boundary_formula_value"]
         note = {"applicable": False, "note": "critical set empty at this resolution"}
         assert gradient_bound_check(fake, sec) == note
-        section, checks = pfunction_report(fake)
+        section, checks = pfunction_report(fake, solution_hypotheses(torsion_model,
+                                                                     torsion_result))
         assert section["gradient_bound"] == note
         names = [c["name"] for c in checks]
         assert "gradient_bound_margin" not in names
@@ -163,25 +173,24 @@ class TestRadialConstancy:
 
 
 class TestMaxPrincipleConditions:
-    def test_quadratic_family(self, torsion_model, torsion_result, disc64):
-        rep = check_max_principle_conditions(
-            assemble_field(torsion_model, torsion_result, disc64))
+    def test_quadratic_family(self, torsion_model, torsion_result):
+        rep = check_max_principle_conditions(solution_hypotheses(torsion_model, torsion_result))
         assert rep["ellipticity_ok"]
         assert rep["min_F_pp"] == pytest.approx(1.0)
         assert rep["min_candidate_p2_derivative"] == pytest.approx(0.5)
         assert rep["identity_residual_max"] < 1e-12
 
-    def test_minimal_surface_range(self, minsurf_model, torsion_result, disc64):
+    def test_minimal_surface_range(self, minsurf_model, torsion_result):
         # min F_pp over the realized box is (1 + p_box^2)^{-3/2}
-        rep = check_max_principle_conditions(
-            assemble_field(minsurf_model, torsion_result, disc64))
+        rep = check_max_principle_conditions(solution_hypotheses(minsurf_model, torsion_result))
         p_hi = rep["box"][0][1]
         assert rep["min_F_pp"] == pytest.approx((1.0 + p_hi**2) ** -1.5, rel=1e-6)
         assert rep["ellipticity_ok"]
 
-    def test_convexity_violation_witnessed(self, torsion_result, disc64):
+    def test_convexity_violation_witnessed(self, torsion_result):
         concave = make_expression_model("q - 0.5*p**2", smooth_at_origin=True)
-        rep = check_max_principle_conditions(assemble_field(concave, torsion_result, disc64))
+        rep = check_max_principle_conditions(solution_hypotheses(concave, torsion_result))
         assert not rep["ellipticity_ok"]
         p, q, value = rep["ellipticity_witness"]
         assert value <= 0.0
+        assert eval_jet(concave, p, q).F_pp == value

@@ -25,7 +25,7 @@ import emlab
 from emlab import pipeline
 from emlab.cli import main
 from emlab.errors import ConfigError
-from emlab.lagrangian import PILOT_BOX, check_hypotheses
+from emlab.lagrangian import MAX_EXPRESSION_DEPTH, PILOT_BOX, check_hypotheses
 from emlab.pipeline import (BOUNDARY_COLUMNS, CSV_BLOCK_ROWS, CSV_FORK_MIN_ROWS,
                             EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_OK,
                             EXIT_SOLVER, FIELD_COLUMNS, REPORT_SCHEMA, TENSOR_COLUMNS,
@@ -41,6 +41,12 @@ TORSION_CONFIG = {
     "shape": {"kind": "disc", "parameters": [1.0]},
     "spacing": 1.0 / 16,
 }
+
+#: convex but for a narrow bump of F_pp = -2 centred on a Halton sample of
+#: ``PILOT_BOX`` beyond the 256th
+BUMP_MODEL = {"expression": "0.5*p*p + 0.0012902798174415976*exp(-((p-0.986328125)**2"
+                            " + (q-0.08916324)**2)/0.0008601865449610651) + q",
+              "smooth_at_origin": True}
 
 
 def write_config(tmp_path, data, name="config.yaml"):
@@ -202,6 +208,13 @@ class TestPipeline:
             jsonschema.validate(doc, REPORT_SCHEMA)
         assert ours.value.message == ref.value.message
 
+    def test_max_principle_conditions_read_the_hypothesis_sample(self, torsion_report):
+        doc = json.loads(json.dumps(torsion_report.as_dict()))
+        mpc, hyp = doc["pfunction"]["max_principle_conditions"], doc["hypotheses"]
+        assert mpc["box"] == hyp["sample_box"]
+        assert mpc["min_F_pp"] == hyp["min_F_pp"]
+        assert mpc["identity_residual_max"] == hyp["identity_residual_max"]
+
     def test_every_check_has_tolerance_tag(self, torsion_report):
         for check in torsion_report.checks:
             assert {"name", "value", "tolerance", "passed", "gate"} <= set(check)
@@ -237,7 +250,7 @@ class TestPipeline:
         assert report.exit_code == EXIT_SOLVER
         assert report.solver["failure"] == (
             "ellipticity breakdown: model fails strict convexity on the pilot box")
-        pilot = check_hypotheses(cfg.model, box=PILOT_BOX, samples=256)
+        pilot = check_hypotheses(cfg.model, box=PILOT_BOX)
         assert report.solver["witness"] == {
             "pilot_box": PILOT_BOX, "witness": pilot.violation_witnesses["convexity"]}
         assert report.hypotheses == pilot.as_dict()
@@ -865,6 +878,51 @@ class TestCli:
         assert main(["check", "--config", cfg_path, "--strict"]) == EXIT_HYPOTHESIS
         assert main(["check", "--config", cfg_path]) == EXIT_OK
 
+    def test_pilot_and_check_draw_the_same_sample(self, tmp_path, capsys):
+        # convex on the first 256 Halton samples of the pilot box; F_pp
+        # reads -2 at a later one, the bump's centre
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model=BUMP_MODEL))
+        assert main(["check", "--config", cfg_path, "--strict"]) == EXIT_HYPOTHESIS
+        checked = json.loads(capsys.readouterr().out)
+        assert main(["solve", "--config", cfg_path, "--strict",
+                     "--out", str(tmp_path / "strict")]) == EXIT_HYPOTHESIS
+        out = tmp_path / "plain"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["solver"]["failure"] == (
+            "ellipticity breakdown: model fails strict convexity on the pilot box")
+        witness = checked["violation_witnesses"]["convexity"]
+        assert doc["solver"]["witness"] == {"pilot_box": [list(b) for b in PILOT_BOX],
+                                            "witness": witness}
+        assert doc["hypotheses"] == checked
+        assert witness[2] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("terms", [
+        MAX_EXPRESSION_DEPTH - 4,   # depth 200, compiled and solved
+        MAX_EXPRESSION_DEPTH - 3,   # depth 201, refused
+        987,                        # deep enough to overflow the evaluator
+        1000,                       # deep enough to overflow the compiler
+        3000])                      # deep enough to overflow the parser
+    def test_long_expression_exits_zero_or_four(self, tmp_path, capsys, terms):
+        model = {"expression": "0.5*p*p + q" + " + 0*p" * terms, "smooth_at_origin": True}
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model=model))
+        out = str(tmp_path / "out")
+        expected = EXIT_OK if terms + 4 <= MAX_EXPRESSION_DEPTH else EXIT_CONFIG
+        assert main(["check", "--config", cfg_path]) == expected
+        assert main(["solve", "--config", cfg_path, "--out", out]) == expected
+        err = capsys.readouterr().err
+        if expected == EXIT_OK:
+            assert err == ""
+            # the same run with a config that nests one level deeper
+            assert main(["verify", "--in", out]) == EXIT_OK
+            model["expression"] += " + 0*p"
+            write_config(tmp_path, dict(TORSION_CONFIG, model=model), "out/config.yaml")
+            assert main(["verify", "--in", out]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+        assert err.count("\n") == err.count("configuration error: bad model: ") == (
+            1 if expected == EXIT_OK else 2)
+        assert "nests" in err and "Traceback" not in err
+
     def test_report_strict_escalates_hypothesis_violation(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, TORSION_CONFIG)
         out = str(tmp_path / "out")
@@ -1240,6 +1298,8 @@ class TestCli:
         ({"model": {"expression": "0.5*p**2 + log(q)"}}, "model evaluation failed"),
         ({"model": {"expression": "p + 0.5*p**2 + q"}}, "not smooth at the origin"),
         ({"model": {"expression": "0.5*p**2 + q + 1/0"}}, "model evaluation failed"),
+        # the parser runs out of its own stack (MemoryError in CPython 3.11)
+        ({"model": {"expression": "-" * 10000 + "p"}}, "it nests too deeply"),
     ])
     def test_bad_numbers_exit_four_without_traceback(self, tmp_path, capsys,
                                                      change, message):
@@ -1270,6 +1330,10 @@ _MODELS = st.sampled_from([
     {"name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]},
     # convexity fails on the solution's range: exit 2 when strict
     {"expression": "0.5*p**2 - 0.02*q**4*p**4 + 4.4*q", "smooth_at_origin": True},
+    # convexity fails on the pilot box: exit 2 when strict, else 1
+    BUMP_MODEL,
+    # nests deeper than the compiler takes: exit 4
+    {"expression": "0.5*p*p + q" + " + 0*p" * 1000, "smooth_at_origin": True},
 ])
 _SHAPES = st.one_of(
     st.tuples(st.just("disc"), st.floats(0.4, 1.2)),
@@ -1310,10 +1374,19 @@ def _cli(*argv):
     return code, err.getvalue()
 
 
+def _assert_exit_and_stderr(code, err):
+    assert code in (EXIT_OK, EXIT_SOLVER, EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_CONFIG)
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert err.count("\n") == 1
+
+
 class TestConfigFuzz:
     """Every configuration ends in an exit code from 0 to 4 with no
-    traceback, any report it writes is schema-valid, and ``report`` and
-    ``verify`` on its run directory return the exit code of ``solve``."""
+    traceback, any report it writes is schema-valid, ``report`` and
+    ``verify`` on its run directory return the exit code of ``solve``, and
+    ``check`` exits 0, 2 or 4, with 2 under ``--strict`` only where
+    ``solve --strict`` exits 2 too."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1326,10 +1399,15 @@ class TestConfigFuzz:
             out = os.path.join(tmp, "out")
             flag = ["--strict"] * strict
             code, err = _cli("solve", "--config", path, "--out", out, *flag)
-            assert code in (EXIT_OK, EXIT_SOLVER, EXIT_HYPOTHESIS, EXIT_INVARIANT, EXIT_CONFIG)
-            assert "Traceback" not in err
-            if code == EXIT_CONFIG:
-                assert err.count("\n") == 1
+            _assert_exit_and_stderr(code, err)
+            for check_flag in ([], ["--strict"]):
+                check_code, check_err = _cli("check", "--config", path, *check_flag)
+                _assert_exit_and_stderr(check_code, check_err)
+                assert check_code in (EXIT_OK, EXIT_HYPOTHESIS, EXIT_CONFIG)
+                if check_code == EXIT_HYPOTHESIS:
+                    # the solve's pilot draws the sample that check draws
+                    assert check_flag
+                    assert code == (EXIT_HYPOTHESIS if strict else EXIT_SOLVER)
             report_path = os.path.join(out, "report.json")
             if os.path.exists(report_path):
                 with open(report_path) as fh:
