@@ -604,8 +604,7 @@ def interpolate_node_field(domain, values, pts):
     Cells with a non-interior corner fall back to the value at their
     heaviest interior corner, so querying close to the boundary stays
     defined (at reduced order there).  A cell with no interior corner takes
-    the value at the nearest interior node, from a KD tree: that rare branch
-    alone imports ``scipy.spatial``.
+    the value at the nearest interior node (``_nearest_nodes``).
     """
     values = np.asarray(values)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -628,8 +627,40 @@ def interpolate_node_field(domain, values, pts):
     out[partial] = values[best[partial]]
     lost = best < 0
     if lost.any():
-        # rare, so scipy.spatial is imported here rather than with the module
-        from scipy.spatial import cKDTree
-        _, nearest = cKDTree(domain.xy).query(pts[lost])
-        out[lost] = values[nearest]
+        out[lost] = values[_nearest_nodes(domain, pts[lost])]
     return out
+
+
+def _nearest_nodes(domain, pts):
+    """The id of the interior node nearest to each of ``pts``, the lowest id
+    among equally near ones, from lattice windows around each point.
+
+    The window of radius r holds every lattice node within r + 1 spacings of
+    the point along both axes, so a node it leaves out is more than
+    ``(r + 1) h`` away, and its nearest interior node within ``(r + 0.5) h``
+    is the nearest of all.  From r = 1, or the point's distance to the
+    lattice in spacings, r doubles until the window holds an interior node;
+    when the nearest of those lies farther, one more window of that
+    distance decides.
+    Each point is searched on its own: the fallback serves the few cells
+    with no interior corner.
+    """
+    h, index, xy = domain.h, domain.interior_index, domain.xy
+    nearest = np.empty(len(pts), dtype=np.int64)
+    for k, (x, y) in enumerate(pts):
+        fx, fy = (x - domain.gx0) / h, (y - domain.gy0) / h
+        r = max(1.0, -fx, fx - (domain.nx - 1), -fy, fy - (domain.ny - 1))
+        while True:
+            ids = index[max(math.floor(fx - r) - 1, 0):math.ceil(fx + r) + 2,
+                        max(math.floor(fy - r) - 1, 0):math.ceil(fy + r) + 2]
+            ids = ids[ids >= 0]
+            if len(ids) == 0:
+                r *= 2.0
+                continue
+            d2 = (xy[ids, 0] - x) ** 2 + (xy[ids, 1] - y) ** 2
+            least = d2.min()
+            if least <= ((r + 0.5) * h) ** 2:
+                nearest[k] = ids[d2 == least].min()
+                break
+            r = math.sqrt(least) / h
+    return nearest

@@ -23,8 +23,10 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import numbers
 import os
 import re
+import resource
 import signal
 import time
 from contextlib import contextmanager, suppress
@@ -33,8 +35,6 @@ from functools import cache
 
 import numpy as np
 import yaml
-from jsonschema import ValidationError, validators
-from jsonschema.exceptions import best_match
 
 from .checks import check
 from .csvtext import format_rows
@@ -323,17 +323,71 @@ REPORT_SCHEMA = {
 }
 
 
+#: the draft-07 types, as ``jsonschema``'s draft-07 checker reads them: a
+#: bool is neither an integer nor a number, and an integral float is an integer
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _conforms(value, schema):
+    """Whether ``value`` is valid under the draft-07 ``schema``, read for the
+    keywords ``REPORT_SCHEMA`` uses: ``type``, ``minimum``, ``maximum``,
+    ``required``, ``properties``, ``additionalProperties: false`` and
+    ``items`` (one schema for every item).  Each applies, as in
+    ``jsonschema``, only to values of its own type."""
+    types = schema.get("type", ())
+    if types and not any(_JSON_TYPES[t](value)
+                         for t in ([types] if isinstance(types, str) else types)):
+        return False
+    if _JSON_TYPES["number"](value) and ("minimum" in schema and value < schema["minimum"]
+                                         or "maximum" in schema and value > schema["maximum"]):
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if any(key not in value for key in schema.get("required", ())):
+            return False
+        if schema.get("additionalProperties", True) is False and any(
+                key not in properties for key in value):
+            return False
+        if not all(_conforms(value[key], sub) for key, sub in properties.items()
+                   if key in value):
+            return False
+    if isinstance(value, list) and "items" in schema:
+        return all(_conforms(item, schema["items"]) for item in value)
+    return True
+
+
 @cache
 def _report_validator():
     """The validator of ``REPORT_SCHEMA``, built once: ``jsonschema.validate``
     would check the schema itself again on every call."""
+    from jsonschema import validators
     return validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
 
 
+def _report_error(report_dict):
+    """None for a report that conforms to ``REPORT_SCHEMA``, else the error
+    ``jsonschema.validate`` would raise: the ``best_match`` of its errors.
+    A conforming report, as every run writes, is accepted by ``_conforms``
+    alone, so ``jsonschema`` is imported only for a malformed one."""
+    if _conforms(report_dict, REPORT_SCHEMA):
+        return None
+    from jsonschema.exceptions import best_match
+    return best_match(_report_validator().iter_errors(report_dict))
+
+
 def validate_report(report_dict):
-    """Raise the ``ValidationError`` that ``jsonschema.validate`` would:
-    its ``best_match`` of the errors of ``report_dict``."""
-    error = best_match(_report_validator().iter_errors(report_dict))
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    would: its ``best_match`` of the errors of ``report_dict``."""
+    error = _report_error(report_dict)
     if error is not None:
         raise error
 
@@ -345,11 +399,11 @@ def read_report(run_dir):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        validate_report(doc)
+        error = _report_error(doc)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except ValidationError as exc:
-        raise ConfigError(f"malformed {path}: {exc.message}") from None
+    if error is not None:
+        raise ConfigError(f"malformed {path}: {error.message}")
     return doc
 
 
@@ -369,12 +423,17 @@ def _build_domain(config):
 @contextmanager
 def _stage(report, name):
     """Record the wall time of the enclosed block as ``report.timings[name]``,
-    also when the block returns early or raises."""
+    and this process's peak resident set size so far, in MB, as
+    ``report.timings["max_rss_mb"][name]``, also when the block returns
+    early or raises."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
         report.timings[name] = time.perf_counter() - t0
+        # ru_maxrss is in KiB on Linux
+        report.timings.setdefault("max_rss_mb", {})[name] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 
 
 def run_pipeline(config, strict=False):

@@ -12,7 +12,9 @@ no result depends on the BLAS thread count.  GMRES, which also solves the
 warm start, is right-preconditioned by one V-cycle of a smoothed-aggregation
 multigrid hierarchy on the constant-coefficient operator, and a Newton step
 stops at an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug, SIAM
-J. Numer. Anal. 19, 1982) that tightens as the residual falls.
+J. Numer. Anal. 19, 1982) that tightens as the residual falls.  The
+hierarchy's coarsest level, of at most ``MG_COARSEST`` nodes, is inverted
+densely by ``splu`` in numpy alone, so no solve loads ``scipy.linalg``.
 Gradients come from the domain's ``grad_ops``; the boundary normal
 derivative extrapolates them from three interpolated depths.
 ``solve_radial`` is an independent Chebyshev collocation oracle for radially
@@ -27,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, interpolate_node_field
@@ -234,11 +235,66 @@ GMRES_STALL_FACTOR = 0.7
 #: GMRES stops the warm start at this fraction of |b|, where the solution
 #: agrees with a direct solve to rounding
 WARM_START_RTOL = 1e-12
-#: a multigrid level of at most this many nodes is the coarsest, solved by splu
+#: a multigrid level of at most this many nodes is the coarsest, inverted
+#: densely by ``splu``: its dense inverse costs O(MG_COARSEST^3) once per
+#: solve and O(MG_COARSEST^2) per V-cycle
 MG_COARSEST = 300
 #: damping of the Jacobi step that smooths the tentative prolongator, and of
 #: the V-cycle's Jacobi smoother, on the 5-point operator
 MG_PROLONG_OMEGA, MG_SMOOTH_OMEGA = 2.0 / 3.0, 0.8
+
+
+class _DenseInverse:
+    """The inverse of a small matrix, applied as ``splu(A).solve`` would be."""
+
+    def __init__(self, inv):
+        self.inv = inv
+
+    def solve(self, b):
+        """``A^-1 b``, summed in numpy's pairwise order: a BLAS product would
+        split its sums by the thread count."""
+        return np.add.reduce(self.inv * b, axis=1)
+
+
+def splu(A):
+    """The inverse of the square sparse matrix ``A``, as an object whose
+    ``solve(b)`` returns ``A^-1 b``: in-place Gauss-Jordan elimination with
+    partial pivoting on the dense copy of ``A``, one whole-array rank-one
+    update per pivot, and no BLAS or LAPACK call, so its bits do not depend
+    on the thread count.  It serves ``_multigrid``'s coarsest level; the
+    name is that of the scipy factorization it replaced, which the bench's
+    ``solver.lu`` span and the tests that count coarse factorizations still
+    patch.  A zero or non-finite pivot, or a non-finite inverse, is refused
+    with ``EllipticityError``: its matrix is no usable elliptic operator."""
+    M = A.toarray()
+    n = len(M)
+    perm = np.arange(n)
+    pivots = np.empty(n)
+    update = np.empty_like(M)
+    with np.errstate(all="ignore"):  # a bad pivot is refused below, not warned
+        for k in range(n):
+            p = k + int(np.argmax(np.abs(M[k:, k])))
+            if p != k:
+                M[[k, p]] = M[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+            pivots[k] = M[k, k]
+            M[k, k] = 1.0
+            row = M[k] / pivots[k]
+            col = M[:, k].copy()
+            col[k] = 0.0
+            M[:, k] = 0.0
+            # every other row loses col[i] times the scaled pivot row; column
+            # k, zeroed first, receives -col / pivot, its entry of the inverse
+            M -= np.multiply(col[:, None], row, out=update)
+            M[k] = row
+    if not (np.all(np.isfinite(pivots) & (pivots != 0.0)) and np.all(np.isfinite(M))):
+        raise EllipticityError("the coarsest multigrid operator has a zero or "
+                               "non-finite pivot or inverse")
+    # M is the inverse of A with its rows in the order perm, whose columns
+    # are those of A^-1 in that order
+    inv = np.empty_like(M)
+    inv[:, perm] = M
+    return _DenseInverse(inv)
 
 
 def _multigrid(A, index):
@@ -247,9 +303,12 @@ def _multigrid(A, index):
     (node ids, -1 off the domain): node ``(i, j)`` joins aggregate
     ``(i // 2, j // 2)``, one damped Jacobi step of ``A`` smooths the
     prolongator, coarse operators are ``P^T A P``, each level smooths by one
-    damped Jacobi sweep before and after its coarse correction, and ``splu``
-    solves the first level of at most ``MG_COARSEST`` nodes (on a small grid,
-    ``A`` itself).  The cycle is linear in ``b``, as ``_gmres`` needs."""
+    damped Jacobi sweep before and after its coarse correction, and the
+    dense inverse of ``splu`` solves the first level of at most
+    ``MG_COARSEST`` nodes (on a small grid, ``A`` itself).  The cycle is
+    linear in ``b``, as ``_gmres`` needs.  An ``A`` whose diagonal is too
+    small to invert in floating point leaves non-finite coarse operators,
+    which ``splu`` refuses with ``EllipticityError``."""
     levels = []
     while A.shape[0] > MG_COARSEST:
         ii, jj = np.nonzero(index >= 0)
@@ -258,16 +317,17 @@ def _multigrid(A, index):
         coarse.flat[keys] = np.arange(len(keys))
         T = sparse.csr_matrix((np.ones(len(agg)), (index[ii, jj], agg)),
                               shape=(A.shape[0], len(keys)))
-        dinv = 1.0 / A.diagonal()
         # the weights suit rho(D^-1 A) <= 2, which Gershgorin's bound (the top
         # row sum of |D^-1 A|) gives the 5-point operator; four coarsenings
         # down, the unscaled rho reaches 3.3, so they are scaled by 2/bound
-        dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
+        with np.errstate(all="ignore"):  # splu refuses what does not fit a float
+            dinv = 1.0 / A.diagonal()
+            dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
         P = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr()
         R = P.T.tocsr()
         levels.append((A, dinv, P, R))
         A, index = (R @ (A @ P)).tocsr(), coarse
-    lu = splu(A.tocsc())
+    lu = splu(A)
     # a closure that called itself would be a reference cycle, keeping the
     # hierarchy in memory after the solve until a garbage collection
     return lambda b: _v_cycle(levels, lu, b)
@@ -310,7 +370,11 @@ def solve_euler_lagrange(model, domain, config=None):
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
     A0 = _assemble(domain, _conductances(domain, g0))
-    cycle = _multigrid(A0, domain.interior_index)
+    try:
+        cycle = _multigrid(A0, domain.interior_index)
+    except EllipticityError as exc:  # a g(0, 0) too small for floating point
+        exc.witness = {"p": 0.0, "q": 0.0, "g": g0}
+        raise
     u, stats = _gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0), cycle,
                       rtol=WARM_START_RTOL)
 

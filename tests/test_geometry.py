@@ -19,6 +19,7 @@ from emlab.geometry import (
     MAX_COLLAR_DEPTH,
     ON_BOUNDARY_TOL,
     _clip_cell_areas,
+    _nearest_nodes,
     build_domain,
     boundary_integral,
     interpolate_node_field,
@@ -482,9 +483,9 @@ def _interpolate_loop(domain, values, pts):
                        (i0, j0 + 1, (1 - tx) * ty), (i0 + 1, j0 + 1, tx * ty)]
             best = max(((w, domain.interior_index[i, j]) for i, j, w in corners
                         if domain.interior_index[i, j] >= 0), default=None)
-            if best is None:
-                _, idx = cKDTree(domain.xy).query([x, y])
-                out[k] = values[idx]
+            if best is None:  # the nearest interior node, ties to the lowest id
+                d2 = (domain.xy[:, 0] - x) ** 2 + (domain.xy[:, 1] - y) ** 2
+                out[k] = values[np.flatnonzero(d2 == d2.min())[0]]
             else:
                 out[k] = values[best[1]]
     return out
@@ -852,6 +853,31 @@ class TestBoundedDistance:
                 assert np.array_equal(dom.core_mask(depth), full >= depth * dom.h - 1e-12)
             with pytest.raises(ValueError):
                 dom.core_mask(MAX_COLLAR_DEPTH + 1.0)
+
+
+class TestNearestNode:
+    def test_matches_kd_tree_ties_to_lowest_id(self, disc64, annulus64):
+        # far away, in the annulus hole, off the grid and on cell midpoints,
+        # where several nodes are equally near
+        rng = np.random.default_rng(11)
+        ties = 0
+        for dom in (disc64, annulus64, build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 16)):
+            X, Y = np.meshgrid(dom.gx0 + 0.5 * dom.h * np.arange(0, 2 * dom.nx, 5),
+                               dom.gy0 + 0.5 * dom.h * np.arange(0, 2 * dom.ny, 5))
+            pts = np.vstack([rng.uniform(-1.5, 1.5, size=(300, 2)),
+                             rng.uniform(-0.25, 0.25, size=(50, 2)),
+                             np.column_stack([X.ravel(), Y.ravel()]),
+                             [[0.0, 0.0], [5.0, -5.0], [-40.0, 30.0], [0.0, 1e3]]])
+            nearest = _nearest_nodes(dom, pts)
+            d2 = ((dom.xy[nearest] - pts) ** 2).sum(axis=1)
+            least, _ = cKDTree(dom.xy).query(pts)
+            assert np.allclose(np.sqrt(d2), least, rtol=1e-15, atol=0.0)
+            for k, (x, y) in enumerate(pts):
+                full = (dom.xy[:, 0] - x) ** 2 + (dom.xy[:, 1] - y) ** 2
+                tied = np.flatnonzero(full == full.min())
+                assert nearest[k] == tied[0]
+                ties += len(tied) > 1
+        assert ties >= 10
 
 
 class TestEllipsePerimeter:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import reduce
 
 import jsonschema
 import numpy as np
@@ -20,6 +22,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import ValidationError
+from jsonschema.exceptions import best_match
 
 import emlab
 from emlab import pipeline
@@ -174,6 +177,76 @@ def run_dir(tmp_path_factory, torsion_report):
     return str(out), torsion_report
 
 
+#: the oracle of the plain schema check
+DRAFT7 = jsonschema.Draft7Validator(REPORT_SCHEMA)
+
+#: values an edited report takes: each JSON type, integral and fractional
+#: floats, bools where integers go, out-of-range exit codes and non-finite floats
+_ODD_VALUES = [True, False, 0, 2, -1, 4, 5, 2.0, 2.5, -1.0, math.nan, math.inf, -math.inf,
+               None, "", "x", [], [1.5], ["a"], [True], {}, {"a": 1}]
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+                     | st.text(max_size=3),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                     max_leaves=6)
+
+
+def _locations(node, path=(), depth=3):
+    """The paths of ``node`` and of its members down to ``depth`` levels."""
+    yield path
+    if depth:
+        members = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, value in members:
+            yield from _locations(value, path + (key,), depth - 1)
+
+
+def _described(node, schema=REPORT_SCHEMA, path=()):
+    """The paths of ``node`` and of its members that ``schema`` describes,
+    with only the first and last item of each array."""
+    yield path
+    if isinstance(node, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in node:
+                yield from _described(node[key], sub, path + (key,))
+    elif isinstance(node, list) and "items" in schema:
+        for i in sorted({0, len(node) - 1} if node else ()):
+            yield from _described(node[i], schema["items"], path + (i,))
+
+
+def _edited(doc, path, edit, value=None):
+    """``doc`` after one edit of its member at ``path``: ``set`` it to
+    ``value``, ``drop`` it (not the document itself), or ``add`` the key
+    ``value``, with the value 1, to it where it is an object."""
+    holder = [doc]
+    parent, key = holder, 0
+    for step in path:
+        parent, key = parent[key], step
+    if edit == "set":
+        parent[key] = value
+    elif edit == "drop" and path:
+        del parent[key]
+    elif edit == "add" and isinstance(parent[key], dict):
+        parent[key][value] = 1
+    return holder[0]
+
+
+def _single_edits(base):
+    """Every document one edit away from the JSON text ``base`` at a member
+    the schema describes: each of ``_ODD_VALUES`` in its place, a number as
+    its float or shifted by -1 or 5, the member dropped, and an object with
+    a key added."""
+    for path in _described(json.loads(base)):
+        node = reduce(lambda n, key: n[key], path, json.loads(base))
+        values = list(_ODD_VALUES)
+        if type(node) in (int, float):
+            values += [float(node), node - 1, node + 5]
+        for value in values:
+            yield _edited(json.loads(base), path, "set", value)
+        yield _edited(json.loads(base), path, "drop")
+        yield _edited(json.loads(base), path, "add", "extra")
+
+
 class TestPipeline:
     def test_full_run_exit_zero(self, torsion_report):
         assert torsion_report.exit_code == EXIT_OK
@@ -207,6 +280,52 @@ class TestPipeline:
         with pytest.raises(ValidationError) as ref:
             jsonschema.validate(doc, REPORT_SCHEMA)
         assert ours.value.message == ref.value.message
+
+    def test_plain_check_agrees_with_jsonschema_on_every_single_edit(self, torsion_report):
+        verdicts = []
+        for doc in _single_edits(json.dumps(torsion_report.as_dict())):
+            verdicts.append(DRAFT7.is_valid(doc))
+            assert pipeline._conforms(doc, REPORT_SCHEMA) == verdicts[-1], doc
+        assert 200 < verdicts.count(False) < len(verdicts) - 100
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_plain_check_agrees_with_jsonschema_on_mutated_reports(self, torsion_report,
+                                                                   data):
+        # two to four drawn edits anywhere in the report, with generated values
+        doc = json.loads(json.dumps(torsion_report.as_dict()))
+        for _ in range(data.draw(st.integers(2, 4))):
+            path = data.draw(st.sampled_from(list(_locations(doc))))
+            edit = data.draw(st.sampled_from(["set", "drop", "add"]))
+            value = data.draw(st.sampled_from(["extra", "name", "solver"]) if edit == "add"
+                              else st.sampled_from(_ODD_VALUES) | _JSON)
+            doc = _edited(doc, path, edit, value)
+        valid = DRAFT7.is_valid(doc)
+        assert pipeline._conforms(doc, REPORT_SCHEMA) == valid
+        if valid:
+            validate_report(doc)
+        else:
+            # the message of jsonschema.validate, without its schema check
+            with pytest.raises(ValidationError, match=re.escape(
+                    best_match(DRAFT7.iter_errors(doc)).message)):
+                validate_report(doc)
+
+    def test_plain_check_reads_every_schema_keyword(self):
+        # _conforms reads these keywords alone: a schema that gains another
+        # would be checked more loosely than jsonschema checks it
+        read = {"$schema", "type", "required", "additionalProperties", "properties",
+                "items", "minimum", "maximum"}
+        pending = [REPORT_SCHEMA]
+        while pending:
+            schema = pending.pop()
+            assert set(schema) <= read
+            assert schema.get("additionalProperties", False) is False
+            pending += schema.get("properties", {}).values()
+            if "items" in schema:
+                assert isinstance(schema["items"], dict)
+                pending.append(schema["items"])
 
     def test_max_principle_conditions_read_the_hypothesis_sample(self, torsion_report):
         doc = json.loads(json.dumps(torsion_report.as_dict()))
@@ -380,6 +499,16 @@ class TestExportAndReload:
             assert os.path.exists(os.path.join(out, name))
         with open(os.path.join(out, "timings.json")) as fh:
             assert "export" in json.load(fh)
+
+    def test_stages_record_peak_memory(self, run_dir):
+        out, report = run_dir
+        peaks = report.timings["max_rss_mb"]
+        stages = set(report.timings) - {"max_rss_mb", "export_values", "export_child"}
+        assert set(peaks) == stages >= {"hypotheses_pilot", "domain", "solve", "export"}
+        recorded = list(peaks.values())  # in the order the stages ended
+        assert 0.0 < recorded[0] and recorded == sorted(recorded)
+        with open(os.path.join(out, "timings.json")) as fh:
+            assert json.load(fh)["max_rss_mb"] == peaks
 
     def test_tensor_csv_columns(self, run_dir):
         out, report = run_dir
@@ -787,10 +916,11 @@ class TestCli:
         assert "PASS" in text
 
     def test_runs_load_no_scipy_spatial_special_integrate_or_optimize(self, tmp_path):
-        """Each of these subpackages costs import time that no run needs:
-        a solve and a verify, on a disc and on a non-radial ellipse, load
-        none of them, in a fresh process.  The tables of the CSV kernel are
-        built at the first export, not on import."""
+        """Each of these packages costs import time that no run needs: a
+        solve, check, report and verify, on a disc and on a non-radial
+        ellipse, load none of them, in a fresh process; ``jsonschema`` words
+        the error of a malformed report alone.  The tables of the CSV kernel
+        are built at the first export, not on import."""
         ellipse = {"model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
                    "shape": {"kind": "ellipse", "parameters": [1.0, 0.6]},
                    "spacing": 1.0 / 32}
@@ -798,9 +928,12 @@ class TestCli:
         for name, data in (("disc", dict(TORSION_CONFIG, spacing=1.0 / 32)),
                            ("ellipse", ellipse)):
             out = str(tmp_path / name)
-            runs += [["solve", "--config", write_config(tmp_path, data, f"{name}.yaml"),
-                      "--out", out], ["verify", "--in", out]]
-        unwanted = ["scipy.spatial", "scipy.special", "scipy.integrate", "scipy.optimize"]
+            cfg_path = write_config(tmp_path, data, f"{name}.yaml")
+            runs += [["solve", "--config", cfg_path, "--out", out],
+                     ["check", "--config", cfg_path], ["report", "--in", out],
+                     ["verify", "--in", out]]
+        unwanted = ["scipy.spatial", "scipy.special", "scipy.integrate", "scipy.optimize",
+                    "scipy.linalg", "scipy.sparse.linalg", "jsonschema"]
         proc = _python(["-c", (
             "import json, sys\n"
             "from emlab.cli import main\n"
@@ -816,7 +949,7 @@ class TestCli:
             json.dumps([runs, unwanted])])
         assert proc.returncode == 0, proc.stderr
         codes, loaded, on_import, after_runs = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [EXIT_OK] * 4
+        assert codes == [EXIT_OK] * 8
         assert loaded == []
         assert on_import == [0, 0, 0]
         assert after_runs == [1, 1, 1]
@@ -936,6 +1069,20 @@ class TestCli:
             json.dump(doc, fh)
         assert main(["report", "--in", out]) == EXIT_OK
         assert main(["report", "--in", out, "--strict"]) == EXIT_HYPOTHESIS
+
+    def test_tiny_g0_ends_in_a_written_refusal(self, tmp_path, capsys):
+        # g(0, 0) = 2e-320 passes the positivity check, but its operator's
+        # diagonal has no finite reciprocal: the coarsest level is refused
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "expression": "1e-320*p*p + q", "smooth_at_origin": True}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "report.json").read_text())
+        validate_report(doc)
+        assert doc["status"]["exit_code"] == EXIT_SOLVER
+        assert "coarsest multigrid operator" in doc["solver"]["failure"]
+        assert doc["solver"]["witness"] == {"p": 0.0, "q": 0.0, "g": 2e-320}
 
     def test_ellipticity_refusal_writes_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={

@@ -304,6 +304,66 @@ class TestWarmStartMultigrid:
         assert np.max(np.abs(res.u - (r2 - 1.0) / 4.0)) <= 1e-12
 
 
+def _coarsest(kind, params, monkeypatch, h=1 / 64):
+    """The coarsest multigrid level of the unit-coefficient operator."""
+    dom = build_domain(make_shape(kind, params), h)
+    seen = []
+    real = solver.splu
+    with monkeypatch.context() as m:
+        m.setattr(solver, "splu", lambda A: seen.append(A) or real(A))
+        solver._multigrid(_assemble(dom, _conductances(dom, 1.0)), dom.interior_index)
+    return seen[0]
+
+
+class TestCoarseInverse:
+    """``splu``, the dense inverse of the coarsest multigrid level."""
+
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+                                             ("ellipse", [1.0, 0.6]),
+                                             ("rectangle", [1.0, 0.7])])
+    def test_matches_spsolve(self, kind, params, monkeypatch):
+        A = _coarsest(kind, params, monkeypatch)
+        assert 100 < A.shape[0] <= solver.MG_COARSEST
+        rng = np.random.default_rng(3)
+        for b in (np.ones(A.shape[0]), rng.standard_normal(A.shape[0])):
+            ref = spsolve(A.tocsc(), b)
+            x = solver.splu(A).solve(b)
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_row_swaps(self):
+        # a diagonally dominant matrix with its rows cyclically shifted and
+        # its new diagonal zeroed: each pivot comes from another row
+        rng = np.random.default_rng(4)
+        n = 40
+        D = np.roll(rng.uniform(-1.0, 1.0, (n, n)) + np.diag(np.full(n, 2.0 * n)), 1, axis=0)
+        np.fill_diagonal(D, 0.0)
+        A = sparse.csr_matrix(D)
+        b = rng.standard_normal(n)
+        ref = spsolve(A.tocsc(), b)
+        assert np.max(np.abs(solver.splu(A).solve(b) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 2.0], [2.0, 4.0]],          # a zero pivot
+        [[1.0, 0.0], [0.0, 0.0]],          # a zero column
+        [[math.nan, 1.0], [1.0, 1.0]],     # a non-finite pivot
+        [[math.inf, 1.0], [1.0, 1.0]],     # an inverse of zeros and nan
+        [[1.0, math.inf], [0.0, 1.0]],     # a non-finite inverse
+        [[1e-320, 0.0], [0.0, 1.0]]])      # a pivot whose inverse overflows
+    def test_refuses_what_it_cannot_invert(self, entries):
+        with pytest.raises(EllipticityError):
+            solver.splu(sparse.csr_matrix(np.array(entries)))
+
+    def test_tiny_g0_is_refused_with_its_witness(self):
+        # g(0, 0) = 2e-320: the diagonal's reciprocals overflow on the way down
+        # and on a small grid the inverse itself does
+        model = make_expression_model("1e-320*p*p + q", smooth_at_origin=True)
+        for h in (1 / 16, 1 / 8):
+            dom = build_domain(make_shape("disc", [1.0]), h)
+            with pytest.raises(EllipticityError) as err:
+                solve_euler_lagrange(model, dom)
+            assert err.value.witness == {"p": 0.0, "q": 0.0, "g": 2e-320}
+
+
 class TestRadialOracle:
     def test_torsion_center_value(self, torsion_radial):
         assert torsion_radial.u_at(0.0) == pytest.approx(-0.25, abs=1e-6)
