@@ -1,14 +1,15 @@
 """Command-line interface: solve, analyze, verify, check, report.
 
 Exit codes: 0 success, 1 solver nonconvergence, 2 hypothesis violation in
-strict mode, 3 invariant violation, 4 configuration error.  The only
-environment variable honored is EMLAB_THREADS (BLAS/OpenMP thread count,
-which the package applies on import, and a cap on the CPUs the CSV export
-uses).
+strict mode, 3 invariant violation, 4 configuration error.  No environment
+variable is read: the BLAS reads its own thread count, and the CSV export
+counts the CPUs of the process's affinity.  A stdout closed by its reader
+drops the rest of the output, not the exit code.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, EvaluationError
@@ -18,14 +19,23 @@ from .pipeline import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_OK, RunReport, analyze
                        run_pipeline)
 
 
+def _print(text):
+    """``print(text)``, flushed; a stdout that its reader has closed is
+    pointed at ``os.devnull``, so the command runs on to its exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_solve(args):
     config = load_config(args.config)
     report = run_pipeline(config, strict=args.strict)
     export_fields(report, args.out)
-    print(f"exit {report.exit_code}; report written to {args.out}")
+    _print(f"exit {report.exit_code}; report written to {args.out}")
     for check in report.checks:
         mark = "PASS" if check["passed"] else "FAIL"
-        print(f"  [{mark}] {check['name']}: value={check['value']} tol={check['tolerance']}")
+        _print(f"  [{mark}] {check['name']}: value={check['value']} tol={check['tolerance']}")
     return report.exit_code
 
 
@@ -55,29 +65,27 @@ def _cmd_analyze(args):
     report = _reanalyze(args.indir)
     if report.result is not None:  # a refused run keeps its files as they are
         export_fields(report, args.indir)
-    print(f"re-analysis complete; exit {report.exit_code}")
+    _print(f"re-analysis complete; exit {report.exit_code}")
     return report.exit_code
 
 
 def _cmd_verify(args):
     report = _reanalyze(args.indir)
     if report.result is None:
-        print(f"not re-checked: {(report.solver or {}).get('failure') or 'no solution'}")
-    failures = 0
+        _print(f"not re-checked: {(report.solver or {}).get('failure') or 'no solution'}")
     for check in report.checks:
         mark = "PASS" if check["passed"] else "FAIL"
-        if not check["passed"]:
-            failures += 1
-        print(f"[{mark}] {check['name']}: value={check['value']} "
-              f"tolerance={check['tolerance']} gate={check['gate']}")
-    print(f"{len(report.checks) - failures}/{len(report.checks)} checks passed")
+        _print(f"[{mark}] {check['name']}: value={check['value']} "
+               f"tolerance={check['tolerance']} gate={check['gate']}")
+    passed = sum(check["passed"] for check in report.checks)
+    _print(f"{passed}/{len(report.checks)} checks passed")
     return report.exit_code
 
 
 def _cmd_check(args):
     config = load_config(args.config)
     rep = check_hypotheses(config.model)
-    print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
+    _print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     if args.strict and not rep.convexity_ok:
         return EXIT_HYPOTHESIS
     return EXIT_OK
@@ -85,7 +93,7 @@ def _cmd_check(args):
 
 def _cmd_report(args):
     doc = read_report(args.indir)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    _print(json.dumps(doc, indent=2, sort_keys=True))
     status = doc.get("status", {})
     hyp = doc.get("hypotheses") or {}
     if args.strict and hyp and not hyp.get("convexity_ok", True):

@@ -31,7 +31,6 @@ import signal
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 import yaml
@@ -365,14 +364,6 @@ def _conforms(value, schema):
     return True
 
 
-@cache
-def _report_validator():
-    """The validator of ``REPORT_SCHEMA``, built once: ``jsonschema.validate``
-    would check the schema itself again on every call."""
-    from jsonschema import validators
-    return validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
-
-
 def _report_error(report_dict):
     """None for a report that conforms to ``REPORT_SCHEMA``, else the error
     ``jsonschema.validate`` would raise: the ``best_match`` of its errors.
@@ -380,8 +371,10 @@ def _report_error(report_dict):
     alone, so ``jsonschema`` is imported only for a malformed one."""
     if _conforms(report_dict, REPORT_SCHEMA):
         return None
+    from jsonschema import validators
     from jsonschema.exceptions import best_match
-    return best_match(_report_validator().iter_errors(report_dict))
+    validator = validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
+    return best_match(validator.iter_errors(report_dict))
 
 
 def validate_report(report_dict):
@@ -632,17 +625,12 @@ def _csv_blocks(data, start, stop, tally):
 
 
 def _usable_cpus():
-    """The CPUs this process may run on, capped by ``EMLAB_THREADS`` where
-    that holds a positive integer; 1 where the platform has no affinity."""
+    """The CPUs of this process's affinity (``taskset`` narrows it); 1 where
+    the platform has no affinity, so there the export never forks."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
         return 1
-    with suppress(ValueError):
-        cap = int(os.environ.get("EMLAB_THREADS", ""))
-        if cap > 0:
-            cpus = min(cpus, cap)
-    return cpus
 
 
 def _write_csvs(tables):

@@ -31,7 +31,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy import sparse
 
 from .errors import EllipticityError, EmlabError
-from .geometry import _E, _N, _S, _W, interpolate_node_field
+from .geometry import _E, _N, _S, _W, _stencil_matrix, interpolate_node_field
 from .lagrangian import diffusion_coefficient, divergence_coefficients, eval_jet
 
 
@@ -112,11 +112,9 @@ def _conductances(domain, g):
 
 def _assemble(domain, c):
     """Sparse operator A of the flux stencil with face conductances c."""
-    n = domain.n_interior
-    cols = np.column_stack([domain.nbr, np.arange(n)])
-    vals = np.column_stack([c.T, -c.sum(axis=0)])
-    rows, k = np.nonzero(cols >= 0)
-    return sparse.csr_matrix((vals[rows, k], (rows, cols[rows, k])), shape=(n, n))
+    n, nbr = domain.n_interior, domain.nbr
+    return _stencil_matrix(n, [(nbr[:, d] >= 0, nbr[:, d], c[d]) for d in range(4)]
+                           + [(slice(None), np.arange(n), -c.sum(axis=0))])
 
 
 def el_residual(model, domain, u):
@@ -361,8 +359,10 @@ def solve_euler_lagrange(model, domain, config=None):
     the warm start included, logs its residual, accepted omega
     (``damping``, 0 when none was) and its GMRES iterations, restart
     cycles and whether a stalled cycle ended them.  A model is refused
-    here only where g(0, 0) or a face coefficient is not positive;
-    ``run_pipeline`` checks its convexity on ``PILOT_BOX`` before.
+    here only where g(0, 0) or a face coefficient is not positive, or g(0, 0)
+    too small for floating point (the coarsest multigrid level or the warm
+    start's |grad u|^2 overflows); ``run_pipeline`` checks its convexity on
+    ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
@@ -372,11 +372,15 @@ def solve_euler_lagrange(model, domain, config=None):
     A0 = _assemble(domain, _conductances(domain, g0))
     try:
         cycle = _multigrid(A0, domain.interior_index)
+        # u scales as h(0, 0)/g(0, 0): a tiny g(0, 0) overflows u or |grad u|^2
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, stats = _gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0), cycle,
+                              rtol=WARM_START_RTOL)
+            if not np.all(np.isfinite(sum((G @ u) ** 2 for G in domain.grad_ops))):
+                raise EllipticityError("the warm start's |grad u|^2 overflows")
     except EllipticityError as exc:  # a g(0, 0) too small for floating point
         exc.witness = {"p": 0.0, "q": 0.0, "g": g0}
         raise
-    u, stats = _gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0), cycle,
-                      rtol=WARM_START_RTOL)
 
     R = el_residual(model, domain, u)
     res = float(np.max(np.abs(R)))

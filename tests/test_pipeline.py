@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from functools import reduce
 
 import jsonschema
@@ -59,12 +61,20 @@ def write_config(tmp_path, data, name="config.yaml"):
 
 
 def test_public_api_surface():
-    import emlab
-    for name in ("solve_euler_lagrange", "solve_radial", "build_domain",
-                 "make_shape", "make_model", "eval_jet", "assemble_field",
-                 "classify_definiteness", "locate_max", "run_identity_suite",
-                 "run_pipeline", "export_fields", "load_run"):
-        assert callable(getattr(emlab, name)), name
+    # the package exports only its version; each entry point lives in its module
+    for module, names in (
+            ("solver", ("solve_euler_lagrange", "solve_radial")),
+            ("geometry", ("build_domain", "make_shape")),
+            ("lagrangian", ("make_model", "eval_jet")),
+            ("tensor_field", ("assemble_field", "classify_definiteness")),
+            ("pfunction", ("locate_max",)),
+            ("identities", ("run_identity_suite",)),
+            ("pipeline", ("run_pipeline", "export_fields", "load_run"))):
+        mod = importlib.import_module(f"emlab.{module}")
+        for name in names:
+            assert callable(getattr(mod, name)), name
+    assert not [n for n, v in vars(emlab).items()
+                if not n.startswith("_") and not isinstance(v, types.ModuleType)]
 
 
 class TestConfigParsing:
@@ -827,37 +837,9 @@ class TestSerialCsvPath:
                      "--out", str(out)]) == EXIT_OK
         assert "export_child" not in json.loads((out / "timings.json").read_text())
 
-    def test_emlab_threads_one(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EMLAB_THREADS", "1")
-        self._solve(tmp_path)
-
     def test_one_cpu_affinity(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("EMLAB_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         self._solve(tmp_path)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_emlab_threads_not_a_positive_integer(tmp_path, monkeypatch, value):
-    # such a value caps nothing, neither the BLAS nor the CSV writer, and
-    # ends in no traceback; the torsion disc config, below the fork
-    # threshold, is written without a fork
-    monkeypatch.setenv("EMLAB_THREADS", value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert pipeline._usable_cpus() == 3
-    out = tmp_path / "out"
-    script = ("import os, sys\n"
-              "def fork():\n"
-              "    raise AssertionError('os.fork called')\n"
-              "os.fork = fork\n"
-              "from emlab.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    proc = _python(["-c", script, "solve", "--config",
-                    os.path.join(CONFIGS, "torsion_disc.yaml"), "--out", str(out)],
-                   threads=value)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "export_child" not in json.loads((out / "timings.json").read_text())
 
 
 def test_sanitize_gives_strict_json():
@@ -884,16 +866,31 @@ class TestDeterminism:
         assert digests[0] == digests[1]
 
 
-def _python(args, threads=1, **kwargs):
-    """Run ``python *args`` on this checkout's package, with EMLAB_THREADS
-    set to ``threads`` and no other thread variable set."""
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, threads=1, env=None, preexec_fn=None, **kwargs):
+    """Run ``python *args`` on this checkout's package, with the BLAS thread
+    variables set to ``threads`` and the child pinned to the first
+    ``threads`` CPUs of this process's affinity; ``threads=None`` sets
+    neither.  ``env`` adds variables; ``preexec_fn`` runs in the child
+    after the pinning."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(emlab.__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(EMLAB_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120, **kwargs)
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env.update(env or {}, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, child_env.get("PYTHONPATH")])))
+    cpus = None
+    if threads is not None:
+        child_env.update({var: str(threads) for var in BLAS_THREAD_VARS})
+        cpus = sorted(os.sched_getaffinity(0))[:threads]
+
+    def setup():
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        if preexec_fn:
+            preexec_fn()
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=setup, **kwargs)
 
 
 def _cap_address_space():
@@ -920,7 +917,8 @@ class TestCli:
         solve, check, report and verify, on a disc and on a non-radial
         ellipse, load none of them, in a fresh process; ``jsonschema`` words
         the error of a malformed report alone.  The tables of the CSV kernel
-        are built at the first export, not on import."""
+        are built at the first export, not on import.  Importing the CLI
+        leaves the BLAS thread variables unset, ``EMLAB_THREADS`` set or not."""
         ellipse = {"model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
                    "shape": {"kind": "ellipse", "parameters": [1.0, 0.6]},
                    "spacing": 1.0 / 32}
@@ -935,9 +933,10 @@ class TestCli:
         unwanted = ["scipy.spatial", "scipy.special", "scipy.integrate", "scipy.optimize",
                     "scipy.linalg", "scipy.sparse.linalg", "jsonschema"]
         proc = _python(["-c", (
-            "import json, sys\n"
+            "import json, os, sys\n"
             "from emlab.cli import main\n"
             "from emlab import csvtext\n"
+            f"blas_env = [os.environ.get(v) for v in {BLAS_THREAD_VARS}]\n"
             "tables = (csvtext._pow10, csvtext._digit_words, csvtext._layout)\n"
             "def built():\n"
             "    return [t.cache_info().currsize for t in tables]\n"
@@ -945,10 +944,12 @@ class TestCli:
             "args, unwanted = json.loads(sys.argv[1])\n"
             "codes = [main(a) for a in args]\n"
             "print(json.dumps([codes, [m for m in unwanted if m in sys.modules],\n"
-            "                  on_import, built()]))"),
-            json.dumps([runs, unwanted])])
+            "                  on_import, built(), blas_env]))"),
+            json.dumps([runs, unwanted])], threads=None, env={"EMLAB_THREADS": "1"})
         assert proc.returncode == 0, proc.stderr
-        codes, loaded, on_import, after_runs = json.loads(proc.stdout.splitlines()[-1])
+        codes, loaded, on_import, after_runs, blas_env = json.loads(
+            proc.stdout.splitlines()[-1])
+        assert blas_env == [None] * 3
         assert codes == [EXIT_OK] * 8
         assert loaded == []
         assert on_import == [0, 0, 0]
@@ -1084,6 +1085,45 @@ class TestCli:
         assert "coarsest multigrid operator" in doc["solver"]["failure"]
         assert doc["solver"]["witness"] == {"p": 0.0, "q": 0.0, "g": 2e-320}
 
+    @pytest.mark.parametrize("coef", ["1e-300", "1e-310"])
+    def test_tiny_g0_overflowing_warm_start_ends_in_a_written_refusal(self, tmp_path,
+                                                                       capsys, coef):
+        # g(0, 0) = 2 coef has a coarsest level that inverts, but the warm
+        # start scales as h(0, 0)/g(0, 0): at 2e-300 its |grad u|^2
+        # overflows, at 2e-310 the V-cycle's own products do
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "expression": f"{coef}*p*p + q", "smooth_at_origin": True}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "report.json").read_text())
+        validate_report(doc)
+        assert doc["status"]["exit_code"] == EXIT_SOLVER
+        assert "warm start" in doc["solver"]["failure"]
+        assert doc["solver"]["witness"] == {"p": 0.0, "q": 0.0, "g": 2 * float(coef)}
+
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path):
+        """A reader that closes stdout at once (``emlab solve ... | head -0``)
+        leaves the run whole: it exits with its own code, here 2 for a strict
+        refusal and 0 for a verify, with nothing on stderr."""
+        solved = tmp_path / "solved"
+        assert main(["solve", "--config", write_config(tmp_path, TORSION_CONFIG),
+                     "--out", str(solved)]) == EXIT_OK
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+            "name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]}), "strict.yaml")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(emlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for args, code in (
+                (["solve", "--strict", "--config", cfg_path, "--out", str(tmp_path / "o")],
+                 EXIT_HYPOTHESIS),
+                (["verify", "--in", str(solved)], EXIT_OK)):
+            with subprocess.Popen([sys.executable, "-m", "emlab.cli", *args], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                assert (proc.wait(timeout=120), err) == (code, "")
+
     def test_ellipticity_refusal_writes_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
             "name": "power_dirichlet", "parameters": [3.0, 0.0, 1.0]}))
@@ -1207,23 +1247,6 @@ class TestCli:
         assert err.startswith("configuration error: domain build failed: ")
         assert err.count("\n") == 1
 
-    def test_emlab_threads_applies_before_numpy_loads(self):
-        # the BLAS reads its thread count once, when numpy first loads
-        probe = ("import os, sys\n"
-                 "seen = []\n"
-                 "class Probe:\n"
-                 "    def find_spec(self, name, path=None, target=None):\n"
-                 "        if name == 'numpy' and not seen:\n"
-                 "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-                 "sys.meta_path.insert(0, Probe())\n"
-                 "import emlab.cli\n"
-                 "print(seen)\n"
-                 "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])\n")
-        proc = _python(["-c", probe])
-        assert proc.returncode == 0, proc.stderr
-        # the CLI loads neither scipy's ODE integrators nor its root finders
-        assert proc.stdout == "['1']\n[False, False]\n"
-
     def test_report_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # the identity quadratures must not leave their summation order to
         # the BLAS, which splits a dot product across its threads
@@ -1241,9 +1264,9 @@ class TestCli:
         """The seed-1 ellipse of the benchmark: at h = 1/128 the vectors are
         long enough for the BLAS to split a sum across threads, which the
         Newton-GMRES solve must not leave to it.  Its export has about 31k
-        rows, so under EMLAB_THREADS=2 on 2 CPUs a forked child formats half
-        of each large CSV, and under =1 no child runs: this also compares the
-        forked export with the serial one end to end."""
+        rows, so with 2 BLAS threads on 2 CPUs a forked child formats half
+        of each large CSV, and with 1 on 1 no child runs: this also compares
+        the forked export with the serial one end to end."""
         cfg_path = write_config(tmp_path, {
             "model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
             "shape": {"kind": "ellipse", "parameters": [1.0, 0.6],
