@@ -285,7 +285,8 @@ def pfunction_identity_residual(p, jet):
     g = jet.F_p / p_arr
     h = -jet.F_q
     dg_dq = jet.F_pq / p_arr
-    dg_dp2 = (p_arr * jet.F_pp - jet.F_p) / (2.0 * p_arr ** 3)
+    with np.errstate(over="ignore"):  # a p^3 past the float range gives 0
+        dg_dp2 = (p_arr * jet.F_pp - jet.F_p) / (2.0 * p_arr ** 3)
     phi_p2 = candidate_p2_derivative(p_arr, jet)
     phi_q = p_arr * jet.F_pq - jet.F_q
     lhs = 2.0 * (h + p_arr ** 2 * dg_dq) * phi_p2

@@ -461,7 +461,7 @@ def run_pipeline(config, strict=False):
     report.solver = {
         "converged": result.converged,
         "iterations": result.iterations,
-        "final_residual": result.residual_history[-1],
+        "final_residual": result.final_residual,
         "solution_range": list(result.solution_range),
         "gradient_range": list(result.gradient_range),
         "regularity_note": result.regularity_note,
@@ -469,7 +469,7 @@ def run_pipeline(config, strict=False):
         "failure": None,
     }
     analyze_into(report, config, domain, result, strict=strict,
-                 residual=result.residual_history[-1])
+                 residual=result.final_residual)
     return report
 
 
@@ -546,7 +546,7 @@ def analyze_into(report, config, domain, result, strict=False, residual=None):
             return report
 
     if not result.converged:
-        report.add_checks(check("solver_convergence", result.residual_history[-1],
+        report.add_checks(check("solver_convergence", result.final_residual,
                                 config.solver.residual_tol, False))
         report.exit_code = EXIT_SOLVER
         return report
@@ -806,7 +806,7 @@ def load_run(run_dir):
         raise ConfigError("persisted field does not match the configured grid")
 
     result = field_result(
-        domain, u, residual_history=[solver_doc.get("final_residual", float("nan"))],
+        domain, u, final_residual=solver_doc.get("final_residual", float("nan")),
         converged=bool(solver_doc.get("converged", False)),
         iterations=int(solver_doc.get("iterations", 0)))
     return config, domain, result, report_doc

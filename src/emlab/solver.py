@@ -12,8 +12,9 @@ no result depends on the BLAS thread count.  GMRES, which also solves the
 warm start, is right-preconditioned by one V-cycle of a smoothed-aggregation
 multigrid hierarchy on the constant-coefficient operator, and a Newton step
 stops at an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug, SIAM
-J. Numer. Anal. 19, 1982) that tightens as the residual falls.  The
-hierarchy's coarsest level, of at most ``MG_COARSEST`` nodes, is inverted
+J. Numer. Anal. 19, 1982) that tightens as the residual falls.  Each level
+of the hierarchy restricts by the transpose view of its prolongator, no
+copy; its coarsest level, of at most ``MG_COARSEST`` nodes, is inverted
 densely by ``splu`` in numpy alone, so no solve loads ``scipy.linalg``.
 Gradients come from the domain's ``grad_ops``; the boundary normal
 derivative extrapolates them from three interpolated depths.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -61,7 +63,7 @@ class SolveResult:
     u: np.ndarray                    # (n_int,)
     grad: np.ndarray                 # (n_int, 2)
     normal_derivative: np.ndarray    # (nb,) du/dnu at boundary samples
-    residual_history: list
+    final_residual: float            # max |el_residual| at u
     converged: bool
     iterations: int
     solution_range: tuple            # (m, M) over the closure (boundary = 0)
@@ -145,8 +147,9 @@ def _quotients(p, jet):
     (p, q), with g = F_p/p; both are 0 where p <= JACOBIAN_P_CUT."""
     big = p > JACOBIAN_P_CUT
     pc = np.where(big, p, 1.0)
-    return (np.where(big, (pc * jet.F_pp - jet.F_p) / (2.0 * pc ** 3), 0.0),
-            np.where(big, jet.F_pq / pc, 0.0))
+    with np.errstate(over="ignore"):  # a p^3 past the float range gives 0
+        return (np.where(big, (pc * jet.F_pp - jet.F_p) / (2.0 * pc ** 3), 0.0),
+                np.where(big, jet.F_pq / pc, 0.0))
 
 
 def _jacobian(model, domain, u):
@@ -242,24 +245,12 @@ MG_COARSEST = 300
 MG_PROLONG_OMEGA, MG_SMOOTH_OMEGA = 2.0 / 3.0, 0.8
 
 
-class _DenseInverse:
-    """The inverse of a small matrix, applied as ``splu(A).solve`` would be."""
-
-    def __init__(self, inv):
-        self.inv = inv
-
-    def solve(self, b):
-        """``A^-1 b``, summed in numpy's pairwise order: a BLAS product would
-        split its sums by the thread count."""
-        return np.add.reduce(self.inv * b, axis=1)
-
-
 def splu(A):
-    """The inverse of the square sparse matrix ``A``, as an object whose
-    ``solve(b)`` returns ``A^-1 b``: in-place Gauss-Jordan elimination with
-    partial pivoting on the dense copy of ``A``, one whole-array rank-one
-    update per pivot, and no BLAS or LAPACK call, so its bits do not depend
-    on the thread count.  It serves ``_multigrid``'s coarsest level; the
+    """The dense inverse array of the square sparse matrix ``A``: in-place
+    Gauss-Jordan elimination with partial pivoting on the dense copy of
+    ``A``, one whole-array rank-one update per pivot, and no BLAS or LAPACK
+    call, so its bits do not depend on the thread count.  It serves
+    ``_multigrid``'s coarsest level, which ``_v_cycle`` applies; the
     name is that of the scipy factorization it replaced, which the bench's
     ``solver.lu`` span and the tests that count coarse factorizations still
     patch.  A zero or non-finite pivot, or a non-finite inverse, is refused
@@ -292,7 +283,7 @@ def splu(A):
     # are those of A^-1 in that order
     inv = np.empty_like(M)
     inv[:, perm] = M
-    return _DenseInverse(inv)
+    return inv
 
 
 def _multigrid(A, index):
@@ -303,8 +294,10 @@ def _multigrid(A, index):
     prolongator, coarse operators are ``P^T A P``, each level smooths by one
     damped Jacobi sweep before and after its coarse correction, and the
     dense inverse of ``splu`` solves the first level of at most
-    ``MG_COARSEST`` nodes (on a small grid, ``A`` itself).  The cycle is
-    linear in ``b``, as ``_gmres`` needs.  An ``A`` whose diagonal is too
+    ``MG_COARSEST`` nodes (on a small grid, ``A`` itself).  A level holds
+    ``(A, MG_SMOOTH_OMEGA D^-1, P, P^T)``, its restriction ``P.T`` being
+    scipy's transpose view over ``P``'s own arrays, not a copy.  The cycle
+    is linear in ``b``, as ``_gmres`` needs.  An ``A`` whose diagonal is too
     small to invert in floating point leaves non-finite coarse operators,
     which ``splu`` refuses with ``EllipticityError``."""
     levels = []
@@ -322,23 +315,25 @@ def _multigrid(A, index):
             dinv = 1.0 / A.diagonal()
             dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
         P = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr()
-        R = P.T.tocsr()
-        levels.append((A, dinv, P, R))
-        A, index = (R @ (A @ P)).tocsr(), coarse
-    lu = splu(A)
+        levels.append((A, MG_SMOOTH_OMEGA * dinv, P, P.T))
+        # the Galerkin product reads a transient CSR copy of P^T: through the
+        # view it took 1.5 times as long on the disc at h = 1/256
+        A, index = (P.T.tocsr() @ (A @ P)).tocsr(), coarse
     # a closure that called itself would be a reference cycle, keeping the
     # hierarchy in memory after the solve until a garbage collection
-    return lambda b: _v_cycle(levels, lu, b)
+    return partial(_v_cycle, levels, splu(A))
 
 
-def _v_cycle(levels, lu, b, k=0):
-    """The V-cycle of ``_multigrid`` from level ``k`` down."""
+def _v_cycle(levels, inv, b, k=0):
+    """The V-cycle of ``_multigrid`` from level ``k`` down.  The coarsest
+    level's inverse ``inv`` is applied as a row sum in numpy's pairwise
+    order: a BLAS product would split its sums by the thread count."""
     if k == len(levels):
-        return lu.solve(b)
-    A, dinv, P, R = levels[k]
-    x = MG_SMOOTH_OMEGA * dinv * b
-    x = x + P @ _v_cycle(levels, lu, R @ (b - A @ x), k + 1)
-    return x + MG_SMOOTH_OMEGA * dinv * (b - A @ x)
+        return np.add.reduce(inv * b, axis=1)
+    A, wdinv, P, Pt = levels[k]
+    x = wdinv * b
+    x = x + P @ _v_cycle(levels, inv, Pt @ (b - A @ x), k + 1)
+    return x + wdinv * (b - A @ x)
 
 
 def solve_euler_lagrange(model, domain, config=None):
@@ -359,9 +354,10 @@ def solve_euler_lagrange(model, domain, config=None):
     the warm start included, logs its residual, accepted omega
     (``damping``, 0 when none was) and its GMRES iterations, restart
     cycles and whether a stalled cycle ended them.  A model is refused
-    here only where g(0, 0) or a face coefficient is not positive, or g(0, 0)
-    too small for floating point (the coarsest multigrid level or the warm
-    start's |grad u|^2 overflows); ``run_pipeline`` checks its convexity on
+    here only where g(0, 0) or a face coefficient is not positive, or where
+    g(0, 0) is too small or h(0, 0) too large for floating point (the
+    coarsest multigrid level, the norm of the warm start's right-hand side
+    or its |grad u|^2 overflows); ``run_pipeline`` checks its convexity on
     ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
@@ -384,7 +380,6 @@ def solve_euler_lagrange(model, domain, config=None):
 
     R = el_residual(model, domain, u)
     res = float(np.max(np.abs(R)))
-    history = [res]
     log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init", **stats}]
     iterations, eta = 0, GMRES_RTOL
     while res > cfg.residual_tol and iterations < cfg.max_iterations:
@@ -403,13 +398,12 @@ def solve_euler_lagrange(model, domain, config=None):
             omega *= 0.5
         else:
             omega = 0.0
-        history.append(res)
         log.append({"iteration": iterations, "residual": res, "damping": omega,
                     "phase": "newton", **stats})
         if omega * float(np.max(np.abs(step))) <= cfg.step_tol:
             break
 
-    return field_result(domain, u, residual_history=history,
+    return field_result(domain, u, final_residual=res,
                         converged=res <= cfg.residual_tol, iterations=iterations,
                         log=log)
 
@@ -437,7 +431,8 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
     ``GMRES_RESTART`` iterations, then adds ``precond(V y)`` to x; a full
     cycle whose preconditioned residual ``|precond(b - J x)|`` is above
     ``GMRES_STALL_FACTOR`` times that of the previous full cycle has stalled
-    and ends the solve.  ``b = 0`` gives x = 0 after no iteration.  Every
+    and ends the solve.  ``b = 0`` gives x = 0 after no iteration, and a
+    ``b`` whose 2-norm overflows is refused with ``EllipticityError``.  Every
     sum is ``_dot``'s, so the result has the same bits under any thread count.
     """
     m = GMRES_RESTART
@@ -445,6 +440,8 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
     tol = rtol * _norm(b)
     if tol == 0.0:  # b = 0, so x = 0
         return x, {"linear_iterations": 0, "restart_cycles": 0, "stalled": False}
+    if tol == math.inf:  # the basis r/|b| would be 0
+        raise EllipticityError("the right-hand side's 2-norm overflows")
     V = np.empty((m + 1, len(b)))  # the Arnoldi basis of a cycle
     floor = math.inf  # preconditioned residual after the last full cycle
     iterations = cycles = 0
@@ -496,7 +493,7 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
 def field_result(domain, u, **state):
     """SolveResult for the field ``u``: its gradient, the boundary normal
     derivative and the value and gradient ranges, plus the solver ``state``
-    (residual history, convergence flag, iterations, ...)."""
+    (final residual, convergence flag, iterations, ...)."""
     Gx, Gy = domain.grad_ops
     grad = np.column_stack([Gx @ u, Gy @ u])
     dnu = _normal_derivative(domain, grad)

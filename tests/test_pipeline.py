@@ -422,7 +422,7 @@ class TestSharedEvaluation:
 
         config = parse_config(dict(TORSION_CONFIG, spacing=disc64.h))
         solver = {"converged": True, "iterations": torsion_result.iterations,
-                  "final_residual": torsion_result.residual_history[-1]}
+                  "final_residual": torsion_result.final_residual}
         report = analyze_into(RunReport(config=config.raw, solver=solver), config,
                               disc64, torsion_result)
         export_fields(report, str(tmp_path))
@@ -1101,6 +1101,34 @@ class TestCli:
         assert doc["status"]["exit_code"] == EXIT_SOLVER
         assert "warm start" in doc["solver"]["failure"]
         assert doc["solver"]["witness"] == {"p": 0.0, "q": 0.0, "g": 2 * float(coef)}
+
+    @pytest.mark.parametrize("model", [
+        {"name": "dirichlet_affine", "parameters": [0.5, 1.0e153]},
+        {"expression": "0.5*p*p + 1e160*q", "smooth_at_origin": True}])
+    def test_large_source_ends_in_a_written_refusal(self, tmp_path, capsys, model):
+        # g(0, 0) = 1, but the 2-norm of the warm start's right-hand side
+        # -h(0, 0) overflows, which would leave GMRES a zero basis vector
+        cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model=model))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "report.json").read_text())
+        validate_report(doc)
+        assert doc["status"]["exit_code"] == EXIT_SOLVER
+        assert "2-norm overflows" in doc["solver"]["failure"]
+        assert doc["solver"]["witness"] == {"p": 0.0, "q": 0.0, "g": 1.0}
+
+    def test_overflowing_quotients_leave_stderr_empty(self, tmp_path):
+        """``(p F_pp - F_p)/(2 p^3)`` with a p^3 past the float range reads 0
+        with no warning, in the identity residual of the hypotheses (a tiny
+        g(0, 0)) and in the Newton Jacobian (a large source)."""
+        for expression, code in (("1e-150*p*p + q", EXIT_INVARIANT),
+                                 ("0.5*p*p + 1e150*q", EXIT_SOLVER)):
+            cfg_path = write_config(tmp_path, dict(TORSION_CONFIG, model={
+                "expression": expression, "smooth_at_origin": True}))
+            proc = _python(["-m", "emlab.cli", "solve", "--config", cfg_path,
+                            "--out", str(tmp_path / f"run{code}")])
+            assert (proc.returncode, proc.stderr) == (code, "")
 
     def test_closed_stdout_keeps_the_exit_code(self, tmp_path):
         """A reader that closes stdout at once (``emlab solve ... | head -0``)

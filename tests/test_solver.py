@@ -72,7 +72,7 @@ class TestTorsionDisc:
             a = solve_euler_lagrange(model, disc64)
             b = solve_euler_lagrange(model, disc64)
             assert np.array_equal(a.u, b.u)
-            assert a.residual_history == b.residual_history
+            assert a.final_residual == b.final_residual
             assert a.log == b.log
 
 
@@ -131,7 +131,7 @@ class TestIterationContract:
         dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
         res = solve_euler_lagrange(minsurf_model, dom)
         assert res.converged
-        hist = res.residual_history
+        hist = [e["residual"] for e in res.log]
         assert all(hist[i + 1] <= hist[i] * (1.0 + 1e-12)
                    for i in range(min(5, len(hist) - 1), len(hist) - 1))
 
@@ -151,11 +151,15 @@ class TestIterationContract:
 
 
 def _solve_counting_lu(model, dom, monkeypatch):
-    """Solve, returning the result and the number of LU factorizations."""
-    calls = []
+    """Solve, returning the result and the number of coarse inversions, each
+    of which ``splu`` returns as a square array."""
+    inverses = []
     real = solver.splu
-    monkeypatch.setattr(solver, "splu", lambda *a, **k: calls.append(1) or real(*a, **k))
-    return solve_euler_lagrange(model, dom), len(calls)
+    monkeypatch.setattr(solver, "splu", lambda A: inverses.append(real(A)) or inverses[-1])
+    res = solve_euler_lagrange(model, dom)
+    assert all(type(inv) is np.ndarray and inv.shape == (len(inv),) * 2
+               for inv in inverses)
+    return res, len(inverses)
 
 
 class TestNewtonLoop:
@@ -171,7 +175,7 @@ class TestNewtonLoop:
         res, lus = _solve_counting_lu(make_model(*self.CURVATURE_3), dom, monkeypatch)
         assert res.converged
         assert lus == 1
-        hist = res.residual_history
+        hist = [e["residual"] for e in res.log]
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
     def test_no_solution_on_disc_stops_unconverged(self, monkeypatch):
@@ -181,9 +185,9 @@ class TestNewtonLoop:
         assert not res.converged
         assert 0 < res.iterations < 20
         assert lus == 1
-        hist = res.residual_history
+        hist = [e["residual"] for e in res.log]
         assert all(b <= a for a, b in zip(hist, hist[1:]))
-        assert len(res.log) == len(hist) == res.iterations + 1
+        assert len(hist) == res.iterations + 1 and hist[-1] == res.final_residual
 
     def test_nonlinear_solve_factorizes_once(self, exp_model, disc64, monkeypatch):
         res, lus = _solve_counting_lu(exp_model, disc64, monkeypatch)
@@ -277,6 +281,37 @@ class TestWarmStartMultigrid:
             x = x + cycle(b - A @ x)
             assert np.max(np.abs(b - A @ x)) <= 0.4 * before
 
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+                                             ("ellipse", [1.0, 0.6]),
+                                             ("rectangle", [1.0, 0.7])])
+    def test_v_cycle_matches_stored_restrictions(self, kind, params):
+        # reference: the cycle with each restriction stored as the CSR copy
+        # P.T.tocsr() and the coarsest inverse applied by the same row sum;
+        # the hierarchy holds P^T as a view of P's own arrays, no copy
+        dom = build_domain(make_shape(kind, params), 1 / 64)
+        cycle = solver._multigrid(_assemble(dom, _conductances(dom, 1.0)),
+                                  dom.interior_index)
+        levels, inv = cycle.args
+        assert len(levels) >= 2
+        for _, _, P, Pt in levels:
+            assert all(np.shares_memory(getattr(Pt, name), getattr(P, name))
+                       for name in ("data", "indices", "indptr"))
+        stored = [(A, wdinv, P, P.T.tocsr()) for A, wdinv, P, _ in levels]
+        for (A, _, P, R), coarse in zip(stored, stored[1:]):
+            assert (R @ (A @ P) != coarse[0]).nnz == 0
+
+        def reference(b, k=0):
+            if k == len(stored):
+                return np.add.reduce(inv * b, axis=1)
+            A, wdinv, P, R = stored[k]
+            x = wdinv * b
+            x = x + P @ reference(R @ (b - A @ x), k + 1)
+            return x + wdinv * (b - A @ x)
+
+        rng = np.random.default_rng(5)
+        for b in (np.ones(dom.n_interior), rng.standard_normal(dom.n_interior)):
+            assert np.array_equal(cycle(b), reference(b))
+
     def test_small_grid_is_solved_directly(self, torsion_model, monkeypatch):
         dom = build_domain(make_shape("disc", [1.0]), 1 / 8)
         assert dom.n_interior <= solver.MG_COARSEST
@@ -327,7 +362,7 @@ class TestCoarseInverse:
         rng = np.random.default_rng(3)
         for b in (np.ones(A.shape[0]), rng.standard_normal(A.shape[0])):
             ref = spsolve(A.tocsc(), b)
-            x = solver.splu(A).solve(b)
+            x = solver.splu(A) @ b
             assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_row_swaps(self):
@@ -340,7 +375,7 @@ class TestCoarseInverse:
         A = sparse.csr_matrix(D)
         b = rng.standard_normal(n)
         ref = spsolve(A.tocsc(), b)
-        assert np.max(np.abs(solver.splu(A).solve(b) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(solver.splu(A) @ b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("entries", [
         [[1.0, 2.0], [2.0, 4.0]],          # a zero pivot
@@ -681,7 +716,7 @@ class TestJacobian:
             assert np.array_equal(fn(cubic, dom, u)[flat], fn(plain, dom, u)[flat])
 
         shallow = solver.field_result(dom, 1e-10 * (x * x + y * y - 1.0) / 4.0,
-                                   residual_history=[0.0], converged=True,
+                                   final_residual=0.0, converged=True,
                                    iterations=0)
         dnu = shallow.normal_derivative
         fld = assemble_field(cubic, shallow, dom)
@@ -828,7 +863,7 @@ class TestNormalDerivative:
         real = solver.interpolate_node_field
         monkeypatch.setattr(solver, "interpolate_node_field",
                             lambda *a: calls.append(1) or real(*a))
-        again = solver.field_result(disc64, torsion_result.u, residual_history=[0.0],
+        again = solver.field_result(disc64, torsion_result.u, final_residual=0.0,
                                     converged=True, iterations=0)
         assert len(calls) == 1
         assert np.array_equal(again.normal_derivative, torsion_result.normal_derivative)
