@@ -4,20 +4,23 @@ The 2D path discretizes the divergence form conservatively on the embedded
 grid (face-centered fluxes, cut-distance stencils at boundary-adjacent
 nodes), warm-starts from the constant-coefficient problem and runs one
 Newton-Krylov loop (Knoll & Keyes, J. Comput. Phys. 193, 2004; Kelley,
-*Solving Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 3).  Each
-step multiplies by the exact Jacobian of the discrete residual, built from
-the same second-order jets, inside a restarted GMRES (Saad & Schultz, SIAM
-J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise order, so
-no result depends on the BLAS thread count.  GMRES, which also solves the
-warm start, is right-preconditioned by one V-cycle of a smoothed-aggregation
-multigrid hierarchy on the constant-coefficient operator, and a Newton step
-stops at an inexact-Newton forcing term (Dembo, Eisenstat & Steihaug, SIAM
-J. Numer. Anal. 19, 1982) that tightens as the residual falls.  Each level
-of the hierarchy restricts by the transpose view of its prolongator, no
-copy; its coarsest level, of at most ``MG_COARSEST`` nodes, is inverted
-densely by ``splu`` in numpy alone, so no solve loads ``scipy.linalg``.
-Gradients come from the domain's ``grad_ops``; the boundary normal
-derivative extrapolates them from three interpolated depths.
+*Solving Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 3).  A
+residual sweeps the second-order jet once per unique face, in three groups
+(the faces between two interior nodes in x, those in y, and the faces to the
+boundary), and once per node.  Each step multiplies by the exact Jacobian of
+the discrete residual, built from the face and node data that the accepted
+trial's residual sweep returned, inside a restarted GMRES (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise
+order, so no result depends on the BLAS thread count.  GMRES, which also
+solves the warm start, is right-preconditioned by one V-cycle of a
+smoothed-aggregation multigrid hierarchy on the constant-coefficient
+operator, and a Newton step stops at an inexact-Newton forcing term (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) that tightens as the
+residual falls.  Each level of the hierarchy restricts by the transpose view
+of its prolongator, no copy; its coarsest level, of at most ``MG_COARSEST``
+nodes, is inverted densely by ``splu`` in numpy alone, so no solve loads
+``scipy.linalg``.  Gradients come from the domain's ``grad_ops``; the
+boundary normal derivative extrapolates them from three interpolated depths.
 ``solve_radial`` is an independent Chebyshev collocation oracle for radially
 symmetric problems, including the 1D case n = 1.
 """
@@ -82,26 +85,97 @@ class SolveResult:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def _faces(model, domain, u, p2, d):
-    """``(P, jet, g)`` of the faces in direction ``d``: P^2 and the face value
-    are the means of ``p2`` and of ``u`` over the two nodes of each face (a
-    face to the boundary takes the node's own ``p2`` and the boundary value
-    u = 0), the jet is taken at that state and g = F_p/P from it.  A face
-    whose g is not positive is refused with its witness."""
-    nb = domain.nbr[:, d]
-    has = nb >= 0
-    P = np.sqrt(np.where(has, 0.5 * (p2 + p2[nb]), p2))
-    uf = np.where(has, 0.5 * (u + u[nb]), 0.5 * u)
+def _face_groups(domain):
+    """The unique faces in their three sweep groups, as ``(i, j, at)``: the
+    faces from node i to its +x neighbour j, those to its +y neighbour j,
+    and those from node i to the boundary (j None).  ``at`` indexes a (4, n)
+    array by direction at the face's nodes: (+x, i) and (-x, j), (+y, i) and
+    (-y, j), or (direction, i) for a face to the boundary."""
+    nbr = domain.nbr
+    for d, back in ((_E, _W), (_N, _S)):
+        i = np.flatnonzero(nbr[:, d] >= 0)
+        j = nbr[i, d]
+        yield i, j, ((d, i), (back, j))
+    i, d = np.divmod(np.flatnonzero(nbr < 0), nbr.shape[1])
+    yield i, None, ((d, i),)
+
+
+def _by_direction(groups, values, n):
+    """The (4, n) array of per-face ``values``, one array per sweep group of
+    ``groups`` (from ``_face_groups``): each face's value at both of its
+    nodes."""
+    out = np.empty((4, n))
+    for (_, _, at), v in zip(groups, values):
+        for ix in at:
+            out[ix] = v
+    return out
+
+
+@dataclass
+class _Linearization:
+    """What ``_jacobian`` reads of a residual sweep at u: per sweep group of
+    ``_face_groups``, the faces' g, ``dg/d(p^2)`` and ``F_pq/P``; at the
+    nodes, ``h_q = -F_qq``, ``2 h_s = -F_pq/p`` and the gradient (ux, uy)."""
+
+    g: tuple
+    g_s: tuple
+    g_q: tuple
+    h_q: np.ndarray
+    h_s2: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+
+
+def _face_state(p2, u, i, j):
+    """``(P, uf)`` of the faces from nodes ``i`` to nodes ``j``: P^2 and the
+    face value are the means of ``p2`` and of ``u`` over the two nodes; a
+    face to the boundary (``j`` None) takes the node's own ``p2`` and the
+    boundary value u = 0."""
+    if j is None:
+        return np.sqrt(p2[i]), 0.5 * u[i]
+    return np.sqrt(0.5 * (p2[i] + p2[j])), 0.5 * (u[i] + u[j])
+
+
+def _face_coefficients(model, P, uf, linearize):
+    """``(g,)`` of faces at the state (P, uf), and with ``linearize``
+    ``(g, dg/d(p^2), F_pq/P)``, from one jet sweep; the jet goes on return,
+    so no two groups' jets are held at once."""
     jet = eval_jet(model, P, uf)
     g = diffusion_coefficient(model, P, uf, jet)
+    return (g, _g_s(P, jet), _pq_quotient(P, jet)) if linearize else (g,)
+
+
+def _sweep(model, domain, u, linearize):
+    """``(g, h, lin)`` at ``u``: the (4, n) face coefficients g by direction,
+    h = -F_q at the nodes, and with ``linearize`` the ``_Linearization``,
+    else None.  Each face is swept once, in its group of ``_face_groups``,
+    at its ``_face_state``, and g = F_p/P is formed from that jet.  A
+    non-positive g is refused with the witness of its first (direction,
+    node), in the order of the (4, n) array."""
+    Gx, Gy = domain.grad_ops
+    ux, uy = Gx @ u, Gy @ u
+    p2 = ux ** 2 + uy ** 2
+    if not linearize:
+        ux = uy = None
+    faces = [_face_coefficients(model, *_face_state(p2, u, i, j), linearize)
+             for i, j, _ in _face_groups(domain)]
+    g = _by_direction(_face_groups(domain), [q[0] for q in faces], len(u))
+    if not linearize:
+        faces = None  # g holds them now; free them before the nodal jet's peak
     if np.any(g <= 0.0):
-        k = int(np.argmax(g <= 0.0))
+        d, i = divmod(int(np.argmax(g <= 0.0)), len(u))
+        j = domain.nbr[i, d]
+        P, uf = _face_state(p2, u, i, j if j >= 0 else None)
         raise EllipticityError(
             "non-positive diffusion coefficient at a face",
-            witness={"node": [float(domain.xy[k, 0]), float(domain.xy[k, 1])],
+            witness={"node": [float(domain.xy[i, 0]), float(domain.xy[i, 1])],
                      "direction": ["+x", "-x", "+y", "-y"][d],
-                     "p_face": float(P[k]), "u_face": float(uf[k]), "g": float(g[k])})
-    return P, jet, g
+                     "p_face": float(P), "u_face": float(uf), "g": float(g[d, i])})
+    p = np.sqrt(p2)
+    jet = eval_jet(model, p, u)
+    lin = (_Linearization(*zip(*faces), -jet.F_qq, -_pq_quotient(p, jet), ux, uy)
+           if linearize else None)
+    return g, -jet.F_q, lin
 
 
 def _conductances(domain, g):
@@ -119,19 +193,19 @@ def _assemble(domain, c):
                            + [(slice(None), np.arange(n), -c.sum(axis=0))])
 
 
-def el_residual(model, domain, u):
-    """Pointwise discrete div(g grad u) + h at the interior nodes."""
+def el_residual(model, domain, u, linearize=False):
+    """Pointwise discrete div(g grad u) + h at the interior nodes; with
+    ``linearize``, the pair of it and the ``_Linearization`` at ``u`` that
+    ``_jacobian`` builds its product from (the Newton loop's trials)."""
     u = np.asarray(u, dtype=float)
-    Gx, Gy = domain.grad_ops
-    p2 = (Gx @ u) ** 2 + (Gy @ u) ** 2
-    c = _conductances(domain, np.array([_faces(model, domain, u, p2, d)[2]
-                                        for d in range(4)]))
-    h_src = -eval_jet(model, np.sqrt(p2), u).F_q
+    g, h_src, lin = _sweep(model, domain, u, linearize)
+    c = _conductances(domain, g)
     u_nb = np.append(u, 0.0)[domain.nbr]  # a boundary neighbour (-1) reads 0
     # summed as the sorted CSR row of A sums them (from +0.0, in node-id order
     # S, W, self, E, N), so the residual keeps the bits of A @ u + h
-    return (0.0 + c[_S] * u_nb[:, _S] + c[_W] * u_nb[:, _W] - c.sum(axis=0) * u
-            + c[_E] * u_nb[:, _E] + c[_N] * u_nb[:, _N] + h_src)
+    R = (0.0 + c[_S] * u_nb[:, _S] + c[_W] * u_nb[:, _W] - c.sum(axis=0) * u
+         + c[_E] * u_nb[:, _E] + c[_N] * u_nb[:, _N] + h_src)
+    return (R, lin) if linearize else R
 
 
 #: below this |grad u| the Jacobian drops its terms with a 1/p quotient, the
@@ -142,17 +216,23 @@ def el_residual(model, domain, u):
 JACOBIAN_P_CUT = 1e-4
 
 
-def _quotients(p, jet):
-    """``dg/d(p^2) = (p F_pp - F_p)/(2 p^3)`` and ``F_pq/p`` from the jet at
-    (p, q), with g = F_p/p; both are 0 where p <= JACOBIAN_P_CUT."""
+def _g_s(p, jet):
+    """``dg/d(p^2) = (p F_pp - F_p)/(2 p^3)`` from the jet at (p, q), with
+    g = F_p/p; 0 where p <= JACOBIAN_P_CUT."""
     big = p > JACOBIAN_P_CUT
     pc = np.where(big, p, 1.0)
     with np.errstate(over="ignore"):  # a p^3 past the float range gives 0
-        return (np.where(big, (pc * jet.F_pp - jet.F_p) / (2.0 * pc ** 3), 0.0),
-                np.where(big, jet.F_pq / pc, 0.0))
+        return np.where(big, (pc * jet.F_pp - jet.F_p) / (2.0 * pc ** 3), 0.0)
 
 
-def _jacobian(model, domain, u):
+def _pq_quotient(p, jet):
+    """``F_pq/p`` from the jet at (p, q); 0 where p <= JACOBIAN_P_CUT."""
+    big = p > JACOBIAN_P_CUT
+    with np.errstate(over="ignore"):  # as in _g_s, no warning reaches stderr
+        return np.where(big, jet.F_pq / np.where(big, p, 1.0), 0.0)
+
+
+def _jacobian(model, domain, u, lin=None):
     """The product ``v -> J v`` with the Jacobian of ``el_residual`` at ``u``.
 
     With ``R = sum_d c_d (u_d - u) + h`` and ``c_d = g(s_d, uf_d)/(arm_d span)``,
@@ -160,31 +240,40 @@ def _jacobian(model, domain, u):
     where ``t_d = (u_d - u)/(arm_d span)``, ``dp2 = 2 (Gx u Gx v + Gy u Gy v)``,
     ``ds_d`` and ``duf_d`` are the face states of ``dp2`` and ``v``, and
     ``g_s, g_q, h_s, h_q`` are the partials of g and h in p^2 and q.  The
-    coefficients come from one jet sweep per face and one at the nodes; they
-    fold into a 5-point stencil on ``v`` and one on ``dp2 / 2``, so a product
-    is two sparse products and a few whole-array operations.
+    coefficients come from ``lin``, the ``_Linearization`` that
+    ``el_residual`` returned at ``u``, so no jet is swept here; without it,
+    from a sweep of their own.  They fold into a 5-point stencil on ``v`` and
+    one on ``dp2 / 2``, which with the gradient are all the product keeps of
+    ``lin``, so a product is two sparse products and a few whole-array
+    operations.
     """
+    if lin is None:
+        lin = _sweep(model, domain, u, True)[2]
+    groups, n = list(_face_groups(domain)), len(u)
     Gx, Gy = domain.grad_ops
-    ux, uy = Gx @ u, Gy @ u
-    p2 = ux * ux + uy * uy
-    p = np.sqrt(p2)
-    jet = eval_jet(model, p, u)
-    # h_q = -F_qq and 2 h_s = -F_pq/p; v enters through v_d (c_d and half of
-    # duf_d = (v + v_d)/2) and v itself, dp2 through ds_d = (dp2 + dp2_d)/2,
-    # where a boundary face reads v_d = 0 and dp2_d = dp2
-    e0, f0 = -jet.F_qq, -_quotients(p, jet)[1]
-    e, a = np.empty((2, 4, len(u)))
+    ux, uy = lin.ux, lin.uy
+    # v enters through v_d (c_d and half of duf_d = (v + v_d)/2) and v
+    # itself, dp2 through ds_d = (dp2 + dp2_d)/2, where a boundary face reads
+    # v_d = 0 and dp2_d = dp2.  The factors are formed in place, each product
+    # in the same bits: a build holds lin beside its own arrays, and every
+    # (4, n) temporary fewer keeps the heap lower
     inv_span = _conductances(domain, 1.0)
-    u_ext = np.append(u, 0.0)
+    t = np.append(u, 0.0)[domain.nbr.T] - u
+    t *= inv_span
+    c = _by_direction(groups, lin.g, n)
+    c *= inv_span
+    half_b = 0.5 * t
+    half_b *= _by_direction(groups, lin.g_q, n)
+    a = _by_direction(groups, lin.g_s, n)
+    a *= t
+    a_self = a.copy()
+    a_self[groups[2][2][0]] *= 2.0  # (direction, node) of the faces to the boundary
+    e0, f0 = lin.h_q, lin.h_s2
     for d in range(4):
-        P, jet, g = _faces(model, domain, u, p2, d)
-        c = inv_span[d] * g
-        g_s, g_q = _quotients(P, jet)
-        t = inv_span[d] * (u_ext[domain.nbr[:, d]] - u)
-        half_b = 0.5 * t * g_q
-        e[d], a[d] = c + half_b, t * g_s
-        e0 = e0 + half_b - c
-        f0 = f0 + np.where(domain.nbr[:, d] >= 0, a[d], 2.0 * a[d])
+        e0 = e0 + half_b[d] - c[d]
+        f0 = f0 + a_self[d]
+    e = c  # c is read no more: e = c + half_b in its place
+    e += half_b
 
     def product(v):
         half_dp2 = ux * (Gx @ v) + uy * (Gy @ v)
@@ -344,21 +433,25 @@ def solve_euler_lagrange(model, domain, config=None):
     V-cycle preconditions every linear solve.  The warm start solves
     ``A u = -h(0, 0)`` by ``_gmres`` to ``WARM_START_RTOL``; linear models
     have converged there.  Each Newton step solves ``J d = -R`` by
-    ``_gmres``, with ``J v`` the exact Jacobian product of ``_jacobian``
-    (built from the jets once per step), until the forcing term
-    (``GMRES_RTOL``, then ``FORCING_GAMMA``), ``GMRES_MAX_RESTARTS`` or a
-    stalled restart cycle, and is accepted by max-norm backtracking from
-    omega = 1.  The loop stops on ``residual_tol``, on ``max_iterations``,
-    when no halving lowers the residual, or when ``omega max|d| <=
-    step_tol``; nonconvergence is reported, not raised.  Each iteration,
-    the warm start included, logs its residual, accepted omega
-    (``damping``, 0 when none was) and its GMRES iterations, restart
-    cycles and whether a stalled cycle ended them.  A model is refused
-    here only where g(0, 0) or a face coefficient is not positive, or where
-    g(0, 0) is too small or h(0, 0) too large for floating point (the
-    coarsest multigrid level, the norm of the warm start's right-hand side
-    or its |grad u|^2 overflows); ``run_pipeline`` checks its convexity on
-    ``PILOT_BOX`` before.
+    ``_gmres``, with ``J v`` the exact Jacobian product of ``_jacobian``,
+    until the forcing term (``GMRES_RTOL``, then ``FORCING_GAMMA``),
+    ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is accepted by
+    max-norm backtracking from omega = 1.  Each trial's ``el_residual`` also
+    returns its ``_Linearization``: the accepted trial's builds the next
+    step's Jacobian, which sweeps no jet, and a rejected trial's is dropped
+    before the next trial.  The warm start's residual keeps none, so only
+    the first step's Jacobian sweeps its own, and a linear model, which
+    stops at the warm start, holds none.  The loop stops on
+    ``residual_tol``, on ``max_iterations``, when no halving lowers the
+    residual, or when ``omega max|d| <= step_tol``; nonconvergence is
+    reported, not raised.  Each iteration, the warm start included, logs
+    its residual, accepted omega (``damping``, 0 when none was) and its
+    GMRES iterations, restart cycles and whether a stalled cycle ended
+    them.  A model is refused here only where g(0, 0) or a face coefficient
+    is not positive, or where g(0, 0) is too small or h(0, 0) too large for
+    floating point (the coarsest multigrid level, the norm of the warm
+    start's right-hand side or its |grad u|^2 overflows); ``run_pipeline``
+    checks its convexity on ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
@@ -378,26 +471,34 @@ def solve_euler_lagrange(model, domain, config=None):
         exc.witness = {"p": 0.0, "q": 0.0, "g": g0}
         raise
 
-    R = el_residual(model, domain, u)
+    # the warm start's residual keeps no linearization: a linear model stops
+    # here, and the first step's Jacobian sweeps its own
+    R, lin = el_residual(model, domain, u), None
     res = float(np.max(np.abs(R)))
     log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init", **stats}]
     iterations, eta = 0, GMRES_RTOL
     while res > cfg.residual_tol and iterations < cfg.max_iterations:
         iterations += 1
-        step, stats = _gmres(_jacobian(model, domain, u), -R, cycle, rtol=eta)
+        # lin is released once the product is built, and the product once
+        # GMRES returns, so neither is held beside GMRES's basis or a trial
+        jv, lin = _jacobian(model, domain, u, lin), None
+        step, stats = _gmres(jv, -R, cycle, rtol=eta)
+        jv = None
         omega = 1.0
         for _ in range(5):
             u_try = u + omega * step
-            R_try = el_residual(model, domain, u_try)
+            R_try, lin_try = el_residual(model, domain, u_try, linearize=True)
             r_try = float(np.max(np.abs(R_try)))
             if r_try < res:
                 eta = min(GMRES_RTOL, max(FORCING_GAMMA * (r_try / res) ** 2,
                                           0.5 * cfg.residual_tol / r_try))
-                u, R, res = u_try, R_try, r_try
+                u, R, res, lin = u_try, R_try, r_try, lin_try
                 break
             omega *= 0.5
+            lin_try = None  # a rejected trial's, before the next trial's sweep
         else:
             omega = 0.0
+        lin_try = None  # the accepted trial's is held by lin alone
         log.append({"iteration": iterations, "residual": res, "damping": omega,
                     "phase": "newton", **stats})
         if omega * float(np.max(np.abs(step))) <= cfg.step_tol:

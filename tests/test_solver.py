@@ -478,15 +478,16 @@ class TestRadialOracle:
 
 
 def _count_sweeps(monkeypatch):
-    """A list that grows by one per jet sweep, through whichever emlab
-    namespace the sweep calls ``eval_jet``."""
+    """A list that grows by one entry per jet sweep, through whichever emlab
+    namespace the sweep calls ``eval_jet``: the sweep's number of points."""
     sweeps, real = [], lagrangian.eval_jet
     for name, mod in list(sys.modules.items()):
         if name == "emlab" or name.startswith("emlab."):
             for attr, value in list(vars(mod).items()):
                 if value is real:
-                    monkeypatch.setattr(mod, attr,
-                                        lambda *a, **k: sweeps.append(1) or real(*a, **k))
+                    monkeypatch.setattr(
+                        mod, attr,
+                        lambda model, p, q: sweeps.append(np.size(p)) or real(model, p, q))
     return sweeps
 
 
@@ -617,7 +618,22 @@ class TestFluxStencil:
         u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0 + 0.01 * dom.xy[:, 0]
         sweeps = _count_sweeps(monkeypatch)
         el_residual(STENCIL_MODELS[1], dom, u)
-        assert len(sweeps) == 5  # four face directions and the nodal source
+        assert len(sweeps) == 4  # three groups of unique faces and the nodal source
+
+    @pytest.mark.parametrize("kind,params", STENCIL_SHAPES)
+    def test_unique_face_sweep_equals_loop(self, kind, params):
+        # each face is swept once and its g scattered to both of its nodes;
+        # the per-direction reference sweeps every (direction, node) itself
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        bowl = (x * x + y * y - 1.0) / 4.0
+        noisy = bowl + 1e-3 * np.random.default_rng(7).standard_normal(dom.n_interior)
+        for model in STENCIL_MODELS:
+            for u in (np.minimum(bowl, -0.1), noisy, np.zeros(dom.n_interior)):
+                g = solver._sweep(model, dom, u, False)[0]
+                assert g.shape == (4, dom.n_interior)
+                for d, g_ref in enumerate(_face_coefficients_loop(model, dom, u)[0]):
+                    assert np.array_equal(g[d], g_ref)
 
     def test_newton_solve_assembles_once(self, exp_model, monkeypatch):
         dom = build_domain(make_shape("disc", [1.0]), 1 / 32)
@@ -639,7 +655,10 @@ class TestFluxStencil:
             solve_euler_lagrange(config.model, dom)
         assert err.value.witness["direction"] == "+x"
         assert err.value.witness["node"] == [-0.0625, -0.4375]
-        assert err.value.witness["g"] < 0.0
+        # the face state and g of that face, as the per-direction sweep read them
+        assert err.value.witness["p_face"] == 2.1986323874174354
+        assert err.value.witness["u_face"] == -2.016601562500075
+        assert err.value.witness["g"] == -0.01660156250007505
         report = run_pipeline(config)
         assert report.exit_code == EXIT_SOLVER
         assert report.solver["witness"]["direction"] == "+x"
@@ -734,9 +753,68 @@ class TestJacobian:
         u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0
         sweeps = _count_sweeps(monkeypatch)
         product = solver._jacobian(JACOBIAN_MODELS[-1], dom, u)
-        assert len(sweeps) == 5
+        assert len(sweeps) == 4
         product(u)
-        assert len(sweeps) == 5
+        assert len(sweeps) == 4
+
+
+class TestSharedLinearization:
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("ellipse", [1.0, 0.6])])
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=lambda m: m.name)
+    def test_product_from_a_trials_data_equals_a_fresh_one(self, model, kind, params,
+                                                          monkeypatch):
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        rng = np.random.default_rng(23)
+        x, y = dom.xy[:, 0], dom.xy[:, 1]
+        u = (x * x + y * y - 1.0) / 4.0 + 0.05 * rng.standard_normal(dom.n_interior)
+        v = rng.standard_normal(dom.n_interior)
+        R, lin = el_residual(model, dom, u, linearize=True)
+        assert np.array_equal(R, el_residual(model, dom, u))
+        fresh = solver._jacobian(model, dom, u)(v)
+        sweeps = _count_sweeps(monkeypatch)
+        shared = solver._jacobian(model, dom, u, lin)
+        assert sweeps == []  # the trial's sweep is all the product reads
+        assert np.array_equal(shared(v), fresh)
+
+    @pytest.mark.parametrize("kind,params,model", [
+        ("ellipse", [1.0, 0.6], JACOBIAN_MODELS[-1]),
+        ("disc", [1.0], make_model("dirichlet_exponential", [1.0, 1.0]))],
+        ids=["ellipse", "disc"])
+    def test_newton_loop_passes_the_accepted_trials_data(self, kind, params, model,
+                                                         monkeypatch):
+        dom = build_domain(make_shape(kind, params), 1 / 32)
+        real, shared = solver._jacobian, []
+        v = np.random.default_rng(29).standard_normal(dom.n_interior)
+
+        def spy(model, domain, u, lin=None):
+            product = real(model, domain, u, lin)
+            assert np.array_equal(product(v), real(model, domain, u.copy())(v))
+            shared.append(lin is not None)
+            return product
+        monkeypatch.setattr(solver, "_jacobian", spy)
+        res = solve_euler_lagrange(model, dom)
+        assert res.converged and res.iterations >= 2
+        # the warm start keeps no data; every later step reads its trial's
+        assert shared == [False] + [True] * (res.iterations - 1)
+
+    def test_solve_sweeps_the_predicted_points(self, monkeypatch):
+        # every residual, warm start and trials alike, sweeps each unique
+        # face and each node once, and the first step's Jacobian sweeps
+        # them once more; a second sweep of a face would break the count
+        dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
+        sweeps = _count_sweeps(monkeypatch)
+        res = solve_euler_lagrange(JACOBIAN_MODELS[-1], dom)
+        assert res.converged and res.iterations >= 2
+        trials = sum(5 if e["damping"] == 0.0 else 1 - int(math.log2(e["damping"]))
+                     for e in res.log[1:])
+        faces = (np.count_nonzero(dom.nbr[:, 0] >= 0)  # +x and +y to an interior node
+                 + np.count_nonzero(dom.nbr[:, 2] >= 0) + np.count_nonzero(dom.nbr < 0))
+        sets = 1 + trials + 1  # the warm start, every trial, the first step's Jacobian
+        # first the warm start's g(0, 0) and h(0, 0): a jet at (0, 0) and its
+        # F_pp(0, 0) limit
+        assert sweeps[:2] == [1, 1]
+        assert len(sweeps[2:]) == 4 * sets
+        assert sum(sweeps[2:]) == sets * (faces + dom.n_interior)
 
 
 class TestGmres:
