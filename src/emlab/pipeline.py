@@ -457,6 +457,7 @@ def run_pipeline(config, strict=False):
             result = solve_euler_lagrange(config.model, domain, config.solver)
     except EllipticityError as exc:
         return _refused(report, str(exc), exc.witness)
+    report.timings["solve_parts"] = result.solve_parts
 
     report.solver = {
         "converged": result.converged,

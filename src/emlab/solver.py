@@ -11,14 +11,18 @@ boundary), and once per node.  Each step multiplies by the exact Jacobian of
 the discrete residual, built from the face and node data that the accepted
 trial's residual sweep returned, inside a restarted GMRES (Saad & Schultz,
 SIAM J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise
-order, so no result depends on the BLAS thread count.  GMRES, which also
-solves the warm start, is right-preconditioned by one V-cycle of a
-smoothed-aggregation multigrid hierarchy on the constant-coefficient
-operator, and a Newton step stops at an inexact-Newton forcing term (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982) that tightens as the
-residual falls.  Each level of the hierarchy restricts by the transpose view
-of its prolongator, no copy; its coarsest level, of at most ``MG_COARSEST``
-nodes, is inverted densely by ``splu`` in numpy alone, so no solve loads
+order, so no result depends on the BLAS thread count, and whose
+Gram-Schmidt sweeps write their products into one work array.  GMRES,
+which also solves the warm start, is right-preconditioned by one V-cycle
+of an aggregation multigrid hierarchy on the constant-coefficient operator:
+smoothed aggregation on its first ``MG_SMOOTHED_LEVELS`` levels and plain
+aggregation below, so the coarse Galerkin operators stay sparse.  A
+Newton step stops at an inexact-Newton forcing term (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982) that tightens as the residual
+falls.  Each level of the hierarchy restricts by the transpose view of its
+prolongator, no copy, and its cycle runs in work arrays allocated once per
+hierarchy; its coarsest level, of at most ``MG_COARSEST`` nodes, is
+inverted densely by ``splu`` in numpy alone, so no solve loads
 ``scipy.linalg``.  Gradients come from the domain's ``grad_ops``; the
 boundary normal derivative extrapolates them from three interpolated depths.
 ``solve_radial`` is an independent Chebyshev collocation oracle for radially
@@ -28,12 +32,14 @@ symmetric problems, including the 1D case n = 1.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, _stencil_matrix, interpolate_node_field
@@ -72,6 +78,10 @@ class SolveResult:
     solution_range: tuple            # (m, M) over the closure (boundary = 0)
     gradient_range: tuple            # (0, p_max)
     log: list = field(default_factory=list)
+    #: wall times and counts of the linear algebra (``multigrid_setup_s``,
+    #: of which ``coarse_inverse_s``, ``v_cycles`` and ``gmres_s``), which
+    #: vary from run to run: timings.json carries them, not the report
+    solve_parts: dict = field(default_factory=dict)
     #: discrete fields cannot certify the classical smoothness the theory
     #: assumes; analyses treat it as an assumption, not a verified fact
     regularity_note: str = "classical regularity assumed, not verified"
@@ -332,6 +342,13 @@ MG_COARSEST = 300
 #: damping of the Jacobi step that smooths the tentative prolongator, and of
 #: the V-cycle's Jacobi smoother, on the 5-point operator
 MG_PROLONG_OMEGA, MG_SMOOTH_OMEGA = 2.0 / 3.0, 0.8
+#: the first MG_SMOOTHED_LEVELS levels prolong by the smoothed prolongator,
+#: whose Galerkin operators widen by about half a level (5, 12.9, 36.1, 89.8
+#: nonzeros per row on the disc at h = 1/256); each level below prolongs by
+#: the tentative one (plain aggregation), which keeps them at about 34 and
+#: 18, and scales its coarse correction by MG_PLAIN_SCALE, the
+#: over-correction plain aggregation needs (Braess, Computing 55, 1995)
+MG_SMOOTHED_LEVELS, MG_PLAIN_SCALE = 3, 1.5
 
 
 def splu(A):
@@ -375,54 +392,113 @@ def splu(A):
     return inv
 
 
-def _multigrid(A, index):
-    """One V(1,1)-cycle ``b -> x ~ A^-1 b`` of smoothed-aggregation multigrid
-    (Vaněk, Mandel & Brezina, Computing 56, 1996) on the lattice ``index``
-    (node ids, -1 off the domain): node ``(i, j)`` joins aggregate
-    ``(i // 2, j // 2)``, one damped Jacobi step of ``A`` smooths the
-    prolongator, coarse operators are ``P^T A P``, each level smooths by one
-    damped Jacobi sweep before and after its coarse correction, and the
-    dense inverse of ``splu`` solves the first level of at most
-    ``MG_COARSEST`` nodes (on a small grid, ``A`` itself).  A level holds
-    ``(A, MG_SMOOTH_OMEGA D^-1, P, P^T)``, its restriction ``P.T`` being
-    scipy's transpose view over ``P``'s own arrays, not a copy.  The cycle
-    is linear in ``b``, as ``_gmres`` needs.  An ``A`` whose diagonal is too
-    small to invert in floating point leaves non-finite coarse operators,
-    which ``splu`` refuses with ``EllipticityError``."""
+def _tentative_prolongator(index):
+    """The tentative prolongator T of the lattice ``index`` (node ids, -1 off
+    the domain), as CSR with one unit entry per row, and the coarse lattice:
+    node ``(i, j)`` joins aggregate ``(i // 2, j // 2)``, and the aggregates
+    are numbered in the coarse lattice's row-major order, as a sort of their
+    keys would number them."""
+    ii, jj = np.nonzero(index >= 0)
+    ci, cj = ii // 2, jj // 2
+    taken = np.zeros(((index.shape[0] + 1) // 2, (index.shape[1] + 1) // 2), dtype=bool)
+    taken[ci, cj] = True
+    coarse = np.full(taken.shape, -1)
+    n, nc = len(ii), np.count_nonzero(taken)
+    coarse[taken] = np.arange(nc)
+    agg = np.empty(n, dtype=np.int32)
+    agg[index[ii, jj]] = coarse[ci, cj]
+    T = sparse.csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
+                          shape=(n, nc))
+    return T, coarse
+
+
+def _multigrid(A, index, parts=None):
+    """One V(1,1)-cycle ``b -> x ~ A^-1 b`` of aggregation multigrid on the
+    lattice ``index`` (node ids, -1 off the domain): node ``(i, j)`` joins
+    aggregate ``(i // 2, j // 2)`` (``_tentative_prolongator``).  The first
+    ``MG_SMOOTHED_LEVELS`` levels prolong by the tentative prolongator
+    smoothed by one damped Jacobi step of ``A`` (smoothed aggregation;
+    Vaněk, Mandel & Brezina, Computing 56, 1996), the levels below by the
+    tentative one itself, with their coarse correction scaled by
+    ``MG_PLAIN_SCALE`` (plain aggregation; Braess, Computing 55, 1995).
+    Every coarse operator is the Galerkin product ``P^T A P`` of its own
+    prolongator.  Each level smooths by one damped Jacobi sweep before and
+    after its coarse correction, and the dense inverse of ``splu`` solves
+    the first level of at most ``MG_COARSEST`` nodes (on a small grid,
+    ``A`` itself).  A level holds ``(A, MG_SMOOTH_OMEGA D^-1, P, P^T,
+    scale)``, its restriction ``P.T`` being scipy's transpose view over
+    ``P``'s own arrays, not a copy, and then the work arrays its cycle
+    writes: its iterate (None on the finest level, whose iterate each cycle
+    returns afresh), its residual and the next level's right-hand side; the
+    coarsest holds its inverse, a work array of the inverse's shape and its
+    result (None where it is the finest).  The cycle is linear in ``b``, as ``_gmres`` needs.  An ``A``
+    whose diagonal is too small to invert in floating point leaves
+    non-finite coarse operators, which ``splu`` refuses with
+    ``EllipticityError``.  With a dict ``parts``, the seconds of ``splu``
+    go to its ``coarse_inverse_s``."""
     levels = []
     while A.shape[0] > MG_COARSEST:
-        ii, jj = np.nonzero(index >= 0)
-        coarse = np.full(((index.shape[0] + 1) // 2, (index.shape[1] + 1) // 2), -1)
-        keys, agg = np.unique((ii // 2) * coarse.shape[1] + jj // 2, return_inverse=True)
-        coarse.flat[keys] = np.arange(len(keys))
-        T = sparse.csr_matrix((np.ones(len(agg)), (index[ii, jj], agg)),
-                              shape=(A.shape[0], len(keys)))
+        T, coarse = _tentative_prolongator(index)
         # the weights suit rho(D^-1 A) <= 2, which Gershgorin's bound (the top
         # row sum of |D^-1 A|) gives the 5-point operator; four coarsenings
         # down, the unscaled rho reaches 3.3, so they are scaled by 2/bound
         with np.errstate(all="ignore"):  # splu refuses what does not fit a float
             dinv = 1.0 / A.diagonal()
             dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
-        P = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr()
-        levels.append((A, MG_SMOOTH_OMEGA * dinv, P, P.T))
+        if len(levels) < MG_SMOOTHED_LEVELS:
+            P, scale = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr(), 1.0
+        else:
+            P, scale = T, MG_PLAIN_SCALE
+        n, nc = P.shape
+        levels.append((A, MG_SMOOTH_OMEGA * dinv, P, P.T, scale,
+                       np.empty(n) if levels else None, np.empty(n), np.empty(nc)))
         # the Galerkin product reads a transient CSR copy of P^T: through the
         # view it took 1.5 times as long on the disc at h = 1/256
         A, index = (P.T.tocsr() @ (A @ P)).tocsr(), coarse
+    t0 = time.perf_counter()
+    inv = splu(A)
+    if parts is not None:
+        parts["coarse_inverse_s"] = time.perf_counter() - t0
+    coarsest = (inv, np.empty_like(inv), np.empty(len(inv)) if levels else None)
     # a closure that called itself would be a reference cycle, keeping the
     # hierarchy in memory after the solve until a garbage collection
-    return partial(_v_cycle, levels, splu(A))
+    return partial(_v_cycle, levels, coarsest)
 
 
-def _v_cycle(levels, inv, b, k=0):
-    """The V-cycle of ``_multigrid`` from level ``k`` down.  The coarsest
-    level's inverse ``inv`` is applied as a row sum in numpy's pairwise
-    order: a BLAS product would split its sums by the thread count."""
+def _matvec(M, v, out):
+    """``out = M @ v`` for a CSR matrix or the CSC transpose view of one, by
+    the scipy kernel that ``M @ v`` calls, which adds each row's products in
+    order to a zero: the bits of ``M @ v`` without a fresh array.  ``out``
+    must be a C-contiguous float array of its own: the kernel writes into
+    a copy of any other, which it then drops."""
+    out.fill(0.0)
+    getattr(_sparsetools, M.format + "_matvec")(*M.shape, M.indptr, M.indices, M.data,
+                                                 v, out)
+    return out
+
+
+def _v_cycle(levels, coarsest, b, k=0):
+    """The V-cycle of ``_multigrid`` from level ``k`` down.  Each level
+    computes in its own work arrays, by ``out=`` operations in the order of
+    ``x = wdinv b; x += scale P cycle(P^T (b - A x)); x += wdinv (b - A x)``,
+    and returns its iterate, which the level above reads before the next
+    cycle writes it; the finest level's is allocated afresh, so an array
+    that a call returns is the caller's.  The coarsest level's inverse is
+    applied as a row sum in numpy's pairwise order: a BLAS product would
+    split its sums by the thread count."""
     if k == len(levels):
-        return np.add.reduce(inv * b, axis=1)
-    A, wdinv, P, Pt = levels[k]
-    x = wdinv * b
-    x = x + P @ _v_cycle(levels, inv, Pt @ (b - A @ x), k + 1)
-    return x + wdinv * (b - A @ x)
+        inv, work, out = coarsest
+        return np.add.reduce(np.multiply(inv, b, out=work), axis=1, out=out)
+    A, wdinv, P, Pt, scale, x, r, bc = levels[k]
+    x = np.multiply(wdinv, b, out=x)
+    np.subtract(b, _matvec(A, x, r), out=r)
+    e = _v_cycle(levels, coarsest, _matvec(Pt, r, bc), k + 1)
+    e *= scale  # exact where it is 1, on the smoothed levels
+    x += _matvec(P, e, r)
+    np.subtract(b, _matvec(A, x, r), out=r)
+    r *= wdinv
+    x += r
+    return x
 
 
 def solve_euler_lagrange(model, domain, config=None):
@@ -447,11 +523,14 @@ def solve_euler_lagrange(model, domain, config=None):
     reported, not raised.  Each iteration, the warm start included, logs
     its residual, accepted omega (``damping``, 0 when none was) and its
     GMRES iterations, restart cycles and whether a stalled cycle ended
-    them.  A model is refused here only where g(0, 0) or a face coefficient
-    is not positive, or where g(0, 0) is too small or h(0, 0) too large for
-    floating point (the coarsest multigrid level, the norm of the warm
-    start's right-hand side or its |grad u|^2 overflows); ``run_pipeline``
-    checks its convexity on ``PILOT_BOX`` before.
+    them; the result's ``solve_parts`` holds the hierarchy's setup and
+    coarse-inverse seconds, the V-cycles applied and the seconds inside
+    GMRES, which ``run_pipeline`` puts in timings.json.  A model is refused
+    here only where g(0, 0) or a face coefficient is not positive, or where
+    g(0, 0) is too small or h(0, 0) too large for floating point (the
+    coarsest multigrid level, the norm of the warm start's right-hand side
+    or its |grad u|^2 overflows); ``run_pipeline`` checks its convexity on
+    ``PILOT_BOX`` before.
     """
     cfg = config or SolverConfig()
     g0, h0 = divergence_coefficients(model, 0.0, 0.0)
@@ -459,12 +538,26 @@ def solve_euler_lagrange(model, domain, config=None):
         raise EllipticityError("g(0, 0) is not positive",
                                witness={"p": 0.0, "q": 0.0, "g": g0})
     A0 = _assemble(domain, _conductances(domain, g0))
+    parts = {"v_cycles": 0, "gmres_s": 0.0}
+
+    def precond(v):
+        parts["v_cycles"] += 1
+        return cycle(v)
+
+    def gmres(jv, b, rtol):
+        t0 = time.perf_counter()
+        x, stats = _gmres(jv, b, precond, rtol)
+        parts["gmres_s"] += time.perf_counter() - t0
+        return x, stats
+
     try:
-        cycle = _multigrid(A0, domain.interior_index)
+        t0 = time.perf_counter()
+        cycle = _multigrid(A0, domain.interior_index, parts)
+        parts["multigrid_setup_s"] = time.perf_counter() - t0
         # u scales as h(0, 0)/g(0, 0): a tiny g(0, 0) overflows u or |grad u|^2
         with np.errstate(over="ignore", invalid="ignore"):
-            u, stats = _gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0), cycle,
-                              rtol=WARM_START_RTOL)
+            u, stats = gmres(lambda v: A0 @ v, np.full(domain.n_interior, -h0),
+                             WARM_START_RTOL)
             if not np.all(np.isfinite(sum((G @ u) ** 2 for G in domain.grad_ops))):
                 raise EllipticityError("the warm start's |grad u|^2 overflows")
     except EllipticityError as exc:  # a g(0, 0) too small for floating point
@@ -482,7 +575,7 @@ def solve_euler_lagrange(model, domain, config=None):
         # lin is released once the product is built, and the product once
         # GMRES returns, so neither is held beside GMRES's basis or a trial
         jv, lin = _jacobian(model, domain, u, lin), None
-        step, stats = _gmres(jv, -R, cycle, rtol=eta)
+        step, stats = gmres(jv, -R, eta)
         jv = None
         omega = 1.0
         for _ in range(5):
@@ -506,18 +599,18 @@ def solve_euler_lagrange(model, domain, config=None):
 
     return field_result(domain, u, final_residual=res,
                         converged=res <= cfg.residual_tol, iterations=iterations,
-                        log=log)
+                        log=log, solve_parts=parts)
 
 
-def _dot(a, b):
+def _dot(a, b, out=None):
     """``a . b`` summed in numpy's pairwise order, which, unlike a BLAS dot
-    product, no thread count changes."""
-    return float(np.add.reduce(a * b))
+    product, no thread count changes; the products go to ``out`` if given."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
-def _norm(a):
+def _norm(a, out=None):
     """The 2-norm of ``a``, summed as ``_dot`` sums."""
-    return math.sqrt(_dot(a, a))
+    return math.sqrt(_dot(a, a, out))
 
 
 def _gmres(jv, b, precond, rtol=GMRES_RTOL):
@@ -528,7 +621,9 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
     Arnoldi with modified Gram-Schmidt, and Givens rotations that update the
     residual norm each iteration (Saad & Schultz, SIAM J. Sci. Stat. Comput.
     7, 1986; Kelley, *Solving Nonlinear Equations with Newton's Method*,
-    SIAM 2003, ch. 3).  A cycle stops at ``rtol |b|`` or after
+    SIAM 2003, ch. 3).  Every product of the Gram-Schmidt sweeps and of the
+    sum ``V y`` goes to one work array of b's length, in the order and bits
+    of fresh arrays.  A cycle stops at ``rtol |b|`` or after
     ``GMRES_RESTART`` iterations, then adds ``precond(V y)`` to x; a full
     cycle whose preconditioned residual ``|precond(b - J x)|`` is above
     ``GMRES_STALL_FACTOR`` times that of the previous full cycle has stalled
@@ -544,6 +639,7 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
     if tol == math.inf:  # the basis r/|b| would be 0
         raise EllipticityError("the right-hand side's 2-norm overflows")
     V = np.empty((m + 1, len(b)))  # the Arnoldi basis of a cycle
+    work = np.empty(len(b))  # every product of the Gram-Schmidt sweeps
     floor = math.inf  # preconditioned residual after the last full cycle
     iterations = cycles = 0
     stalled = False
@@ -563,9 +659,9 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
         for k in range(m):
             w = jv(precond(V[k]))
             for i in range(k + 1):
-                H[i, k] = _dot(w, V[i])
-                w -= H[i, k] * V[i]
-            w_norm = _norm(w)
+                H[i, k] = _dot(w, V[i], work)
+                w -= np.multiply(V[i], H[i, k], out=work)
+            w_norm = _norm(w, work)
             for i in range(k):
                 H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
                                         cs[i] * H[i + 1, k] - sn[i] * H[i, k])
@@ -577,13 +673,13 @@ def _gmres(jv, b, precond, rtol=GMRES_RTOL):
             done = abs(g[k + 1]) <= tol or w_norm == 0.0
             if done:
                 break
-            V[k + 1] = w / w_norm
+            np.divide(w, w_norm, out=V[k + 1])
         y = np.zeros(k + 1)
         for i in range(k, -1, -1):
             y[i] = (g[i] - _dot(H[i, i + 1:k + 1], y[i + 1:])) / H[i, i]
         z = y[0] * V[0]
         for i in range(1, k + 1):
-            z += y[i] * V[i]
+            z += np.multiply(V[i], y[i], out=work)
         x += precond(z)
         if done:
             break

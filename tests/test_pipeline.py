@@ -513,12 +513,29 @@ class TestExportAndReload:
     def test_stages_record_peak_memory(self, run_dir):
         out, report = run_dir
         peaks = report.timings["max_rss_mb"]
-        stages = set(report.timings) - {"max_rss_mb", "export_values", "export_child"}
+        stages = set(report.timings) - {"max_rss_mb", "export_values", "export_child",
+                                        "solve_parts"}
         assert set(peaks) == stages >= {"hypotheses_pilot", "domain", "solve", "export"}
         recorded = list(peaks.values())  # in the order the stages ended
         assert 0.0 < recorded[0] and recorded == sorted(recorded)
         with open(os.path.join(out, "timings.json")) as fh:
             assert json.load(fh)["max_rss_mb"] == peaks
+
+    def test_solve_parts_in_timings_alone(self, run_dir):
+        out, report = run_dir
+        parts = report.timings["solve_parts"]
+        assert set(parts) == {"multigrid_setup_s", "coarse_inverse_s", "v_cycles", "gmres_s"}
+        assert 0.0 <= parts["coarse_inverse_s"] <= parts["multigrid_setup_s"]
+        assert parts["gmres_s"] > 0.0
+        # a linear model stops at the warm start, one restart cycle: a V-cycle
+        # per iteration and one for the update of x
+        assert report.result.iterations == 0
+        assert parts["v_cycles"] == report.result.log[0]["linear_iterations"] + 1
+        with open(os.path.join(out, "timings.json")) as fh:
+            assert json.load(fh)["solve_parts"] == parts
+        for name in ("report.json", "solver_log.json"):
+            with open(os.path.join(out, name)) as fh:
+                assert "v_cycles" not in fh.read()
 
     def test_tensor_csv_columns(self, run_dir):
         out, report = run_dir

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,23 +292,14 @@ class TestWarmStartMultigrid:
         dom = build_domain(make_shape(kind, params), 1 / 64)
         cycle = solver._multigrid(_assemble(dom, _conductances(dom, 1.0)),
                                   dom.interior_index)
-        levels, inv = cycle.args
+        levels, coarsest = cycle.args
         assert len(levels) >= 2
-        for _, _, P, Pt in levels:
+        for _, _, P, Pt, *_ in levels:
             assert all(np.shares_memory(getattr(Pt, name), getattr(P, name))
                        for name in ("data", "indices", "indptr"))
-        stored = [(A, wdinv, P, P.T.tocsr()) for A, wdinv, P, _ in levels]
-        for (A, _, P, R), coarse in zip(stored, stored[1:]):
-            assert (R @ (A @ P) != coarse[0]).nnz == 0
-
-        def reference(b, k=0):
-            if k == len(stored):
-                return np.add.reduce(inv * b, axis=1)
-            A, wdinv, P, R = stored[k]
-            x = wdinv * b
-            x = x + P @ reference(R @ (b - A @ x), k + 1)
-            return x + wdinv * (b - A @ x)
-
+        for (A, _, P, *_), coarse in zip(levels, levels[1:]):
+            assert (P.T.tocsr() @ (A @ P) != coarse[0]).nnz == 0
+        reference = _allocating_cycle(levels, coarsest)
         rng = np.random.default_rng(5)
         for b in (np.ones(dom.n_interior), rng.standard_normal(dom.n_interior)):
             assert np.array_equal(cycle(b), reference(b))
@@ -337,6 +329,160 @@ class TestWarmStartMultigrid:
         res = solve_euler_lagrange(torsion_model, dom)
         r2 = (dom.xy[:, 0] - c[0]) ** 2 + (dom.xy[:, 1] - c[1]) ** 2
         assert np.max(np.abs(res.u - (r2 - 1.0) / 4.0)) <= 1e-12
+
+
+def _allocating_cycle(levels, coarsest):
+    """Reference: the V-cycle of a ``_multigrid`` hierarchy written with a
+    fresh array for every result, each restriction stored as the CSR copy
+    ``P.T.tocsr()``, each coarse correction scaled by its level's scale and
+    the coarsest inverse applied by the same row sum."""
+    stored = [(A, wdinv, P, P.T.tocsr(), scale) for A, wdinv, P, _, scale, *_ in levels]
+    inv = coarsest[0]
+
+    def cycle(b, k=0):
+        if k == len(stored):
+            return np.add.reduce(inv * b, axis=1)
+        A, wdinv, P, R, scale = stored[k]
+        x = wdinv * b
+        x = x + P @ (scale * cycle(R @ (b - A @ x), k + 1))
+        return x + wdinv * (b - A @ x)
+    return cycle
+
+
+def _gmres_one_cycle(jv, b, precond, rtol):
+    """Reference: one restart cycle of ``_gmres`` with modified Gram-Schmidt
+    written with a fresh array for every product."""
+    m = solver.GMRES_RESTART
+    tol = rtol * math.sqrt(float(np.add.reduce(b * b)))
+    V, H = np.empty((m + 1, len(b))), np.zeros((m, m))
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    g[0] = math.sqrt(float(np.add.reduce(b * b)))
+    V[0] = b / g[0]
+    for k in range(m):
+        w = jv(precond(V[k]))
+        for i in range(k + 1):
+            H[i, k] = float(np.add.reduce(w * V[i]))
+            w -= H[i, k] * V[i]
+        w_norm = math.sqrt(float(np.add.reduce(w * w)))
+        for i in range(k):
+            H[i, k], H[i + 1, k] = (cs[i] * H[i, k] + sn[i] * H[i + 1, k],
+                                    cs[i] * H[i + 1, k] - sn[i] * H[i, k])
+        rho = math.hypot(H[k, k], w_norm)
+        cs[k], sn[k] = H[k, k] / rho, w_norm / rho
+        H[k, k] = rho
+        g[k], g[k + 1] = cs[k] * g[k], -sn[k] * g[k]
+        if abs(g[k + 1]) <= tol:
+            break
+        V[k + 1] = w / w_norm
+    y = np.zeros(k + 1)
+    for i in range(k, -1, -1):
+        y[i] = (g[i] - float(np.add.reduce(H[i, i + 1:k + 1] * y[i + 1:]))) / H[i, i]
+    z = y[0] * V[0]
+    for i in range(1, k + 1):
+        z = z + y[i] * V[i]
+    return np.zeros_like(b) + precond(z), k + 1
+
+
+#: the disc at h = 1/128 (centre 0): (nodes, nonzeros) of each level's operator,
+#: the coarsest last; 4.98, 12.82, 35.27, 83.06 and 30.59 nonzeros per row.
+#: the first MG_SMOOTHED_LEVELS prolong by the smoothed prolongator, the
+#: fourth by the tentative one
+DISC128_LEVELS = [(51429, 256125), (12985, 166483), (3320, 117100), (865, 71843),
+                  (232, 7098)]
+
+
+def _hierarchy(dom, monkeypatch):
+    """The cycle of the unit-coefficient operator's hierarchy on ``dom``, and
+    the coarsest level's operator, which ``splu`` inverts."""
+    seen = []
+    real = solver.splu
+    with monkeypatch.context() as m:
+        m.setattr(solver, "splu", lambda A: seen.append(A) or real(A))
+        cycle = solver._multigrid(_assemble(dom, _conductances(dom, 1.0)),
+                                  dom.interior_index)
+    return cycle, seen[0]
+
+
+class TestHierarchy:
+    """The level layout of ``_multigrid`` and its cycle's work arrays."""
+
+    def test_plain_levels_below_the_smoothed_ones(self, monkeypatch):
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 128)
+        cycle, coarsest = _hierarchy(dom, monkeypatch)
+        levels, _ = cycle.args
+        ops = [lv[0] for lv in levels] + [coarsest]
+        assert [(A.shape[0], A.nnz) for A in ops] == DISC128_LEVELS
+        assert [lv[4] for lv in levels] == [1.0] * solver.MG_SMOOTHED_LEVELS + [1.5]
+        for k, ((A, _, P, Pt, *_), coarse) in enumerate(zip(levels, ops[1:])):
+            assert (P.T.tocsr() @ (A @ P) != coarse).nnz == 0
+            assert all(np.shares_memory(getattr(Pt, name), getattr(P, name))
+                       for name in ("data", "indices", "indptr"))
+            if k >= solver.MG_SMOOTHED_LEVELS:  # the tentative prolongator
+                assert np.array_equal(P.indptr, np.arange(P.shape[0] + 1))
+                assert np.all(P.data == 1.0)
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+                                             ("ellipse", [1.0, 0.6]),
+                                             ("rectangle", [1.0, 0.7])])
+    def test_cycle_equals_an_allocating_one(self, kind, params, h, monkeypatch):
+        # interleaved calls: each equals the reference bit for bit, and an
+        # array one call returned is not touched by the next
+        dom = build_domain(make_shape(kind, params), h)
+        cycle, _ = _hierarchy(dom, monkeypatch)
+        reference = _allocating_cycle(*cycle.args)
+        rng = np.random.default_rng(6)
+        bs = [np.ones(dom.n_interior), rng.standard_normal(dom.n_interior)]
+        xs = [cycle(b) for b in bs + bs]
+        kept = [x.copy() for x in xs]
+        for b, x, x_kept in zip(bs + bs, xs, kept):
+            assert np.array_equal(x, reference(b)) and np.array_equal(x, x_kept)
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(xs) for y in xs[i + 1:])
+
+    def test_gmres_keeps_what_the_cycle_returns(self, monkeypatch):
+        # GMRES holds no cycle's result past the next call: a copy of each
+        # gives the same bits
+        dom = build_domain(make_shape("disc", [1.0]), 1 / 128)
+        cycle, _ = _hierarchy(dom, monkeypatch)
+        A = _assemble(dom, _conductances(dom, 1.0))
+        b = np.random.default_rng(7).standard_normal(dom.n_interior)
+        x, stats = solver._gmres(lambda v: A @ v, b, cycle, rtol=1e-12)
+        x_copy, stats_copy = solver._gmres(lambda v: A @ v, b, lambda v: cycle(v).copy(),
+                                           rtol=1e-12)
+        assert np.array_equal(x, x_copy) and stats == stats_copy
+
+    def test_warm_start_equals_allocating_gram_schmidt(self, torsion_model, monkeypatch):
+        dom = build_domain(make_shape("disc", [1.0], (0.37 / 128, 0.61 / 128)), 1 / 128)
+        cycle, _ = _hierarchy(dom, monkeypatch)
+        g0, h0 = divergence_coefficients(torsion_model, 0.0, 0.0)
+        A = _assemble(dom, _conductances(dom, g0))
+        b = np.full(dom.n_interior, -h0)
+        x, stats = solver._gmres(lambda v: A @ v, b, cycle, rtol=solver.WARM_START_RTOL)
+        ref, iterations = _gmres_one_cycle(lambda v: A @ v, b, cycle,
+                                           solver.WARM_START_RTOL)
+        assert stats == {"linear_iterations": iterations, "restart_cycles": 1,
+                         "stalled": False}
+        assert np.array_equal(x, ref)
+        assert np.array_equal(x, solve_euler_lagrange(torsion_model, dom).u)
+
+    @pytest.mark.parametrize("coef,failure", [
+        ("1e-320", "the coarsest multigrid operator has a zero or non-finite pivot "
+                   "or inverse"),
+        ("1e-300", "the warm start's |grad u|^2 overflows"),
+        ("1e-310", "the warm start's |grad u|^2 overflows")])
+    def test_tiny_g0_refusals_through_plain_levels(self, coef, failure, capfd):
+        # g(0, 0) = 2 coef: refused as on a grid with no multigrid level,
+        # silently, also where the cycle passes a plain level's scaling
+        model = make_expression_model(f"{coef}*p*p + q", smooth_at_origin=True)
+        for h in (1 / 16, 1 / 128):
+            dom = build_domain(make_shape("disc", [1.0]), h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EllipticityError) as err:
+                    solve_euler_lagrange(model, dom)
+            assert str(err.value) == failure
+            assert err.value.witness == {"p": 0.0, "q": 0.0, "g": 2 * float(coef)}
+        assert capfd.readouterr().err == ""
 
 
 def _coarsest(kind, params, monkeypatch, h=1 / 64):
