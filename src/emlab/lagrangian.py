@@ -211,20 +211,31 @@ def eval_jet(model, p, q):
 
     Scalars in, scalar jet out; arrays in, array jet out.  Raises on p < 0
     and on non-finite results (singular expression at the evaluation point).
+
+    An entry that is constant in the model's structure (F_pp = 1 of
+    ``0.5 * p * p``) leaves ``Dual2`` as a scalar; it is checked once and
+    returned as a read-only broadcast of the input shape, so it costs no
+    array.  No entry shares memory with ``p`` or ``q``.
     """
     p_arr, q_arr = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if np.any(p_arr < 0):
         raise ValueError("gradient magnitude p must be non-negative")
+    # a point evaluates as a one-element array: a numpy scalar would read
+    # as one of Dual2's structural constants
+    p_in, q_in = np.atleast_1d(p_arr), np.atleast_1d(q_arr)
     with np.errstate(all="ignore"):  # singular points surface as non-finite
-        out = Dual2._lift(model.evaluator(Dual2.var_p(p_arr), Dual2.var_q(q_arr)))
-    shape = np.broadcast_shapes(p_arr.shape, q_arr.shape)
-    entries = [np.broadcast_to(np.asarray(e, dtype=float), shape)
-               for e in (out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq)]
+        out = Dual2._lift(model.evaluator(Dual2.var_p(p_in), Dual2.var_q(q_in)))
+    entries = [out.v, out.dp, out.dq, out.dpp, out.dpq, out.dqq]
     if not all(np.all(np.isfinite(e)) for e in entries):
         raise EvaluationError(f"model {model.name!r} produced a non-finite jet entry")
+    shape = np.broadcast_shapes(p_arr.shape, q_arr.shape)
     if not shape:  # scalars in, floats out
-        entries = [float(e) for e in entries]
-    return Jet2(*entries)
+        return Jet2(*(float(np.ravel(e)[0]) for e in entries))
+    # an entry that passed an input through (F = p) is copied, so a caller
+    # that writes into its p or q later leaves the jet as it was
+    return Jet2(*(np.broadcast_to(e.copy() if e is p_in or e is q_in
+                                  else np.asarray(e, dtype=float), shape)
+                  for e in entries))
 
 
 def diffusion_coefficient(model, p, q, jet):

@@ -524,7 +524,8 @@ class TestExportAndReload:
     def test_solve_parts_in_timings_alone(self, run_dir):
         out, report = run_dir
         parts = report.timings["solve_parts"]
-        assert set(parts) == {"multigrid_setup_s", "coarse_inverse_s", "v_cycles", "gmres_s"}
+        assert set(parts) == {"multigrid_setup_s", "coarse_inverse_s", "v_cycles", "gmres_s",
+                              "minor_faults"}
         assert 0.0 <= parts["coarse_inverse_s"] <= parts["multigrid_setup_s"]
         assert parts["gmres_s"] > 0.0
         # a linear model stops at the warm start, one restart cycle: a V-cycle
@@ -536,6 +537,20 @@ class TestExportAndReload:
         for name in ("report.json", "solver_log.json"):
             with open(os.path.join(out, name)) as fh:
                 assert "v_cycles" not in fh.read()
+
+    def test_solve_minor_faults_in_timings_alone(self, tmp_path):
+        # the solve's page-fault count goes to timings.json, and report.json
+        # keeps its bytes whatever the count reads
+        cfg_path = write_config(tmp_path, TORSION_CONFIG)
+        reports = []
+        for k in range(2):
+            out = tmp_path / f"out{k}"
+            assert main(["solve", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+            count = json.loads((out / "timings.json").read_text())["solve_parts"]["minor_faults"]
+            assert isinstance(count, int) and count >= 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b"minor_faults" not in reports[0]
 
     def test_tensor_csv_columns(self, run_dir):
         out, report = run_dir
