@@ -8,8 +8,8 @@ Newton-Krylov loop (Knoll & Keyes, J. Comput. Phys. 193, 2004; Kelley,
 residual sweeps the second-order jet once per unique face, in three groups
 (the faces between two interior nodes in x, those in y, and the faces to the
 boundary), and once per node.  Each step multiplies by the exact Jacobian of
-the discrete residual, built from the face and node data that the accepted
-trial's residual sweep returned, inside a restarted GMRES (Saad & Schultz,
+the discrete residual, a product that the accepted trial's residual built
+from its own arrays, inside a restarted GMRES (Saad & Schultz,
 SIAM J. Sci. Stat. Comput. 7, 1986) whose sums run in numpy's pairwise
 order, so no result depends on the BLAS thread count, and whose
 Gram-Schmidt sweeps write their products into one work array.  GMRES,
@@ -121,21 +121,6 @@ def _by_direction(groups, values, n):
     return out
 
 
-@dataclass
-class _Linearization:
-    """What ``_jacobian`` reads of a residual sweep at u: per sweep group of
-    ``_face_groups``, the faces' g, ``dg/d(p^2)`` and ``F_pq/P``; at the
-    nodes, ``h_q = -F_qq``, ``2 h_s = -F_pq/p`` and the gradient (ux, uy)."""
-
-    g: tuple
-    g_s: tuple
-    g_q: tuple
-    h_q: np.ndarray
-    h_s2: np.ndarray
-    ux: np.ndarray
-    uy: np.ndarray
-
-
 def _face_state(p2, u, i, j):
     """``(P, uf)`` of the faces from nodes ``i`` to nodes ``j``: P^2 and the
     face value are the means of ``p2`` and of ``u`` over the two nodes; a
@@ -146,32 +131,30 @@ def _face_state(p2, u, i, j):
     return np.sqrt(0.5 * (p2[i] + p2[j])), 0.5 * (u[i] + u[j])
 
 
-def _face_coefficients(model, P, uf, linearize):
-    """``(g,)`` of faces at the state (P, uf), and with ``linearize``
-    ``(g, dg/d(p^2), F_pq/P)``, from one jet sweep; the jet goes on return,
-    so no two groups' jets are held at once."""
-    jet = eval_jet(model, P, uf)
-    g = diffusion_coefficient(model, P, uf, jet)
-    return (g, _g_s(P, jet), _pq_quotient(P, jet)) if linearize else (g,)
-
-
 def _sweep(model, domain, u, linearize):
-    """``(g, h, lin)`` at ``u``: the (4, n) face coefficients g by direction,
-    h = -F_q at the nodes, and with ``linearize`` the ``_Linearization``,
-    else None.  Each face is swept once, in its group of ``_face_groups``,
-    at its ``_face_state``, and g = F_p/P is formed from that jet.  A
-    non-positive g is refused with the witness of its first (direction,
-    node), in the order of the (4, n) array."""
+    """``(g, h)`` at ``u``: the (4, n) face coefficients g by direction and
+    h = -F_q at the nodes; with ``linearize`` then also what ``_jacobian``
+    reads of the sweep: the faces' ``dg/d(p^2)`` and ``F_pq/P`` by
+    direction, ``h_q = -F_qq`` and ``2 h_s = -F_pq/p`` at the nodes, and the
+    gradient (ux, uy).  Each face is swept once, in its group of
+    ``_face_groups``, at its ``_face_state``, and g = F_p/P is formed from
+    that jet.  A non-positive g is refused with the witness of its first
+    (direction, node), in the order of the (4, n) array."""
     Gx, Gy = domain.grad_ops
     ux, uy = Gx @ u, Gy @ u
     p2 = ux ** 2 + uy ** 2
     if not linearize:
         ux = uy = None
-    faces = [_face_coefficients(model, *_face_state(p2, u, i, j), linearize)
-             for i, j, _ in _face_groups(domain)]
-    g = _by_direction(_face_groups(domain), [q[0] for q in faces], len(u))
-    if not linearize:
-        faces = None  # g holds them now; free them before the nodal jet's peak
+    faces = []
+    for i, j, _ in _face_groups(domain):  # one group's indices at a time
+        P, uf = _face_state(p2, u, i, j)
+        jet = eval_jet(model, P, uf)
+        g = diffusion_coefficient(model, P, uf, jet)
+        faces.append((g, _g_s(P, jet), _pq_quotient(P, jet)) if linearize else (g,))
+        del P, uf, jet  # no two groups' jets are held at once
+    groups = list(_face_groups(domain))
+    g, *face_lin = [_by_direction(groups, values, len(u)) for values in zip(*faces)]
+    groups = faces = None  # scattered now; free them before the nodal jet's peak
     if np.any(g <= 0.0):
         d, i = divmod(int(np.argmax(g <= 0.0)), len(u))
         j = domain.nbr[i, d]
@@ -183,17 +166,23 @@ def _sweep(model, domain, u, linearize):
                      "p_face": float(P), "u_face": float(uf), "g": float(g[d, i])})
     p = np.sqrt(p2)
     jet = eval_jet(model, p, u)
-    lin = (_Linearization(*zip(*faces), -jet.F_qq, -_pq_quotient(p, jet), ux, uy)
-           if linearize else None)
-    return g, -jet.F_q, lin
+    if not linearize:
+        return g, -jet.F_q
+    return (g, -jet.F_q, *face_lin, -jet.F_qq, -_pq_quotient(p, jet), ux, uy)
+
+
+def _spans(domain):
+    """The (4, n) face spans ``arm_d span`` of the flux stencil, span being
+    the mean arm of the node in x or in y."""
+    span_x = 0.5 * (domain.arm[:, _E] + domain.arm[:, _W])
+    span_y = 0.5 * (domain.arm[:, _N] + domain.arm[:, _S])
+    return domain.arm.T * np.array([span_x, span_x, span_y, span_y])
 
 
 def _conductances(domain, g):
     """Conductances c[d] = g[d]/(arm_d span), (4, n), of the faces with diffusion
     coefficients g: the flux stencil is (A u)_i = sum_d c[d]_i (u_d - u_i)."""
-    span_x = 0.5 * (domain.arm[:, _E] + domain.arm[:, _W])
-    span_y = 0.5 * (domain.arm[:, _N] + domain.arm[:, _S])
-    return g / (domain.arm.T * np.array([span_x, span_x, span_y, span_y]))
+    return g / _spans(domain)
 
 
 def _assemble(domain, c):
@@ -205,17 +194,25 @@ def _assemble(domain, c):
 
 def el_residual(model, domain, u, linearize=False):
     """Pointwise discrete div(g grad u) + h at the interior nodes; with
-    ``linearize``, the pair of it and the ``_Linearization`` at ``u`` that
-    ``_jacobian`` builds its product from (the Newton loop's trials)."""
+    ``linearize``, the pair of it and the product ``v -> J v`` with the
+    exact Jacobian at ``u`` (the Newton loop's trials), which ``_jacobian``
+    builds from this call's own sweep, spans and neighbour values."""
     u = np.asarray(u, dtype=float)
-    g, h_src, lin = _sweep(model, domain, u, linearize)
-    c = _conductances(domain, g)
+    g, h_src, *lin = _sweep(model, domain, u, linearize)
+    spans = _spans(domain)
+    c = g / spans
+    if not linearize:
+        spans = None  # released before the gather, as only a build reads it
     u_nb = np.append(u, 0.0)[domain.nbr]  # a boundary neighbour (-1) reads 0
     # summed as the sorted CSR row of A sums them (from +0.0, in node-id order
     # S, W, self, E, N), so the residual keeps the bits of A @ u + h
     R = (0.0 + c[_S] * u_nb[:, _S] + c[_W] * u_nb[:, _W] - c.sum(axis=0) * u
          + c[_E] * u_nb[:, _E] + c[_N] * u_nb[:, _N] + h_src)
-    return (R, lin) if linearize else R
+    if not linearize:
+        return R
+    t = u_nb.T - u
+    c = u_nb = h_src = None  # released before the build
+    return R, _jacobian(domain, g, t, np.divide(1.0, spans, out=spans), *lin)
 
 
 #: below this |grad u| the Jacobian drops its terms with a 1/p quotient, the
@@ -242,43 +239,38 @@ def _pq_quotient(p, jet):
         return np.where(big, jet.F_pq / np.where(big, p, 1.0), 0.0)
 
 
-def _jacobian(model, domain, u, lin=None):
-    """The product ``v -> J v`` with the Jacobian of ``el_residual`` at ``u``.
+def _jacobian(domain, g, t, inv_span, g_s, g_q, h_q, h_s2, ux, uy):
+    """The product ``v -> J v`` with the Jacobian of ``el_residual`` at u.
 
     With ``R = sum_d c_d (u_d - u) + h`` and ``c_d = g(s_d, uf_d)/(arm_d span)``,
     ``J v = sum_d [c_d (v_d - v) + t_d (g_s ds_d + g_q duf_d)] + h_s dp2 + h_q v``,
     where ``t_d = (u_d - u)/(arm_d span)``, ``dp2 = 2 (Gx u Gx v + Gy u Gy v)``,
     ``ds_d`` and ``duf_d`` are the face states of ``dp2`` and ``v``, and
-    ``g_s, g_q, h_s, h_q`` are the partials of g and h in p^2 and q.  The
-    coefficients come from ``lin``, the ``_Linearization`` that
-    ``el_residual`` returned at ``u``, so no jet is swept here; without it,
-    from a sweep of their own.  They fold into a 5-point stencil on ``v`` and
-    one on ``dp2 / 2``, which with the gradient are all the product keeps of
-    ``lin``, so a product is two sparse products and a few whole-array
-    operations.
+    ``g_s, g_q, h_s, h_q`` are the partials of g and h in p^2 and q.  Every
+    argument comes from the residual at u, so no jet is swept here: the
+    (4, n) ``g``, ``g_s`` and ``g_q`` by direction, the differences
+    ``t = u_d - u``, the reciprocal spans ``inv_span``, and ``h_q``,
+    ``h_s2 = 2 h_s`` and the gradient (ux, uy) at the nodes.  They fold into a
+    5-point stencil on ``v`` and one on ``dp2 / 2``, which with the gradient
+    are all the product keeps, so a product is two sparse products and a
+    few whole-array operations.
     """
-    if lin is None:
-        lin = _sweep(model, domain, u, True)[2]
-    groups, n = list(_face_groups(domain)), len(u)
     Gx, Gy = domain.grad_ops
-    ux, uy = lin.ux, lin.uy
     # v enters through v_d (c_d and half of duf_d = (v + v_d)/2) and v
     # itself, dp2 through ds_d = (dp2 + dp2_d)/2, where a boundary face reads
-    # v_d = 0 and dp2_d = dp2.  The factors are formed in place, each product
-    # in the same bits: a build holds lin beside its own arrays, and every
-    # (4, n) temporary fewer keeps the heap lower
-    inv_span = _conductances(domain, 1.0)
-    t = np.append(u, 0.0)[domain.nbr.T] - u
+    # v_d = 0 and dp2_d = dp2.  The factors are formed in place in the
+    # residual's arrays, which it reads no more: every (4, n) temporary fewer
+    # keeps the heap lower
     t *= inv_span
-    c = _by_direction(groups, lin.g, n)
+    c = g
     c *= inv_span
     half_b = 0.5 * t
-    half_b *= _by_direction(groups, lin.g_q, n)
-    a = _by_direction(groups, lin.g_s, n)
+    half_b *= g_q
+    a = g_s
     a *= t
     a_self = a.copy()
-    a_self[groups[2][2][0]] *= 2.0  # (direction, node) of the faces to the boundary
-    e0, f0 = lin.h_q, lin.h_s2
+    a_self[domain.nbr.T < 0] *= 2.0  # the faces to the boundary
+    e0, f0 = h_q, h_s2
     for d in range(4):
         e0 = e0 + half_b[d] - c[d]
         f0 = f0 + a_self[d]
@@ -513,12 +505,12 @@ def solve_euler_lagrange(model, domain, config=None):
     until the forcing term (``GMRES_RTOL``, then ``FORCING_GAMMA``),
     ``GMRES_MAX_RESTARTS`` or a stalled restart cycle, and is accepted by
     max-norm backtracking from omega = 1.  Each trial's ``el_residual`` also
-    returns its ``_Linearization``: the accepted trial's builds the next
-    step's Jacobian, which sweeps no jet, and a rejected trial's is dropped
-    before the next trial.  The warm start's residual keeps none, so only
-    the first step's Jacobian sweeps its own: keeping one would raise the
-    solve's peak memory for data a linear model, which stops at the warm
-    start, never reads.  The loop stops on
+    returns its Jacobian product: the accepted trial's is the next step's,
+    and a rejected trial's is dropped before the next trial.  The warm
+    start's residual keeps no Jacobian, so the first step's comes from one
+    linearized residual at the warm start: keeping one would raise the
+    solve's peak memory for a product a linear model, which stops at the
+    warm start, never reads.  The loop stops on
     ``residual_tol``, on ``max_iterations``, when no halving lowers the
     residual, or when ``omega max|d| <= step_tol``; nonconvergence is
     reported, not raised.  Each iteration, the warm start included, logs
@@ -565,36 +557,37 @@ def solve_euler_lagrange(model, domain, config=None):
         exc.witness = {"p": 0.0, "q": 0.0, "g": g0}
         raise
 
-    # the warm start's residual keeps no linearization: the first step's
-    # Jacobian sweeps its own, since keeping one raised the torsion disc's
-    # solve-stage peak RSS at h = 1/256 by about 14 MB, with a linear model
-    # that stops here never reading it
-    R, lin = el_residual(model, domain, u), None
+    # the warm start's residual keeps no Jacobian: the first step builds its
+    # own, since keeping one raised the torsion disc's solve-stage peak RSS
+    # at h = 1/256 by about 14 MB, with a linear model that stops here never
+    # reading it
+    R, jv = el_residual(model, domain, u), None
     res = float(np.max(np.abs(R)))
     log = [{"iteration": 0, "residual": res, "damping": 0.0, "phase": "init", **stats}]
     iterations, eta = 0, GMRES_RTOL
     while res > cfg.residual_tol and iterations < cfg.max_iterations:
         iterations += 1
-        # lin is released once the product is built, and the product once
-        # GMRES returns, so neither is held beside GMRES's basis or a trial
-        jv, lin = _jacobian(model, domain, u, lin), None
+        if jv is None:  # the first step's, from one linearized residual
+            jv = el_residual(model, domain, u, linearize=True)[1]
+        # the product is released once GMRES returns, so it is not held
+        # beside a trial's
         step, stats = gmres(jv, -R, eta)
         jv = None
         omega = 1.0
         for _ in range(5):
             u_try = u + omega * step
-            R_try, lin_try = el_residual(model, domain, u_try, linearize=True)
+            R_try, jv_try = el_residual(model, domain, u_try, linearize=True)
             r_try = float(np.max(np.abs(R_try)))
             if r_try < res:
                 eta = min(GMRES_RTOL, max(FORCING_GAMMA * (r_try / res) ** 2,
                                           0.5 * cfg.residual_tol / r_try))
-                u, R, res, lin = u_try, R_try, r_try, lin_try
+                u, R, res, jv = u_try, R_try, r_try, jv_try
                 break
             omega *= 0.5
-            lin_try = None  # a rejected trial's, before the next trial's sweep
+            jv_try = None  # a rejected trial's, before the next trial's sweep
         else:
             omega = 0.0
-        lin_try = None  # the accepted trial's is held by lin alone
+        jv_try = None  # the accepted trial's is held by jv alone
         log.append({"iteration": iterations, "residual": res, "damping": omega,
                     "phase": "newton", **stats})
         if omega * float(np.max(np.abs(step))) <= cfg.step_tol:

@@ -77,6 +77,29 @@ class TestTorsionDisc:
             assert a.log == b.log
 
 
+class TestTorsionEllipse:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_matches_closed_form(self, torsion_model, n):
+        # u* = (X^2/A^2 + Y^2/B^2 - 1)/(2/A^2 + 2/B^2) solves div(grad u) = 1
+        # with u = 0 on the ellipse; the scheme is exact on quadratics, so u,
+        # its gradient, du/dnu and Div T all sit at rounding level
+        A, B, h = 1.0, 0.6, 1.0 / n
+        cx, cy = 0.3 * h, 0.7 * h
+        dom = build_domain(make_shape("ellipse", [A, B], (cx, cy)), h)
+        res = solve_euler_lagrange(torsion_model, dom)
+        assert res.converged
+        scale = 2.0 / A ** 2 + 2.0 / B ** 2
+        X, Y = dom.xy[:, 0] - cx, dom.xy[:, 1] - cy
+        u_exact = (X ** 2 / A ** 2 + Y ** 2 / B ** 2 - 1.0) / scale
+        gx, gy = 2.0 * X / (A ** 2 * scale), 2.0 * Y / (B ** 2 * scale)
+        assert np.max(np.abs(res.u - u_exact)) <= 1e-12
+        assert np.max(np.hypot(res.grad[:, 0] - gx, res.grad[:, 1] - gy)) <= 1e-12
+        bX, bY = dom.bpts[:, 0] - cx, dom.bpts[:, 1] - cy
+        dnu_exact = 2.0 * (bX * dom.bnu[:, 0] / A ** 2 + bY * dom.bnu[:, 1] / B ** 2) / scale
+        assert np.max(np.abs(res.normal_derivative - dnu_exact)) <= 1e-12
+        assert assemble_field(torsion_model, res, dom).div_T_sup_norm_core <= 1e-11
+
+
 class TestLaplace:
     def test_zero_solution(self, laplace_result):
         assert laplace_result.converged
@@ -837,7 +860,7 @@ class TestJacobian:
         u = (x * x + y * y - 1.0) / 4.0 + 0.05 * rng.standard_normal(dom.n_interior)
         v = rng.standard_normal(dom.n_interior)
         fd = _centred_difference(model, dom, u, v)
-        jv = solver._jacobian(model, dom, u)(v)
+        jv = el_residual(model, dom, u, linearize=True)[1](v)
         assert np.max(np.abs(jv - fd)) <= 1e-7 * np.max(np.abs(fd))
 
     @pytest.mark.parametrize("model", [
@@ -856,7 +879,7 @@ class TestJacobian:
             p = np.hypot(Gx @ field, Gy @ field)
             assert np.count_nonzero(p < solver.JACOBIAN_P_CUT) > 100
             fd = _centred_difference(model, dom, field, v)
-            jv = solver._jacobian(model, dom, field)(v)
+            jv = el_residual(model, dom, field, linearize=True)[1](v)
             assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_origin_limit_as_in_the_residual(self):
@@ -877,7 +900,7 @@ class TestJacobian:
             faces < solver.JACOBIAN_P_CUT, axis=1)
         assert np.count_nonzero(flat) > 50
         v = np.random.default_rng(19).standard_normal(dom.n_interior)
-        for fn in (el_residual, lambda *a: solver._jacobian(*a)(v)):
+        for fn in (el_residual, lambda *a: el_residual(*a, linearize=True)[1](v)):
             assert np.array_equal(fn(cubic, dom, u)[flat], fn(plain, dom, u)[flat])
 
         shallow = solver.field_result(dom, 1e-10 * (x * x + y * y - 1.0) / 4.0,
@@ -898,29 +921,73 @@ class TestJacobian:
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
         u = (dom.xy[:, 0] ** 2 + dom.xy[:, 1] ** 2 - 1.0) / 4.0
         sweeps = _count_sweeps(monkeypatch)
-        product = solver._jacobian(JACOBIAN_MODELS[-1], dom, u)
+        product = el_residual(JACOBIAN_MODELS[-1], dom, u, linearize=True)[1]
         assert len(sweeps) == 4
         product(u)
         assert len(sweeps) == 4
 
 
+def _jacobian_reference(model, domain, u):
+    """Reference: the product ``v -> J v`` at ``u`` as a separate build made
+    it, from a jet sweep of its own whose face data it keeps per sweep group
+    and scatters to (4, n) itself, and from u's neighbour values gathered
+    anew."""
+    Gx, Gy = domain.grad_ops
+    ux, uy = Gx @ u, Gy @ u
+    p2 = ux ** 2 + uy ** 2
+    groups, n = list(solver._face_groups(domain)), len(u)
+    g, g_s, g_q = [], [], []
+    for i, j, _ in groups:
+        P, uf = solver._face_state(p2, u, i, j)
+        jet = eval_jet(model, P, uf)
+        g.append(lagrangian.diffusion_coefficient(model, P, uf, jet))
+        g_s.append(solver._g_s(P, jet))
+        g_q.append(solver._pq_quotient(P, jet))
+    p = np.sqrt(p2)
+    jet = eval_jet(model, p, u)
+    inv_span = _conductances(domain, 1.0)
+    t = (np.append(u, 0.0)[domain.nbr.T] - u) * inv_span
+    c = solver._by_direction(groups, g, n) * inv_span
+    half_b = 0.5 * t * solver._by_direction(groups, g_q, n)
+    a = solver._by_direction(groups, g_s, n) * t
+    a_self = a.copy()
+    a_self[groups[2][2][0]] *= 2.0  # (direction, node) of the faces to the boundary
+    e0, f0 = -jet.F_qq, -solver._pq_quotient(p, jet)
+    for d in range(4):
+        e0 = e0 + half_b[d] - c[d]
+        f0 = f0 + a_self[d]
+    e = c + half_b
+
+    def product(v):
+        half_dp2 = ux * (Gx @ v) + uy * (Gy @ v)
+        return ((e * np.append(v, 0.0)[domain.nbr].T).sum(axis=0) + e0 * v
+                + (a * np.append(half_dp2, 0.0)[domain.nbr].T).sum(axis=0)
+                + f0 * half_dp2)
+    return product
+
+
 class TestSharedLinearization:
-    @pytest.mark.parametrize("kind,params", [("disc", [1.0]), ("ellipse", [1.0, 0.6])])
-    @pytest.mark.parametrize("model", JACOBIAN_MODELS, ids=lambda m: m.name)
-    def test_product_from_a_trials_data_equals_a_fresh_one(self, model, kind, params,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("kind,params", STENCIL_SHAPES)
+    @pytest.mark.parametrize("model", JACOBIAN_MODELS + [
+        # F_pq = p: the only model here whose g depends on q
+        make_expression_model("0.5*(2 + q)*p**2 + q", smooth_at_origin=True)],
+        ids=[m.name for m in JACOBIAN_MODELS] + ["q_dependent_g"])
+    def test_product_from_a_trials_data_equals_a_fresh_one(self, model, kind, params):
+        # the residual's own arrays build the bits of a separate build, on a
+        # noisy bowl and on the two below-the-cut fields of test_below_the_cut
         dom = build_domain(make_shape(kind, params), 1 / 32)
         rng = np.random.default_rng(23)
         x, y = dom.xy[:, 0], dom.xy[:, 1]
-        u = (x * x + y * y - 1.0) / 4.0 + 0.05 * rng.standard_normal(dom.n_interior)
+        flat = np.minimum((x * x + y * y - 1.0) / 4.0, -0.1)
+        noisy = (x * x + y * y - 1.0) / 4.0 + 0.05 * rng.standard_normal(dom.n_interior)
         v = rng.standard_normal(dom.n_interior)
-        R, lin = el_residual(model, dom, u, linearize=True)
-        assert np.array_equal(R, el_residual(model, dom, u))
-        fresh = solver._jacobian(model, dom, u)(v)
-        sweeps = _count_sweeps(monkeypatch)
-        shared = solver._jacobian(model, dom, u, lin)
-        assert sweeps == []  # the trial's sweep is all the product reads
-        assert np.array_equal(shared(v), fresh)
+        fields = [noisy]
+        if divergence_coefficients(model, 0.0, 0.0)[0] > 0.0:  # else a flat core is refused
+            fields += [flat, flat + 1e-5 * x]
+        for u in fields:
+            R, product = el_residual(model, dom, u, linearize=True)
+            assert np.array_equal(R, el_residual(model, dom, u))
+            assert np.array_equal(product(v), _jacobian_reference(model, dom, u)(v))
 
     @pytest.mark.parametrize("kind,params,model", [
         ("ellipse", [1.0, 0.6], JACOBIAN_MODELS[-1]),
@@ -929,19 +996,37 @@ class TestSharedLinearization:
     def test_newton_loop_passes_the_accepted_trials_data(self, kind, params, model,
                                                          monkeypatch):
         dom = build_domain(make_shape(kind, params), 1 / 32)
-        real, shared = solver._jacobian, []
+        real_residual, real_gmres = solver.el_residual, solver._gmres
+        residuals, steps = [], []  # (u, linearize, output) per call; per step
         v = np.random.default_rng(29).standard_normal(dom.n_interior)
 
-        def spy(model, domain, u, lin=None):
-            product = real(model, domain, u, lin)
-            assert np.array_equal(product(v), real(model, domain, u.copy())(v))
-            shared.append(lin is not None)
-            return product
-        monkeypatch.setattr(solver, "_jacobian", spy)
+        def residual(model, domain, u, linearize=False):
+            out = real_residual(model, domain, u, linearize)
+            residuals.append((u.copy(), linearize, out))
+            return out
+
+        def gmres(jv, b, precond, rtol):
+            if residuals:  # a Newton step: the warm start's runs before any residual
+                u, _, (R, product) = residuals[-1]
+                fresh = real_residual(model, dom, u.copy(), linearize=True)[1]
+                steps.append((len(residuals), float(np.max(np.abs(R))), jv is product,
+                              np.array_equal(jv(v), fresh(v))))
+            return real_gmres(jv, b, precond, rtol)
+        monkeypatch.setattr(solver, "el_residual", residual)
+        monkeypatch.setattr(solver, "_gmres", gmres)
         res = solve_euler_lagrange(model, dom)
         assert res.converged and res.iterations >= 2
-        # the warm start keeps no data; every later step reads its trial's
-        assert shared == [False] + [True] * (res.iterations - 1)
+        # the warm start's residual keeps no Jacobian; the first step's comes
+        # from one linearized residual at the same u
+        assert not residuals[0][1] and residuals[1][1]
+        assert np.array_equal(residuals[0][0], residuals[1][0])
+        # every later step runs after the trials of the step before and no
+        # other residual, so its operator, the last residual's product, is
+        # the accepted trial's; each equals a fresh product bitwise
+        trials = [1 - int(math.log2(e["damping"])) for e in res.log[1:-1]]
+        assert [s[0] for s in steps] == [2 + sum(trials[:k]) for k in range(res.iterations)]
+        assert [s[1] for s in steps] == [e["residual"] for e in res.log[:-1]]
+        assert all(s[2] and s[3] for s in steps)
 
     def test_solve_sweeps_the_predicted_points(self, monkeypatch):
         # every residual, warm start and trials alike, sweeps each unique
