@@ -351,33 +351,20 @@ def check_hypotheses(model, box=PILOT_BOX):
 
     witnesses = {}
 
-    def first_violation(mask, values):
-        idx = int(np.argmax(mask))
-        return (float(p[idx]), float(q[idx]), float(values[idx]))
+    def holds(name, bad, values):
+        """Whether no sample is ``bad``; else the first bad one, with its
+        entry of ``values``, becomes the witness of ``name``."""
+        if not bad.any():
+            return True
+        idx = int(np.argmax(bad))
+        witnesses[name] = (float(p[idx]), float(q[idx]), float(values[idx]))
+        return False
 
-    conv_bad = jet.F_pp <= 0.0
-    convexity_ok = not bool(conv_bad.any())
-    if not convexity_ok:
-        witnesses["convexity"] = first_violation(conv_bad, jet.F_pp)
-
-    case2_bad = jet.F <= 0.0
-    case2_ok = not bool(case2_bad.any())
-    if not case2_ok:
-        witnesses["case2"] = first_violation(case2_bad, jet.F)
-
-    case3_bad = (jet.F >= 0.0) | (phi <= 0.0)
-    case3_ok = not bool(case3_bad.any())
-    if not case3_ok:
-        bad_F = jet.F >= 0.0
-        if bad_F.any():
-            witnesses["case3"] = first_violation(bad_F, jet.F)
-        else:
-            witnesses["case3"] = first_violation(phi <= 0.0, phi)
-
-    mono_bad = jet.F_q < 0.0
-    monotone_q_ok = not bool(mono_bad.any())
-    if not monotone_q_ok:
-        witnesses["monotone_q"] = first_violation(mono_bad, jet.F_q)
+    convexity_ok = holds("convexity", jet.F_pp <= 0.0, jet.F_pp)
+    case2_ok = holds("case2", jet.F <= 0.0, jet.F)
+    # case 3 is witnessed by F >= 0 first, else by p F_p - F <= 0
+    case3_ok = holds("case3", jet.F >= 0.0, jet.F) and holds("case3", phi <= 0.0, phi)
+    monotone_q_ok = holds("monotone_q", jet.F_q < 0.0, jet.F_q)
 
     origin_smooth_ok = True
     if model.smooth_at_origin:

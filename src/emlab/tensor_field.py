@@ -50,7 +50,6 @@ class SpectralField:
     lambda_rest: np.ndarray
     det: np.ndarray
     trace: np.ndarray
-    det_convention_flip: np.ndarray   # lambda1 * (+F)^{n-1}: the other sign convention
     p: np.ndarray
     jet: object                       # interior jet at (|grad u|, u)
     phi: np.ndarray                   # Phi(u) = F(0, u) at interior nodes
@@ -134,7 +133,7 @@ def assemble_field(model, result, domain, x0=None):
     return SpectralField(
         T=T, direct_spectrum=_eigvals_sym2(T), lambda1=lambda1,
         lambda_rest=lambda_rest, det=lambda1 * lambda_rest,
-        trace=lambda1 + lambda_rest, det_convention_flip=lambda1 * jet.F, p=p,
+        trace=lambda1 + lambda_rest, p=p,
         jet=jet, phi=eval_jet(model, np.zeros_like(u), u).F, phi0=phi0,
         boundary_jet=bjet, boundary_lambda1=blambda1,
         boundary_lambda_rest=blambda_rest, x0=x0, X_dot_nu=X_dot_nu,
@@ -189,6 +188,7 @@ def consistency_report(fld):
     sign conventions (they differ by (-1)^(n-1)).
     """
     T = fld.T
+    det_convention_flip = fld.lambda1 * fld.jet.F  # lambda1 * (+F)^{n-1}
     closed = np.sort(np.array([fld.lambda1, fld.lambda_rest]), axis=0)
     det_direct = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
     scale = np.maximum(1.0, np.abs(det_direct))
@@ -205,7 +205,7 @@ def consistency_report(fld):
             "trace_consistency_max": float(np.max(np.abs(fld.trace - (T[0, 0] + T[1, 1])))),
             "det_consistency_max_rel": float(np.max(np.abs(fld.det - det_direct) / scale)),
             "det_convention_flip_residual":
-                float(np.max(np.abs(fld.det + fld.det_convention_flip) / scale)),
+                float(np.max(np.abs(fld.det + det_convention_flip) / scale)),
             "min_abs_det": float(np.min(np.abs(fld.det))),
             "nodes_checked": len(fld.lambda1)}
 

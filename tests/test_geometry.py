@@ -26,7 +26,7 @@ from emlab.geometry import (
     make_shape,
     volume_integral,
 )
-from emlab.identities import nonexistence_obstruction
+from emlab.identities import run_identity_suite
 from emlab.tensor_field import assemble_field
 
 DISC = make_shape("disc", [1.0])
@@ -306,8 +306,8 @@ class TestStarMargin:
 
     @staticmethod
     def margin(model, result, domain, x0):
-        fld = assemble_field(model, result, domain, x0)
-        return nonexistence_obstruction(fld, None)["star_margin"]
+        section, _ = run_identity_suite(assemble_field(model, result, domain, x0))
+        return section["star_margin"]
 
     def test_disc_center(self, torsion_model, torsion_result, disc64):
         assert self.margin(torsion_model, torsion_result, disc64,

@@ -5,81 +5,210 @@ the volume side integrates radially to -3*pi/4 for all three identities and
 the boundary side evaluates on the circle to the same value.
 """
 
+import dataclasses
+import functools
 import math
 
+import numpy as np
 import pytest
 
-from emlab.geometry import build_domain, make_shape, volume_integral
-from emlab.lagrangian import eval_jet, make_model
-from emlab.identities import (nonexistence_obstruction, run_identity_suite,
-                              verify_pohozaev_identity,
-                              verify_rellich_identity,
-                              verify_rellich_source_form)
+from emlab import identities
+from emlab.geometry import boundary_integral, build_domain, make_shape, volume_integral
+from emlab.identities import N_DIM, run_identity_suite
+from emlab.lagrangian import eval_jet, make_expression_model, make_model
+from emlab.pfunction import QUADRATIC_FAMILY
 from emlab.solver import solve_euler_lagrange
 from emlab.tensor_field import assemble_field
 
 TARGET = -3.0 * math.pi / 4.0
 
 
+def _section(model, result, domain, x0=None):
+    return run_identity_suite(assemble_field(model, result, domain, x0))[0]
+
+
+# ---------------------------------------------------------------------------
+# reference: the section built by one helper per identity
+# ---------------------------------------------------------------------------
+
+def _rellich_reference(fld):
+    jet = fld.jet
+    volume = volume_integral(fld.domain, fld.p * jet.F_p - N_DIM * jet.F)
+    boundary = boundary_integral(fld.domain, fld.boundary_flux)
+    return volume, boundary, abs(volume - boundary)
+
+
+def _source_form_reference(fld):
+    domain, u, jet = fld.domain, fld.result.u, fld.jet
+    volume = volume_integral(domain, -u * jet.F_q - N_DIM * jet.F)
+    volume_plus_sign = volume_integral(domain, u * jet.F_q - N_DIM * jet.F)
+    u_boundary = np.zeros(domain.n_boundary)
+    L_xi_dot_nu = fld.boundary_jet.F_p * np.sign(fld.result.normal_derivative)
+    vanishing = boundary_integral(domain, u_boundary * L_xi_dot_nu)
+    boundary = boundary_integral(domain, fld.boundary_flux) - vanishing
+    return (volume, boundary, abs(volume - boundary),
+            {"vanishing_boundary_term": vanishing,
+             "volume_with_plus_sign": volume_plus_sign})
+
+
+def _pohozaev_reference(fld):
+    domain = fld.domain
+    volume = volume_integral(domain, 0.5 * (2 - N_DIM) * fld.p ** 2 - N_DIM * fld.phi)
+    dnu = fld.result.normal_derivative
+    boundary = boundary_integral(domain, fld.pohozaev_density)
+    boundary_halved = boundary_integral(domain, 0.5 * fld.X_dot_nu * (dnu ** 2 - fld.phi0))
+    return (volume, boundary, abs(volume - boundary),
+            {"boundary_with_halved_density": boundary_halved})
+
+
+def _obstruction_reference(fld, pohozaev):
+    margin = float(np.min(fld.X_dot_nu))
+    out = {"star_margin": margin, "phi0": fld.phi0,
+           "applicable": margin >= 0.0, "obstruction_flag": False,
+           "boundary_sign_guaranteed": int(margin >= 0.0 and fld.phi0 < 0.0)}
+    if not out["applicable"]:
+        out["note"] = "domain is not star-shaped about x0; obstruction inapplicable"
+        return out
+    if pohozaev is not None:
+        out["volume_value"], out["boundary_value"] = pohozaev[:2]
+        out["obstruction_flag"] = out["boundary_sign_guaranteed"] == 1 and pohozaev[0] < -2e-2
+    return out
+
+
+def _identity_reference(fld):
+    """The ``identities`` section as the four helpers above assembled it."""
+    rellich = _rellich_reference(fld)
+    *source, extra = _source_form_reference(fld)
+    as_printed = {"source_volume_plus_sign": extra["volume_with_plus_sign"]}
+    pohozaev = None
+    if fld.model.name in QUADRATIC_FAMILY:
+        pohozaev = _pohozaev_reference(fld)
+        as_printed["pohozaev_boundary_halved"] = pohozaev[3]["boundary_with_halved_density"]
+    obstruction = _obstruction_reference(fld, pohozaev)
+
+    def pair(sides):
+        return dict(zip(("volume", "boundary", "residual"), sides[:3]))
+
+    return {"rellich": pair(rellich), "rellich_source": pair(source),
+            "pohozaev": pair(pohozaev or (None,) * 3), "x0": list(fld.x0),
+            "star_margin": obstruction["star_margin"],
+            "vanishing_boundary_term": extra["vanishing_boundary_term"],
+            "as_printed": as_printed, "obstruction": obstruction}
+
+
+#: the catalog, every template solvable from u = 0 (power_dirichlet needs
+#: m = 2 for a positive g(0, 0)), and an expression model outside it
+REFERENCE_MODELS = [make_model(name, params) for name, params in [
+    ("dirichlet_affine", [-0.2, 1.0]), ("dirichlet_exponential", [1.0, 1.0]),
+    ("dirichlet_power", [1.0, 3]), ("power_dirichlet", [2.0, 0.1, 1.0]),
+    ("minimal_surface", [2.0, 1.0])]] + [
+    make_expression_model("sqrt(1 + p**2) + q", smooth_at_origin=True)]
+REFERENCE_SHAPES = [("disc", [1.0]), ("annulus", [0.3, 1.0]),
+                    ("ellipse", [1.0, 0.6]), ("rectangle", [1.0, 0.7])]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_solve(model_index, shape_index):
+    dom = build_domain(make_shape(*REFERENCE_SHAPES[shape_index]), 1 / 32)
+    return dom, solve_euler_lagrange(REFERENCE_MODELS[model_index], dom)
+
+
+class TestAgainstHelperReference:
+    @pytest.mark.parametrize("x0", [None, (0.2, -0.1), (0.9, 0.0)])  # the last off the rectangle
+    @pytest.mark.parametrize("shape_index", range(len(REFERENCE_SHAPES)),
+                             ids=[kind for kind, _ in REFERENCE_SHAPES])
+    @pytest.mark.parametrize("model_index", range(len(REFERENCE_MODELS)),
+                             ids=[m.name for m in REFERENCE_MODELS])
+    def test_section_equals_the_reference(self, model_index, shape_index, x0):
+        # repr tells apart what == would not: signed zeros and int vs bool
+        dom, res = _reference_solve(model_index, shape_index)
+        fld = assemble_field(REFERENCE_MODELS[model_index], res, dom, x0)
+        assert repr(run_identity_suite(fld)[0]) == repr(_identity_reference(fld))
+
+    def test_obstruction_flag_equals_the_reference(self, shifted_model, shifted_result,
+                                                   disc64):
+        # a Phi(u) raised by 10 drives the Pohozaev volume side far below
+        # -2e-2 on a star-shaped domain with Phi(0) < 0, so the flag is set
+        fld = assemble_field(shifted_model, shifted_result, disc64)
+        fld = dataclasses.replace(fld, phi=fld.phi + 10.0)
+        section = run_identity_suite(fld)[0]
+        assert section["obstruction"]["obstruction_flag"] is True
+        assert repr(section) == repr(_identity_reference(fld))
+
+    @pytest.mark.parametrize("model, calls", [("torsion_model", 4), ("minsurf_model", 2)])
+    def test_each_boundary_density_integrated_once(self, request, monkeypatch, model,
+                                                   calls, torsion_result, disc64):
+        # the flux, the vanishing term and, in the family, the Pohozaev
+        # density and its halved variant
+        counted = []
+
+        def counting(domain, density):
+            counted.append(1)
+            return boundary_integral(domain, density)
+
+        fld = assemble_field(request.getfixturevalue(model), torsion_result, disc64)
+        monkeypatch.setattr(identities, "boundary_integral", counting)
+        run_identity_suite(fld)
+        assert len(counted) == calls
+
+
+# ---------------------------------------------------------------------------
+# closed forms and invariances
+# ---------------------------------------------------------------------------
+
 class TestRellich:
     def test_torsion_both_sides(self, torsion_model, torsion_result, disc64):
-        fld = assemble_field(torsion_model, torsion_result, disc64)
-        vol, bnd, res = verify_rellich_identity(fld)
-        assert vol == pytest.approx(TARGET, abs=2e-2)
-        assert bnd == pytest.approx(TARGET, abs=2e-2)
-        assert res <= 2e-2
+        rellich = _section(torsion_model, torsion_result, disc64)["rellich"]
+        assert rellich["volume"] == pytest.approx(TARGET, abs=2e-2)
+        assert rellich["boundary"] == pytest.approx(TARGET, abs=2e-2)
+        assert rellich["residual"] <= 2e-2
 
     def test_zero_solution_constant_tensor(self, laplace_model, laplace_result, disc64):
         # T = -A Id: volume = -n A |Omega|, boundary = -A * oint <X, nu>
-        fld = assemble_field(laplace_model, laplace_result, disc64)
-        vol, bnd, res = verify_rellich_identity(fld)
-        assert vol == pytest.approx(-2.0 * math.pi, abs=2e-2)
-        assert bnd == pytest.approx(-2.0 * math.pi, abs=2e-2)
-        assert res <= 2e-2
+        rellich = _section(laplace_model, laplace_result, disc64)["rellich"]
+        assert rellich["volume"] == pytest.approx(-2.0 * math.pi, abs=2e-2)
+        assert rellich["boundary"] == pytest.approx(-2.0 * math.pi, abs=2e-2)
+        assert rellich["residual"] <= 2e-2
 
     def test_x0_translation_invariance(self, torsion_model, torsion_result, disc64):
-        vol0, bnd0, _ = verify_rellich_identity(
-            assemble_field(torsion_model, torsion_result, disc64))
-        vol1, bnd1, res1 = verify_rellich_identity(
-            assemble_field(torsion_model, torsion_result, disc64, x0=(0.3, 0.0)))
-        assert vol1 == vol0  # the volume side never sees x0
-        assert bnd1 == pytest.approx(bnd0, abs=2e-2)
-        assert res1 <= 2e-2
+        rellich0 = _section(torsion_model, torsion_result, disc64)["rellich"]
+        rellich1 = _section(torsion_model, torsion_result, disc64, (0.3, 0.0))["rellich"]
+        assert rellich1["volume"] == rellich0["volume"]  # the volume side never sees x0
+        assert rellich1["boundary"] == pytest.approx(rellich0["boundary"], abs=2e-2)
+        assert rellich1["residual"] <= 2e-2
 
     def test_x0_invariance_on_annulus(self, torsion_model, annulus_result, annulus64):
         # the shift term is oint <c, T nu> = int Div T ~ 0 on any geometry
-        _, bnd0, _ = verify_rellich_identity(
-            assemble_field(torsion_model, annulus_result, annulus64))
-        _, bnd1, _ = verify_rellich_identity(
-            assemble_field(torsion_model, annulus_result, annulus64, x0=(0.5, -0.2)))
+        bnd0 = _section(torsion_model, annulus_result, annulus64)["rellich"]["boundary"]
+        bnd1 = _section(torsion_model, annulus_result, annulus64,
+                        (0.5, -0.2))["rellich"]["boundary"]
         assert bnd1 == pytest.approx(bnd0, abs=2e-2)
 
 
 class TestSourceForm:
     def test_torsion_value(self, torsion_model, torsion_result, disc64):
-        vol, bnd, res, extra = verify_rellich_source_form(
-            assemble_field(torsion_model, torsion_result, disc64))
-        assert vol == pytest.approx(TARGET, abs=2e-2)
-        assert bnd == pytest.approx(TARGET, abs=2e-2)
-        assert res <= 2e-2
-        assert abs(extra["vanishing_boundary_term"]) <= 1e-10
+        section = _section(torsion_model, torsion_result, disc64)
+        source = section["rellich_source"]
+        assert source["volume"] == pytest.approx(TARGET, abs=2e-2)
+        assert source["boundary"] == pytest.approx(TARGET, abs=2e-2)
+        assert source["residual"] <= 2e-2
+        assert abs(section["vanishing_boundary_term"]) <= 1e-10
 
     def test_sign_correction_is_visible(self, torsion_model, torsion_result, disc64):
         # the plus-sign variant integrates to -pi on the benchmark, far from
         # the boundary side; the implemented minus sign is the consistent one
-        vol, bnd, _, extra = verify_rellich_source_form(
-            assemble_field(torsion_model, torsion_result, disc64))
-        plus = extra["volume_with_plus_sign"]
+        section = _section(torsion_model, torsion_result, disc64)
+        vol, bnd = section["rellich_source"]["volume"], section["rellich_source"]["boundary"]
+        plus = section["as_printed"]["source_volume_plus_sign"]
         assert plus == pytest.approx(-math.pi, abs=2e-2)
         assert abs(plus - bnd) > 0.5
         assert abs(vol - bnd) <= 2e-2
 
     def test_volume_sides_connected_by_parts(self, torsion_model, torsion_result, disc64):
         # int(p F_p + u F_q) ~ 0 by discrete integration by parts
-        fld = assemble_field(torsion_model, torsion_result, disc64)
-        vol_r, _, _ = verify_rellich_identity(fld)
-        vol_s, _, _, _ = verify_rellich_source_form(fld)
-        assert abs(vol_r - vol_s) <= 2e-2
+        section = _section(torsion_model, torsion_result, disc64)
+        assert abs(section["rellich"]["volume"]
+                   - section["rellich_source"]["volume"]) <= 2e-2
 
     def test_discrete_integration_by_parts(self, torsion_model, torsion_result, disc64):
         # int |grad u|^2 = -int u Phi'(u) = pi/8 on the benchmark
@@ -92,33 +221,28 @@ class TestSourceForm:
 
 class TestPohozaev:
     def test_torsion_value(self, torsion_model, torsion_result, disc64):
-        vol, bnd, res, extra = verify_pohozaev_identity(
-            assemble_field(torsion_model, torsion_result, disc64))
-        assert vol == pytest.approx(TARGET, abs=2e-2)
-        assert bnd == pytest.approx(TARGET, abs=2e-2)
-        assert res <= 2e-2
+        section = _section(torsion_model, torsion_result, disc64)
+        pohozaev = section["pohozaev"]
+        assert pohozaev["volume"] == pytest.approx(TARGET, abs=2e-2)
+        assert pohozaev["boundary"] == pytest.approx(TARGET, abs=2e-2)
+        assert pohozaev["residual"] <= 2e-2
         # the halved-density variant lands at -pi/4: the factor-2 discrepancy
-        assert extra["boundary_with_halved_density"] == pytest.approx(
+        assert section["as_printed"]["pohozaev_boundary_halved"] == pytest.approx(
             -math.pi / 4.0, abs=2e-2)
 
     def test_zero_solution_zero_potential(self, disc64):
         model = make_model("dirichlet_affine", [0.0, 0.0])  # F = p^2/2, Phi = 0
         res = solve_euler_lagrange(model, disc64)
-        vol, bnd, resi, _ = verify_pohozaev_identity(assemble_field(model, res, disc64))
-        assert vol == pytest.approx(0.0, abs=1e-10)
-        assert bnd == pytest.approx(0.0, abs=1e-10)
-
-    def test_family_mismatch_rejected(self, minsurf_model, torsion_result, disc64):
-        with pytest.raises(ValueError):
-            verify_pohozaev_identity(assemble_field(minsurf_model, torsion_result, disc64))
+        pohozaev = _section(model, res, disc64)["pohozaev"]
+        assert pohozaev["volume"] == pytest.approx(0.0, abs=1e-10)
+        assert pohozaev["boundary"] == pytest.approx(0.0, abs=1e-10)
 
     def test_residual_halving_factor(self, torsion_model):
         residuals = []
         for h in (1.0 / 64, 1.0 / 128):
             dom = build_domain(make_shape("disc", [1.0]), h)
             res = solve_euler_lagrange(torsion_model, dom)
-            _, _, resi, _ = verify_pohozaev_identity(assemble_field(torsion_model, res, dom))
-            residuals.append(resi)
+            residuals.append(_section(torsion_model, res, dom)["pohozaev"]["residual"])
         assert residuals[0] / residuals[1] >= 1.8
 
     def test_nonlinear_model_halving_order_at_least_one(self, exp_model):
@@ -126,17 +250,14 @@ class TestPohozaev:
         for h in (1.0 / 32, 1.0 / 64):
             dom = build_domain(make_shape("disc", [1.0]), h)
             res = solve_euler_lagrange(exp_model, dom)
-            _, _, resi = verify_rellich_identity(assemble_field(exp_model, res, dom))
-            residuals.append(resi)
+            residuals.append(_section(exp_model, res, dom)["rellich"]["residual"])
         assert residuals[0] / residuals[1] >= 2.0
 
 
 class TestObstruction:
     def test_negative_potential_forces_boundary_sign(self, shifted_model,
                                                      shifted_result, disc64):
-        fld = assemble_field(shifted_model, shifted_result, disc64)
-        pohozaev = verify_pohozaev_identity(fld)
-        out = nonexistence_obstruction(fld, pohozaev)
+        out = _section(shifted_model, shifted_result, disc64)["obstruction"]
         assert out["applicable"]
         assert out["phi0"] == pytest.approx(-0.2)
         assert out["boundary_sign_guaranteed"] == 1
@@ -145,8 +266,7 @@ class TestObstruction:
         assert not out["obstruction_flag"]
 
     def test_annulus_inapplicable(self, torsion_model, annulus_result, annulus64):
-        fld = assemble_field(torsion_model, annulus_result, annulus64)
-        out = nonexistence_obstruction(fld, verify_pohozaev_identity(fld))
+        out = _section(torsion_model, annulus_result, annulus64)["obstruction"]
         assert out["star_margin"] < 0.0
         assert not out["applicable"]
 
@@ -165,8 +285,7 @@ class TestObstruction:
             assert fld.pohozaev_density.min() >= 0.0
 
     def test_torsion_no_obstruction(self, torsion_model, torsion_result, disc64):
-        fld = assemble_field(torsion_model, torsion_result, disc64)
-        out = nonexistence_obstruction(fld, verify_pohozaev_identity(fld))
+        out = _section(torsion_model, torsion_result, disc64)["obstruction"]
         assert out["applicable"]
         assert out["boundary_sign_guaranteed"] == 0  # Phi(0) = 1/2 > 0
         assert not out["obstruction_flag"]

@@ -12,6 +12,7 @@ from emlab import autodiff as ad
 from emlab.errors import EvaluationError, OriginLimitError
 from emlab.lagrangian import (
     CATALOG,
+    PILOT_BOX,
     candidate_p2_derivative,
     check_hypotheses,
     divergence_coefficients,
@@ -125,6 +126,39 @@ class TestCheckHypotheses:
         assert not rep.origin_smooth_ok
         _, q, value = rep.violation_witnesses["origin_smoothness"]
         assert value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("expression, smooth, expected", [
+        ("q*q - 0.5*p*p", False,
+         {"convexity_ok": False, "min_F_pp": -1.0, "case2_ok": False, "min_F": -0.5,
+          "case3_ok": False, "max_F": 1.0, "min_p_F_p_minus_F": -1.5,
+          "monotone_q_ok": False, "min_F_q": -2.0, "origin_smooth_ok": True,
+          "sample_box": ((0.0, 1.0), (-1.0, 1.0)), "samples": 521,
+          "violation_witnesses": {"convexity": (0.0, -1.0, -1.0), "case2": (0.0, 0.0, 0.0),
+                                  "case3": (0.0, -1.0, 1.0),
+                                  "monotone_q": (0.0, -1.0, -2.0)}}),
+        ("-2*p*p - 0.1", False,
+         {"convexity_ok": False, "min_F_pp": -4.0, "case2_ok": False, "min_F": -2.1,
+          "case3_ok": False, "max_F": -0.1, "min_p_F_p_minus_F": -1.9,
+          "monotone_q_ok": True, "min_F_q": 0.0, "origin_smooth_ok": True,
+          "sample_box": ((0.0, 1.0), (-1.0, 1.0)), "samples": 521,
+          "violation_witnesses": {"convexity": (0.0, -1.0, -4.0), "case2": (0.0, -1.0, -0.1),
+                                  "case3": (1.0, -1.0, -1.9)}}),
+        ("p + q*q*q", True,
+         {"convexity_ok": False, "min_F_pp": 0.0, "case2_ok": False, "min_F": -1.0,
+          "case3_ok": False, "max_F": 2.0, "min_p_F_p_minus_F": -1.0,
+          "monotone_q_ok": True, "min_F_q": 0.0, "origin_smooth_ok": False,
+          "sample_box": ((0.0, 1.0), (-1.0, 1.0)), "samples": 521,
+          "violation_witnesses": {"convexity": (0.0, -1.0, 0.0), "case2": (0.0, -1.0, -1.0),
+                                  "case3": (0.0, 1.0, 1.0),
+                                  "origin_smoothness": (0.0, -1.0, 1.0)}})])
+    def test_pilot_box_report_pinned(self, expression, smooth, expected):
+        # every witness kind, and case 3 witnessed by F >= 0 (the first and
+        # third) and by p F_p - F <= 0 (the second); repr pins signed zeros.
+        # The identity residual is rounding noise, so it is bounded, not pinned.
+        model = make_expression_model(expression, smooth_at_origin=smooth)
+        report = check_hypotheses(model, box=PILOT_BOX).as_dict()
+        assert report.pop("identity_residual_max") <= 1e-13
+        assert repr(report) == repr(expected)
 
     def test_catalog_models_origin_smooth(self):
         for model in CATALOG_MODELS:

@@ -1030,8 +1030,9 @@ class TestSharedLinearization:
 
     def test_solve_sweeps_the_predicted_points(self, monkeypatch):
         # every residual, warm start and trials alike, sweeps each unique
-        # face and each node once, and the first step's Jacobian sweeps
-        # them once more; a second sweep of a face would break the count
+        # face and each node once, and the first step's linearized residual
+        # at the warm start sweeps them once more; a second sweep of a face
+        # would break the count
         dom = build_domain(make_shape("ellipse", [1.0, 0.6]), 1 / 32)
         sweeps = _count_sweeps(monkeypatch)
         res = solve_euler_lagrange(JACOBIAN_MODELS[-1], dom)
@@ -1040,7 +1041,9 @@ class TestSharedLinearization:
                      for e in res.log[1:])
         faces = (np.count_nonzero(dom.nbr[:, 0] >= 0)  # +x and +y to an interior node
                  + np.count_nonzero(dom.nbr[:, 2] >= 0) + np.count_nonzero(dom.nbr < 0))
-        sets = 1 + trials + 1  # the warm start, every trial, the first step's Jacobian
+        # the warm start, every trial, the first step's linearized residual at
+        # the warm start
+        sets = 1 + trials + 1
         # first the warm start's g(0, 0) and h(0, 0): a jet at (0, 0) and its
         # F_pp(0, 0) limit
         assert sweeps[:2] == [1, 1]

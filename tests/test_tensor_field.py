@@ -205,7 +205,8 @@ class TestDetTrace:
     def test_sign_convention_flip(self, torsion_model, torsion_result, disc64):
         # eigenvalue product equals the F^{n-1} convention up to (-1)^{n-1}
         fld = assemble_field(torsion_model, torsion_result, disc64)
-        assert np.max(np.abs(fld.det - (-1.0) * fld.det_convention_flip)) < 1e-12
+        det_convention_flip = fld.lambda1 * fld.jet.F  # lambda1 * (+F)^{n-1}
+        assert np.max(np.abs(fld.det - (-1.0) * det_convention_flip)) < 1e-12
 
     def test_nondegeneracy_margin(self, torsion_model, torsion_result, disc64):
         fld = assemble_field(torsion_model, torsion_result, disc64)
@@ -363,6 +364,7 @@ def _diff_ops_loop(domain):
 
 def _consistency_loop(fld):
     sym_max = eigvec_max = spectrum_max = trace_max = det_max = flip_max = 0.0
+    det_convention_flip = fld.lambda1 * fld.jet.F
     for i in range(len(fld.lambda1)):
         grad = fld.result.grad[i]
         pt = TensorPoint(
@@ -376,7 +378,7 @@ def _consistency_loop(fld):
         scale = max(1.0, abs(det_d))
         trace_max = max(trace_max, abs(trace_c - trace_d))
         det_max = max(det_max, abs(det_c - det_d) / scale)
-        flip_max = max(flip_max, abs(det_c - (-1.0) * fld.det_convention_flip[i]) / scale)
+        flip_max = max(flip_max, abs(det_c - (-1.0) * det_convention_flip[i]) / scale)
         if pt.p > ORIGIN_EPS:
             tnorm = float(np.max(np.abs(pt.T)))
             r1 = pt.T @ grad - pt.lambda1 * grad

@@ -2,14 +2,16 @@
 
     python tools/output_digests.py SRC_DIR > digests.json
 
-Runs ``emlab solve``, with the ``emlab`` package imported from ``SRC_DIR``
-(the ``src`` directory of a checkout), on each config in ``configs/`` and
-on the seed-1 config of each workload of ``bench/workloads.py``, which it
-reads and does not edit; a workload whose op is ``emlab verify`` also runs
-``emlab verify`` on its solved run.  Prints one JSON object, keyed by run:
-the exit codes and the sha256 of ``report.json``, ``fields.csv``,
-``tensor.csv``, ``boundary.csv`` and ``solver_log.json``, and of the
-verify stdout with the run directory replaced by ``<RUN>``.
+Runs ``emlab check`` and ``emlab solve``, with the ``emlab`` package
+imported from ``SRC_DIR`` (the ``src`` directory of a checkout), on each
+config in ``configs/`` and on the seed-1 config of each workload of
+``bench/workloads.py``, which it reads and does not edit; a workload whose
+op is ``emlab verify`` also runs ``emlab verify`` and then ``emlab
+analyze`` on its solved run.  Prints one JSON object, keyed by run: the
+exit codes and the sha256 of the check stdout, of ``report.json``,
+``fields.csv``, ``tensor.csv``, ``boundary.csv`` and ``solver_log.json``,
+of the verify and analyze stdout with the run directory replaced by
+``<RUN>``, and of the files analyze re-exports (keys ``analyze_<file>``).
 ``timings.json`` varies from run to run and is left out.  Two trees whose
 runs write the same bytes print the same object, so a byte-identity check
 of a change is ``diff`` of the output on the parent's ``src`` and on its
@@ -40,20 +42,28 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _digest_outputs(out_dir, prefix=""):
+    return {prefix + name: _sha256((out_dir / name).read_bytes())
+            if (out_dir / name).is_file() else None for name in OUTPUTS}
+
+
 def digest_run(src_dir, config, out_dir, verify=False):
-    """The exit code and output digests of ``emlab solve`` on the config file
-    ``config`` into ``out_dir``, and with ``verify`` those of ``emlab
-    verify`` on that run."""
+    """The exit codes and output digests of ``emlab check`` on the config
+    file ``config`` and of ``emlab solve`` on it into ``out_dir``, and with
+    ``verify`` those of ``emlab verify`` and ``emlab analyze`` on that run."""
     out_dir = Path(out_dir)
-    digests = {"solve_exit": _emlab(src_dir, "solve", "--config", str(config),
+    check = _emlab(src_dir, "check", "--config", str(config))
+    digests = {"check_exit": check.returncode, "check_stdout": _sha256(check.stdout.encode()),
+               "solve_exit": _emlab(src_dir, "solve", "--config", str(config),
                                     "--out", str(out_dir)).returncode}
-    for name in OUTPUTS:
-        path = out_dir / name
-        digests[name] = _sha256(path.read_bytes()) if path.is_file() else None
+    digests.update(_digest_outputs(out_dir))
     if verify:
-        run = _emlab(src_dir, "verify", "--in", str(out_dir))
-        digests["verify_exit"] = run.returncode
-        digests["verify_stdout"] = _sha256(run.stdout.replace(str(out_dir), "<RUN>").encode())
+        for verb in ("verify", "analyze"):
+            run = _emlab(src_dir, verb, "--in", str(out_dir))
+            digests[f"{verb}_exit"] = run.returncode
+            digests[f"{verb}_stdout"] = _sha256(
+                run.stdout.replace(str(out_dir), "<RUN>").encode())
+        digests.update(_digest_outputs(out_dir, "analyze_"))
     return digests
 
 
