@@ -16,8 +16,8 @@ from decimal import Decimal, localcontext
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
+from .csr import CSR
 from .errors import DegenerateGridError
 
 # direction order used throughout: +x, -x, +y, -y
@@ -379,8 +379,7 @@ def _stencil_matrix(n, terms):
     which fixes the CSR layout."""
     idx = np.arange(n)
     rows, cols, vals = zip(*[(idx[m], c[m], np.broadcast_to(v, n)[m]) for m, c, v in terms])
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return CSR.from_coo(np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), (n, n))
 
 
 def _clip_cell_areas(shape, x, y, h):

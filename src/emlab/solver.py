@@ -23,8 +23,11 @@ falls.  Each level of the hierarchy restricts by the transpose view of its
 prolongator, no copy, and its cycle runs in work arrays allocated once per
 hierarchy; its coarsest level, of at most ``MG_COARSEST`` nodes, is
 inverted densely by ``splu`` in numpy alone, so no solve loads
-``scipy.linalg``.  Gradients come from the domain's ``grad_ops``; the
-boundary normal derivative extrapolates them from three interpolated depths.
+``scipy.linalg``.  Its sparse matrices are ``emlab.csr`` matrices, whose
+every operation is one of scipy's compiled sparse kernels, so no run
+imports ``scipy.sparse``.  Gradients come from the domain's ``grad_ops``;
+the boundary normal derivative extrapolates them from three interpolated
+depths.
 ``solve_radial`` is an independent Chebyshev collocation oracle for radially
 symmetric problems, including the 1D case n = 1.
 """
@@ -38,9 +41,8 @@ from functools import partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from .csr import CSR, diags
 from .errors import EllipticityError, EmlabError
 from .geometry import _E, _N, _S, _W, _stencil_matrix, interpolate_node_field
 from .lagrangian import diffusion_coefficient, divergence_coefficients, eval_jet
@@ -348,11 +350,12 @@ def splu(A):
     Gauss-Jordan elimination with partial pivoting on the dense copy of
     ``A``, one whole-array rank-one update per pivot, and no BLAS or LAPACK
     call, so its bits do not depend on the thread count.  It serves
-    ``_multigrid``'s coarsest level, which ``_v_cycle`` applies; the
-    name is that of the scipy factorization it replaced, which the bench's
-    ``solver.lu`` span and the tests that count coarse factorizations still
-    patch.  A zero or non-finite pivot, or a non-finite inverse, is refused
-    with ``EllipticityError``: its matrix is no usable elliptic operator."""
+    ``_multigrid``'s coarsest level, which ``_v_cycle`` applies.  Its name
+    is that of the ``scipy.sparse.linalg`` factorization it replaced, kept
+    because the bench's ``solver.lu`` span and the tests that count coarse
+    factorizations patch ``solver.splu``.  A zero or non-finite pivot, or a
+    non-finite inverse, is refused with ``EllipticityError``: its matrix is
+    no usable elliptic operator."""
     M = A.toarray()
     n = len(M)
     perm = np.arange(n)
@@ -399,8 +402,7 @@ def _tentative_prolongator(index):
     coarse[taken] = np.arange(nc)
     agg = np.empty(n, dtype=np.int32)
     agg[index[ii, jj]] = coarse[ci, cj]
-    T = sparse.csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
-                          shape=(n, nc))
+    T = CSR(np.ones(n), agg, np.arange(n + 1, dtype=np.int32), (n, nc))
     return T, coarse
 
 
@@ -414,23 +416,27 @@ def _multigrid(A, index, parts=None):
     tentative one itself, with their coarse correction scaled by
     ``MG_PLAIN_SCALE`` (plain aggregation; Braess, Computing 55, 1995).
     Every coarse operator is the Galerkin product ``P^T A P`` of its own
-    prolongator.  Each level smooths by one damped Jacobi sweep before and
+    prolongator, its columns sorted in place (``CSR.sum_duplicates``)
+    before its level reads them.  Each level smooths by one damped Jacobi sweep before and
     after its coarse correction, and the dense inverse of ``splu`` solves
     the first level of at most ``MG_COARSEST`` nodes (on a small grid,
     ``A`` itself).  A level holds ``(A, MG_SMOOTH_OMEGA D^-1, P, P^T,
-    scale)``, its restriction ``P.T`` being scipy's transpose view over
-    ``P``'s own arrays, not a copy, and then the work arrays its cycle
-    writes: its iterate (None on the finest level, whose iterate each cycle
-    returns afresh), its residual and the next level's right-hand side; the
+    scale)``, its restriction ``P.T`` being the transpose view over ``P``'s
+    own arrays, not a copy, and then the work arrays its cycle writes: its
+    iterate (None on the finest level, whose iterate each cycle returns
+    afresh), its residual and the next level's right-hand side; the
     coarsest holds its inverse, a work array of the inverse's shape and its
-    result (None where it is the finest).  The cycle is linear in ``b``, as ``_gmres`` needs.  An ``A``
-    whose diagonal is too small to invert in floating point leaves
-    non-finite coarse operators, which ``splu`` refuses with
-    ``EllipticityError``.  With a dict ``parts``, the seconds of ``splu``
-    go to its ``coarse_inverse_s``."""
+    result (None where it is the finest).  The cycle is linear in ``b``, as
+    ``_gmres`` needs.  An ``A`` whose diagonal is too small to invert in
+    floating point leaves non-finite coarse operators, which ``splu``
+    refuses with ``EllipticityError``.  With a dict ``parts``, the seconds
+    of ``splu`` go to its ``coarse_inverse_s``."""
     levels = []
     while A.shape[0] > MG_COARSEST:
         T, coarse = _tentative_prolongator(index)
+        # a Galerkin product's columns are sorted here, in place: its row sums
+        # below, its products and the cycle's matvecs read them in that order
+        A.sum_duplicates()
         # the weights suit rho(D^-1 A) <= 2, which Gershgorin's bound (the top
         # row sum of |D^-1 A|) gives the 5-point operator; four coarsenings
         # down, the unscaled rho reaches 3.3, so they are scaled by 2/bound
@@ -438,7 +444,9 @@ def _multigrid(A, index, parts=None):
             dinv = 1.0 / A.diagonal()
             dinv *= 2.0 / np.max(np.abs(dinv) * (abs(A) @ np.ones(A.shape[0])))
         if len(levels) < MG_SMOOTHED_LEVELS:
-            P, scale = (T - MG_PROLONG_OMEGA * sparse.diags(dinv) @ (A @ T)).tocsr(), 1.0
+            # the damping scales the diagonal before the product: each entry
+            # of the smoothing term is (omega dinv_i) (A T)_ij
+            P, scale = T - diags(MG_PROLONG_OMEGA * dinv) @ (A @ T), 1.0
         else:
             P, scale = T, MG_PLAIN_SCALE
         n, nc = P.shape
@@ -446,7 +454,7 @@ def _multigrid(A, index, parts=None):
                        np.empty(n) if levels else None, np.empty(n), np.empty(nc)))
         # the Galerkin product reads a transient CSR copy of P^T: through the
         # view it took 1.5 times as long on the disc at h = 1/256
-        A, index = (P.T.tocsr() @ (A @ P)).tocsr(), coarse
+        A, index = P.T.tocsr() @ (A @ P), coarse
     t0 = time.perf_counter()
     inv = splu(A)
     if parts is not None:
@@ -455,18 +463,6 @@ def _multigrid(A, index, parts=None):
     # a closure that called itself would be a reference cycle, keeping the
     # hierarchy in memory after the solve until a garbage collection
     return partial(_v_cycle, levels, coarsest)
-
-
-def _matvec(M, v, out):
-    """``out = M @ v`` for a CSR matrix or the CSC transpose view of one, by
-    the scipy kernel that ``M @ v`` calls, which adds each row's products in
-    order to a zero: the bits of ``M @ v`` without a fresh array.  ``out``
-    must be a C-contiguous float array of its own: the kernel writes into
-    a copy of any other, which it then drops."""
-    out.fill(0.0)
-    getattr(_sparsetools, M.format + "_matvec")(*M.shape, M.indptr, M.indices, M.data,
-                                                 v, out)
-    return out
 
 
 def _v_cycle(levels, coarsest, b, k=0):
@@ -483,11 +479,11 @@ def _v_cycle(levels, coarsest, b, k=0):
         return np.add.reduce(np.multiply(inv, b, out=work), axis=1, out=out)
     A, wdinv, P, Pt, scale, x, r, bc = levels[k]
     x = np.multiply(wdinv, b, out=x)
-    np.subtract(b, _matvec(A, x, r), out=r)
-    e = _v_cycle(levels, coarsest, _matvec(Pt, r, bc), k + 1)
+    np.subtract(b, A.matvec(x, r), out=r)
+    e = _v_cycle(levels, coarsest, Pt.matvec(r, bc), k + 1)
     e *= scale  # exact where it is 1, on the smoothed levels
-    x += _matvec(P, e, r)
-    np.subtract(b, _matvec(A, x, r), out=r)
+    x += P.matvec(e, r)
+    np.subtract(b, A.matvec(x, r), out=r)
     r *= wdinv
     x += r
     return x

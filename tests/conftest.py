@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from emlab.geometry import build_domain, make_shape
 from emlab.lagrangian import eval_jet, make_model
@@ -23,6 +24,13 @@ def annulus_exact_u(r):
 
 def annulus_exact_du(r):
     return r / 2.0 + ANN_LOG_COEF / r
+
+
+def scipy_csr(M):
+    """The ``scipy.sparse.csr_matrix`` of copies of the arrays of the emlab
+    matrix ``M``: scipy may sort a matrix's columns in place."""
+    return sparse.csr_matrix((M.data.copy(), M.indices.copy(), M.indptr.copy()),
+                             shape=M.shape)
 
 
 def lambda1_radial(model, profile, radii, n):

@@ -947,10 +947,13 @@ class TestCli:
     def test_runs_load_no_scipy_spatial_special_integrate_or_optimize(self, tmp_path):
         """Each of these packages costs import time that no run needs: a
         solve, check, report and verify, on a disc and on a non-radial
-        ellipse, load none of them, in a fresh process; ``jsonschema`` words
-        the error of a malformed report alone.  The tables of the CSV kernel
-        are built at the first export, not on import.  Importing the CLI
-        leaves the BLAS thread variables unset, ``EMLAB_THREADS`` set or not."""
+        ellipse, load none of them, in a fresh process, nor ``scipy.sparse``
+        and the numpy modules its import pulls in (``emlab.csr`` loads the
+        compiled kernels alone, as ``scipy.sparse._sparsetools``);
+        ``jsonschema`` words the error of a malformed report alone.  The
+        tables of the CSV kernel are built at the first export, not on
+        import.  Importing the CLI leaves the BLAS thread variables unset,
+        ``EMLAB_THREADS`` set or not."""
         ellipse = {"model": {"expression": "sqrt(1 + p**2) + q", "smooth_at_origin": True},
                    "shape": {"kind": "ellipse", "parameters": [1.0, 0.6]},
                    "spacing": 1.0 / 32}
@@ -963,7 +966,8 @@ class TestCli:
                      ["check", "--config", cfg_path], ["report", "--in", out],
                      ["verify", "--in", out]]
         unwanted = ["scipy.spatial", "scipy.special", "scipy.integrate", "scipy.optimize",
-                    "scipy.linalg", "scipy.sparse.linalg", "jsonschema"]
+                    "scipy.linalg", "scipy.sparse.linalg", "jsonschema", "scipy.sparse",
+                    "scipy._lib._array_api", "numpy.f2py", "numpy.testing"]
         proc = _python(["-c", (
             "import json, os, sys\n"
             "from emlab.cli import main\n"

@@ -18,7 +18,7 @@ from emlab.pipeline import EXIT_SOLVER, parse_config, run_pipeline
 from emlab.solver import (SolverConfig, _assemble, _conductances, el_residual,
                           solve_euler_lagrange, solve_radial)
 from emlab.tensor_field import assemble_field
-from conftest import annulus_exact_du, annulus_exact_u
+from conftest import annulus_exact_du, annulus_exact_u, scipy_csr
 
 ROUNDING_FLOOR = 1e-10
 
@@ -288,7 +288,7 @@ class TestWarmStartMultigrid:
         assert res.iterations == 0 and res.log[0]["linear_iterations"] > 1
         assert coarsest.shape[0] <= solver.MG_COARSEST < dom.n_interior
         g0, h0 = divergence_coefficients(torsion_model, 0.0, 0.0)
-        ref = spsolve(_assemble(dom, _conductances(dom, g0)).tocsc(),
+        ref = spsolve(scipy_csr(_assemble(dom, _conductances(dom, g0))).tocsc(),
                       np.full(dom.n_interior, -h0))
         assert np.max(np.abs(res.u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -321,7 +321,8 @@ class TestWarmStartMultigrid:
             assert all(np.shares_memory(getattr(Pt, name), getattr(P, name))
                        for name in ("data", "indices", "indptr"))
         for (A, _, P, *_), coarse in zip(levels, levels[1:]):
-            assert (P.T.tocsr() @ (A @ P) != coarse[0]).nnz == 0
+            A, P = scipy_csr(A), scipy_csr(P)
+            assert (P.T.tocsr() @ (A @ P) != scipy_csr(coarse[0])).nnz == 0
         reference = _allocating_cycle(levels, coarsest)
         rng = np.random.default_rng(5)
         for b in (np.ones(dom.n_interior), rng.standard_normal(dom.n_interior)):
@@ -437,7 +438,8 @@ class TestHierarchy:
         assert [(A.shape[0], A.nnz) for A in ops] == DISC128_LEVELS
         assert [lv[4] for lv in levels] == [1.0] * solver.MG_SMOOTHED_LEVELS + [1.5]
         for k, ((A, _, P, Pt, *_), coarse) in enumerate(zip(levels, ops[1:])):
-            assert (P.T.tocsr() @ (A @ P) != coarse).nnz == 0
+            A_, P_ = scipy_csr(A), scipy_csr(P)
+            assert (P_.T.tocsr() @ (A_ @ P_) != scipy_csr(coarse)).nnz == 0
             assert all(np.shares_memory(getattr(Pt, name), getattr(P, name))
                        for name in ("data", "indices", "indptr"))
             if k >= solver.MG_SMOOTHED_LEVELS:  # the tentative prolongator
@@ -530,7 +532,7 @@ class TestCoarseInverse:
         assert 100 < A.shape[0] <= solver.MG_COARSEST
         rng = np.random.default_rng(3)
         for b in (np.ones(A.shape[0]), rng.standard_normal(A.shape[0])):
-            ref = spsolve(A.tocsc(), b)
+            ref = spsolve(scipy_csr(A).tocsc(), b)
             x = solver.splu(A) @ b
             assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
